@@ -147,6 +147,21 @@ def programmable_povm(joint_povm, program: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _probe_factors(setup: TomographySetup) -> list[np.ndarray]:
+    """Square-root components F_r of the probe, with F = sum_r vec(F_r) vec(F_r)†.
+
+    Spectral decomposition of F, unvectorized; components below the
+    positivity cutoff are dropped.
+    """
+    w, v = eigh_sorted(setup.faithful_state)
+    cutoff = POS_TOL * max(1.0, float(w[0]))
+    return [
+        np.sqrt(w[r]) * v[:, r].reshape(setup.h_in, setup.h_in)
+        for r in range(w.size)
+        if w[r] > cutoff
+    ]
+
+
 def tomography_supermap(setup: TomographySetup) -> Supermap:
     """Deterministic supermap sending E to the bipartite state (E ⊗ I)(F).
 
@@ -154,43 +169,32 @@ def tomography_supermap(setup: TomographySetup) -> Supermap:
     probe (spectral decomposition, unvectorized); only the action matters, so
     any decomposition of F would do.
     """
-    w, v = eigh_sorted(setup.faithful_state)
-    cutoff = POS_TOL * max(1.0, float(w[0]))
-    ops = []
-    for r in range(w.size):
-        if w[r] <= cutoff:
-            continue
-        f_r = np.sqrt(w[r]) * v[:, r].reshape(setup.h_in, setup.h_in)
-        ops.append(kron(np.eye(setup.h_out), f_r.T))
+    ops = tuple(kron(np.eye(setup.h_out), f_r.T) for f_r in _probe_factors(setup))
     return Supermap(
         h_in=setup.h_in,
         h_out=setup.h_out,
         k_in=1,
         k_out=setup.h_out * setup.h_in,
-        kraus=tuple(ops),
+        kraus=ops,
     )
-
-
-def _action_matrix(s: Supermap) -> np.ndarray:
-    """Matrix of E -> S(E) on row-major vectorized operators."""
-    m = np.zeros(
-        ((s.k_out * s.k_in) ** 2, (s.h_out * s.h_in) ** 2), dtype=complex
-    )
-    for op in s.kraus:
-        m += kron(op, op.conj())
-    return m
 
 
 def is_faithful(setup: TomographySetup, tol: float = 1e-8) -> bool:
     """True iff E -> (E ⊗ I)(F) has trivial kernel on operators.
 
-    Decided by full column rank of the action's matrix representation at a
-    relative singular-value threshold.
+    On row-major vectorized operators the tomography supermap's action matrix
+    sum_r (I ⊗ F_rᵀ) ⊗ conj(I ⊗ F_rᵀ) equals I_{h_out²} ⊗ Φ up to a fixed
+    reordering of factors, with the h_in² x h_in² matrix
+    Φ = sum_r F_rᵀ ⊗ F_r†.  Its singular values are Φ's, each repeated
+    h_out² times, so the action has full column rank iff Φ has full rank at
+    the relative singular-value threshold ``tol * s_max``.
     """
-    m = _action_matrix(tomography_supermap(setup))
-    svals = np.linalg.svd(m, compute_uv=False)
-    rank = int(np.sum(svals > tol * svals[0])) if svals.size else 0
-    return rank == (setup.h_out * setup.h_in) ** 2
+    f = np.stack(_probe_factors(setup))
+    d = setup.h_in * setup.h_in
+    # phi[(a, c), (b, d)] = sum_r F_r[b, a] conj(F_r[d, c])
+    phi = np.einsum("rba,rdc->acbd", f, f.conj()).reshape(d, d)
+    svals = np.linalg.svd(phi, compute_uv=False)
+    return int(np.sum(svals > tol * svals[0])) == d
 
 
 def informationally_complete_tester_for(setup: TomographySetup, povm) -> Tester:

@@ -28,8 +28,8 @@ from .realization import circuit_to_supermap, realize, realize_probabilistic
 from .selftest import CORRUPTIONS, run_selftest
 from .supermap import (
     NotDeterministicError,
-    _determinism_certificate,
     action_distance,
+    determinism_certificate,
     effect_map_of,
     is_deterministic,
     is_probability_preserving,
@@ -146,7 +146,7 @@ def cmd_apply(args) -> dict:
 
 def cmd_supermap(args) -> dict:
     s = io.supermap_from_json(io.load_json(args.path))
-    cert = _determinism_certificate(s)
+    cert = determinism_certificate(s)
     if args.check == "deterministic":
         ok = is_deterministic(s, args.tol)
         return _report(
@@ -186,7 +186,7 @@ def cmd_realize(args) -> dict:
     try:
         circuit = realize(s, args.tol)
     except (NotDeterministicError, ValueError) as exc:
-        cert = _determinism_certificate(s)
+        cert = determinism_certificate(s)
         raise CheckFailure(_report("realize", False, cert.residual, {"error": str(exc)}))
     rebuilt = circuit_to_supermap(circuit, (s.h_in, s.h_out, s.k_in, s.k_out))
     residual = action_distance(rebuilt, s)

@@ -33,12 +33,15 @@ from .linalg import (
     eigh_sorted,
     frob,
     kron,
-    matrix_units,
     min_eig_floor,
     partial_trace,
     rel_residual,
 )
 from .operations import QuantumOperation
+
+# Budget in complex entries (1 MB) for the blocks action_distance works on;
+# the two determinism tests hold one row of their contraction at a time.
+_CHUNK = 1 << 16
 
 
 class NotDeterministicError(ValueError):
@@ -69,13 +72,14 @@ class DeterminismCertificate:
         return max(self.product_residual, self.herm_residual, self.tp_residual)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Supermap:
     """CP map on Choi operators in Kraus form.
 
     ``h_in``/``h_out`` are the input operation's spaces, ``k_in``/``k_out``
     the output operation's.  Each Kraus operator has shape
-    (k_out*k_in, h_out*h_in).
+    (k_out*k_in, h_out*h_in).  Instances are frozen, so the cached
+    determinism certificate always describes the stored Kraus operators.
     """
 
     h_in: int
@@ -84,7 +88,7 @@ class Supermap:
     k_out: int
     kraus: tuple
     _certificate: DeterminismCertificate | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -100,7 +104,7 @@ class Supermap:
             if not np.all(np.isfinite(s)):
                 raise ValueError("Kraus operator has non-finite entries")
             s.setflags(write=False)
-        self.kraus = ops
+        object.__setattr__(self, "kraus", ops)
 
     def act(self, choi: np.ndarray) -> np.ndarray:
         """Raw action sum_i S_i choi S_i† on an arbitrary matrix."""
@@ -158,27 +162,42 @@ def is_normalization_functional(
     return False, None
 
 
-def _determinism_certificate(s: Supermap) -> DeterminismCertificate:
-    """Probe the dual map on the matrix-unit basis of operators on K_in.
+def determinism_certificate(s: Supermap) -> DeterminismCertificate:
+    """Comb normalization residuals of the dual map, one row of K_in at a time.
 
-    For each unit |a><b| on K_in the dual of I_Kout ⊗ |a><b| must factor as
-    I_Hout ⊗ (candidate); the candidates assemble into the Choi operator of
-    the induced map N_*, which must additionally be CP and trace preserving.
+    With the Kraus operators stacked as T[(i, c), a, x] (c on K_out, a on
+    K_in, x on H_out ⊗ H_in), the dual image of I_Kout ⊗ |a><b| is
+    X_ab = T[:, a, :]† T[:, b, :], so one matmul per row a yields X_ab for
+    every b.  Each X_ab must factor as I_Hout ⊗ cand_ab with
+    cand_ab = Tr_Hout[X_ab] / h_out; the candidates assemble into the Choi
+    operator of the induced map N_*, which must additionally be CP and trace
+    preserving.  A row holds k_in·(h_out·h_in)² entries.
     """
     if s._certificate is not None:
         return s._certificate
-    eye_kout = np.eye(s.k_out)
-    choi_n = np.zeros((s.h_in * s.k_in,) * 2, dtype=complex)
+    h_out, h_in, k_in = s.h_out, s.h_in, s.k_in
+    d = h_out * h_in
+    t = np.stack(s.kraus).reshape(-1, k_in, d)
+    cols = t.reshape(t.shape[0], k_in * d)
+    choi_n4 = np.zeros((h_in, k_in, h_in, k_in), dtype=complex)
+    # One row buffer, reused so only one row is held at a time; x is its
+    # x[m, mu, b, n, nu] = <m, mu| X_ab |n, nu> view, parts its real view.
+    row = np.empty((d, k_in * d), dtype=complex)
+    x = row.reshape(h_out, h_in, k_in, h_out, h_in)
+    parts = row.view(float).reshape(*x.shape, 2)
     worst = 0.0
-    for a, b, unit in matrix_units(s.k_in):
-        x = dual_supermap(s, kron(eye_kout, unit))
-        cand = partial_trace(x, [s.h_out, s.h_in], keep=[1]) / s.h_out
-        worst = max(worst, rel_residual(x, kron(np.eye(s.h_out), cand)))
-        choi_n4 = choi_n.reshape(s.h_in, s.k_in, s.h_in, s.k_in)
-        choi_n4[:, a, :, b] += cand
+    for a in range(k_in):
+        np.matmul(t[:, a, :].conj().T, cols, out=row)
+        cand = np.einsum("mubmv->buv", x) / h_out
+        np.einsum("mubmv->mubv", x)[...] -= cand.transpose(1, 0, 2)
+        gap = np.sqrt(np.einsum("mubnvc,mubnvc->b", parts, parts))
+        scale = np.maximum(1.0, np.sqrt(h_out) * np.linalg.norm(cand, axis=(1, 2)))
+        worst = max(worst, float(np.max(gap / scale)))
+        choi_n4[:, a, :, :] = cand.transpose(1, 2, 0)
+    choi_n = choi_n4.reshape(h_in * k_in, h_in * k_in)
     herm = rel_residual(choi_n, dag(choi_n))
-    marg = partial_trace(choi_n, [s.h_in, s.k_in], keep=[1])
-    tp = frob(marg - np.eye(s.k_in)) / np.sqrt(s.k_in)
+    marg = partial_trace(choi_n, [h_in, k_in], keep=[1])
+    tp = frob(marg - np.eye(k_in)) / np.sqrt(k_in)
     eigs = np.linalg.eigvalsh((choi_n + dag(choi_n)) / 2.0)
     cert = DeterminismCertificate(
         product_residual=worst,
@@ -188,49 +207,56 @@ def _determinism_certificate(s: Supermap) -> DeterminismCertificate:
         max_eig=float(eigs[-1]),
         choi_n=choi_n,
     )
-    s._certificate = cert
+    object.__setattr__(s, "_certificate", cert)
     return cert
+
+
+_determinism_certificate = determinism_certificate
 
 
 def is_deterministic(s: Supermap, tol: float = EQ_TOL) -> bool:
     """True iff the supermap sends every channel to a channel."""
-    return _determinism_certificate(s).verdict(tol)
+    return determinism_certificate(s).verdict(tol)
 
 
 def is_deterministic_effectwise(s: Supermap, tol: float = EQ_TOL) -> bool:
     """Independent determinism verifier through effect factorization.
 
-    Builds a candidate map N on input effects from probe operators with a
-    maximally mixed output factor, then demands Tr_Kout[S(G)] = N(Tr_Hout[G])
-    on the full matrix-unit basis G of the input Choi space, with N identity
-    preserving and CP.  Shares no code path with the dual-map test.
+    With the Kraus operators stacked as T[(i, c), p, m, mu] (c on K_out, p on
+    K_in, (m, mu) on H_out ⊗ H_in), the output effect of the input unit
+    |m,mu><n,nu| is Tr_Kout S(|m,mu><n,nu|) = T[:, :, m, mu]ᵀ conj(T[:, :, n, nu]).
+    The candidate map N on input effects comes from the maximally mixed
+    probe, N(|mu><nu|) = sum_m Tr_Kout S(|m,mu><m,nu|) / h_out, in one
+    contraction.  Then, one row m at a time, every output effect must equal
+    delta_mn N(|mu><nu|), and N must be identity preserving and CP.  A row
+    holds k_in²·h_in·h_out·h_in entries.  Shares no code path with the
+    dual-map test.
     """
-    eye_like = np.eye(s.h_out) / s.h_out
-    n_of_unit = {}
-    for a, b, unit in matrix_units(s.h_in):
-        probe = kron(eye_like, unit)
-        n_of_unit[(a, b)] = partial_trace(
-            s.act(probe), [s.k_out, s.k_in], keep=[1]
-        )
-    # Factorization: the output effect of a matrix unit |m,mu><n,nu| must be
-    # delta_mn N(|mu><nu|).
-    for m, n, _ in matrix_units(s.h_out):
-        for mu, nu, unit in matrix_units(s.h_in):
-            g = np.zeros((s.h_out * s.h_in,) * 2, dtype=complex)
-            g[m * s.h_in + mu, n * s.h_in + nu] = 1.0
-            lhs = partial_trace(s.act(g), [s.k_out, s.k_in], keep=[1])
-            rhs = n_of_unit[(mu, nu)] if m == n else np.zeros_like(lhs)
-            if rel_residual(lhs, rhs) > tol:
-                return False
+    h_out, h_in, k_in = s.h_out, s.h_in, s.k_in
+    t = np.stack(s.kraus).reshape(-1, k_in, h_out, h_in)
+    probe = t.transpose(0, 2, 1, 3).reshape(-1, k_in * h_in)
+    # n_map[p, mu, q, nu] = <p| N(|mu><nu|) |q>
+    n_map = (probe.T @ probe.conj()).reshape(k_in, h_in, k_in, h_in) / h_out
+    n_scale = np.maximum(1.0, np.linalg.norm(n_map, axis=(0, 2)))
+    flat = t.conj().reshape(t.shape[0], -1)
+    # One row buffer, reused so only one row is held at a time; out is its
+    # out[p, mu, q, n, nu] = <p| Tr_Kout S(|m,mu><n,nu|) |q> view, parts its
+    # real view.
+    row = np.empty((k_in * h_in, flat.shape[1]), dtype=complex)
+    out = row.reshape(k_in, h_in, k_in, h_out, h_in)
+    parts = row.view(float).reshape(*out.shape, 2)
+    for m in range(h_out):
+        np.matmul(t[:, :, m, :].reshape(t.shape[0], -1).T, flat, out=row)
+        out[:, :, :, m, :] -= n_map
+        gap = np.sqrt(np.einsum("pmqnvc,pmqnvc->mnv", parts, parts))
+        gap[:, m, :] /= n_scale
+        if np.any(gap > tol):
+            return False
     # Identity preservation: N(I) = I on K_in.
-    n_eye = sum(n_of_unit[(a, a)] for a in range(s.h_in))
-    if rel_residual(n_eye, np.eye(s.k_in)) > tol:
+    if rel_residual(np.einsum("pzqz->pq", n_map), np.eye(k_in)) > tol:
         return False
     # Complete positivity of N via its Choi operator on K_in ⊗ H_in.
-    choi = np.zeros((s.k_in * s.h_in,) * 2, dtype=complex)
-    choi4 = choi.reshape(s.k_in, s.h_in, s.k_in, s.h_in)
-    for (a, b), val in n_of_unit.items():
-        choi4[:, a, :, b] += val
+    choi = n_map.reshape(k_in * h_in, k_in * h_in)
     if rel_residual(choi, dag(choi)) > tol:
         return False
     eigs = np.linalg.eigvalsh((choi + dag(choi)) / 2.0)
@@ -285,7 +311,7 @@ class EffectMap:
 
 def effect_map_of(s: Supermap, tol: float = EQ_TOL) -> EffectMap:
     """Canonical Kraus form of the effect map of a deterministic supermap."""
-    cert = _determinism_certificate(s)
+    cert = determinism_certificate(s)
     if not cert.verdict(tol):
         raise NotDeterministicError(
             f"supermap is not deterministic (residual {cert.residual:.3e})"
@@ -306,7 +332,7 @@ def is_probability_preserving(s: Supermap, tol: float = EQ_TOL) -> bool:
         raise ValueError(
             f"probability preservation needs matching input spaces, got {s.h_in} != {s.k_in}"
         )
-    cert = _determinism_certificate(s)
+    cert = determinism_certificate(s)
     if not cert.verdict(tol):
         raise NotDeterministicError(
             f"supermap is not deterministic (residual {cert.residual:.3e})"
@@ -360,10 +386,39 @@ def action_distance(a: Supermap, b: Supermap) -> float:
 
     Supermaps with different Kraus lists can be the same map, so equality is
     decided by comparing actions on a spanning basis of input Choi operators.
+    The action of ``a`` on |i><j| is A_i A_j†, where column k of A_i is column
+    i of the k-th Kraus operator; likewise B_i for ``b``.  With Q_i an
+    orthonormal basis of the span of [A_i, B_i] (a batched QR),
+    ||A_i A_j† − B_i B_j†||_F = ||α_i α_j† − β_i β_j†||_F for α_i = Q_i† A_i
+    and β_i = Q_i† B_i, which is evaluated for a block of rows i against all
+    columns j at a time.  Identical Kraus lists give exactly 0.
     """
     if (a.h_in, a.h_out, a.k_in, a.k_out) != (b.h_in, b.h_out, b.k_in, b.k_out):
         raise ValueError("supermaps act on different spaces")
+    # cols[i] holds column i of every Kraus operator: shape (d, k_out*k_in, r)
+    cols_a, cols_b = (np.stack(s.kraus).transpose(2, 1, 0) for s in (a, b))
+    d, m = cols_a.shape[:2]
+    r = cols_a.shape[2] + cols_b.shape[2]
+    alpha, beta = [], []
+    step = max(1, _CHUNK // (8 * m * r))
+    for i in range(0, d, step):
+        blk_a, blk_b = cols_a[i : i + step], cols_b[i : i + step]
+        q = np.linalg.qr(np.concatenate([blk_a, blk_b], axis=2))[0]
+        qh = q.conj().transpose(0, 2, 1)
+        alpha.append(qh @ blk_a)
+        beta.append(qh @ blk_b)
+    alpha, beta = np.concatenate(alpha), np.concatenate(beta)
+    rank = alpha.shape[1]
+    # *_h[k, (j, s)] = conj(alpha_j[s, k])
+    alpha_h = alpha.conj().transpose(2, 0, 1).reshape(alpha.shape[2], -1)
+    beta_h = beta.conj().transpose(2, 0, 1).reshape(beta.shape[2], -1)
+    step = min(d, max(1, _CHUNK // (4 * d * rank * rank)))
+    buf = np.empty((step, rank, d * rank), dtype=complex)
     worst = 0.0
-    for _, _, unit in matrix_units(a.h_out * a.h_in):
-        worst = max(worst, frob(a.act(unit) - b.act(unit)))
-    return worst
+    for i in range(0, d, step):
+        gap = buf[: min(step, d - i)]
+        np.matmul(alpha[i : i + step], alpha_h, out=gap)
+        gap -= beta[i : i + step] @ beta_h
+        parts = gap.view(float).reshape(-1, rank, d, rank, 2)
+        worst = max(worst, float(np.max(np.einsum("irjsc,irjsc->ij", parts, parts))))
+    return float(np.sqrt(worst))

@@ -1,0 +1,240 @@
+"""Closed-form contractions against per-matrix-unit reference loops.
+
+The reference functions below evaluate the determinism certificate, the
+effect-wise determinism test, ``action_distance`` and ``is_faithful`` the
+direct way: one matrix unit of the input space at a time, and for
+faithfulness an SVD of the full (h_out·h_in)²-sized action matrix.  The
+library computes the same quantities with chunked tensor contractions; the
+property tests check that both give the same verdicts and residuals.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import supermaps
+from supermaps.applications import TomographySetup, is_faithful, tomography_supermap
+from supermaps.linalg import (
+    dag,
+    frob,
+    kron,
+    matrix_units,
+    min_eig_floor,
+    partial_trace,
+    random_density,
+    random_isometry,
+    rel_residual,
+)
+from supermaps.realization import CircuitRealization, circuit_to_supermap
+from supermaps.supermap import (
+    Supermap,
+    _determinism_certificate,
+    action_distance,
+    determinism_certificate,
+    dual_supermap,
+    is_deterministic,
+    is_deterministic_effectwise,
+    sum_supermaps,
+)
+
+SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+dims_st = st.tuples(*(st.integers(1, 4) for _ in range(4)))
+seed_st = st.integers(0, 2**32 - 1)
+# How the Kraus operators of a deterministic fixture are damaged.  Scaling by
+# 1 + 3.5e-7 puts the identity-preservation residuals near 7e-7, between the
+# two tolerances the verdicts are compared at.
+SCALES = {"x0.9": 0.9, "x(1+1e-9)": 1 + 1e-9, "x(1+1e-7)": 1 + 1e-7, "x(1+3.5e-7)": 1 + 3.5e-7}
+DAMAGE = ("intact", *SCALES, "noise1e-3", "random")
+
+
+# ---------------------------------------------------------------- reference loops
+
+
+def ref_certificate(s):
+    """(product, herm, tp residuals, min eig, max eig, choi_n) by matrix units of K_in."""
+    eye_kout = np.eye(s.k_out)
+    choi_n = np.zeros((s.h_in * s.k_in,) * 2, dtype=complex)
+    worst = 0.0
+    for a, b, unit in matrix_units(s.k_in):
+        x = dual_supermap(s, kron(eye_kout, unit))
+        cand = partial_trace(x, [s.h_out, s.h_in], keep=[1]) / s.h_out
+        worst = max(worst, rel_residual(x, kron(np.eye(s.h_out), cand)))
+        choi_n.reshape(s.h_in, s.k_in, s.h_in, s.k_in)[:, a, :, b] += cand
+    herm = rel_residual(choi_n, dag(choi_n))
+    marg = partial_trace(choi_n, [s.h_in, s.k_in], keep=[1])
+    tp = frob(marg - np.eye(s.k_in)) / np.sqrt(s.k_in)
+    eigs = np.linalg.eigvalsh((choi_n + dag(choi_n)) / 2.0)
+    return worst, herm, tp, float(eigs[0]), float(eigs[-1]), choi_n
+
+
+def ref_is_deterministic(s, tol):
+    worst, herm, tp, lo, hi, _ = ref_certificate(s)
+    return worst <= tol and herm <= tol and tp <= tol and min_eig_floor(lo, hi)
+
+
+def ref_effectwise(s, tol):
+    """Tr_Kout S(|m,mu><n,nu|) = delta_mn N(|mu><nu|) over every matrix unit."""
+    eye_like = np.eye(s.h_out) / s.h_out
+    n_of_unit = {}
+    for a, b, unit in matrix_units(s.h_in):
+        n_of_unit[(a, b)] = partial_trace(
+            s.act(kron(eye_like, unit)), [s.k_out, s.k_in], keep=[1]
+        )
+    for m, n, _ in matrix_units(s.h_out):
+        for mu, nu, _ in matrix_units(s.h_in):
+            g = np.zeros((s.h_out * s.h_in,) * 2, dtype=complex)
+            g[m * s.h_in + mu, n * s.h_in + nu] = 1.0
+            lhs = partial_trace(s.act(g), [s.k_out, s.k_in], keep=[1])
+            rhs = n_of_unit[(mu, nu)] if m == n else np.zeros_like(lhs)
+            if rel_residual(lhs, rhs) > tol:
+                return False
+    n_eye = sum(n_of_unit[(a, a)] for a in range(s.h_in))
+    if rel_residual(n_eye, np.eye(s.k_in)) > tol:
+        return False
+    choi = np.zeros((s.k_in * s.h_in,) * 2, dtype=complex)
+    for (a, b), val in n_of_unit.items():
+        choi.reshape(s.k_in, s.h_in, s.k_in, s.h_in)[:, a, :, b] += val
+    if rel_residual(choi, dag(choi)) > tol:
+        return False
+    eigs = np.linalg.eigvalsh((choi + dag(choi)) / 2.0)
+    return min_eig_floor(float(eigs[0]), float(eigs[-1]))
+
+
+def ref_action_distance(a, b):
+    worst = 0.0
+    for _, _, unit in matrix_units(a.h_out * a.h_in):
+        worst = max(worst, frob(a.act(unit) - b.act(unit)))
+    return worst
+
+
+def ref_is_faithful(setup, tol=1e-8):
+    """Full column rank of the tomography supermap's whole action matrix."""
+    s = tomography_supermap(setup)
+    m = sum(kron(op, op.conj()) for op in s.kraus)
+    svals = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(svals > tol * svals[0])) == (setup.h_out * setup.h_in) ** 2
+
+
+# ---------------------------------------------------------------- fixtures
+
+
+def circuit_supermap(rng, dims):
+    """Random deterministic supermap built from two random isometries."""
+    h_in, h_out, k_in, k_out = dims
+    dim_b = max(int(rng.integers(1, 3)), -(-k_in // h_in))
+    dim_a = max(int(rng.integers(1, 3)), -(-(h_out * dim_b) // k_out))
+    v = random_isometry(dim_b * h_in, k_in, rng)
+    w = random_isometry(k_out * dim_a, h_out * dim_b, rng)
+    return circuit_to_supermap(CircuitRealization(v=v, w=w, dim_a=dim_a, dim_b=dim_b), dims)
+
+
+def damaged_supermap(dims, seed, damage):
+    rng = np.random.default_rng(seed)
+    h_in, h_out, k_in, k_out = dims
+    shape = (k_out * k_in, h_out * h_in)
+    if damage == "random":
+        ops = tuple(
+            (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 4
+            for _ in range(2)
+        )
+        return Supermap(*dims, ops)
+    ops = circuit_supermap(rng, dims).kraus
+    if damage == "noise1e-3":
+        ops = tuple(k + 1e-3 * rng.standard_normal(shape) for k in ops)
+    elif damage != "intact":
+        ops = tuple(SCALES[damage] * k for k in ops)
+    return Supermap(*dims, ops)
+
+
+# ---------------------------------------------------------------- properties
+
+
+@SETTINGS
+@given(dims=dims_st, seed=seed_st, damage=st.sampled_from(DAMAGE))
+def test_determinism_verdicts_match_reference(dims, seed, damage):
+    s = damaged_supermap(dims, seed, damage)
+    for tol in (1e-8, 1e-6):
+        assert is_deterministic(s, tol) == ref_is_deterministic(s, tol)
+        assert is_deterministic_effectwise(s, tol) == ref_effectwise(s, tol)
+
+
+@SETTINGS
+@given(dims=dims_st, seed=seed_st, damage=st.sampled_from(DAMAGE))
+def test_certificate_matches_reference(dims, seed, damage):
+    s = damaged_supermap(dims, seed, damage)
+    cert = determinism_certificate(s)
+    worst, herm, tp, lo, hi, choi_n = ref_certificate(s)
+    assert abs(cert.product_residual - worst) <= 1e-12
+    assert abs(cert.herm_residual - herm) <= 1e-12
+    assert abs(cert.tp_residual - tp) <= 1e-12
+    assert abs(cert.min_eig - lo) <= 1e-12
+    assert abs(cert.max_eig - hi) <= 1e-12
+    assert np.max(np.abs(cert.choi_n - choi_n)) <= 1e-12
+
+
+@SETTINGS
+@given(dims=dims_st, seed=seed_st, damage=st.sampled_from(DAMAGE))
+def test_action_distance_matches_reference(dims, seed, damage):
+    rng = np.random.default_rng(seed)
+    a = circuit_supermap(rng, dims)
+    b = damaged_supermap(dims, seed + 1, damage)
+    assert abs(action_distance(a, b) - ref_action_distance(a, b)) <= 1e-12
+    assert abs(action_distance(b, a) - ref_action_distance(b, a)) <= 1e-12
+
+
+@SETTINGS
+@given(dims=dims_st, seed=seed_st, damage=st.sampled_from(DAMAGE))
+def test_action_distance_is_exactly_zero_for_identical_kraus(dims, seed, damage):
+    s = damaged_supermap(dims, seed, damage)
+    assert action_distance(s, s) == 0.0
+    assert action_distance(sum_supermaps([s]), s) == 0.0
+    assert action_distance(Supermap(*dims, s.kraus), s) == 0.0
+
+
+def probe_state(kind, h_in, rng):
+    d = h_in * h_in
+    if kind == "full-rank":
+        return random_density(d, rng)
+    if kind == "product":
+        return kron(random_density(h_in, rng), random_density(h_in, rng))
+    if kind in ("maximally-entangled", "near-product"):
+        v = np.eye(h_in, dtype=complex).reshape(-1)
+        entangled = np.outer(v, v.conj()) / h_in
+        if kind == "maximally-entangled":
+            return entangled
+        # Faithful, with singular values of order 1e-5 relative to the largest.
+        product = kron(random_density(h_in, rng), random_density(h_in, rng))
+        return (1 - 1e-5) * product + 1e-5 * entangled
+    rank = 1 if kind == "pure" else int(kind.split("-")[1])
+    vecs = random_isometry(d, min(rank, d), rng)
+    weights = rng.uniform(0.2, 1.0, vecs.shape[1])
+    f = (vecs * weights) @ dag(vecs)
+    return f / np.trace(f).real
+
+
+PROBES = (
+    "full-rank", "product", "maximally-entangled", "near-product", "pure", "rank-2", "rank-3",
+    "rank-5",
+)
+
+
+@SETTINGS
+@given(
+    h_in=st.integers(1, 3),
+    extra=st.integers(0, 1),
+    kind=st.sampled_from(PROBES),
+    seed=seed_st,
+)
+def test_is_faithful_matches_full_action_svd(h_in, extra, kind, seed):
+    f = probe_state(kind, h_in, np.random.default_rng(seed))
+    setup = TomographySetup(faithful_state=f, h_in=h_in, h_out=h_in + extra)
+    assert is_faithful(setup) == ref_is_faithful(setup)
+
+
+def test_certificate_is_public_and_cached():
+    s = circuit_supermap(np.random.default_rng(3), (2, 3, 2, 2))
+    assert supermaps.determinism_certificate is determinism_certificate
+    assert _determinism_certificate is determinism_certificate
+    assert determinism_certificate(s) is determinism_certificate(s)

@@ -1,5 +1,7 @@
 """Supermap action, duality, and the determinism characterizations."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,13 @@ class TestIsDeterministic:
         for _ in range(5):
             e = random_channel(2, 3, 2, rng)
             assert is_channel(apply_supermap(s, e))
+
+    def test_cached_verdict_cannot_go_stale(self):
+        s = identity_supermap(2, 2)
+        assert is_deterministic(s)
+        with pytest.raises(FrozenInstanceError):
+            s.kraus = (0.5 * s.kraus[0],)
+        assert is_deterministic(s) and is_deterministic_effectwise(s)
 
 
 class TestEffectMap:
