@@ -1,7 +1,8 @@
 """Bit-exact JSON file formats for matrices, operations and supermaps.
 
-All numbers are written with 17 significant digits, which round-trips IEEE
-doubles exactly.  Schemas:
+All numbers are written with 17 significant digits, which round-trips every
+IEEE double except the sign of zero: -0.0 is written as ``-0``, which JSON
+reads back as the integer 0, so it loads as +0.0.  Schemas:
 
     MatrixFile    {"rows": r, "cols": c, "data": [[re, im], ...]}   row-major
     OperationFile {"dim_in": d, "dim_out": e, "choi": MatrixFile}
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,15 @@ from .supermap import Supermap
 
 class FileFormatError(ValueError):
     """Malformed input file (schema or parse problem, CLI exit code 2)."""
+
+
+def _is_pair_list(obj, types: set) -> bool:
+    """True when ``obj`` is a non-empty list of 2-element lists of the exact ``types``."""
+    return (
+        set(map(type, obj)) == {list}
+        and set(map(len, obj)) == {2}
+        and set(map(type, chain.from_iterable(obj))) <= types
+    )
 
 
 def _render(obj, indent: int) -> str:
@@ -45,6 +56,15 @@ def _render(obj, indent: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if _is_pair_list(obj, {float}):
+            # Matrix data: the generic branch below would give the same text
+            # one entry at a time ("%.17g" is the routine format() uses).
+            flat = tuple(chain.from_iterable(obj))
+            if not all(map(math.isfinite, flat)):
+                raise ValueError("refusing to serialize a non-finite number")
+            sep = ",\n" + pad + "  "
+            body = sep.join(["[%.17g, %.17g]"] * len(obj)) % flat
+            return "[\n" + pad + "  " + body + "\n" + pad + "]"
         if all(
             isinstance(x, (int, float, np.integer, np.floating))
             and not isinstance(x, (bool, np.bool_))
@@ -88,7 +108,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(x.real), float(x.imag)] for x in m.reshape(-1)],
+        "data": np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist(),
     }
 
 
@@ -99,6 +119,17 @@ def matrix_from_json(obj) -> np.ndarray:
     _need("data" in obj and isinstance(obj["data"], list), "missing 'data' array")
     data = obj["data"]
     _need(len(data) == rows * cols, f"'data' must hold {rows * cols} entries")
+    if _is_pair_list(data, {int, float}):
+        try:
+            pairs = np.array(data, dtype=float)
+        except OverflowError:  # an integer beyond the double range
+            pass
+        else:
+            if np.isfinite(pairs).all():
+                # A bit-exact reinterpretation; re + 1j*im would lose -0.0 parts.
+                return pairs.view(complex).reshape(rows, cols)
+    # The per-entry loop defines a valid entry: it names the first bad one and
+    # also accepts float subclasses such as np.float64.
     out = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(data):
         _need(
@@ -107,10 +138,11 @@ def matrix_from_json(obj) -> np.ndarray:
             and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair),
             f"entry {i} must be a [re, im] pair",
         )
-        _need(
-            math.isfinite(pair[0]) and math.isfinite(pair[1]),
-            f"entry {i} is not finite",
-        )
+        try:
+            finite = math.isfinite(pair[0]) and math.isfinite(pair[1])
+        except OverflowError:  # an integer beyond the double range
+            finite = False
+        _need(finite, f"entry {i} is not finite")
         out[i] = complex(pair[0], pair[1])
     return out.reshape(rows, cols)
 
@@ -183,6 +215,8 @@ def load_json(path) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # e.g. an integer beyond the int-string digit limit
+        raise FileFormatError(f"cannot parse {path}: {exc}") from exc
 
 
 def save_json(path, obj):

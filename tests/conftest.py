@@ -1,5 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+
+# One policy for every property test.  No per-example deadline: timings on a
+# small shared machine are too noisy for the 200 ms default.
+settings.register_profile(
+    "supermaps", max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+settings.load_profile("supermaps")
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

@@ -376,3 +376,22 @@ class TestIoEdgeCases:
         sio.save_json(path, obj)
         with pytest.raises(sio.FileFormatError, match="4x4"):
             sio.supermap_from_json(sio.load_json(path))
+
+    @pytest.mark.parametrize(
+        "digits, message",
+        [(400, "entry 1 is not finite"), (5000, "Exceeds the limit")],
+        ids=["beyond-double", "beyond-int-parser"],
+    )
+    def test_oversized_integer_entry_exits_2(self, capsys, tmp_path, digits, message):
+        # 400 digits overflow a double; past 4300 digits json.loads itself refuses.
+        big = "1" + "0" * digits
+        path = tmp_path / "big.json"
+        path.write_text(
+            '{"dim_in": 1, "dim_out": 2, "choi": {"rows": 1, "cols": 2, '
+            f'"data": [[0, 0], [{big}, 0]]}}}}'
+        )
+        code = main(["check-op", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err

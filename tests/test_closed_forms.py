@@ -9,7 +9,7 @@ property tests check that both give the same verdicts and residuals.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import supermaps
@@ -37,9 +37,6 @@ from supermaps.supermap import (
     sum_supermaps,
 )
 
-SETTINGS = settings(
-    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
 dims_st = st.tuples(*(st.integers(1, 4) for _ in range(4)))
 seed_st = st.integers(0, 2**32 - 1)
 # How the Kraus operators of a deterministic fixture are damaged.  Scaling by
@@ -151,7 +148,6 @@ def damaged_supermap(dims, seed, damage):
 # ---------------------------------------------------------------- properties
 
 
-@SETTINGS
 @given(dims=dims_st, seed=seed_st, damage=st.sampled_from(DAMAGE))
 def test_determinism_verdicts_match_reference(dims, seed, damage):
     s = damaged_supermap(dims, seed, damage)
@@ -160,7 +156,6 @@ def test_determinism_verdicts_match_reference(dims, seed, damage):
         assert is_deterministic_effectwise(s, tol) == ref_effectwise(s, tol)
 
 
-@SETTINGS
 @given(dims=dims_st, seed=seed_st, damage=st.sampled_from(DAMAGE))
 def test_certificate_matches_reference(dims, seed, damage):
     s = damaged_supermap(dims, seed, damage)
@@ -174,7 +169,6 @@ def test_certificate_matches_reference(dims, seed, damage):
     assert np.max(np.abs(cert.choi_n - choi_n)) <= 1e-12
 
 
-@SETTINGS
 @given(dims=dims_st, seed=seed_st, damage=st.sampled_from(DAMAGE))
 def test_action_distance_matches_reference(dims, seed, damage):
     rng = np.random.default_rng(seed)
@@ -184,7 +178,6 @@ def test_action_distance_matches_reference(dims, seed, damage):
     assert abs(action_distance(b, a) - ref_action_distance(b, a)) <= 1e-12
 
 
-@SETTINGS
 @given(dims=dims_st, seed=seed_st, damage=st.sampled_from(DAMAGE))
 def test_action_distance_is_exactly_zero_for_identical_kraus(dims, seed, damage):
     s = damaged_supermap(dims, seed, damage)
@@ -220,7 +213,6 @@ PROBES = (
 )
 
 
-@SETTINGS
 @given(
     h_in=st.integers(1, 3),
     extra=st.integers(0, 1),
@@ -238,3 +230,21 @@ def test_certificate_is_public_and_cached():
     assert supermaps.determinism_certificate is determinism_certificate
     assert _determinism_certificate is determinism_certificate
     assert determinism_certificate(s) is determinism_certificate(s)
+
+
+def test_effectwise_diagonal_blocks_are_relative_to_the_effect_norm():
+    """The verdict depends on dividing diagonal-block gaps by max(1, ‖N(|μ><ν|)‖).
+
+    With h_in = 1 and k_in = 2, Tr_Kout S(|m><m|) = (1 ± δ) I_2, the
+    off-diagonal blocks vanish and N(|0><0|) = I_2 has norm √2.  Each diagonal
+    block's gap is √2·δ in absolute terms but δ relative to that norm.
+    """
+    tol = 1e-8
+    for delta, verdict in ((0.85 * tol, True), (1.2 * tol, False)):
+        k = np.zeros((8, 2), dtype=complex)
+        k[0, 0] = k[3, 0] = np.sqrt(1 + delta)
+        k[4, 1] = k[7, 1] = np.sqrt(1 - delta)
+        s = Supermap(1, 2, 2, 4, (k,))
+        assert np.sqrt(2) * delta > tol
+        assert is_deterministic_effectwise(s, tol) == verdict
+        assert ref_effectwise(s, tol) == verdict
