@@ -209,7 +209,7 @@ def supermap_from_json(obj) -> Supermap:
 def load_json(path) -> object:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -217,6 +217,8 @@ def load_json(path) -> object:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # e.g. an integer beyond the int-string digit limit
         raise FileFormatError(f"cannot parse {path}: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested too deeply
+        raise FileFormatError(f"cannot parse {path}: nested too deeply") from exc
 
 
 def save_json(path, obj):

@@ -12,8 +12,10 @@ by measuring A projectively and post-selecting:
     S_j(E)(rho) = Tr_A[ (I ⊗ P_j) W (E ⊗ I_B)(V rho V†) W† (I ⊗ P_j) ].
 
 Space-ordering convention: the composite after V is (B, H_in); the composite
-after W is (K_out, A).  All interleavings are produced by explicit
-permutations.
+after W is (K_out, A).  ``run_circuit`` evaluates the middle step E ⊗ I_B
+as one contraction of E's Choi tensor with the (B, H_in) state, which lands
+directly on (H_out, B), the order W expects; no operator on the enlarged
+space is formed.
 
 The construction goes through the effect map N of the supermap: with
 canonical Kraus operators N_j of N, the operator Z = sum_j |b_j> ⊗ N_j†
@@ -37,18 +39,10 @@ from .linalg import (
     dag,
     frob,
     kron,
-    partial_trace,
-    permute_systems,
     random_density,
     rel_residual,
 )
-from .operations import (
-    QuantumOperation,
-    apply_operation,
-    identity_operation,
-    random_channel,
-    tensor,
-)
+from .operations import QuantumOperation, apply_operation, random_channel
 from .supermap import (
     NotDeterministicError,
     Supermap,
@@ -59,7 +53,7 @@ from .supermap import (
 )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CircuitRealization:
     """Two isometries and ancilla bookkeeping realizing a supermap.
 
@@ -67,6 +61,10 @@ class CircuitRealization:
     ``w``: (k_out * dim_a) x (h_out * dim_b) isometry into (K_out, A).
     ``projectors``: optional orthogonal projectors on A summing to the
     identity, one per probabilistic alternative.
+
+    Validated at construction and immutable afterwards: the fields cannot be
+    reassigned and the arrays are read-only copies of the inputs, so
+    ``run_circuit`` relies on this validation instead of repeating it.
     """
 
     v: np.ndarray
@@ -76,15 +74,16 @@ class CircuitRealization:
     projectors: tuple | None = None
 
     def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=complex)
-        self.w = np.asarray(self.w, dtype=complex)
-        if self.v.shape[0] % self.dim_b or self.w.shape[0] % self.dim_a:
+        v = np.array(self.v, dtype=complex)
+        w = np.array(self.w, dtype=complex)
+        if v.shape[0] % self.dim_b or w.shape[0] % self.dim_a:
             raise ValueError("isometry shapes inconsistent with ancilla dimensions")
-        for name, m in (("V", self.v), ("W", self.w)):
+        for name, m in (("V", v), ("W", w)):
             if rel_residual(dag(m) @ m, np.eye(m.shape[1])) > EQ_TOL:
                 raise ValueError(f"{name} is not an isometry within tolerance")
+        projs = None
         if self.projectors is not None:
-            projs = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
+            projs = tuple(np.array(p, dtype=complex) for p in self.projectors)
             total = np.zeros((self.dim_a, self.dim_a), dtype=complex)
             for i, p in enumerate(projs):
                 if p.shape != (self.dim_a, self.dim_a):
@@ -97,7 +96,11 @@ class CircuitRealization:
                 total += p
             if rel_residual(total, np.eye(self.dim_a)) > EQ_TOL:
                 raise ValueError("ancilla projectors must sum to the identity")
-            self.projectors = projs
+        for m in (v, w, *(projs or ())):
+            m.setflags(write=False)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "projectors", projs)
 
     @property
     def k_in(self) -> int:
@@ -236,22 +239,30 @@ def run_circuit(
     Returns the unnormalized output state on K_out.  With ``outcome`` set,
     the corresponding ancilla projector is applied before discarding A
     (post-selection); the trace of the result is that outcome's probability.
+
+    The operation acts on H_in alone, so (E ⊗ I_B) is applied by contracting
+    E's Choi tensor (out, in, out, in) with the (B, H_in) state:
+    mid[n,x,m,y] = sum_ab choi[n,a,m,b] state[x,a,y,b], already in the
+    (H_out, B) order W expects.  The projector and the trace over A are one
+    more contraction on the (K_out, A) output.  The circuit and the operation
+    were validated at construction, so nothing here is revalidated.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (c.k_in, c.k_in):
         raise ValueError(f"input state shape {rho.shape} != ({c.k_in}, {c.k_in})")
     if (op.dim_in, op.dim_out) != (c.h_in, c.h_out):
         raise ValueError("operation spaces do not match the circuit's open ports")
-    state = c.v @ rho @ dag(c.v)  # on (B, H_in)
-    out = apply_operation(tensor(identity_operation(c.dim_b), op), state)  # (B, H_out)
-    out = permute_systems(out, [c.dim_b, c.h_out], [1, 0])  # (H_out, B)
-    out = c.w @ out @ dag(c.w)  # (K_out, A)
-    if outcome is not None:
-        if c.projectors is None:
-            raise ValueError("circuit has no measurement projectors")
-        sel = kron(np.eye(c.k_out), c.projectors[outcome])
-        out = sel @ out @ sel
-    return partial_trace(out, [c.k_out, c.dim_a], keep=[0])
+    if outcome is not None and c.projectors is None:
+        raise ValueError("circuit has no measurement projectors")
+    b, h_in, h_out = c.dim_b, c.h_in, c.h_out
+    state = (c.v @ rho @ dag(c.v)).reshape(b, h_in, b, h_in)  # on (B, H_in)
+    mid = np.einsum("namb,xayb->nxmy", op.choi4, state)  # on (H_out, B)
+    mid = mid.reshape(h_out * b, h_out * b)
+    out = (c.w @ mid @ dag(c.w)).reshape(c.k_out, c.dim_a, c.k_out, c.dim_a)  # (K_out, A)
+    if outcome is None:
+        return np.einsum("kala->kl", out)
+    p = c.projectors[outcome]
+    return np.einsum("ab,kblc,ca->kl", p, out, p)
 
 
 @dataclass

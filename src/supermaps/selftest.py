@@ -126,12 +126,14 @@ def _suite_realization(rng, trials, tol, corrupt=None):
     for _ in range(trials):
         s = _random_deterministic_supermap(rng)
         circuit = realize(s, tol)
+        v = circuit.v
         if corrupt == "v-isometry":
-            circuit.v = circuit.v.copy()
-            circuit.v[0, 0] += 1e-3
+            # The circuit is immutable; damage a local copy of V instead.
+            v = v.copy()
+            v[0, 0] += 1e-3
         worst = max(
             worst,
-            rel_residual(dag(circuit.v) @ circuit.v, np.eye(circuit.v.shape[1])),
+            rel_residual(dag(v) @ v, np.eye(v.shape[1])),
             rel_residual(dag(circuit.w) @ circuit.w, np.eye(circuit.w.shape[1])),
             action_distance(
                 circuit_to_supermap(circuit, (s.h_in, s.h_out, s.k_in, s.k_out)), s

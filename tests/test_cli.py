@@ -395,3 +395,17 @@ class TestIoEdgeCases:
         assert code == 2
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"\xff\xfe{}", "cannot read"), (b"[" * 200000 + b"]" * 200000, "nested too deeply")],
+        ids=["not-utf8", "deeply-nested"],
+    )
+    def test_undecodable_input_exits_2(self, capsys, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code = main(["check-op", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err

@@ -1,10 +1,29 @@
 """Circuit factorization of supermaps and its probabilistic extension."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from supermaps.linalg import dag, kron, random_density, random_isometry
-from supermaps.operations import apply_operation, choi_to_kraus, random_channel
+from supermaps.linalg import (
+    dag,
+    kron,
+    partial_trace,
+    permute_systems,
+    random_density,
+    random_isometry,
+)
+from supermaps.operations import (
+    QuantumOperation,
+    apply_operation,
+    choi_to_kraus,
+    identity_operation,
+    random_channel,
+    random_operation,
+    tensor,
+)
 from supermaps.realization import (
     CircuitRealization,
     circuit_to_supermap,
@@ -36,6 +55,19 @@ def postprocessing_supermap(channel):
         channel.dim_out,
         tuple(kron(d, np.eye(channel.dim_in)) for d in ops),
     )
+
+
+def reference_run_circuit(c, op, rho, outcome=None):
+    """The former body of run_circuit: builds I_B ⊗ E as a validated operation."""
+    rho = np.asarray(rho, dtype=complex)
+    state = c.v @ rho @ dag(c.v)  # on (B, H_in)
+    out = apply_operation(tensor(identity_operation(c.dim_b), op), state)  # (B, H_out)
+    out = permute_systems(out, [c.dim_b, c.h_out], [1, 0])  # (H_out, B)
+    out = c.w @ out @ dag(c.w)  # (K_out, A)
+    if outcome is not None:
+        sel = kron(np.eye(c.k_out), c.projectors[outcome])
+        out = sel @ out @ sel
+    return partial_trace(out, [c.k_out, c.dim_a], keep=[0])
 
 
 class TestRealize:
@@ -273,3 +305,119 @@ class TestProjectorValidation:
         parts = circuit_to_supermap(measured, (s.h_in, s.h_out, s.k_in, s.k_out))
         total = sum_supermaps(parts)
         assert action_distance(total, rotated) <= 1e-8
+
+
+DIM = st.integers(1, 3)
+
+
+class TestRunCircuitContraction:
+    """run_circuit's one contraction against the former I_B ⊗ E construction."""
+
+    @staticmethod
+    def _measured_circuit(rng, dims, dim_a, dim_b, labels, rotate):
+        h_in, h_out, k_in, k_out = dims
+        v = random_isometry(dim_b * h_in, k_in, rng)
+        w = random_isometry(k_out * dim_a, h_out * dim_b, rng)
+        u = random_isometry(dim_a, dim_a, rng) if rotate else np.eye(dim_a)
+        projectors = tuple(
+            u @ np.diag([1.0 if x == g else 0.0 for x in labels]) @ dag(u)
+            for g in range(max(labels) + 1)
+        )
+        return CircuitRealization(v=v, w=w, dim_a=dim_a, dim_b=dim_b, projectors=projectors)
+
+    @given(
+        dims=st.tuples(DIM, DIM, DIM, DIM),
+        dim_a=DIM,
+        dim_b=DIM,
+        rank=DIM,
+        rotate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_reference_on_every_outcome(self, dims, dim_a, dim_b, rank, rotate, seed, data):
+        h_in, h_out, k_in, k_out = dims
+        assume(dim_b * h_in >= k_in and k_out * dim_a >= h_out * dim_b)
+        # Ancilla basis index i goes to projector labels[i]; skipped labels
+        # give zero projectors.
+        labels = data.draw(st.lists(st.integers(0, dim_a - 1), min_size=dim_a, max_size=dim_a))
+        rng = np.random.default_rng(seed)
+        c = self._measured_circuit(rng, dims, dim_a, dim_b, labels, rotate)
+        op = random_operation(h_in, h_out, max(rank, -(-h_in // h_out)), rng)
+        rho = random_density(k_in, rng)
+        for outcome in (None, *range(len(c.projectors))):
+            got = run_circuit(c, op, rho, outcome=outcome)
+            expected = reference_run_circuit(c, op, rho, outcome=outcome)
+            assert got.shape == (k_out, k_out)
+            assert np.linalg.norm(got - expected) <= 1e-12
+
+    def test_makes_no_quantum_operation(self, rng, monkeypatch):
+        c = self._measured_circuit(rng, (2, 3, 2, 2), 3, 2, [0, 1, 1], True)
+        op = random_channel(2, 3, 2, rng)
+        rho = random_density(2, rng)
+        calls = []
+        original = QuantumOperation.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(QuantumOperation, "__post_init__", counting)
+        for outcome in (None, 0, 1):
+            run_circuit(c, op, rho, outcome=outcome)
+        assert calls == []
+        reference_run_circuit(c, op, rho)  # the former path builds two
+        assert len(calls) == 2
+
+    def test_near_cutoff_operation_is_not_rejected(self, rng, monkeypatch):
+        # lambda_min = -0.9e-9 passes validation (floor -1e-9 * max(1, 0.3)),
+        # but I_3 ⊗ E has lambda_min = -2.7e-9 against the floor -1e-9 * 0.9,
+        # so the former path rejected a valid operation.
+        u = random_isometry(4, 4, rng)
+        op = QuantumOperation(2, 2, u @ np.diag([0.3, 0.2, 0.1, -0.9e-9]) @ dag(u))
+        c = CircuitRealization(
+            v=random_isometry(6, 2, rng), w=random_isometry(6, 6, rng), dim_a=3, dim_b=3
+        )
+        rho = random_density(2, rng)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            reference_run_circuit(c, op, rho)
+        got = run_circuit(c, op, rho)
+        monkeypatch.setattr(QuantumOperation, "__post_init__", lambda self: None)
+        expected = reference_run_circuit(c, op, rho)
+        assert np.linalg.norm(got - expected) <= 1e-12
+
+    def test_port_and_outcome_checks_kept(self, rng):
+        c = realize(random_circuit_supermap(rng))
+        op = random_channel(2, 2, 2, rng)
+        with pytest.raises(ValueError, match="input state shape"):
+            run_circuit(c, op, np.eye(3))
+        with pytest.raises(ValueError, match="open ports"):
+            run_circuit(c, random_channel(2, 3, 2, rng), random_density(2, rng))
+        with pytest.raises(ValueError, match="no measurement projectors"):
+            run_circuit(c, op, random_density(2, rng), outcome=0)
+
+
+class TestCircuitImmutable:
+    def test_fields_cannot_be_reassigned(self, rng):
+        c = realize_probabilistic([random_circuit_supermap(rng)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.v = np.eye(2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.dim_b = 1
+
+    def test_arrays_are_read_only(self, rng):
+        c = realize_probabilistic([random_circuit_supermap(rng)])
+        with pytest.raises(ValueError):
+            c.v[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            c.w[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            c.projectors[0][0, 0] = 0.0
+
+    def test_arrays_are_private_copies(self):
+        v = np.eye(2, dtype=complex)
+        p = np.eye(1, dtype=complex)
+        c = CircuitRealization(v=v, w=np.eye(2), dim_a=1, dim_b=1, projectors=(p,))
+        v[0, 0] = 5.0
+        p[0, 0] = 0.0
+        assert c.v[0, 0] == 1.0
+        assert c.projectors[0][0, 0] == 1.0
