@@ -14,12 +14,15 @@ import numpy as np
 
 from .linalg import (
     EQ_TOL,
-    POS_TOL,
+    check_povm,
     dag,
-    eigh_sorted,
-    is_positive_semidefinite,
+    is_density_matrix,
+    isometry_residual,
     kron,
-    rel_residual,
+    numerical_rank,
+    psd_factors,
+    psd_spectrum,
+    readonly_copy,
 )
 from .operations import (
     KrausSet,
@@ -41,13 +44,11 @@ class ProgrammableDevice:
     dim_prog: int
 
     def __post_init__(self):
-        u = np.asarray(self.unitary, dtype=complex)
+        u = readonly_copy(self.unitary)
         d = self.dim_sys * self.dim_prog
         if u.shape != (d, d):
             raise ValueError(f"unitary must be {d}x{d}, got {u.shape}")
-        if rel_residual(dag(u) @ u, np.eye(d)) > EQ_TOL or rel_residual(
-            u @ dag(u), np.eye(d)
-        ) > EQ_TOL:
+        if isometry_residual(u) > EQ_TOL or isometry_residual(dag(u)) > EQ_TOL:
             raise ValueError("interaction is not unitary within tolerance")
         object.__setattr__(self, "unitary", u)
 
@@ -61,11 +62,11 @@ class TomographySetup:
     h_out: int
 
     def __post_init__(self):
-        f = np.asarray(self.faithful_state, dtype=complex)
+        f = readonly_copy(self.faithful_state)
         d = self.h_in * self.h_in
         if f.shape != (d, d):
             raise ValueError(f"probe state must be {d}x{d}, got {f.shape}")
-        if not is_positive_semidefinite(f) or abs(np.trace(f) - 1.0) > EQ_TOL:
+        if not is_density_matrix(f):
             raise ValueError("probe is not a density matrix")
         object.__setattr__(self, "faithful_state", f)
 
@@ -103,15 +104,12 @@ def programmable_channel(dev: ProgrammableDevice, program: np.ndarray) -> Quantu
         raise ValueError(
             f"program shape {sigma.shape} != ({dev.dim_prog}, {dev.dim_prog})"
         )
-    if not is_positive_semidefinite(sigma) or abs(np.trace(sigma) - 1.0) > EQ_TOL:
+    if not is_density_matrix(sigma):
         raise ValueError("program is not a density matrix")
-    w, vecs = eigh_sorted(sigma)
+    w, vecs = psd_spectrum(sigma)
     u4 = dev.unitary.reshape(dev.dim_sys, dev.dim_prog, dev.dim_sys, dev.dim_prog)
     ops = []
-    cutoff = POS_TOL * max(1.0, float(w[0]))
     for k in range(w.size):
-        if w[k] <= cutoff:
-            continue
         # (I ⊗ <l|) U (I ⊗ |s_k>), one Kraus operator per retained program
         # eigenvector and traced-out basis state.
         amp = np.einsum("mlnp,p->lmn", u4, vecs[:, k])
@@ -124,42 +122,20 @@ def programmable_povm(joint_povm, program: np.ndarray) -> list[np.ndarray]:
     """Effective POVM P_j = Tr_prog[E_j (I ⊗ sigma)] for a program state sigma."""
     sigma = np.asarray(program, dtype=complex)
     d_prog = sigma.shape[0]
-    if not is_positive_semidefinite(sigma) or abs(np.trace(sigma) - 1.0) > EQ_TOL:
+    if not is_density_matrix(sigma):
         raise ValueError("program is not a density matrix")
-    povm = [np.asarray(e, dtype=complex) for e in joint_povm]
+    povm = list(joint_povm)
     if not povm:
         raise ValueError("joint POVM is empty")
-    d = povm[0].shape[0]
+    d = np.shape(povm[0])[0]
     if d % d_prog:
         raise ValueError("joint POVM dimension is not a multiple of the program's")
     d_sys = d // d_prog
-    total = sum(povm)
-    if rel_residual(total, np.eye(d)) > EQ_TOL:
-        raise ValueError("joint POVM does not sum to the identity")
     out = []
-    for e in povm:
-        if e.shape != (d, d):
-            raise ValueError("joint POVM elements have inconsistent shapes")
-        if not is_positive_semidefinite(e):
-            raise ValueError("joint POVM element is not positive semidefinite")
+    for e in check_povm(povm, d, "joint POVM"):
         e4 = e.reshape(d_sys, d_prog, d_sys, d_prog)
         out.append(np.einsum("mpnq,qp->mn", e4, sigma))
     return out
-
-
-def _probe_factors(setup: TomographySetup) -> list[np.ndarray]:
-    """Square-root components F_r of the probe, with F = sum_r vec(F_r) vec(F_r)†.
-
-    Spectral decomposition of F, unvectorized; components below the
-    positivity cutoff are dropped.
-    """
-    w, v = eigh_sorted(setup.faithful_state)
-    cutoff = POS_TOL * max(1.0, float(w[0]))
-    return [
-        np.sqrt(w[r]) * v[:, r].reshape(setup.h_in, setup.h_in)
-        for r in range(w.size)
-        if w[r] > cutoff
-    ]
 
 
 def tomography_supermap(setup: TomographySetup) -> Supermap:
@@ -169,7 +145,8 @@ def tomography_supermap(setup: TomographySetup) -> Supermap:
     probe (spectral decomposition, unvectorized); only the action matters, so
     any decomposition of F would do.
     """
-    ops = tuple(kron(np.eye(setup.h_out), f_r.T) for f_r in _probe_factors(setup))
+    f = psd_factors(setup.faithful_state).T.reshape(-1, setup.h_in, setup.h_in)
+    ops = tuple(kron(np.eye(setup.h_out), f_r.T) for f_r in f)
     return Supermap(
         h_in=setup.h_in,
         h_out=setup.h_out,
@@ -179,7 +156,7 @@ def tomography_supermap(setup: TomographySetup) -> Supermap:
     )
 
 
-def is_faithful(setup: TomographySetup, tol: float = 1e-8) -> bool:
+def is_faithful(setup: TomographySetup, tol: float = EQ_TOL) -> bool:
     """True iff E -> (E ⊗ I)(F) has trivial kernel on operators.
 
     On row-major vectorized operators the tomography supermap's action matrix
@@ -189,12 +166,11 @@ def is_faithful(setup: TomographySetup, tol: float = 1e-8) -> bool:
     h_out² times, so the action has full column rank iff Φ has full rank at
     the relative singular-value threshold ``tol * s_max``.
     """
-    f = np.stack(_probe_factors(setup))
+    f = psd_factors(setup.faithful_state).T.reshape(-1, setup.h_in, setup.h_in)
     d = setup.h_in * setup.h_in
     # phi[(a, c), (b, d)] = sum_r F_r[b, a] conj(F_r[d, c])
     phi = np.einsum("rba,rdc->acbd", f, f.conj()).reshape(d, d)
-    svals = np.linalg.svd(phi, compute_uv=False)
-    return int(np.sum(svals > tol * svals[0])) == d
+    return numerical_rank(phi, tol) == d
 
 
 def informationally_complete_tester_for(setup: TomographySetup, povm) -> Tester:
@@ -208,9 +184,7 @@ def informationally_complete_tester_for(setup: TomographySetup, povm) -> Tester:
         raise ValueError("probe state is not faithful")
     d_out = setup.h_out * setup.h_in
     povm = [np.asarray(m, dtype=complex) for m in povm]
-    stacked = np.stack([m.reshape(-1) for m in povm])
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(svals > 1e-8 * svals[0])) if svals.size else 0
+    rank = numerical_rank(np.stack([m.reshape(-1) for m in povm]))
     if rank != d_out**2:
         raise ValueError(
             f"POVM is not informationally complete on the output space "
@@ -227,24 +201,16 @@ def povm_as_channel(povm) -> QuantumOperation:
     Action: rho -> sum_n Tr[P_n rho] |n><n| with one register state per
     outcome; classical registers are diagonal-supported quantum systems.
     """
-    povm = [np.asarray(p, dtype=complex) for p in povm]
+    povm = list(povm)
     if not povm:
         raise ValueError("POVM is empty")
-    d = povm[0].shape[0]
-    total = sum(povm)
-    if rel_residual(total, np.eye(d)) > EQ_TOL:
-        raise ValueError("POVM does not sum to the identity")
+    d = np.shape(povm[0])[0]
+    povm = check_povm(povm, d)
     n_out = len(povm)
     ops = []
     for n, p in enumerate(povm):
-        if p.shape != (d, d):
-            raise ValueError("POVM elements have inconsistent shapes")
-        w, v = eigh_sorted(p)
-        cutoff = POS_TOL * max(1.0, float(w[0]))
-        for k in range(w.size):
-            if w[k] <= cutoff:
-                continue
+        for f in psd_factors(p).T:
             e = np.zeros((n_out, d), dtype=complex)
-            e[n, :] = np.sqrt(w[k]) * v[:, k].conj()
+            e[n, :] = f.conj()
             ops.append(e)
     return kraus_to_choi(KrausSet(d, n_out, tuple(ops)))

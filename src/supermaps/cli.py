@@ -8,6 +8,7 @@ and 2 on malformed input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import io
 from .applications import ProgrammableDevice, TomographySetup, is_faithful, programmable_channel
-from .linalg import EQ_TOL, dag, frob, min_eig_floor, rel_residual
+from .linalg import EQ_TOL, POS_TOL, frob, isometry_residual, min_eig_floor, rel_residual
 from .operations import (
     KrausSet,
     QuantumOperation,
@@ -27,7 +28,6 @@ from .operations import (
 from .realization import circuit_to_supermap, realize, realize_probabilistic
 from .selftest import CORRUPTIONS, run_selftest
 from .supermap import (
-    NotDeterministicError,
     action_distance,
     determinism_certificate,
     effect_map_of,
@@ -63,12 +63,29 @@ def _report(check: str, ok: bool, residual: float, details: dict) -> dict:
     }
 
 
-def _out_dir(args) -> Path | None:
+@contextlib.contextmanager
+def _fails_as(check: str, residual: float = 0.0):
+    """Turn a ValueError raised in the block into ``check``'s failing report."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CheckFailure(_report(check, False, residual, {"error": str(exc)}))
+
+
+def _write_out(args, details: dict, files) -> None:
+    """Save JSON files under ``--out``, when it is given, and record where.
+
+    ``files`` is one (name, object) pair, recorded in details["written"] as
+    the file's path, or a dict of them, recorded as the directory.
+    """
     if args.out is None:
-        return None
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+        return
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    single = isinstance(files, tuple)
+    for name, obj in [files] if single else files.items():
+        io.save_json(out / name, obj)
+    details["written"] = str(out / files[0] if single else out)
 
 
 def cmd_check_op(args) -> dict:
@@ -76,7 +93,7 @@ def cmd_check_op(args) -> dict:
     res = choi_residuals(choi, dim_in, dim_out)
     cp = min_eig_floor(res["min_eig"], res["max_eig"])
     herm_ok = res["hermiticity"] <= args.tol
-    tni = res["trace_increase"] <= 1e-9 * max(1.0, res["max_eig"])
+    tni = res["trace_increase"] <= POS_TOL * max(1.0, res["max_eig"])
     channel = res["channel_residual"] <= args.tol * np.sqrt(dim_in)
     worst = max(res["hermiticity"], -min(res["min_eig"], 0.0), res["trace_increase"])
     return _report(
@@ -97,50 +114,35 @@ def cmd_check_op(args) -> dict:
 
 def cmd_kraus2choi(args) -> dict:
     dim_in, dim_out, ops = io.kraus_set_from_json(io.load_json(args.path))
-    try:
+    with _fails_as("kraus2choi"):
         op = kraus_to_choi(KrausSet(dim_in, dim_out, tuple(ops)))
-    except ValueError as exc:
-        raise CheckFailure(_report("kraus2choi", False, 0.0, {"error": str(exc)}))
     payload = io.operation_to_json(op.dim_in, op.dim_out, op.choi)
     details: dict = {"operation": payload}
-    out = _out_dir(args)
-    if out is not None:
-        io.save_json(out / "operation.json", payload)
-        details["written"] = str(out / "operation.json")
+    _write_out(args, details, ("operation.json", payload))
     return _report("kraus2choi", True, 0.0, details)
 
 
 def cmd_choi2kraus(args) -> dict:
     dim_in, dim_out, choi = io.operation_from_json(io.load_json(args.path))
-    try:
+    with _fails_as("choi2kraus"):
         op = QuantumOperation(dim_in, dim_out, choi)
-    except ValueError as exc:
-        raise CheckFailure(_report("choi2kraus", False, 0.0, {"error": str(exc)}))
     kraus = choi_to_kraus(op)
     roundtrip = frob(kraus_to_choi(kraus).choi - op.choi)
     payload = io.kraus_set_to_json(dim_in, dim_out, kraus.operators)
     details: dict = {"kraus_count": len(kraus.operators), "kraus": payload}
-    out = _out_dir(args)
-    if out is not None:
-        io.save_json(out / "kraus.json", payload)
-        details["written"] = str(out / "kraus.json")
+    _write_out(args, details, ("kraus.json", payload))
     return _report("choi2kraus", roundtrip <= args.tol, roundtrip, details)
 
 
 def cmd_apply(args) -> dict:
     dim_in, dim_out, choi = io.operation_from_json(io.load_json(args.op))
     rho = io.matrix_from_json(io.load_json(args.state))
-    try:
+    with _fails_as("apply"):
         op = QuantumOperation(dim_in, dim_out, choi)
         out_state = apply_operation(op, rho)
-    except ValueError as exc:
-        raise CheckFailure(_report("apply", False, 0.0, {"error": str(exc)}))
     payload = io.matrix_to_json(out_state)
     details = {"probability": float(np.trace(out_state).real), "output": payload}
-    out = _out_dir(args)
-    if out is not None:
-        io.save_json(out / "output_state.json", payload)
-        details["written"] = str(out / "output_state.json")
+    _write_out(args, details, ("output_state.json", payload))
     return _report("apply", True, 0.0, details)
 
 
@@ -156,104 +158,74 @@ def cmd_supermap(args) -> dict:
             {"min_eigenvalue": cert.min_eig, "dual_factorization_residual": cert.product_residual},
         )
     if args.check == "prob-preserving":
-        try:
+        with _fails_as("supermap-prob-preserving", cert.residual):
             ok = is_probability_preserving(s, args.tol)
-        except (NotDeterministicError, ValueError) as exc:
-            raise CheckFailure(
-                _report("supermap-prob-preserving", False, cert.residual, {"error": str(exc)})
-            )
         d = s.h_in
         vec_i = np.eye(d).reshape(-1)
         residual = rel_residual(cert.choi_n, np.outer(vec_i, vec_i))
         return _report("supermap-prob-preserving", ok, residual, {})
     # effect-map
-    try:
+    with _fails_as("supermap-effect-map", cert.residual):
         em = effect_map_of(s, args.tol)
-    except NotDeterministicError as exc:
-        raise CheckFailure(_report("supermap-effect-map", False, cert.residual, {"error": str(exc)}))
     payload = [io.matrix_to_json(n) for n in em.kraus]
     details: dict = {"kraus_count": len(em.kraus), "kraus": payload}
-    out = _out_dir(args)
-    if out is not None:
-        for j, mat in enumerate(payload):
-            io.save_json(out / f"effect_map_{j}.json", mat)
-        details["written"] = str(out)
+    _write_out(args, details, {f"effect_map_{j}.json": mat for j, mat in enumerate(payload)})
     return _report("supermap-effect-map", True, cert.residual, details)
+
+
+def _circuit_details(args, circuit, **residuals) -> dict:
+    """Details of a realization report; ``--out`` gets V, W, any projectors and meta.json."""
+    meta = {"dim_a": circuit.dim_a, "dim_b": circuit.dim_b, **residuals}
+    details = dict(meta)
+    _write_out(args, details, {
+        "v.json": io.matrix_to_json(circuit.v),
+        "w.json": io.matrix_to_json(circuit.w),
+        **{f"projector_{j}.json": io.matrix_to_json(p) for j, p in enumerate(circuit.projectors or ())},
+        "meta.json": meta,
+    })
+    return details
 
 
 def cmd_realize(args) -> dict:
     s = io.supermap_from_json(io.load_json(args.path))
-    try:
+    with _fails_as("realize", determinism_certificate(s).residual):
         circuit = realize(s, args.tol)
-    except (NotDeterministicError, ValueError) as exc:
-        cert = determinism_certificate(s)
-        raise CheckFailure(_report("realize", False, cert.residual, {"error": str(exc)}))
     rebuilt = circuit_to_supermap(circuit, (s.h_in, s.h_out, s.k_in, s.k_out))
     residual = action_distance(rebuilt, s)
-    v_gap = rel_residual(dag(circuit.v) @ circuit.v, np.eye(circuit.v.shape[1]))
-    w_gap = rel_residual(dag(circuit.w) @ circuit.w, np.eye(circuit.w.shape[1]))
-    out = _out_dir(args)
-    meta = {
-        "dim_a": circuit.dim_a,
-        "dim_b": circuit.dim_b,
-        "roundtrip_residual": residual,
-        "v_isometry_residual": v_gap,
-        "w_isometry_residual": w_gap,
-    }
-    details = dict(meta)
-    if out is not None:
-        io.save_json(out / "v.json", io.matrix_to_json(circuit.v))
-        io.save_json(out / "w.json", io.matrix_to_json(circuit.w))
-        io.save_json(out / "meta.json", meta)
-        details["written"] = str(out)
+    v_gap = isometry_residual(circuit.v)
+    w_gap = isometry_residual(circuit.w)
+    details = _circuit_details(
+        args, circuit, roundtrip_residual=residual, v_isometry_residual=v_gap, w_isometry_residual=w_gap
+    )
     ok = residual <= args.tol and v_gap <= args.tol and w_gap <= args.tol
     return _report("realize", ok, max(residual, v_gap, w_gap), details)
 
 
 def cmd_realize_prob(args) -> dict:
     parts = [io.supermap_from_json(io.load_json(p)) for p in args.paths]
-    try:
+    with _fails_as("realize-prob"):
         circuit = realize_probabilistic(parts, args.tol)
-    except (NotDeterministicError, ValueError) as exc:
-        raise CheckFailure(_report("realize-prob", False, 0.0, {"error": str(exc)}))
     rebuilt = circuit_to_supermap(
         circuit, (parts[0].h_in, parts[0].h_out, parts[0].k_in, parts[0].k_out)
     )
     residuals = [action_distance(r, p) for r, p in zip(rebuilt, parts)]
     worst = max(residuals)
-    out = _out_dir(args)
-    meta = {
-        "dim_a": circuit.dim_a,
-        "dim_b": circuit.dim_b,
-        "part_residuals": residuals,
-    }
-    details = dict(meta)
-    if out is not None:
-        io.save_json(out / "v.json", io.matrix_to_json(circuit.v))
-        io.save_json(out / "w.json", io.matrix_to_json(circuit.w))
-        for j, proj in enumerate(circuit.projectors):
-            io.save_json(out / f"projector_{j}.json", io.matrix_to_json(proj))
-        io.save_json(out / "meta.json", meta)
-        details["written"] = str(out)
+    details = _circuit_details(args, circuit, part_residuals=residuals)
     return _report("realize-prob", worst <= args.tol, worst, details)
 
 
 def _load_tester(effect_paths, h_out: int, h_in: int, tol: float, check_name: str):
     effects = [io.matrix_from_json(io.load_json(p)) for p in effect_paths]
-    try:
+    with _fails_as(check_name):
         return make_tester(effects, h_out, h_in, tol)
-    except ValueError as exc:
-        raise CheckFailure(_report(check_name, False, 0.0, {"error": str(exc)}))
 
 
 def cmd_tester_eval(args) -> dict:
     dim_in, dim_out, choi = io.operation_from_json(io.load_json(args.op))
     tester = _load_tester(args.effects, dim_out, dim_in, args.tol, "tester-eval")
-    try:
+    with _fails_as("tester-eval"):
         op = QuantumOperation(dim_in, dim_out, choi)
         probs = evaluate(tester, op, args.tol)
-    except ValueError as exc:
-        raise CheckFailure(_report("tester-eval", False, 0.0, {"error": str(exc)}))
     total_gap = abs(float(sum(probs)) - 1.0)
     return _report(
         "tester-eval",
@@ -288,10 +260,8 @@ def cmd_tomography_check(args) -> dict:
     if h_in * h_in != f.shape[0]:
         raise io.FileFormatError("probe state dimension is not a perfect square")
     h_out = args.h_out if args.h_out else h_in
-    try:
+    with _fails_as("tomography-check"):
         setup = TomographySetup(faithful_state=f, h_in=h_in, h_out=h_out)
-    except ValueError as exc:
-        raise CheckFailure(_report("tomography-check", False, 0.0, {"error": str(exc)}))
     faithful = is_faithful(setup, args.tol)
     return _report(
         "tomography-check",
@@ -309,18 +279,13 @@ def cmd_program_channel(args) -> dict:
         raise io.FileFormatError(
             f"unitary dimension {u.shape[0]} != dim_sys {args.dim_sys} * dim_prog {dim_prog}"
         )
-    try:
+    with _fails_as("program-channel"):
         dev = ProgrammableDevice(unitary=u, dim_sys=args.dim_sys, dim_prog=dim_prog)
         op = programmable_channel(dev, sigma)
-    except ValueError as exc:
-        raise CheckFailure(_report("program-channel", False, 0.0, {"error": str(exc)}))
     res = choi_residuals(op.choi, op.dim_in, op.dim_out)
     payload = io.operation_to_json(op.dim_in, op.dim_out, op.choi)
     details = {"channel_residual": res["channel_residual"], "operation": payload}
-    out = _out_dir(args)
-    if out is not None:
-        io.save_json(out / "operation.json", payload)
-        details["written"] = str(out / "operation.json")
+    _write_out(args, details, ("operation.json", payload))
     ok = res["channel_residual"] <= args.tol * np.sqrt(op.dim_in)
     return _report("program-channel", ok, res["channel_residual"], details)
 

@@ -171,17 +171,21 @@ def kraus_set_to_json(dim_in: int, dim_out: int, operators) -> dict:
     }
 
 
+def _kraus_list(obj, shape: tuple[int, int]) -> list[np.ndarray]:
+    """The non-empty 'kraus' array of matrices, each of the given shape."""
+    _need("kraus" in obj and isinstance(obj["kraus"], list) and obj["kraus"],
+          "missing non-empty 'kraus' array")
+    ops = [matrix_from_json(m) for m in obj["kraus"]]
+    for k in ops:
+        _need(k.shape == shape, f"Kraus operator must be {shape[0]}x{shape[1]}, got {k.shape}")
+    return ops
+
+
 def kraus_set_from_json(obj) -> tuple[int, int, list[np.ndarray]]:
     _need(isinstance(obj, dict), "Kraus file must be a JSON object")
     dim_in = _pos_int(obj, "dim_in")
     dim_out = _pos_int(obj, "dim_out")
-    _need("kraus" in obj and isinstance(obj["kraus"], list) and obj["kraus"],
-          "missing non-empty 'kraus' array")
-    ops = [matrix_from_json(m) for m in obj["kraus"]]
-    for e in ops:
-        _need(e.shape == (dim_out, dim_in),
-              f"Kraus operator must be {dim_out}x{dim_in}, got {e.shape}")
-    return dim_in, dim_out, ops
+    return dim_in, dim_out, _kraus_list(obj, (dim_out, dim_in))
 
 
 def supermap_to_json(s: Supermap) -> dict:
@@ -197,12 +201,8 @@ def supermap_to_json(s: Supermap) -> dict:
 def supermap_from_json(obj) -> Supermap:
     _need(isinstance(obj, dict), "supermap must be a JSON object")
     dims = {k: _pos_int(obj, k) for k in ("h_in", "h_out", "k_in", "k_out")}
-    _need("kraus" in obj and isinstance(obj["kraus"], list) and obj["kraus"],
-          "missing non-empty 'kraus' array")
-    ops = [matrix_from_json(m) for m in obj["kraus"]]
     shape = (dims["k_out"] * dims["k_in"], dims["h_out"] * dims["h_in"])
-    for k in ops:
-        _need(k.shape == shape, f"Kraus operator must be {shape[0]}x{shape[1]}, got {k.shape}")
+    ops = _kraus_list(obj, shape)
     return Supermap(dims["h_in"], dims["h_out"], dims["k_in"], dims["k_out"], tuple(ops))
 
 

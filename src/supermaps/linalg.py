@@ -3,17 +3,25 @@
 All composite indices are row-major with the leftmost tensor factor most
 significant: |i> ⊗ |j> sits at index i*dim_j + j.  Everything here works on
 plain complex ndarrays and is pure (inputs are never mutated).
+
+Tolerance policy, shared by the whole package:
+
+- residuals: two matrices agree when ||a - b||_F <= tol * max(1, ||b||_F)
+  (``rel_residual``; ``isometry_residual`` applies it to M†M against I),
+  with tol = EQ_TOL, or HERM_TOL for hermiticity;
+- positivity: a Hermitian matrix is positive semidefinite when its smallest
+  eigenvalue is at least -POS_TOL * max(1, lambda_max), and ``psd_factors``
+  keeps exactly the eigenvalues above +POS_TOL * max(1, lambda_max);
+- rank: ``numerical_rank`` counts the singular values above tol * s_max.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-# Tolerance conventions used across the package.  Frobenius-norm residuals are
-# compared as ||a - b||_F <= tol * max(1, ||b||_F); positivity allows
-# eigenvalues down to -POS_TOL * max(1, lambda_max).
+# The tolerances of the policy in the module docstring.
 EQ_TOL = 1e-8
 HERM_TOL = 1e-8
 POS_TOL = 1e-9
@@ -41,10 +49,6 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return rel_residual(m, dag(m))
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return hermiticity_residual(m) <= tol
-
-
 def min_eig_floor(lam_min: float, lam_max: float, tol: float = POS_TOL) -> bool:
     """Positivity verdict for an eigenvalue range."""
     return lam_min >= -tol * max(1.0, lam_max)
@@ -54,6 +58,13 @@ def is_positive_semidefinite(m: np.ndarray, tol: float = POS_TOL) -> bool:
     """Check m >= 0 within the eigenvalue tolerance (m assumed Hermitian)."""
     w = np.linalg.eigvalsh((m + dag(m)) / 2.0)
     return min_eig_floor(float(w[0]), float(w[-1]), tol)
+
+
+def readonly_copy(m: np.ndarray) -> np.ndarray:
+    """Complex copy of m that cannot be written: the arrays of validated values."""
+    m = np.array(m, dtype=complex)
+    m.setflags(write=False)
+    return m
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -91,16 +102,6 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     return np.einsum("".join(row + col) + "->" + "".join(out), t).reshape(kept, kept)
 
 
-def partial_transpose(m: np.ndarray, dims: Sequence[int], which: int) -> np.ndarray:
-    """Transpose the selected factor in the computational basis."""
-    m, total = _check_square(m, dims)
-    n = len(dims)
-    if which < 0 or which >= n:
-        raise ValueError(f"factor index {which} out of range for {n} factors")
-    t = m.reshape(*dims, *dims)
-    return np.swapaxes(t, which, n + which).reshape(total, total)
-
-
 def permute_systems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Reorder tensor factors: output factor i is input factor perm[i]."""
     m, total = _check_square(m, dims)
@@ -112,30 +113,6 @@ def permute_systems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> 
     return t.transpose(axes).reshape(total, total)
 
 
-def permutation_matrix(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Unitary U with U|x_0,...> = |x_perm[0],...>, so permute_systems(m) = U m U†."""
-    n = len(dims)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{tuple(perm)} is not a permutation of {n} factors")
-    total = int(np.prod(dims))
-    u = np.zeros((total, total))
-    new_dims = [dims[p] for p in perm]
-    for idx in np.ndindex(*dims):
-        src = int(np.ravel_multi_index(idx, dims))
-        dst = int(np.ravel_multi_index([idx[p] for p in perm], new_dims))
-        u[dst, src] = 1.0
-    return u
-
-
-def matrix_units(dim: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (a, b, |a><b|) over the matrix-unit basis of dim x dim operators."""
-    for a in range(dim):
-        for b in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[a, b] = 1.0
-            yield a, b, unit
-
-
 def eigh_sorted(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition, eigenvalues descending, phases fixed.
 
@@ -144,10 +121,9 @@ def eigh_sorted(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.nd
     deterministic.  Raises ValueError if m is not Hermitian within ``tol``.
     """
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, tol):
-        raise ValueError(
-            f"matrix is not Hermitian within tolerance (residual {hermiticity_residual(m):.3e})"
-        )
+    herm = hermiticity_residual(m)
+    if herm > tol:
+        raise ValueError(f"matrix is not Hermitian within tolerance (residual {herm:.3e})")
     w, v = np.linalg.eigh((m + dag(m)) / 2.0)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
@@ -160,24 +136,66 @@ def eigh_sorted(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.nd
     return w, v
 
 
-def complete_isometry(partial: np.ndarray, tol: float = EQ_TOL) -> np.ndarray:
-    """Extend a matrix with orthonormal columns to a full square unitary.
+def psd_spectrum(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of ``eigh_sorted`` above POS_TOL * max(1, lambda_max)."""
+    w, v = eigh_sorted(m, tol)
+    keep = w > POS_TOL * max(1.0, float(w[0]))
+    return w[keep], v[:, keep]
 
-    The given columns are preserved exactly; the complement comes from the
-    SVD null space of partial†, so the result is deterministic.  A square
-    input is returned unchanged.
+
+def psd_factors(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
+    """Columns sqrt(w_j) v_j of the retained eigenpairs, so m ≈ F F†.
+
+    Column j unvectorizes to the j-th canonical Kraus operator when m is a
+    Choi operator.  ``tol`` is the hermiticity tolerance of ``eigh_sorted``.
     """
-    partial = np.asarray(partial, dtype=complex)
-    rows, cols = partial.shape
-    if cols > rows:
-        raise ValueError(f"cannot complete {rows}x{cols}: more columns than rows")
-    gram = dag(partial) @ partial
-    if rel_residual(gram, np.eye(cols)) > tol:
-        raise ValueError("input columns are not orthonormal")
-    if cols == rows:
-        return partial.copy()
-    u = np.linalg.svd(partial, full_matrices=True)[0]
-    return np.hstack([partial, u[:, cols:]])
+    w, v = psd_spectrum(m, tol)
+    return v * np.sqrt(w)
+
+
+def kraus_sum(ops: Iterable[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Operator sum sum_K K x K† over a non-empty sequence of operators.
+
+    One matmul pair per operator: at the sizes used here this is faster
+    than a stacked einsum.
+    """
+    ops = list(ops)
+    out = np.zeros((ops[0].shape[0],) * 2, dtype=complex)
+    for k in ops:
+        out += k @ x @ dag(k)
+    return out
+
+
+def numerical_rank(m: np.ndarray, tol: float = EQ_TOL) -> int:
+    """Number of singular values above tol * s_max."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(s > tol * s[0])) if s.size else 0
+
+
+def isometry_residual(m: np.ndarray) -> float:
+    """Relative residual of the Gram matrix M†M against the identity."""
+    return rel_residual(dag(m) @ m, np.eye(m.shape[1]))
+
+
+def is_density_matrix(m: np.ndarray) -> bool:
+    """Positive semidefinite with unit trace, within POS_TOL and EQ_TOL."""
+    return is_positive_semidefinite(m) and abs(np.trace(m) - 1.0) <= EQ_TOL
+
+
+def check_povm(povm, d: int, what: str = "POVM") -> list[np.ndarray]:
+    """Validate d x d POVM elements: each one's shape and positivity, then the sum.
+
+    Returns the elements as complex arrays; raises ValueError naming ``what``.
+    """
+    povm = [np.asarray(m, dtype=complex) for m in povm]
+    for m in povm:
+        if m.shape != (d, d):
+            raise ValueError(f"{what} element shape {m.shape} != ({d}, {d})")
+        if not is_positive_semidefinite(m):
+            raise ValueError(f"{what} element is not positive semidefinite")
+    if rel_residual(sum(povm), np.eye(d)) > EQ_TOL:
+        raise ValueError(f"{what} does not sum to the identity")
+    return povm
 
 
 def as_rng(seed: int | np.random.Generator) -> np.random.Generator:

@@ -26,13 +26,15 @@ from .linalg import (
     HERM_TOL,
     POS_TOL,
     dag,
-    eigh_sorted,
     frob,
+    hermiticity_residual,
+    kraus_sum,
     kron,
     min_eig_floor,
     permute_systems,
+    psd_factors,
     random_isometry,
-    rel_residual,
+    readonly_copy,
     as_rng,
 )
 
@@ -45,7 +47,7 @@ def choi_residuals(choi: np.ndarray, dim_in: int, dim_out: int) -> dict:
     Frobenius distance of the effect from the identity (channel residual).
     """
     choi = np.asarray(choi, dtype=complex)
-    herm = rel_residual(choi, dag(choi))
+    herm = hermiticity_residual(choi)
     sym = (choi + dag(choi)) / 2.0
     eigs = np.linalg.eigvalsh(sym)
     effect = np.einsum(
@@ -77,7 +79,7 @@ class QuantumOperation:
     def __post_init__(self):
         if self.dim_in < 1 or self.dim_out < 1:
             raise ValueError("dimensions must be positive")
-        choi = np.asarray(self.choi, dtype=complex)
+        choi = readonly_copy(self.choi)
         d = self.dim_out * self.dim_in
         if choi.shape != (d, d):
             raise ValueError(f"Choi operator must be {d}x{d}, got {choi.shape}")
@@ -96,8 +98,6 @@ class QuantumOperation:
             raise ValueError(
                 f"operation increases trace (effect exceeds identity by {res['trace_increase']:.3e})"
             )
-        choi = choi.copy()
-        choi.setflags(write=False)
         object.__setattr__(self, "choi", choi)
 
     @property
@@ -108,14 +108,14 @@ class QuantumOperation:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Operator-sum representation: E(rho) = sum_j E_j rho E_j†."""
+    """Operator-sum representation E(rho) = sum_j E_j rho E_j†, with read-only operators."""
 
     dim_in: int
     dim_out: int
     operators: tuple
 
     def __post_init__(self):
-        ops = tuple(np.asarray(e, dtype=complex) for e in self.operators)
+        ops = tuple(map(readonly_copy, self.operators))
         for e in ops:
             if e.shape != (self.dim_out, self.dim_in):
                 raise ValueError(
@@ -134,10 +134,9 @@ class KrausSet:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Direct operator-sum action, sum_j E_j rho E_j†."""
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for e in self.operators:
-            out += e @ rho @ dag(e)
-        return out
+        if not self.operators:  # the zero operation
+            return np.zeros((self.dim_out, self.dim_out), dtype=complex)
+        return kraus_sum(self.operators, rho)
 
 
 def identity_operation(dim: int) -> QuantumOperation:
@@ -163,13 +162,7 @@ def choi_to_kraus(op: QuantumOperation) -> KrausSet:
     only above the positivity threshold; they come out pairwise orthogonal in
     the Hilbert-Schmidt inner product and reproduce the Choi operator.
     """
-    w, v = eigh_sorted(op.choi)
-    cutoff = POS_TOL * max(1.0, float(w[0]))
-    ops = [
-        np.sqrt(w[j]) * v[:, j].reshape(op.dim_out, op.dim_in)
-        for j in range(w.size)
-        if w[j] > cutoff
-    ]
+    ops = psd_factors(op.choi).T.reshape(-1, op.dim_out, op.dim_in)
     return KrausSet(op.dim_in, op.dim_out, tuple(ops))
 
 

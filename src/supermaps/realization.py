@@ -29,7 +29,7 @@ isometry for consistent input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,8 +38,11 @@ from .linalg import (
     as_rng,
     dag,
     frob,
+    hermiticity_residual,
+    isometry_residual,
     kron,
     random_density,
+    readonly_copy,
     rel_residual,
 )
 from .operations import QuantumOperation, apply_operation, random_channel
@@ -74,21 +77,21 @@ class CircuitRealization:
     projectors: tuple | None = None
 
     def __post_init__(self):
-        v = np.array(self.v, dtype=complex)
-        w = np.array(self.w, dtype=complex)
+        v = readonly_copy(self.v)
+        w = readonly_copy(self.w)
         if v.shape[0] % self.dim_b or w.shape[0] % self.dim_a:
             raise ValueError("isometry shapes inconsistent with ancilla dimensions")
         for name, m in (("V", v), ("W", w)):
-            if rel_residual(dag(m) @ m, np.eye(m.shape[1])) > EQ_TOL:
+            if isometry_residual(m) > EQ_TOL:
                 raise ValueError(f"{name} is not an isometry within tolerance")
         projs = None
         if self.projectors is not None:
-            projs = tuple(np.array(p, dtype=complex) for p in self.projectors)
+            projs = tuple(map(readonly_copy, self.projectors))
             total = np.zeros((self.dim_a, self.dim_a), dtype=complex)
             for i, p in enumerate(projs):
                 if p.shape != (self.dim_a, self.dim_a):
                     raise ValueError("projector shape does not match ancilla A")
-                if rel_residual(p, dag(p)) > EQ_TOL or rel_residual(p @ p, p) > EQ_TOL:
+                if hermiticity_residual(p) > EQ_TOL or rel_residual(p @ p, p) > EQ_TOL:
                     raise ValueError("ancilla projectors must be Hermitian idempotents")
                 for q in projs[:i]:
                     if frob(p @ q) > EQ_TOL * self.dim_a:
@@ -96,8 +99,6 @@ class CircuitRealization:
                 total += p
             if rel_residual(total, np.eye(self.dim_a)) > EQ_TOL:
                 raise ValueError("ancilla projectors must sum to the identity")
-        for m in (v, w, *(projs or ())):
-            m.setflags(write=False)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "projectors", projs)
@@ -135,20 +136,17 @@ def realize(s: Supermap, tol: float = EQ_TOL) -> CircuitRealization:
     dim_a = len(s.kraus)
 
     # V stacks the conjugated effect-map Kraus operators along ancilla B.
-    v = np.zeros((dim_b, s.h_in, s.k_in), dtype=complex)
-    for j, n in enumerate(n_ops):
-        v[j] = n.conj()
-    v = v.reshape(dim_b * s.h_in, s.k_in)
+    nn = np.stack(n_ops)
+    v = nn.conj().reshape(dim_b * s.h_in, s.k_in)
 
     # W_{ni,mj} = <(<h_m| ⊗ N_j†), (<k_n| ⊗ I) S_i> / ||N_j||²  by
     # Hilbert-Schmidt orthogonality of the canonical right-hand set.
     ss = np.stack(s.kraus).reshape(dim_a, s.k_out, s.k_in, s.h_out, s.h_in)
-    nn = np.stack(n_ops)
     weights = np.array([np.vdot(n, n).real for n in n_ops])
     w4 = np.einsum("jek,inkme->nimj", nn, ss) / weights
     w = w4.reshape(s.k_out * dim_a, s.h_out * dim_b)
 
-    gram_gap = rel_residual(dag(w) @ w, np.eye(s.h_out * dim_b))
+    gram_gap = isometry_residual(w)
     if gram_gap > tol:
         raise ValueError(
             f"connecting isometry failed its contract (||W†W − I|| residual {gram_gap:.3e}); "
@@ -174,13 +172,7 @@ def realize_probabilistic(parts, tol: float = EQ_TOL) -> CircuitRealization:
         diag[offset : offset + len(p.kraus)] = 1.0
         projectors.append(np.diag(diag).astype(complex))
         offset += len(p.kraus)
-    return CircuitRealization(
-        v=circuit.v,
-        w=circuit.w,
-        dim_a=circuit.dim_a,
-        dim_b=circuit.dim_b,
-        projectors=tuple(projectors),
-    )
+    return replace(circuit, projectors=tuple(projectors))
 
 
 def _kraus_from_circuit(c: CircuitRealization) -> list[np.ndarray]:

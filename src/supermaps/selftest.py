@@ -12,8 +12,8 @@ import numpy as np
 
 from .linalg import (
     as_rng,
-    dag,
     frob,
+    isometry_residual,
     kron,
     random_density,
     rel_residual,
@@ -133,8 +133,8 @@ def _suite_realization(rng, trials, tol, corrupt=None):
             v[0, 0] += 1e-3
         worst = max(
             worst,
-            rel_residual(dag(v) @ v, np.eye(v.shape[1])),
-            rel_residual(dag(circuit.w) @ circuit.w, np.eye(circuit.w.shape[1])),
+            isometry_residual(v),
+            isometry_residual(circuit.w),
             action_distance(
                 circuit_to_supermap(circuit, (s.h_in, s.h_out, s.k_in, s.k_out)), s
             ),

@@ -28,13 +28,16 @@ import numpy as np
 from .linalg import (
     EQ_TOL,
     HERM_TOL,
-    POS_TOL,
     dag,
-    eigh_sorted,
     frob,
+    hermiticity_residual,
+    isometry_residual,
+    kraus_sum,
     kron,
     min_eig_floor,
     partial_trace,
+    psd_factors,
+    readonly_copy,
     rel_residual,
 )
 from .operations import QuantumOperation
@@ -48,9 +51,12 @@ class NotDeterministicError(ValueError):
     """Raised when an operation requires a channel-preserving supermap."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DeterminismCertificate:
-    """Residuals backing a determinism verdict; tolerance-independent."""
+    """Residuals backing a determinism verdict; tolerance-independent.
+
+    Frozen, with a read-only copy of ``choi_n``, because supermaps cache it.
+    """
 
     product_residual: float  # worst ||S_*(I ⊗ unit) − I ⊗ candidate|| over the basis
     herm_residual: float  # hermiticity of the candidate map's Choi operator
@@ -58,6 +64,9 @@ class DeterminismCertificate:
     min_eig: float
     max_eig: float
     choi_n: np.ndarray  # Choi of the candidate N_* on H_in ⊗ K_in
+
+    def __post_init__(self):
+        object.__setattr__(self, "choi_n", readonly_copy(self.choi_n))
 
     def verdict(self, tol: float = EQ_TOL) -> bool:
         return (
@@ -108,11 +117,7 @@ class Supermap:
 
     def act(self, choi: np.ndarray) -> np.ndarray:
         """Raw action sum_i S_i choi S_i† on an arbitrary matrix."""
-        choi = np.asarray(choi, dtype=complex)
-        out = np.zeros((self.k_out * self.k_in,) * 2, dtype=complex)
-        for s in self.kraus:
-            out += s @ choi @ dag(s)
-        return out
+        return kraus_sum(self.kraus, np.asarray(choi, dtype=complex))
 
 
 def identity_supermap(dim_in: int, dim_out: int) -> Supermap:
@@ -137,10 +142,7 @@ def dual_supermap(s: Supermap, o: np.ndarray) -> np.ndarray:
     d = s.k_out * s.k_in
     if o.shape != (d, d):
         raise ValueError(f"operator shape {o.shape} != ({d}, {d})")
-    out = np.zeros((s.h_out * s.h_in,) * 2, dtype=complex)
-    for k in s.kraus:
-        out += dag(k) @ o @ k
-    return out
+    return kraus_sum(map(dag, s.kraus), o)
 
 
 def is_normalization_functional(
@@ -195,7 +197,7 @@ def determinism_certificate(s: Supermap) -> DeterminismCertificate:
         worst = max(worst, float(np.max(gap / scale)))
         choi_n4[:, a, :, :] = cand.transpose(1, 2, 0)
     choi_n = choi_n4.reshape(h_in * k_in, h_in * k_in)
-    herm = rel_residual(choi_n, dag(choi_n))
+    herm = hermiticity_residual(choi_n)
     marg = partial_trace(choi_n, [h_in, k_in], keep=[1])
     tp = frob(marg - np.eye(k_in)) / np.sqrt(k_in)
     eigs = np.linalg.eigvalsh((choi_n + dag(choi_n)) / 2.0)
@@ -210,8 +212,6 @@ def determinism_certificate(s: Supermap) -> DeterminismCertificate:
     object.__setattr__(s, "_certificate", cert)
     return cert
 
-
-_determinism_certificate = determinism_certificate
 
 
 def is_deterministic(s: Supermap, tol: float = EQ_TOL) -> bool:
@@ -257,7 +257,7 @@ def is_deterministic_effectwise(s: Supermap, tol: float = EQ_TOL) -> bool:
         return False
     # Complete positivity of N via its Choi operator on K_in ⊗ H_in.
     choi = n_map.reshape(k_in * h_in, k_in * h_in)
-    if rel_residual(choi, dag(choi)) > tol:
+    if hermiticity_residual(choi) > tol:
         return False
     eigs = np.linalg.eigvalsh((choi + dag(choi)) / 2.0)
     return min_eig_floor(float(eigs[0]), float(eigs[-1]))
@@ -269,44 +269,28 @@ class EffectMap:
 
     Stored through Kraus operators N_l from K_in to H_in, acting on effects
     as N(P) = sum_l N_l† P N_l and on states as N_*(rho) = sum_l N_l rho N_l†.
-    Identity preservation (sum_l N_l† N_l = I) is validated at construction.
+    Identity preservation (sum_l N_l† N_l = I) is validated at construction;
+    the operators are stored as read-only copies.
     """
 
     kraus: tuple
 
     def __post_init__(self):
-        ops = tuple(np.asarray(n, dtype=complex) for n in self.kraus)
+        ops = tuple(map(readonly_copy, self.kraus))
         if not ops:
             raise ValueError("effect map needs at least one Kraus operator")
-        k_in = ops[0].shape[1]
-        gram = sum((dag(n) @ n for n in ops), np.zeros((k_in, k_in), dtype=complex))
-        if rel_residual(gram, np.eye(k_in)) > EQ_TOL:
+        # sum_l N_l† N_l is the Gram matrix of the N_l stacked as one column.
+        if isometry_residual(np.vstack(ops)) > EQ_TOL:
             raise ValueError("effect map is not identity preserving")
         object.__setattr__(self, "kraus", ops)
 
-    @property
-    def dim_out_effects(self) -> int:
-        """Dimension of the space the transported effects act on (K_in)."""
-        return self.kraus[0].shape[1]
-
-    @property
-    def dim_in_effects(self) -> int:
-        """Dimension of the space the input effects act on (H_in)."""
-        return self.kraus[0].shape[0]
-
     def on_effect(self, p: np.ndarray) -> np.ndarray:
         """Transport an input effect: N(P) = sum_l N_l† P N_l."""
-        out = np.zeros((self.dim_out_effects,) * 2, dtype=complex)
-        for n in self.kraus:
-            out += dag(n) @ p @ n
-        return out
+        return kraus_sum(map(dag, self.kraus), p)
 
     def on_state(self, rho: np.ndarray) -> np.ndarray:
         """Trace-preserving dual action: N_*(rho) = sum_l N_l rho N_l†."""
-        out = np.zeros((self.dim_in_effects,) * 2, dtype=complex)
-        for n in self.kraus:
-            out += n @ rho @ dag(n)
-        return out
+        return kraus_sum(self.kraus, rho)
 
 
 def effect_map_of(s: Supermap, tol: float = EQ_TOL) -> EffectMap:
@@ -316,14 +300,8 @@ def effect_map_of(s: Supermap, tol: float = EQ_TOL) -> EffectMap:
         raise NotDeterministicError(
             f"supermap is not deterministic (residual {cert.residual:.3e})"
         )
-    w, v = eigh_sorted(cert.choi_n, tol=max(HERM_TOL, cert.herm_residual * 2))
-    cutoff = POS_TOL * max(1.0, float(w[0]))
-    ops = tuple(
-        np.sqrt(w[j]) * v[:, j].reshape(s.h_in, s.k_in)
-        for j in range(w.size)
-        if w[j] > cutoff
-    )
-    return EffectMap(ops)
+    f = psd_factors(cert.choi_n, tol=max(HERM_TOL, cert.herm_residual * 2))
+    return EffectMap(tuple(f.T.reshape(-1, s.h_in, s.k_in)))
 
 
 def is_probability_preserving(s: Supermap, tol: float = EQ_TOL) -> bool:

@@ -16,11 +16,14 @@ import numpy as np
 
 from .linalg import (
     EQ_TOL,
-    POS_TOL,
-    eigh_sorted,
+    check_povm,
+    is_density_matrix,
     is_positive_semidefinite,
     kron,
+    numerical_rank,
     partial_trace,
+    psd_factors,
+    readonly_copy,
     rel_residual,
 )
 from .operations import QuantumOperation
@@ -29,12 +32,20 @@ from .supermap import Supermap
 
 @dataclass(frozen=True, eq=False)
 class Tester:
-    """Validated process POVM with its normalization state."""
+    """Validated process POVM with its normalization state.
+
+    Built by ``make_tester``, which validates; the effects and sigma are
+    stored as read-only copies.
+    """
 
     h_in: int
     h_out: int
     effects: tuple
     sigma: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "effects", tuple(map(readonly_copy, self.effects)))
+        object.__setattr__(self, "sigma", readonly_copy(self.sigma))
 
     @property
     def n_outcomes(self) -> int:
@@ -121,17 +132,14 @@ def discrimination_probability(t: Tester, ops, priors) -> float:
     )
 
 
-def is_informationally_complete(t: Tester, tol: float = 1e-8) -> bool:
+def is_informationally_complete(t: Tester, tol: float = EQ_TOL) -> bool:
     """True iff the effects span the full operator space on H_out ⊗ H_in.
 
     Decided by the rank of the stacked vectorized effects at a relative
     singular-value threshold.
     """
-    d2 = (t.h_out * t.h_in) ** 2
     stacked = np.stack([p.reshape(-1) for p in t.effects])
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(svals > tol * svals[0])) if svals.size else 0
-    return rank == d2
+    return numerical_rank(stacked, tol) == (t.h_out * t.h_in) ** 2
 
 
 def prepare_measure_tester(rho: np.ndarray, povm, h_out: int) -> Tester:
@@ -156,17 +164,9 @@ def tester_from_circuit(input_state: np.ndarray, povm, h_in: int, h_out: int) ->
     if x.shape[0] % h_in:
         raise ValueError("input state dimension is not a multiple of h_in")
     b = x.shape[0] // h_in
-    if not is_positive_semidefinite(x) or abs(np.trace(x) - 1.0) > EQ_TOL:
+    if not is_density_matrix(x):
         raise ValueError("input state is not a density matrix")
-    povm = [np.asarray(m, dtype=complex) for m in povm]
-    total = sum(povm)
-    if rel_residual(total, np.eye(h_out * b)) > EQ_TOL:
-        raise ValueError("joint POVM does not sum to the identity")
-    for m in povm:
-        if m.shape != (h_out * b, h_out * b):
-            raise ValueError(f"POVM element shape {m.shape} != ({h_out * b}, {h_out * b})")
-        if not is_positive_semidefinite(m):
-            raise ValueError("POVM element is not positive semidefinite")
+    povm = check_povm(povm, h_out * b, "joint POVM")
     x4 = x.reshape(h_in, b, h_in, b)
     effects = []
     for m in povm:
@@ -187,14 +187,8 @@ def as_supermap_parts(t: Tester) -> list[Supermap]:
     parts = []
     d = t.h_out * t.h_in
     for p in t.effects:
-        w, v = eigh_sorted(p)
-        cutoff = POS_TOL * max(1.0, float(w[0]))
-        ops = [
-            np.sqrt(w[j]) * v[:, j].conj().reshape(1, d)
-            for j in range(w.size)
-            if w[j] > cutoff
-        ]
-        if not ops:
-            ops = [np.zeros((1, d), dtype=complex)]
+        ops = psd_factors(p).conj().T.reshape(-1, 1, d)
+        if not ops.size:
+            ops = np.zeros((1, 1, d), dtype=complex)
         parts.append(Supermap(t.h_in, t.h_out, 1, 1, tuple(ops)))
     return parts

@@ -21,6 +21,15 @@ def bell_projector(d: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def matrix_units(dim: int):
+    """Yield (a, b, |a><b|) over the matrix-unit basis of dim x dim operators."""
+    for a in range(dim):
+        for b in range(dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit[a, b] = 1.0
+            yield a, b, unit
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

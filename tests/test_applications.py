@@ -199,6 +199,16 @@ class TestProgrammableChannel:
         with pytest.raises(ValueError, match="unitary"):
             ProgrammableDevice(unitary=np.ones((4, 4)), dim_sys=2, dim_prog=2)
 
+    def test_validated_arrays_are_read_only_copies(self):
+        u, f = SWAP.copy(), bell_projector(2) / 2
+        dev = ProgrammableDevice(unitary=u, dim_sys=2, dim_prog=2)
+        setup = TomographySetup(faithful_state=f, h_in=2, h_out=2)
+        for m in (dev.unitary, setup.faithful_state):
+            with pytest.raises(ValueError):
+                m[0, 0] = 5.0
+        u[0, 0] = f[0, 0] = 5.0
+        assert dev.unitary[0, 0] == 1.0 and setup.faithful_state[0, 0] == 0.5
+
 
 class TestProgrammablePovm:
     def test_trivial_joint_povm(self, rng):
@@ -362,3 +372,16 @@ class TestPovmAsChannel:
             assert abs(out[n, n] - np.trace(p @ rho)) <= 1e-10
         off_diag = out - np.diag(np.diag(out))
         assert np.linalg.norm(off_diag) <= 1e-10
+
+    def test_non_psd_element_named_even_when_the_sum_is_identity(self):
+        povm = [np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])]
+        with pytest.raises(ValueError, match="POVM element is not positive semidefinite"):
+            povm_as_channel(povm)
+
+    def test_rejects_wrong_sum_and_shapes(self):
+        with pytest.raises(ValueError, match="does not sum to the identity"):
+            povm_as_channel([np.diag([1.0, 0.0])])
+        with pytest.raises(ValueError, match="element shape"):
+            povm_as_channel([np.eye(2), np.zeros((3, 3))])
+        with pytest.raises(ValueError, match="empty"):
+            povm_as_channel([])

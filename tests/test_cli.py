@@ -171,6 +171,17 @@ class TestSupermapCommand:
         code, report = run_cli(capsys, "supermap", identity_map_file, "--check", "prob-preserving")
         assert code == 0 and report["pass"]
 
+    def test_effect_map_rejected_after_loose_tol_exits_1(self, capsys, tmp_path):
+        # Deterministic at --tol 1e-2, but the effect map fails its own
+        # identity-preservation check: a failing report, not a traceback.
+        path = tmp_path / "damped.json"
+        sio.save_json(path, sio.supermap_to_json(Supermap(2, 2, 2, 2, (0.999 * np.eye(4),))))
+        code, report = run_cli(
+            capsys, "supermap", str(path), "--check", "effect-map", "--tol", "1e-2"
+        )
+        assert code == 1
+        assert "identity preserving" in report["details"]["error"]
+
 
 class TestRealizeCommands:
     def test_identity_realization(self, capsys, tmp_path, identity_map_file):
@@ -292,6 +303,41 @@ class TestTomographyAndProgramming:
         assert code == 0
         choi = sio.matrix_from_json(report["details"]["operation"]["choi"])
         np.testing.assert_allclose(choi, kron(sigma, np.eye(2)), atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "argv, files, written",
+    [
+        (["kraus2choi", "{kraus}"], ["operation.json"], "operation.json"),
+        (["choi2kraus", "{op}"], ["kraus.json"], "kraus.json"),
+        (["apply", "--op", "{op}", "--state", "{rho}"], ["output_state.json"], "output_state.json"),
+        (["supermap", "{map}", "--check", "effect-map"], ["effect_map_0.json"], ""),
+        (["realize", "{map}"], ["meta.json", "v.json", "w.json"], ""),
+        (["realize-prob", "{map}"], ["meta.json", "projector_0.json", "v.json", "w.json"], ""),
+        (
+            ["program-channel", "--unitary", "{unitary}", "--program", "{rho}", "--dim-sys", "1"],
+            ["operation.json"],
+            "operation.json",
+        ),
+    ],
+)
+def test_out_files_and_written(capsys, tmp_path, identity_op_file, identity_map_file,
+                               argv, files, written):
+    """--out writes each command's files; details["written"] is the one file or the directory."""
+    inputs = {"op": identity_op_file, "map": identity_map_file}
+    for name, obj in (
+        ("kraus", sio.kraus_set_to_json(2, 2, [I2])),
+        ("rho", sio.matrix_to_json(np.eye(2) / 2)),
+        ("unitary", sio.matrix_to_json(np.eye(2))),
+    ):
+        inputs[name] = str(tmp_path / f"{name}.json")
+        sio.save_json(inputs[name], obj)
+    out = tmp_path / "out"
+    code, report = run_cli(capsys, *[a.format(**inputs) for a in argv], "--out", str(out))
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == files
+    assert report["details"]["written"] == str(out / written if written else out)
+    assert list(report["details"])[-1] == "written"
 
 
 class TestSelftest:

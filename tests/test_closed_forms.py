@@ -18,7 +18,6 @@ from supermaps.linalg import (
     dag,
     frob,
     kron,
-    matrix_units,
     min_eig_floor,
     partial_trace,
     random_density,
@@ -28,7 +27,6 @@ from supermaps.linalg import (
 from supermaps.realization import CircuitRealization, circuit_to_supermap
 from supermaps.supermap import (
     Supermap,
-    _determinism_certificate,
     action_distance,
     determinism_certificate,
     dual_supermap,
@@ -36,6 +34,8 @@ from supermaps.supermap import (
     is_deterministic_effectwise,
     sum_supermaps,
 )
+
+from conftest import matrix_units
 
 dims_st = st.tuples(*(st.integers(1, 4) for _ in range(4)))
 seed_st = st.integers(0, 2**32 - 1)
@@ -228,7 +228,6 @@ def test_is_faithful_matches_full_action_svd(h_in, extra, kind, seed):
 def test_certificate_is_public_and_cached():
     s = circuit_supermap(np.random.default_rng(3), (2, 3, 2, 2))
     assert supermaps.determinism_certificate is determinism_certificate
-    assert _determinism_certificate is determinism_certificate
     assert determinism_certificate(s) is determinism_certificate(s)
 
 

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from supermaps.linalg import (
-    complete_isometry,
     dag,
     eigh_sorted,
     kron,
     partial_trace,
-    partial_transpose,
-    permutation_matrix,
     permute_systems,
     random_density,
     random_isometry,
@@ -28,6 +25,18 @@ def kron_oracle(a, b):
                 for l in range(b.shape[1]):
                     out[i * b.shape[0] + k, j * b.shape[1] + l] = a[i, j] * b[k, l]
     return out
+
+
+def permutation_matrix(dims, perm):
+    """Unitary U with U|x_0,...> = |x_perm[0],...>, so permute_systems(m) = U m U†."""
+    total = int(np.prod(dims))
+    u = np.zeros((total, total))
+    new_dims = [dims[p] for p in perm]
+    for idx in np.ndindex(*dims):
+        src = int(np.ravel_multi_index(idx, dims))
+        dst = int(np.ravel_multi_index([idx[p] for p in perm], new_dims))
+        u[dst, src] = 1.0
+    return u
 
 
 def partial_trace_oracle(m, dims, keep):
@@ -108,35 +117,6 @@ class TestPartialTrace:
             partial_trace(np.eye(4), [2, 3], keep=[0])
 
 
-class TestPartialTranspose:
-    def test_involution(self, rng):
-        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        back = partial_transpose(partial_transpose(m, [2, 3], 1), [2, 3], 1)
-        np.testing.assert_allclose(back, m, atol=1e-15)
-
-    def test_product_case(self, rng):
-        a = random_hermitian(2, rng)
-        b = random_hermitian(3, rng)
-        got = partial_transpose(kron(a, b), [2, 3], which=1)
-        np.testing.assert_allclose(got, kron(a, b.T), atol=1e-14)
-
-    def test_bell_projector_becomes_swap(self):
-        # sum_nm |n><m| ⊗ |m><n| built element by element
-        swap = np.zeros((4, 4), dtype=complex)
-        for n in range(2):
-            for m in range(2):
-                e_nm = np.zeros((2, 2)); e_nm[n, m] = 1
-                e_mn = np.zeros((2, 2)); e_mn[m, n] = 1
-                swap += kron_oracle(e_nm, e_mn)
-        got = partial_transpose(bell_projector(2), [2, 2], which=1)
-        np.testing.assert_allclose(got, swap, atol=1e-15)
-
-    def test_preserves_hermiticity(self, rng):
-        m = random_hermitian(6, rng)
-        pt = partial_transpose(m, [3, 2], which=0)
-        np.testing.assert_allclose(pt, dag(pt), atol=1e-13)
-
-
 class TestPermuteSystems:
     def test_identity_is_noop(self, rng):
         m = random_hermitian(8, rng)
@@ -213,32 +193,6 @@ class TestEighSorted:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             eigh_sorted(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestCompleteIsometry:
-    def test_unitary_returned_unchanged(self, rng):
-        u = random_isometry(4, 4, rng)
-        np.testing.assert_array_equal(complete_isometry(u), u)
-
-    def test_single_column(self):
-        col = np.array([[1.0], [0.0], [0.0]], dtype=complex)
-        full = complete_isometry(col)
-        assert full.shape == (3, 3)
-        np.testing.assert_allclose(full[:, 0], col[:, 0])
-        np.testing.assert_allclose(dag(full) @ full, np.eye(3), atol=1e-12)
-
-    def test_gram_matrix_of_completion(self, rng):
-        block = random_isometry(6, 3, rng)
-        full = complete_isometry(block)
-        assert full.shape == (6, 6)
-        np.testing.assert_allclose(full[:, :3], block)
-        assert np.linalg.norm(dag(full) @ full - np.eye(6)) <= 1e-10
-
-    def test_rejects_bad_input(self, rng):
-        with pytest.raises(ValueError):
-            complete_isometry(np.ones((3, 2)))
-        with pytest.raises(ValueError):
-            complete_isometry(np.eye(2, 3))
 
 
 class TestRandomIsometry:

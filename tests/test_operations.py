@@ -62,6 +62,19 @@ class TestKrausToChoi:
             KrausSet(2, 2, (1.2 * I2,))
 
 
+class TestKrausSetFrozen:
+    def test_operators_are_read_only_copies(self):
+        ops = [np.eye(2, dtype=complex)]
+        k = KrausSet(2, 2, tuple(ops))
+        with pytest.raises(ValueError):
+            k.operators[0][...] *= 3
+        ops[0][0, 0] = 5.0
+        assert np.trace(k.apply(np.eye(2) / 2)).real == pytest.approx(1.0)
+
+    def test_empty_set_is_the_zero_operation(self):
+        np.testing.assert_array_equal(KrausSet(2, 3, ()).apply(np.eye(2) / 2), np.zeros((3, 3)))
+
+
 class TestChoiToKraus:
     def test_identity_gives_identity_kraus(self):
         k = choi_to_kraus(identity_operation(2))

@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from supermaps.linalg import dag, kron, matrix_units, random_density, random_isometry
+from supermaps.linalg import dag, kron, random_density, random_isometry
 from supermaps.operations import (
     apply_operation,
     choi_to_kraus,
@@ -18,10 +18,12 @@ from supermaps.operations import (
 )
 from supermaps.realization import CircuitRealization, circuit_to_supermap
 from supermaps.supermap import (
+    EffectMap,
     NotDeterministicError,
     Supermap,
     action_distance,
     apply_supermap,
+    determinism_certificate,
     dual_supermap,
     effect_map_of,
     identity_supermap,
@@ -32,6 +34,8 @@ from supermaps.supermap import (
     sum_supermaps,
     tensor_supermaps,
 )
+
+from conftest import matrix_units
 
 
 def random_circuit_supermap(rng, dims=(2, 2, 2, 2), dim_a=None, dim_b=None):
@@ -204,8 +208,26 @@ class TestIsDeterministic:
             s.kraus = (0.5 * s.kraus[0],)
         assert is_deterministic(s) and is_deterministic_effectwise(s)
 
+    def test_cached_certificate_is_frozen(self):
+        s = identity_supermap(2, 2)
+        cert = determinism_certificate(s)
+        with pytest.raises(FrozenInstanceError):
+            cert.product_residual = 1.0
+        with pytest.raises(ValueError):
+            cert.choi_n[0, 0] = 5.0
+        assert is_deterministic(s)
+        assert len(effect_map_of(s).kraus) == 1
+
 
 class TestEffectMap:
+    def test_operators_are_read_only_copies(self):
+        ops = [np.eye(2, dtype=complex)]
+        em = EffectMap(tuple(ops))
+        with pytest.raises(ValueError):
+            em.kraus[0][...] *= 3
+        ops[0][0, 0] = 5.0
+        np.testing.assert_array_equal(em.on_state(np.eye(2)), np.eye(2))
+
     def test_identity_supermap_gives_identity_map(self):
         em = effect_map_of(identity_supermap(2, 2))
         assert len(em.kraus) == 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from supermaps.linalg import kron, matrix_units, random_density
+from supermaps.linalg import kron, random_density
 from supermaps.operations import (
     KrausSet,
     QuantumOperation,
@@ -24,7 +24,7 @@ from supermaps.testers import (
     tester_from_circuit,
 )
 
-from conftest import X, Y, Z, I2, bell_projector
+from conftest import X, Y, Z, I2, bell_projector, matrix_units
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -73,6 +73,19 @@ class TestMakeTester:
         good = kron(I2, I2 / 2) - bad
         with pytest.raises(ValueError, match="positive"):
             make_tester([bad, good], 2, 2)
+
+
+class TestTesterFrozen:
+    def test_arrays_are_read_only_copies(self):
+        effects = [kron(m, KET0) for m in basis_povm()]
+        t = make_tester(effects, 2, 2)
+        with pytest.raises(ValueError):
+            t.effects[0][...] *= 5
+        with pytest.raises(ValueError):
+            t.sigma[0, 0] = 0.0
+        effects[0] *= 5
+        probs = evaluate(t, identity_operation(2))
+        np.testing.assert_allclose(list(probs), [1.0, 0.0], atol=1e-12)
 
 
 class TestEvaluate:
