@@ -124,15 +124,13 @@ def programmable_povm(joint_povm, program: np.ndarray) -> list[np.ndarray]:
     d_prog = sigma.shape[0]
     if not is_density_matrix(sigma):
         raise ValueError("program is not a density matrix")
-    povm = list(joint_povm)
-    if not povm:
-        raise ValueError("joint POVM is empty")
-    d = np.shape(povm[0])[0]
+    povm = check_povm(joint_povm, what="joint POVM")
+    d = povm[0].shape[0]
     if d % d_prog:
         raise ValueError("joint POVM dimension is not a multiple of the program's")
     d_sys = d // d_prog
     out = []
-    for e in check_povm(povm, d, "joint POVM"):
+    for e in povm:
         e4 = e.reshape(d_sys, d_prog, d_sys, d_prog)
         out.append(np.einsum("mpnq,qp->mn", e4, sigma))
     return out
@@ -201,11 +199,8 @@ def povm_as_channel(povm) -> QuantumOperation:
     Action: rho -> sum_n Tr[P_n rho] |n><n| with one register state per
     outcome; classical registers are diagonal-supported quantum systems.
     """
-    povm = list(povm)
-    if not povm:
-        raise ValueError("POVM is empty")
-    d = np.shape(povm[0])[0]
-    povm = check_povm(povm, d)
+    povm = check_povm(povm)
+    d = povm[0].shape[0]
     n_out = len(povm)
     ops = []
     for n, p in enumerate(povm):

@@ -16,23 +16,24 @@ import numpy as np
 
 from . import io
 from .applications import ProgrammableDevice, TomographySetup, is_faithful, programmable_channel
-from .linalg import EQ_TOL, POS_TOL, frob, isometry_residual, min_eig_floor, rel_residual
+from .linalg import EQ_TOL, POS_TOL, frob, isometry_residual, min_eig_floor
 from .operations import (
     KrausSet,
     QuantumOperation,
     apply_operation,
     choi_residuals,
     choi_to_kraus,
+    is_channel,
     kraus_to_choi,
 )
 from .realization import circuit_to_supermap, realize, realize_probabilistic
 from .selftest import CORRUPTIONS, run_selftest
 from .supermap import (
+    _identity_map_residual,
     action_distance,
     determinism_certificate,
     effect_map_of,
     is_deterministic,
-    is_probability_preserving,
 )
 from .testers import evaluate, is_informationally_complete, make_tester
 
@@ -94,7 +95,7 @@ def cmd_check_op(args) -> dict:
     cp = min_eig_floor(res["min_eig"], res["max_eig"])
     herm_ok = res["hermiticity"] <= args.tol
     tni = res["trace_increase"] <= POS_TOL * max(1.0, res["max_eig"])
-    channel = res["channel_residual"] <= args.tol * np.sqrt(dim_in)
+    channel = res["channel_residual"] / np.sqrt(dim_in) <= args.tol
     worst = max(res["hermiticity"], -min(res["min_eig"], 0.0), res["trace_increase"])
     return _report(
         "check-op",
@@ -159,11 +160,8 @@ def cmd_supermap(args) -> dict:
         )
     if args.check == "prob-preserving":
         with _fails_as("supermap-prob-preserving", cert.residual):
-            ok = is_probability_preserving(s, args.tol)
-        d = s.h_in
-        vec_i = np.eye(d).reshape(-1)
-        residual = rel_residual(cert.choi_n, np.outer(vec_i, vec_i))
-        return _report("supermap-prob-preserving", ok, residual, {})
+            residual = _identity_map_residual(s, args.tol)
+        return _report("supermap-prob-preserving", residual <= args.tol, residual, {})
     # effect-map
     with _fails_as("supermap-effect-map", cert.residual):
         em = effect_map_of(s, args.tol)
@@ -286,8 +284,7 @@ def cmd_program_channel(args) -> dict:
     payload = io.operation_to_json(op.dim_in, op.dim_out, op.choi)
     details = {"channel_residual": res["channel_residual"], "operation": payload}
     _write_out(args, details, ("operation.json", payload))
-    ok = res["channel_residual"] <= args.tol * np.sqrt(op.dim_in)
-    return _report("program-channel", ok, res["channel_residual"], details)
+    return _report("program-channel", is_channel(op, args.tol), res["channel_residual"], details)
 
 
 def cmd_selftest(args) -> dict:

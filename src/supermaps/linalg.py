@@ -67,6 +67,20 @@ def readonly_copy(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _kraus_operators(ops, shape: tuple[int, int]) -> tuple:
+    """Read-only complex copies of Kraus operators, each checked for shape and finiteness."""
+    # Copies inline, not through readonly_copy: the benchmark's tracer pins the
+    # spans of Supermap's validator, which must therefore call no public function.
+    ops = tuple(np.array(k, dtype=complex) for k in ops)
+    for k in ops:
+        if k.shape != shape:
+            raise ValueError(f"Kraus operator shape {k.shape} != {shape}")
+        if not np.all(np.isfinite(k)):
+            raise ValueError("Kraus operator has non-finite entries")
+        k.setflags(write=False)
+    return ops
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, left factor most significant."""
     return np.kron(np.asarray(a), np.asarray(b))
@@ -182,12 +196,17 @@ def is_density_matrix(m: np.ndarray) -> bool:
     return is_positive_semidefinite(m) and abs(np.trace(m) - 1.0) <= EQ_TOL
 
 
-def check_povm(povm, d: int, what: str = "POVM") -> list[np.ndarray]:
+def check_povm(povm, d: int | None = None, what: str = "POVM") -> list[np.ndarray]:
     """Validate d x d POVM elements: each one's shape and positivity, then the sum.
 
+    ``d`` defaults to the first element's size, and an empty POVM is rejected.
     Returns the elements as complex arrays; raises ValueError naming ``what``.
     """
     povm = [np.asarray(m, dtype=complex) for m in povm]
+    if not povm:
+        raise ValueError(f"{what} is empty")
+    if d is None:
+        d = povm[0].shape[0]
     for m in povm:
         if m.shape != (d, d):
             raise ValueError(f"{what} element shape {m.shape} != ({d}, {d})")

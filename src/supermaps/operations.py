@@ -25,6 +25,7 @@ from .linalg import (
     EQ_TOL,
     HERM_TOL,
     POS_TOL,
+    _kraus_operators,
     dag,
     frob,
     hermiticity_residual,
@@ -35,6 +36,7 @@ from .linalg import (
     psd_factors,
     random_isometry,
     readonly_copy,
+    rel_residual,
     as_rng,
 )
 
@@ -115,14 +117,7 @@ class KrausSet:
     operators: tuple
 
     def __post_init__(self):
-        ops = tuple(map(readonly_copy, self.operators))
-        for e in ops:
-            if e.shape != (self.dim_out, self.dim_in):
-                raise ValueError(
-                    f"Kraus operator shape {e.shape} != ({self.dim_out}, {self.dim_in})"
-                )
-            if not np.all(np.isfinite(e)):
-                raise ValueError("Kraus operator has non-finite entries")
+        ops = _kraus_operators(self.operators, (self.dim_out, self.dim_in))
         bound = sum((dag(e) @ e for e in ops), np.zeros((self.dim_in, self.dim_in)))
         eigs = np.linalg.eigvalsh((bound + dag(bound)) / 2.0)
         excess = float(eigs[-1]) - 1.0
@@ -181,7 +176,7 @@ def effect_of(op: QuantumOperation) -> np.ndarray:
 
 def is_channel(op: QuantumOperation, tol: float = EQ_TOL) -> bool:
     """True iff the effect equals the identity, i.e. the map preserves trace."""
-    return frob(effect_of(op) - np.eye(op.dim_in)) <= tol * np.sqrt(op.dim_in)
+    return rel_residual(effect_of(op), np.eye(op.dim_in)) <= tol
 
 
 def compose(second: QuantumOperation, first: QuantumOperation) -> QuantumOperation:

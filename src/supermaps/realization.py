@@ -40,18 +40,16 @@ from .linalg import (
     frob,
     hermiticity_residual,
     isometry_residual,
-    kron,
     random_density,
     readonly_copy,
     rel_residual,
 )
 from .operations import QuantumOperation, apply_operation, random_channel
 from .supermap import (
-    NotDeterministicError,
     Supermap,
     apply_supermap,
     effect_map_of,
-    is_deterministic,
+    is_deterministic,  # noqa: F401 (unused; the benchmark's tracer test patches it here)
     sum_supermaps,
 )
 
@@ -125,12 +123,10 @@ def realize(s: Supermap, tol: float = EQ_TOL) -> CircuitRealization:
 
     The ancilla B has one dimension per canonical Kraus operator of the
     effect map; A has one per Kraus operator of the supermap itself.
-    Raises NotDeterministicError for non-deterministic input, ValueError if
-    the coefficient solve fails to produce an isometry (numerically
-    inconsistent input).
+    Raises NotDeterministicError for non-deterministic input (from
+    ``effect_map_of``), ValueError if the coefficient solve fails to produce
+    an isometry (numerically inconsistent input).
     """
-    if not is_deterministic(s, tol):
-        raise NotDeterministicError("cannot realize: supermap is not deterministic")
     n_ops = effect_map_of(s, tol).kraus
     dim_b = len(n_ops)
     dim_a = len(s.kraus)
@@ -175,21 +171,6 @@ def realize_probabilistic(parts, tol: float = EQ_TOL) -> CircuitRealization:
     return replace(circuit, projectors=tuple(projectors))
 
 
-def _kraus_from_circuit(c: CircuitRealization) -> list[np.ndarray]:
-    """Reconstruct Kraus operators S_i = (I ⊗ <a_i| ⊗ I)(W ⊗ I)(I ⊗ Z)."""
-    k_in, h_in = c.k_in, c.h_in
-    h_out, k_out = c.h_out, c.k_out
-    # Z is the partial transpose of V on the second factor: a map from H_in
-    # into (B, K_in).
-    z = c.v.reshape(c.dim_b, h_in, k_in).transpose(0, 2, 1).reshape(c.dim_b * k_in, h_in)
-    full = kron(c.w, np.eye(k_in)) @ kron(np.eye(h_out), z)
-    blocks = full.reshape(k_out, c.dim_a, k_in, h_out * h_in)
-    return [
-        blocks[:, i, :, :].reshape(k_out * k_in, h_out * h_in)
-        for i in range(c.dim_a)
-    ]
-
-
 def circuit_to_supermap(c: CircuitRealization, dims: tuple[int, int, int, int]):
     """Evaluate a circuit back into Kraus form.
 
@@ -197,26 +178,29 @@ def circuit_to_supermap(c: CircuitRealization, dims: tuple[int, int, int, int]):
     Without projectors, returns the single (deterministic) supermap; with
     projectors, returns one supermap per projector, grouping the ancilla
     components in its range.
+
+    S_i = (I ⊗ <a_i| ⊗ I)(W ⊗ I)(I ⊗ Z), with Z the partial transpose of V
+    on its second factor, is S_i[(k,c),(m,x)] = sum_b W[(k,i),(m,b)] V[(b,x),c].
     """
     h_in, h_out, k_in, k_out = dims
     if (c.h_in, c.h_out, c.k_in, c.k_out) != (h_in, h_out, k_in, k_out):
         raise ValueError(
             f"circuit spaces {(c.h_in, c.h_out, c.k_in, c.k_out)} do not match dims {dims}"
         )
-    kraus = _kraus_from_circuit(c)
+    w4 = c.w.reshape(k_out, c.dim_a, h_out, c.dim_b)
+    v3 = c.v.reshape(c.dim_b, h_in, k_in)
+    kraus = np.einsum("kimb,bxc->ikcmx", w4, v3).reshape(c.dim_a, k_out * k_in, h_out * h_in)
     if c.projectors is None:
         return Supermap(h_in, h_out, k_in, k_out, tuple(kraus))
     maps = []
     for p in c.projectors:
         w, vecs = np.linalg.eigh((p + dag(p)) / 2.0)
-        cols = [vecs[:, j] for j in range(w.size) if w[j] > 0.5]
-        if cols:
-            ops = tuple(
-                sum(u[i].conjugate() * kraus[i] for i in range(c.dim_a)) for u in cols
-            )
+        u = vecs[:, w > 0.5]  # orthonormal basis of the projector's range
+        if u.shape[1]:
+            ops = np.einsum("ir,ikx->rkx", u.conj(), kraus)
         else:
-            ops = (np.zeros_like(kraus[0]),)
-        maps.append(Supermap(h_in, h_out, k_in, k_out, ops))
+            ops = np.zeros((1, *kraus.shape[1:]), dtype=complex)
+        maps.append(Supermap(h_in, h_out, k_in, k_out, tuple(ops)))
     return maps
 
 
@@ -257,7 +241,7 @@ def run_circuit(
     return np.einsum("ab,kblc,ca->kl", p, out, p)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelayedReadingReport:
     """Residuals from checking post-selected circuit outcomes against direct actions."""
 

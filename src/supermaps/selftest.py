@@ -11,12 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
+    EQ_TOL,
     as_rng,
     frob,
     isometry_residual,
     kron,
     random_density,
-    rel_residual,
+    random_isometry,
 )
 from .operations import (
     apply_operation,
@@ -33,13 +34,13 @@ from .realization import (
 )
 from .supermap import (
     Supermap,
+    _factor_identity,
     action_distance,
     is_deterministic,
     is_deterministic_effectwise,
     is_normalization_functional,
 )
 from .testers import evaluate, make_tester
-from .linalg import random_isometry
 
 CORRUPTIONS = ("v-isometry", "tester-norm")
 
@@ -162,12 +163,7 @@ def _suite_testers(rng, trials, tol, corrupt=None):
         effects = [kron(m, rho.T) for m in povm]
         if corrupt == "tester-norm":
             effects[0] = 1.5 * effects[0]
-        total = sum(effects)
-        sigma_candidate = np.trace(
-            total.reshape(d, d, d, d), axis1=0, axis2=2
-        ) / d
-        norm_residual = rel_residual(total, kron(np.eye(d), sigma_candidate))
-        trace_gap = abs(np.trace(sigma_candidate) - 1.0)
+        _, norm_residual, trace_gap = _factor_identity(sum(effects), d, d)
         worst = max(worst, norm_residual, trace_gap)
         if norm_residual <= tol and trace_gap <= tol:
             t = make_tester(effects, d, d)
@@ -177,7 +173,7 @@ def _suite_testers(rng, trials, tol, corrupt=None):
     return worst
 
 
-def run_selftest(seed: int, trials: int, tol: float = 1e-8, corrupt: str | None = None) -> dict:
+def run_selftest(seed: int, trials: int, tol: float = EQ_TOL, corrupt: str | None = None) -> dict:
     """Run every suite; returns a report dict suitable for JSON output."""
     if corrupt is not None and corrupt not in CORRUPTIONS:
         raise ValueError(f"unknown corruption '{corrupt}' (choose from {CORRUPTIONS})")

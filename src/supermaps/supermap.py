@@ -28,6 +28,7 @@ import numpy as np
 from .linalg import (
     EQ_TOL,
     HERM_TOL,
+    _kraus_operators,
     dag,
     frob,
     hermiticity_residual,
@@ -103,16 +104,9 @@ class Supermap:
     def __post_init__(self):
         if min(self.h_in, self.h_out, self.k_in, self.k_out) < 1:
             raise ValueError("space dimensions must be positive")
-        ops = tuple(np.array(s, dtype=complex) for s in self.kraus)
+        ops = _kraus_operators(self.kraus, (self.k_out * self.k_in, self.h_out * self.h_in))
         if not ops:
             raise ValueError("supermap needs at least one Kraus operator")
-        shape = (self.k_out * self.k_in, self.h_out * self.h_in)
-        for s in ops:
-            if s.shape != shape:
-                raise ValueError(f"Kraus operator shape {s.shape} != {shape}")
-            if not np.all(np.isfinite(s)):
-                raise ValueError("Kraus operator has non-finite entries")
-            s.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
 
     def act(self, choi: np.ndarray) -> np.ndarray:
@@ -158,10 +152,16 @@ def is_normalization_functional(
     c = np.asarray(c, dtype=complex)
     if c.shape != (d_out * d_in, d_out * d_in):
         raise ValueError(f"operator shape {c.shape} inconsistent with dims {dims}")
-    rho = partial_trace(c, [d_out, d_in], keep=[1]) / d_out
-    if rel_residual(c, kron(np.eye(d_out), rho)) <= tol and abs(np.trace(rho) - 1.0) <= tol:
+    rho, residual, trace_gap = _factor_identity(c, d_out, d_in)
+    if residual <= tol and trace_gap <= tol:
         return True, rho
     return False, None
+
+
+def _factor_identity(c: np.ndarray, d_out: int, d_in: int) -> tuple[np.ndarray, float, float]:
+    """(rho, relative residual of c against I ⊗ rho, |Tr rho − 1|) for rho = Tr_out[c] / d_out."""
+    rho = partial_trace(c, [d_out, d_in], keep=[1]) / d_out
+    return rho, rel_residual(c, kron(np.eye(d_out), rho)), abs(np.trace(rho) - 1.0)
 
 
 def determinism_certificate(s: Supermap) -> DeterminismCertificate:
@@ -293,56 +293,51 @@ class EffectMap:
         return kraus_sum(self.kraus, rho)
 
 
-def effect_map_of(s: Supermap, tol: float = EQ_TOL) -> EffectMap:
-    """Canonical Kraus form of the effect map of a deterministic supermap."""
+def _certified(s: Supermap, tol: float) -> DeterminismCertificate:
+    """The determinism certificate of s; raises NotDeterministicError if it fails at tol."""
     cert = determinism_certificate(s)
     if not cert.verdict(tol):
         raise NotDeterministicError(
             f"supermap is not deterministic (residual {cert.residual:.3e})"
         )
+    return cert
+
+
+def effect_map_of(s: Supermap, tol: float = EQ_TOL) -> EffectMap:
+    """Canonical Kraus form of the effect map of a deterministic supermap."""
+    cert = _certified(s, tol)
     f = psd_factors(cert.choi_n, tol=max(HERM_TOL, cert.herm_residual * 2))
     return EffectMap(tuple(f.T.reshape(-1, s.h_in, s.k_in)))
 
 
-def is_probability_preserving(s: Supermap, tol: float = EQ_TOL) -> bool:
-    """True iff the effect map acts as the identity (requires h_in == k_in)."""
+def _identity_map_residual(s: Supermap, tol: float) -> float:
+    """Relative residual of the effect map's Choi operator against the identity's."""
     if s.h_in != s.k_in:
         raise ValueError(
             f"probability preservation needs matching input spaces, got {s.h_in} != {s.k_in}"
         )
-    cert = determinism_certificate(s)
-    if not cert.verdict(tol):
-        raise NotDeterministicError(
-            f"supermap is not deterministic (residual {cert.residual:.3e})"
-        )
-    d = s.h_in
-    vec_i = np.eye(d, dtype=complex).reshape(-1)
-    return rel_residual(cert.choi_n, np.outer(vec_i, vec_i.conj())) <= tol
+    cert = _certified(s, tol)
+    vec_i = np.eye(s.h_in, dtype=complex).reshape(-1)
+    return rel_residual(cert.choi_n, np.outer(vec_i, vec_i.conj()))
 
 
-def _interleave(op: np.ndarray, row_dims, col_dims) -> np.ndarray:
-    """Reorder a Kraus operator of a product supermap to canonical space order.
-
-    Rows come in as (k_out_a, k_in_a, k_out_b, k_in_b) and leave as
-    (k_out_a, k_out_b, k_in_a, k_in_b); columns likewise for the H spaces.
-    """
-    t = op.reshape(*row_dims, *col_dims)
-    t = t.transpose(0, 2, 1, 3, 4, 6, 5, 7)
-    return t.reshape(int(np.prod(row_dims)), int(np.prod(col_dims)))
+def is_probability_preserving(s: Supermap, tol: float = EQ_TOL) -> bool:
+    """True iff the effect map acts as the identity (requires h_in == k_in)."""
+    return _identity_map_residual(s, tol) <= tol
 
 
 def tensor_supermaps(a: Supermap, b: Supermap) -> Supermap:
-    """Parallel composition acting on tensor products of operations."""
-    row_dims = (a.k_out, a.k_in, b.k_out, b.k_in)
-    col_dims = (a.h_out, a.h_in, b.h_out, b.h_in)
-    ops = tuple(
-        _interleave(kron(sa, sb), row_dims, col_dims)
-        for sa in a.kraus
-        for sb in b.kraus
-    )
-    return Supermap(
-        a.h_in * b.h_in, a.h_out * b.h_out, a.k_in * b.k_in, a.k_out * b.k_out, ops
-    )
+    """Parallel composition acting on tensor products of operations.
+
+    Kraus operator (i, j) is S_i ⊗ T_j with its factors in canonical order
+    (k_out_a, k_out_b, k_in_a, k_in_b) x (h_out_a, h_out_b, h_in_a, h_in_b).
+    """
+    h_in, h_out = a.h_in * b.h_in, a.h_out * b.h_out
+    k_in, k_out = a.k_in * b.k_in, a.k_out * b.k_out
+    ta = np.stack(a.kraus).reshape(-1, a.k_out, a.k_in, a.h_out, a.h_in)
+    tb = np.stack(b.kraus).reshape(-1, b.k_out, b.k_in, b.h_out, b.h_in)
+    ops = np.einsum("iabcd,jefgh->ijaebfcgdh", ta, tb).reshape(-1, k_out * k_in, h_out * h_in)
+    return Supermap(h_in, h_out, k_in, k_out, tuple(ops))
 
 
 def sum_supermaps(parts) -> Supermap:

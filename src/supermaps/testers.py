@@ -10,7 +10,7 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,31 +21,48 @@ from .linalg import (
     is_positive_semidefinite,
     kron,
     numerical_rank,
-    partial_trace,
     psd_factors,
     readonly_copy,
-    rel_residual,
 )
 from .operations import QuantumOperation
-from .supermap import Supermap
+from .supermap import Supermap, _factor_identity
 
 
 @dataclass(frozen=True, eq=False)
 class Tester:
     """Validated process POVM with its normalization state.
 
-    Built by ``make_tester``, which validates; the effects and sigma are
-    stored as read-only copies.
+    Validated at construction within ``tol``: each effect must be positive
+    and their sum must factor as I ⊗ sigma, with sigma (derived, not passed)
+    a state on H_in; the residual of that factorization is reported on
+    failure.  The effects and sigma are stored as read-only copies.
     """
 
     h_in: int
     h_out: int
     effects: tuple
-    sigma: np.ndarray
+    tol: float = EQ_TOL
+    sigma: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "effects", tuple(map(readonly_copy, self.effects)))
-        object.__setattr__(self, "sigma", readonly_copy(self.sigma))
+        d = self.h_out * self.h_in
+        if not self.effects:
+            raise ValueError("tester needs at least one effect")
+        total = np.zeros((d, d), dtype=complex)
+        for p in self.effects:
+            if p.shape != (d, d):
+                raise ValueError(f"effect shape {p.shape} != ({d}, {d})")
+            if not is_positive_semidefinite(p):
+                raise ValueError("tester effect is not positive semidefinite")
+            total += p
+        sigma, residual, trace_gap = _factor_identity(total, self.h_out, self.h_in)
+        if residual > self.tol or trace_gap > self.tol:
+            raise ValueError(
+                f"effects do not normalize to I ⊗ sigma (residual {residual:.3e}, "
+                f"trace gap {trace_gap:.3e})"
+            )
+        object.__setattr__(self, "sigma", readonly_copy(sigma))
 
     @property
     def n_outcomes(self) -> int:
@@ -69,32 +86,8 @@ class OutcomeDistribution:
 
 
 def make_tester(effects, h_out: int, h_in: int, tol: float = EQ_TOL) -> Tester:
-    """Validate effects and extract the normalization state.
-
-    Each effect must be positive and the sum must factor as I ⊗ sigma with
-    sigma a state on H_in; the residual of that factorization is reported on
-    failure.
-    """
-    effects = tuple(np.asarray(p, dtype=complex) for p in effects)
-    d = h_out * h_in
-    if not effects:
-        raise ValueError("tester needs at least one effect")
-    total = np.zeros((d, d), dtype=complex)
-    for p in effects:
-        if p.shape != (d, d):
-            raise ValueError(f"effect shape {p.shape} != ({d}, {d})")
-        if not is_positive_semidefinite(p):
-            raise ValueError("tester effect is not positive semidefinite")
-        total += p
-    sigma = partial_trace(total, [h_out, h_in], keep=[1]) / h_out
-    residual = rel_residual(total, kron(np.eye(h_out), sigma))
-    trace_gap = abs(np.trace(sigma) - 1.0)
-    if residual > tol or trace_gap > tol:
-        raise ValueError(
-            f"effects do not normalize to I ⊗ sigma (residual {residual:.3e}, "
-            f"trace gap {trace_gap:.3e})"
-        )
-    return Tester(h_in=h_in, h_out=h_out, effects=effects, sigma=sigma)
+    """Validated tester from its effects, with the normalization state extracted."""
+    return Tester(h_in=h_in, h_out=h_out, effects=tuple(effects), tol=tol)
 
 
 def evaluate(t: Tester, op: QuantumOperation, tol: float = EQ_TOL) -> OutcomeDistribution:

@@ -8,9 +8,17 @@ import numpy as np
 import pytest
 
 from supermaps import io as sio
+from supermaps.applications import ProgrammableDevice, programmable_channel
 from supermaps.cli import main
-from supermaps.linalg import kron, random_density
-from supermaps.operations import KrausSet, identity_operation, kraus_to_choi, random_channel
+from supermaps.linalg import kron, random_density, random_isometry, rel_residual
+from supermaps.operations import (
+    KrausSet,
+    effect_of,
+    identity_operation,
+    is_channel,
+    kraus_to_choi,
+    random_channel,
+)
 from supermaps.supermap import Supermap, identity_supermap
 from supermaps.testers import prepare_measure_tester
 
@@ -210,7 +218,7 @@ class TestRealizeCommands:
         sio.save_json(path, sio.supermap_to_json(s))
         code, report = run_cli(capsys, "realize", str(path), "--out", str(tmp_path / "c"))
         assert code == 1
-        assert "not deterministic" in report["details"]["error"]
+        assert report["details"]["error"] == "supermap is not deterministic (residual 5.000e-01)"
 
     def test_realize_prob(self, capsys, rng, tmp_path):
         s = random_circuit_supermap(rng, dim_a=2)
@@ -303,6 +311,40 @@ class TestTomographyAndProgramming:
         assert code == 0
         choi = sio.matrix_from_json(report["details"]["operation"]["choi"])
         np.testing.assert_allclose(choi, kron(sigma, np.eye(2)), atol=1e-10)
+
+
+class TestChannelBoundary:
+    """is_channel, check-op and program-channel make one relative channel test."""
+
+    @pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3])
+    def test_three_sites_agree_at_the_boundary(self, capsys, rng, tmp_path, side):
+        # A slightly contracting interaction (still unitary at EQ_TOL) makes a
+        # programmed channel whose effect is (1 - 2e-9)² I: residual ~4e-9.
+        d_sys, d_prog = 2, 2
+        u = (1 - 2e-9) * random_isometry(d_sys * d_prog, d_sys * d_prog, rng)
+        sigma = random_density(d_prog, rng)
+        op = programmable_channel(ProgrammableDevice(u, d_sys, d_prog), sigma)
+        residual = rel_residual(effect_of(op), np.eye(d_sys))
+        assert 1e-9 < residual < 1e-8
+        tol = residual / side  # the residual sits at side * tol
+        expected = side < 1
+        assert is_channel(op, tol) == expected
+
+        paths = {}
+        for name, obj in (
+            ("u", sio.matrix_to_json(u)),
+            ("sigma", sio.matrix_to_json(sigma)),
+            ("op", sio.operation_to_json(op.dim_in, op.dim_out, op.choi)),
+        ):
+            paths[name] = str(tmp_path / f"{name}.json")
+            sio.save_json(paths[name], obj)
+        _, report = run_cli(capsys, "check-op", paths["op"], "--tol", repr(tol))
+        assert report["details"]["channel"] is expected
+        code, report = run_cli(
+            capsys, "program-channel", "--unitary", paths["u"], "--program", paths["sigma"],
+            "--dim-sys", str(d_sys), "--tol", repr(tol),
+        )
+        assert report["pass"] is expected and code == (0 if expected else 1)
 
 
 @pytest.mark.parametrize(

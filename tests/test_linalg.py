@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from supermaps.linalg import (
+    check_povm,
     dag,
     eigh_sorted,
     kron,
@@ -218,3 +219,17 @@ def test_random_density_is_state(rng):
     rho = random_density(3, rng)
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
+
+
+class TestCheckPovm:
+    def test_dimension_taken_from_first_element(self):
+        povm = check_povm([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
+        assert [m.shape for m in povm] == [(3, 3), (3, 3)]
+        with pytest.raises(ValueError, match=r"POVM element shape \(2, 2\) != \(3, 3\)"):
+            check_povm([np.eye(3), np.zeros((2, 2))])
+
+    def test_empty_povm_rejected_naming_it(self):
+        with pytest.raises(ValueError, match="^POVM is empty$"):
+            check_povm([])
+        with pytest.raises(ValueError, match="^joint POVM is empty$"):
+            check_povm(iter(()), 4, "joint POVM")

@@ -109,7 +109,8 @@ class TestRealize:
 
     def test_not_deterministic_raises(self):
         s = Supermap(2, 2, 2, 2, (np.sqrt(0.5) * np.eye(4),))
-        with pytest.raises(NotDeterministicError):
+        # The determinism gate's message, with the certificate's residual.
+        with pytest.raises(NotDeterministicError, match=r"^supermap is not deterministic \(residual 5\.000e-01\)$"):
             realize(s)
 
     def test_degenerate_one_dimensional_outputs(self, rng):
@@ -258,6 +259,13 @@ class TestDelayedReading:
         rho = random_density(2, rng)
         probs = [float(np.trace(run_circuit(c, e, rho, outcome=j)).real) for j in range(2)]
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-10)
+
+    def test_report_is_frozen(self, rng):
+        report = delayed_reading_check([random_circuit_supermap(rng)], trials=1, seed=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.max_action_residual = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.tol = 1.0
 
     def test_random_three_part_decomposition(self, rng):
         s = random_circuit_supermap(rng, dim_a=3)

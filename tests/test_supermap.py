@@ -208,6 +208,14 @@ class TestIsDeterministic:
             s.kraus = (0.5 * s.kraus[0],)
         assert is_deterministic(s) and is_deterministic_effectwise(s)
 
+    def test_the_two_tests_stay_independent(self):
+        # The effect-wise test is the cross-check of the certificate: neither
+        # may reach the other, directly or through the determinism gate.
+        names = is_deterministic_effectwise.__code__.co_names
+        for shared in ("determinism_certificate", "_certified", "DeterminismCertificate"):
+            assert shared not in names
+        assert "is_deterministic_effectwise" not in determinism_certificate.__code__.co_names
+
     def test_cached_certificate_is_frozen(self):
         s = identity_supermap(2, 2)
         cert = determinism_certificate(s)

@@ -1,5 +1,7 @@
 """Process POVMs: normalization, evaluation, discrimination, completeness."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from supermaps.operations import (
     tensor,
 )
 from supermaps.supermap import is_deterministic, sum_supermaps
+from supermaps import testers
 from supermaps.testers import (
     as_supermap_parts,
     discrimination_probability,
@@ -73,6 +76,37 @@ class TestMakeTester:
         good = kron(I2, I2 / 2) - bad
         with pytest.raises(ValueError, match="positive"):
             make_tester([bad, good], 2, 2)
+
+
+class TestTesterValidatesItself:
+    def test_direct_construction_is_validated(self):
+        # Accepted with a passed-in sigma before, so evaluate returned [5.0].
+        with pytest.raises(ValueError, match="normalize"):
+            testers.Tester(h_in=1, h_out=1, effects=(5.0 * np.eye(1),))
+        with pytest.raises(ValueError, match="positive"):
+            testers.Tester(h_in=1, h_out=1, effects=(2.0 * np.eye(1), -np.eye(1)))
+        with pytest.raises(ValueError, match="effect shape"):
+            testers.Tester(h_in=2, h_out=1, effects=(np.eye(3),))
+        with pytest.raises(ValueError, match="at least one effect"):
+            testers.Tester(h_in=1, h_out=1, effects=())
+
+    def test_sigma_is_derived_not_passed(self, rng):
+        sigma = random_density(2, rng)
+        t = testers.Tester(h_in=2, h_out=2, effects=[kron(I2, sigma) / 2] * 2)
+        np.testing.assert_allclose(t.sigma, sigma, atol=1e-12)
+        assert t.tol == 1e-8
+        with pytest.raises(TypeError):
+            testers.Tester(h_in=2, h_out=2, effects=[kron(I2, sigma)], sigma=sigma)
+        with pytest.raises(FrozenInstanceError):
+            t.sigma = np.eye(2)
+
+    def test_tolerance_is_stored_and_honoured(self, rng):
+        sigma = random_density(2, rng)
+        effects = [kron(I2, sigma) / 2, (1 + 1e-6) * kron(I2, sigma) / 2]
+        with pytest.raises(ValueError, match="normalize"):
+            testers.Tester(h_in=2, h_out=2, effects=effects)
+        t = make_tester(effects, 2, 2, tol=1e-4)
+        assert t.tol == 1e-4 and t.n_outcomes == 2
 
 
 class TestTesterFrozen:
@@ -191,6 +225,10 @@ class TestInformationalCompleteness:
 
 
 class TestTesterFromCircuit:
+    def test_empty_povm_rejected_as_empty(self, rng):
+        with pytest.raises(ValueError, match="joint POVM is empty"):
+            tester_from_circuit(random_density(2, rng), [], h_in=2, h_out=2)
+
     def test_no_ancilla_reduces_to_prepare_measure(self, rng):
         rho = random_density(2, rng)
         t = tester_from_circuit(rho, basis_povm(), h_in=2, h_out=2)
