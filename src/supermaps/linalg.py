@@ -9,10 +9,14 @@ Tolerance policy, shared by the whole package:
 - residuals: two matrices agree when ||a - b||_F <= tol * max(1, ||b||_F)
   (``rel_residual``; ``isometry_residual`` applies it to M†M against I),
   with tol = EQ_TOL, or HERM_TOL for hermiticity;
+- orthogonality: projectors satisfy ||P Q||_F <= tol * max(1, ||P||_F ||Q||_F);
 - positivity: a Hermitian matrix is positive semidefinite when its smallest
   eigenvalue is at least -POS_TOL * max(1, lambda_max), and ``psd_factors``
-  keeps exactly the eigenvalues above +POS_TOL * max(1, lambda_max);
+  keeps exactly the eigenvalues above +POS_TOL * max(1, lambda_max); the
+  trace increase of ``check-op`` (an excess over I) is a positivity test too;
 - rank: ``numerical_rank`` counts the singular values above tol * s_max.
+A caller's ``tol`` (the CLI's ``--tol``) replaces EQ_TOL in these rules;
+POS_TOL is fixed.
 """
 
 from __future__ import annotations

@@ -161,6 +161,15 @@ def choi_to_kraus(op: QuantumOperation) -> KrausSet:
     return KrausSet(op.dim_in, op.dim_out, tuple(ops))
 
 
+def _check_ports(op: QuantumOperation, dim_in: int, dim_out: int, what: str) -> None:
+    """Raise ValueError unless op maps dim_in to dim_out, the open ports of ``what``."""
+    if (op.dim_in, op.dim_out) != (dim_in, dim_out):
+        raise ValueError(
+            f"operation spaces ({op.dim_in}, {op.dim_out}) do not match "
+            f"the {what}'s open ports ({dim_in}, {dim_out})"
+        )
+
+
 def apply_operation(op: QuantumOperation, rho: np.ndarray) -> np.ndarray:
     """Unnormalized output Tr_in[(I ⊗ rho^T) choi]; its trace is the probability."""
     rho = np.asarray(rho, dtype=complex)

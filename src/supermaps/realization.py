@@ -29,7 +29,7 @@ isometry for consistent input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .linalg import (
     readonly_copy,
     rel_residual,
 )
-from .operations import QuantumOperation, apply_operation, random_channel
+from .operations import QuantumOperation, _check_ports, apply_operation, random_channel
 from .supermap import (
     Supermap,
     apply_supermap,
@@ -62,6 +62,8 @@ class CircuitRealization:
     ``w``: (k_out * dim_a) x (h_out * dim_b) isometry into (K_out, A).
     ``projectors``: optional orthogonal projectors on A summing to the
     identity, one per probabilistic alternative.
+    ``tol`` bounds every check; ``v_residual``/``w_residual`` (derived) hold
+    the ``isometry_residual`` of V and W that the validator measured.
 
     Validated at construction and immutable afterwards: the fields cannot be
     reassigned and the arrays are read-only copies of the inputs, so
@@ -73,6 +75,9 @@ class CircuitRealization:
     dim_a: int
     dim_b: int
     projectors: tuple | None = None
+    tol: float = EQ_TOL
+    v_residual: float = field(init=False)
+    w_residual: float = field(init=False)
 
     def __post_init__(self):
         v = readonly_copy(self.v)
@@ -80,22 +85,22 @@ class CircuitRealization:
         if v.shape[0] % self.dim_b or w.shape[0] % self.dim_a:
             raise ValueError("isometry shapes inconsistent with ancilla dimensions")
         for name, m in (("V", v), ("W", w)):
-            if isometry_residual(m) > EQ_TOL:
-                raise ValueError(f"{name} is not an isometry within tolerance")
+            residual = isometry_residual(m)
+            if not residual <= self.tol:  # also rejects NaN
+                raise ValueError(f"{name} is not an isometry (residual {residual:.3e})")
+            object.__setattr__(self, f"{name.lower()}_residual", residual)
         projs = None
         if self.projectors is not None:
             projs = tuple(map(readonly_copy, self.projectors))
-            total = np.zeros((self.dim_a, self.dim_a), dtype=complex)
             for i, p in enumerate(projs):
                 if p.shape != (self.dim_a, self.dim_a):
                     raise ValueError("projector shape does not match ancilla A")
-                if hermiticity_residual(p) > EQ_TOL or rel_residual(p @ p, p) > EQ_TOL:
+                if hermiticity_residual(p) > self.tol or rel_residual(p @ p, p) > self.tol:
                     raise ValueError("ancilla projectors must be Hermitian idempotents")
                 for q in projs[:i]:
-                    if frob(p @ q) > EQ_TOL * self.dim_a:
+                    if frob(p @ q) > self.tol * max(1.0, frob(p) * frob(q)):
                         raise ValueError("ancilla projectors must be mutually orthogonal")
-                total += p
-            if rel_residual(total, np.eye(self.dim_a)) > EQ_TOL:
+            if rel_residual(sum(projs), np.eye(self.dim_a)) > self.tol:
                 raise ValueError("ancilla projectors must sum to the identity")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
@@ -118,15 +123,8 @@ class CircuitRealization:
         return self.w.shape[0] // self.dim_a
 
 
-def realize(s: Supermap, tol: float = EQ_TOL) -> CircuitRealization:
-    """Factor a deterministic supermap into isometries V and W.
-
-    The ancilla B has one dimension per canonical Kraus operator of the
-    effect map; A has one per Kraus operator of the supermap itself.
-    Raises NotDeterministicError for non-deterministic input (from
-    ``effect_map_of``), ValueError if the coefficient solve fails to produce
-    an isometry (numerically inconsistent input).
-    """
+def _isometries(s: Supermap, tol: float) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """(V, W, dim_a, dim_b) of ``realize``'s circuit, before CircuitRealization checks it."""
     n_ops = effect_map_of(s, tol).kraus
     dim_b = len(n_ops)
     dim_a = len(s.kraus)
@@ -140,15 +138,20 @@ def realize(s: Supermap, tol: float = EQ_TOL) -> CircuitRealization:
     ss = np.stack(s.kraus).reshape(dim_a, s.k_out, s.k_in, s.h_out, s.h_in)
     weights = np.array([np.vdot(n, n).real for n in n_ops])
     w4 = np.einsum("jek,inkme->nimj", nn, ss) / weights
-    w = w4.reshape(s.k_out * dim_a, s.h_out * dim_b)
+    return v, w4.reshape(s.k_out * dim_a, s.h_out * dim_b), dim_a, dim_b
 
-    gram_gap = isometry_residual(w)
-    if gram_gap > tol:
-        raise ValueError(
-            f"connecting isometry failed its contract (||W†W − I|| residual {gram_gap:.3e}); "
-            "input Kraus operators are numerically inconsistent"
-        )
-    return CircuitRealization(v=v, w=w, dim_a=dim_a, dim_b=dim_b)
+
+def realize(s: Supermap, tol: float = EQ_TOL) -> CircuitRealization:
+    """Factor a deterministic supermap into isometries V and W.
+
+    The ancilla B has one dimension per canonical Kraus operator of the
+    effect map; A has one per Kraus operator of the supermap itself.
+    ``tol`` governs determinism, the effect map's identity preservation and
+    the V/W isometry residuals (kept as ``v_residual``/``w_residual``).
+    Raises NotDeterministicError for non-deterministic input, ValueError
+    naming the residual for numerically inconsistent input.
+    """
+    return CircuitRealization(*_isometries(s, tol), tol=tol)
 
 
 def realize_probabilistic(parts, tol: float = EQ_TOL) -> CircuitRealization:
@@ -159,16 +162,10 @@ def realize_probabilistic(parts, tol: float = EQ_TOL) -> CircuitRealization:
     concatenated realization.
     """
     parts = list(parts)
-    total = sum_supermaps(parts)
-    circuit = realize(total, tol)
-    projectors = []
-    offset = 0
-    for p in parts:
-        diag = np.zeros(circuit.dim_a)
-        diag[offset : offset + len(p.kraus)] = 1.0
-        projectors.append(np.diag(diag).astype(complex))
-        offset += len(p.kraus)
-    return replace(circuit, projectors=tuple(projectors))
+    v, w, dim_a, dim_b = _isometries(sum_supermaps(parts), tol)
+    owner = np.repeat(np.arange(len(parts)), [len(p.kraus) for p in parts])  # part of each A index
+    projectors = tuple(np.diag(owner == j).astype(complex) for j in range(len(parts)))
+    return CircuitRealization(v, w, dim_a, dim_b, projectors, tol)
 
 
 def circuit_to_supermap(c: CircuitRealization, dims: tuple[int, int, int, int]):
@@ -226,8 +223,7 @@ def run_circuit(
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (c.k_in, c.k_in):
         raise ValueError(f"input state shape {rho.shape} != ({c.k_in}, {c.k_in})")
-    if (op.dim_in, op.dim_out) != (c.h_in, c.h_out):
-        raise ValueError("operation spaces do not match the circuit's open ports")
+    _check_ports(op, c.h_in, c.h_out, "circuit")
     if outcome is not None and c.projectors is None:
         raise ValueError("circuit has no measurement projectors")
     b, h_in, h_out = c.dim_b, c.h_in, c.h_out

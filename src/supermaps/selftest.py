@@ -135,7 +135,7 @@ def _suite_realization(rng, trials, tol, corrupt=None):
         worst = max(
             worst,
             isometry_residual(v),
-            isometry_residual(circuit.w),
+            circuit.w_residual,
             action_distance(
                 circuit_to_supermap(circuit, (s.h_in, s.h_out, s.k_in, s.k_out)), s
             ),

@@ -41,7 +41,7 @@ from .linalg import (
     readonly_copy,
     rel_residual,
 )
-from .operations import QuantumOperation
+from .operations import QuantumOperation, _check_ports
 
 # Budget in complex entries (1 MB) for the blocks action_distance works on;
 # the two determinism tests hold one row of their contraction at a time.
@@ -122,11 +122,7 @@ def identity_supermap(dim_in: int, dim_out: int) -> Supermap:
 
 def apply_supermap(s: Supermap, op: QuantumOperation) -> QuantumOperation:
     """Transform an operation; the result is validated as an operation."""
-    if (op.dim_in, op.dim_out) != (s.h_in, s.h_out):
-        raise ValueError(
-            f"operation spaces ({op.dim_in}, {op.dim_out}) do not match "
-            f"supermap input spaces ({s.h_in}, {s.h_out})"
-        )
+    _check_ports(op, s.h_in, s.h_out, "supermap")
     return QuantumOperation(s.k_in, s.k_out, s.act(op.choi))
 
 
@@ -150,8 +146,6 @@ def is_normalization_functional(
     """
     d_out, d_in = dims
     c = np.asarray(c, dtype=complex)
-    if c.shape != (d_out * d_in, d_out * d_in):
-        raise ValueError(f"operator shape {c.shape} inconsistent with dims {dims}")
     rho, residual, trace_gap = _factor_identity(c, d_out, d_in)
     if residual <= tol and trace_gap <= tol:
         return True, rho
@@ -269,19 +263,21 @@ class EffectMap:
 
     Stored through Kraus operators N_l from K_in to H_in, acting on effects
     as N(P) = sum_l N_l† P N_l and on states as N_*(rho) = sum_l N_l rho N_l†.
-    Identity preservation (sum_l N_l† N_l = I) is validated at construction;
-    the operators are stored as read-only copies.
+    Identity preservation (sum_l N_l† N_l = I) is validated at construction,
+    within ``tol``; the operators are stored as read-only copies.
     """
 
     kraus: tuple
+    tol: float = EQ_TOL
 
     def __post_init__(self):
         ops = tuple(map(readonly_copy, self.kraus))
         if not ops:
             raise ValueError("effect map needs at least one Kraus operator")
         # sum_l N_l† N_l is the Gram matrix of the N_l stacked as one column.
-        if isometry_residual(np.vstack(ops)) > EQ_TOL:
-            raise ValueError("effect map is not identity preserving")
+        residual = isometry_residual(np.vstack(ops))
+        if not residual <= self.tol:
+            raise ValueError(f"effect map is not identity preserving (residual {residual:.3e})")
         object.__setattr__(self, "kraus", ops)
 
     def on_effect(self, p: np.ndarray) -> np.ndarray:
@@ -307,7 +303,7 @@ def effect_map_of(s: Supermap, tol: float = EQ_TOL) -> EffectMap:
     """Canonical Kraus form of the effect map of a deterministic supermap."""
     cert = _certified(s, tol)
     f = psd_factors(cert.choi_n, tol=max(HERM_TOL, cert.herm_residual * 2))
-    return EffectMap(tuple(f.T.reshape(-1, s.h_in, s.k_in)))
+    return EffectMap(tuple(f.T.reshape(-1, s.h_in, s.k_in)), tol)
 
 
 def _identity_map_residual(s: Supermap, tol: float) -> float:

@@ -24,7 +24,7 @@ from .linalg import (
     psd_factors,
     readonly_copy,
 )
-from .operations import QuantumOperation
+from .operations import QuantumOperation, _check_ports
 from .supermap import Supermap, _factor_identity
 
 
@@ -92,11 +92,7 @@ def make_tester(effects, h_out: int, h_in: int, tol: float = EQ_TOL) -> Tester:
 
 def evaluate(t: Tester, op: QuantumOperation, tol: float = EQ_TOL) -> OutcomeDistribution:
     """Outcome probabilities p_j = Tr[choi P_j], clamped to [0, 1] within slack."""
-    if (op.dim_in, op.dim_out) != (t.h_in, t.h_out):
-        raise ValueError(
-            f"operation spaces ({op.dim_in}, {op.dim_out}) do not match tester "
-            f"spaces ({t.h_in}, {t.h_out})"
-        )
+    _check_ports(op, t.h_in, t.h_out, "tester")
     probs = []
     for p in t.effects:
         val = complex(np.trace(op.choi @ p))

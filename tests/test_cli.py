@@ -10,7 +10,7 @@ import pytest
 from supermaps import io as sio
 from supermaps.applications import ProgrammableDevice, programmable_channel
 from supermaps.cli import main
-from supermaps.linalg import kron, random_density, random_isometry, rel_residual
+from supermaps.linalg import POS_TOL, kron, random_density, random_isometry, rel_residual
 from supermaps.operations import (
     KrausSet,
     effect_of,
@@ -179,16 +179,22 @@ class TestSupermapCommand:
         code, report = run_cli(capsys, "supermap", identity_map_file, "--check", "prob-preserving")
         assert code == 0 and report["pass"]
 
-    def test_effect_map_rejected_after_loose_tol_exits_1(self, capsys, tmp_path):
-        # Deterministic at --tol 1e-2, but the effect map fails its own
-        # identity-preservation check: a failing report, not a traceback.
-        path = tmp_path / "damped.json"
-        sio.save_json(path, sio.supermap_to_json(Supermap(2, 2, 2, 2, (0.999 * np.eye(4),))))
-        code, report = run_cli(
-            capsys, "supermap", str(path), "--check", "effect-map", "--tol", "1e-2"
+    @pytest.mark.parametrize("scale", [0.999, 1.0005])
+    def test_three_commands_agree_under_tol(self, capsys, tmp_path, scale):
+        # The determinism residual is |scale² − 1|, between 1e-8 and 1e-2. The
+        # effect map and the circuit are checked at --tol as well, so all
+        # three commands accept the supermap at 1e-2 and reject it at 1e-8.
+        path = tmp_path / "scaled.json"
+        sio.save_json(path, sio.supermap_to_json(Supermap(2, 2, 2, 2, (scale * np.eye(4),))))
+        commands = (
+            ["supermap", str(path), "--check", "deterministic"],
+            ["supermap", str(path), "--check", "effect-map"],
+            ["realize", str(path)],
         )
-        assert code == 1
-        assert "identity preserving" in report["details"]["error"]
+        for tol_flag, expected in ((["--tol", "1e-2"], 0), ([], 1)):
+            for argv in commands:
+                code, report = run_cli(capsys, *argv, *tol_flag)
+                assert (code, report["pass"]) == (expected, expected == 0), argv + tol_flag
 
 
 class TestRealizeCommands:
@@ -345,6 +351,24 @@ class TestChannelBoundary:
             "--dim-sys", str(d_sys), "--tol", repr(tol),
         )
         assert report["pass"] is expected and code == (0 if expected else 1)
+
+
+class TestTraceIncreaseBoundary:
+    """check-op's trace-increase test is a positivity test at POS_TOL, which --tol does not move."""
+
+    @pytest.mark.parametrize("tol_flag", [[], ["--tol", "1e-2"]])
+    @pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3])
+    def test_boundary_is_pos_tol(self, capsys, tmp_path, side, tol_flag):
+        # (1 + x) times the identity channel: effect (1 + x) I, largest Choi
+        # eigenvalue 2 (1 + x), so the bound is POS_TOL * 2 (1 + x) and
+        # x = side * bound solves to x = a / (1 - a) with a = side * 2 POS_TOL.
+        a = side * 2 * POS_TOL
+        x = a / (1 - a)
+        path = tmp_path / "op.json"
+        sio.save_json(path, sio.operation_to_json(2, 2, (1 + x) * identity_operation(2).choi))
+        code, report = run_cli(capsys, "check-op", str(path), *tol_flag)
+        assert report["details"]["trace_non_increasing"] is (side < 1)
+        assert code == (0 if side < 1 else 1)
 
 
 @pytest.mark.parametrize(

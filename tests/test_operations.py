@@ -1,5 +1,7 @@
 """Choi/Kraus machinery against operator-sum oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,24 @@ class TestApplyOperation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_operation(identity_operation(2), np.eye(3))
+
+
+def test_one_port_check_for_supermaps_testers_and_circuits(rng):
+    from supermaps.realization import realize, run_circuit
+    from supermaps.supermap import apply_supermap, identity_supermap
+    from supermaps.testers import evaluate, make_tester
+
+    op = random_channel(2, 3, 2, rng)
+    s = identity_supermap(2, 2)
+    tester = make_tester([kron(I2, I2 / 2)], 2, 2)
+    for what, call in (
+        ("supermap", lambda: apply_supermap(s, op)),
+        ("tester", lambda: evaluate(tester, op)),
+        ("circuit", lambda: run_circuit(realize(s), op, I2 / 2)),
+    ):
+        message = f"operation spaces (2, 3) do not match the {what}'s open ports (2, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestEffect:

@@ -1,14 +1,19 @@
 """Circuit factorization of supermaps and its probabilistic extension."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from supermaps import linalg
+from supermaps.cli import main
+from supermaps import io as sio
 from supermaps.linalg import (
     dag,
+    isometry_residual,
     kron,
     partial_trace,
     permute_systems,
@@ -33,10 +38,12 @@ from supermaps.realization import (
     run_circuit,
 )
 from supermaps.supermap import (
+    EffectMap,
     NotDeterministicError,
     Supermap,
     action_distance,
     apply_supermap,
+    effect_map_of,
     identity_supermap,
     is_deterministic,
     sum_supermaps,
@@ -294,6 +301,36 @@ class TestProjectorValidation:
             CircuitRealization(v=c.v, w=c.w, dim_a=2, dim_b=c.dim_b,
                                projectors=(p,))
 
+    @pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3])
+    def test_orthogonality_boundary(self, side):
+        # P = |0><0| and Q = |u><u| with <0|u> = eps have ||PQ||_F = eps and
+        # ||P||_F ||Q||_F = 1, so the bound is tol itself; P + Q misses the
+        # identity by the same eps, so below the bound the circuit is valid.
+        tol = 1e-3
+        eps = side * tol
+        u = np.array([eps, np.sqrt(1 - eps**2)])
+        projectors = (np.diag([1.0, 0.0]), np.outer(u, u))
+        build = lambda: CircuitRealization(np.eye(2), np.eye(2), 2, 1, projectors, tol)
+        if side < 1:
+            build()
+        else:
+            with pytest.raises(ValueError, match="orthogonal"):
+                build()
+
+    @pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3])
+    def test_orthogonality_bound_scales_with_the_norms(self, side):
+        # Rank-2 P and Q: ||P||_F ||Q||_F = 2, so the bound is 2 tol.  Q is
+        # P's complement turned by s = sin(theta) between |0> and |2>, so
+        # ||PQ||_F = s; the sum misses the identity by s / sqrt(2), which
+        # fails at any s above sqrt(2) tol, so below the bound the sum is
+        # what rejects the projectors.
+        tol = 1e-3
+        s = side * 2 * tol
+        u = np.array([s, 0.0, np.sqrt(1 - s**2), 0.0])
+        projectors = (np.diag([1.0, 1.0, 0.0, 0.0]), np.outer(u, u) + np.diag([0.0, 0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="sum to the identity" if side < 1 else "orthogonal"):
+            CircuitRealization(np.eye(2), np.eye(4), 4, 1, projectors, tol)
+
     def test_rotated_projector_basis_grouping(self, rng):
         # projectors need not be diagonal in the ancilla basis: rotate a
         # two-part split by a unitary on A and check the grouped actions
@@ -429,3 +466,92 @@ class TestCircuitImmutable:
         p[0, 0] = 0.0
         assert c.v[0, 0] == 1.0
         assert c.projectors[0][0, 0] == 1.0
+
+
+class TestOneToleranceForEveryContract:
+    """realize checks determinism, the effect map and V/W all at the caller's tol."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e-2])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("frac", [0.4, 0.6])
+    def test_realize_succeeds_exactly_when_deterministic(self, rng, tol, sign, frac):
+        # Scaling every Kraus operator by c = 1 ± frac·tol moves the
+        # determinism, effect-map and V residuals to about |c² − 1| =
+        # 2·frac·tol, on either side of tol; W does not depend on the scale.
+        c = 1 + sign * frac * tol
+        fixtures = [identity_supermap(2, 2), random_circuit_supermap(rng)]
+        fixtures += [random_circuit_supermap(rng, dims=dims) for dims in ((1, 2, 2, 3), (3, 2, 2, 1))]
+        for s in fixtures:
+            scaled = Supermap(s.h_in, s.h_out, s.k_in, s.k_out, tuple(c * k for k in s.kraus))
+            try:
+                realize(scaled, tol)
+                realized = True
+            except ValueError:
+                realized = False
+            assert is_deterministic(scaled, tol) == realized == (frac < 0.5)
+
+    def test_effect_map_keeps_tol_and_names_its_residual(self):
+        s = Supermap(2, 2, 2, 2, (0.999 * np.eye(4),))
+        em = effect_map_of(s, 1e-2)
+        assert em.tol == 1e-2
+        with pytest.raises(ValueError, match=r"not identity preserving \(residual 1\.999e-03\)$"):
+            EffectMap(em.kraus)
+
+    def test_circuit_checks_run_at_its_tol(self):
+        v = 1.001 * np.eye(2)  # ||V†V − I|| / ||I|| = 1.001² − 1
+        with pytest.raises(ValueError, match=r"^V is not an isometry \(residual 2\.001e-03\)$"):
+            CircuitRealization(v=v, w=np.eye(2), dim_a=1, dim_b=1)
+        c = CircuitRealization(v=v, w=np.eye(2), dim_a=1, dim_b=1, tol=1e-2)
+        assert c.v_residual == isometry_residual(v) and c.w_residual == 0.0
+
+    def test_nan_isometry_rejected(self):
+        with pytest.raises(ValueError, match="W is not an isometry"):
+            CircuitRealization(v=np.eye(2), w=np.full((2, 2), np.nan), dim_a=1, dim_b=1)
+
+    def test_residual_fields_are_derived_and_frozen(self, rng):
+        c = realize(random_circuit_supermap(rng))
+        assert (c.v_residual, c.w_residual) == (isometry_residual(c.v), isometry_residual(c.w))
+        with pytest.raises(TypeError):
+            CircuitRealization(v=c.v, w=c.w, dim_a=c.dim_a, dim_b=c.dim_b, w_residual=0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.w_residual = 0.0
+
+
+@pytest.fixture
+def isometry_calls(monkeypatch):
+    """Records every isometry_residual call, in each package module that imported it."""
+    original = linalg.isometry_residual
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "supermaps" and getattr(module, "isometry_residual", None) is original:
+            monkeypatch.setattr(module, "isometry_residual", counted)
+    return calls
+
+
+class TestEachContractMeasuredOnce:
+    """One realization measures three residuals: the effect map's, V's and W's."""
+
+    def test_realize(self, rng, isometry_calls):
+        s = random_circuit_supermap(rng)  # built from a circuit, which measures V and W
+        isometry_calls.clear()
+        realize(s)
+        assert len(isometry_calls) == 3
+
+    def test_realize_probabilistic(self, rng, isometry_calls):
+        s = random_circuit_supermap(rng, dim_a=3)
+        parts = [Supermap(s.h_in, s.h_out, s.k_in, s.k_out, (k,)) for k in s.kraus]
+        isometry_calls.clear()
+        realize_probabilistic(parts)
+        assert len(isometry_calls) == 3
+
+    def test_cli_realize(self, rng, tmp_path, capsys, isometry_calls):
+        path = tmp_path / "map.json"
+        sio.save_json(path, sio.supermap_to_json(random_circuit_supermap(rng)))
+        isometry_calls.clear()
+        assert main(["realize", str(path)]) == 0
+        assert len(isometry_calls) == 3

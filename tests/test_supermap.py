@@ -164,6 +164,10 @@ class TestNormalizationFunctional:
         ok, _ = is_normalization_functional(kron(np.eye(2), np.eye(2)), (2, 2))
         assert not ok
 
+    def test_shape_checked_once_by_partial_trace(self):
+        with pytest.raises(ValueError, match=r"^matrix shape \(6, 6\) inconsistent with tensor factors \(2, 2\)$"):
+            is_normalization_functional(np.eye(6), (2, 2))
+
     def test_forward_direction_on_channels(self, rng):
         # Tr[(I ⊗ rho) E] = 1 for every channel Choi E
         for _ in range(20):
