@@ -143,15 +143,16 @@ def eigh_sorted(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.nd
     if herm > tol:
         raise ValueError(f"matrix is not Hermitian within tolerance (residual {herm:.3e})")
     w, v = np.linalg.eigh((m + dag(m)) / 2.0)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.nonzero(np.abs(col) > _PHASE_EPS)[0]
-        if nz.size:
-            pivot = col[nz[0]]
-            v[:, k] = col * (pivot.conjugate() / abs(pivot))
-    return w, v
+    w, v = w[::-1].copy(), v[:, ::-1]
+    if not v.size:
+        return w, v
+    # The pivot of each column is its first entry above the threshold (the
+    # argmax of the mask); a unit vector always has one.  Its modulus comes
+    # from hypot, as abs() of a complex scalar does: numpy's vectorized
+    # complex abs can differ in the last bit.
+    first = (np.abs(v) > _PHASE_EPS).argmax(axis=0)
+    pivot = v[first, np.arange(v.shape[1])]
+    return w, v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
 def psd_spectrum(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -212,6 +212,7 @@ def run_circuit(
     Returns the unnormalized output state on K_out.  With ``outcome`` set,
     the corresponding ancilla projector is applied before discarding A
     (post-selection); the trace of the result is that outcome's probability.
+    An outcome outside 0..len(projectors) − 1 raises ValueError.
 
     The operation acts on H_in alone, so (E ⊗ I_B) is applied by contracting
     E's Choi tensor (out, in, out, in) with the (B, H_in) state:
@@ -224,8 +225,13 @@ def run_circuit(
     if rho.shape != (c.k_in, c.k_in):
         raise ValueError(f"input state shape {rho.shape} != ({c.k_in}, {c.k_in})")
     _check_ports(op, c.h_in, c.h_out, "circuit")
-    if outcome is not None and c.projectors is None:
-        raise ValueError("circuit has no measurement projectors")
+    if outcome is not None:
+        if c.projectors is None:
+            raise ValueError("circuit has no measurement projectors")
+        if not 0 <= outcome < len(c.projectors):
+            raise ValueError(
+                f"outcome {outcome} out of range for {len(c.projectors)} projectors"
+            )
     b, h_in, h_out = c.dim_b, c.h_in, c.h_out
     state = (c.v @ rho @ dag(c.v)).reshape(b, h_in, b, h_in)  # on (B, H_in)
     mid = np.einsum("namb,xayb->nxmy", op.choi4, state)  # on (H_out, B)

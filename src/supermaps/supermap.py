@@ -60,7 +60,7 @@ class DeterminismCertificate:
     """
 
     product_residual: float  # worst ||S_*(I ⊗ unit) − I ⊗ candidate|| over the basis
-    herm_residual: float  # hermiticity of the candidate map's Choi operator
+    herm_residual: float  # hermiticity of choi_n; only its diagonal blocks can differ
     tp_residual: float  # ||Tr_out[choi_n] − I|| / sqrt(k_in)
     min_eig: float
     max_eig: float
@@ -167,7 +167,14 @@ def determinism_certificate(s: Supermap) -> DeterminismCertificate:
     every b.  Each X_ab must factor as I_Hout ⊗ cand_ab with
     cand_ab = Tr_Hout[X_ab] / h_out; the candidates assemble into the Choi
     operator of the induced map N_*, which must additionally be CP and trace
-    preserving.  A row holds k_in·(h_out·h_in)² entries.
+    preserving.
+
+    Only the upper block triangle b >= a is computed: X_ba = X_ab† holds
+    exactly for every Kraus set, so the lower blocks of ``choi_n`` are filled
+    with the conjugates of the upper ones, and the gap of X_ba equals that of
+    X_ab.  ``herm_residual`` therefore sees only the rounding inside the
+    diagonal blocks; no verdict can depend on that, because the off-diagonal
+    symmetry is exact.  Row a holds (k_in − a)·(h_out·h_in)² entries.
     """
     if s._certificate is not None:
         return s._certificate
@@ -176,20 +183,24 @@ def determinism_certificate(s: Supermap) -> DeterminismCertificate:
     t = np.stack(s.kraus).reshape(-1, k_in, d)
     cols = t.reshape(t.shape[0], k_in * d)
     choi_n4 = np.zeros((h_in, k_in, h_in, k_in), dtype=complex)
-    # One row buffer, reused so only one row is held at a time; x is its
-    # x[m, mu, b, n, nu] = <m, mu| X_ab |n, nu> view, parts its real view.
-    row = np.empty((d, k_in * d), dtype=complex)
-    x = row.reshape(h_out, h_in, k_in, h_out, h_in)
-    parts = row.view(float).reshape(*x.shape, 2)
+    # Row a is the contiguous prefix of one buffer sized for row 0; x is its
+    # x[m, mu, b - a, n, nu] = <m, mu| X_ab |n, nu> view, parts its real view.
+    buf = np.empty(d * k_in * d, dtype=complex)
     worst = 0.0
     for a in range(k_in):
-        np.matmul(t[:, a, :].conj().T, cols, out=row)
+        nb = k_in - a
+        row = buf[: d * nb * d].reshape(d, nb * d)
+        np.matmul(t[:, a, :].conj().T, cols[:, a * d :], out=row)
+        x = row.reshape(h_out, h_in, nb, h_out, h_in)
+        parts = row.view(float).reshape(*x.shape, 2)
         cand = np.einsum("mubmv->buv", x) / h_out
         np.einsum("mubmv->mubv", x)[...] -= cand.transpose(1, 0, 2)
         gap = np.sqrt(np.einsum("mubnvc,mubnvc->b", parts, parts))
         scale = np.maximum(1.0, np.sqrt(h_out) * np.linalg.norm(cand, axis=(1, 2)))
         worst = max(worst, float(np.max(gap / scale)))
-        choi_n4[:, a, :, :] = cand.transpose(1, 2, 0)
+        choi_n4[:, a, :, a:] = cand.transpose(1, 2, 0)
+        # cand_ba = cand_ab†
+        choi_n4[:, a + 1 :, :, a] = cand[1:].conj().transpose(2, 0, 1)
     choi_n = choi_n4.reshape(h_in * k_in, h_in * k_in)
     herm = hermiticity_residual(choi_n)
     marg = partial_trace(choi_n, [h_in, k_in], keep=[1])
@@ -207,7 +218,6 @@ def determinism_certificate(s: Supermap) -> DeterminismCertificate:
     return cert
 
 
-
 def is_deterministic(s: Supermap, tol: float = EQ_TOL) -> bool:
     """True iff the supermap sends every channel to a channel."""
     return determinism_certificate(s).verdict(tol)
@@ -222,8 +232,12 @@ def is_deterministic_effectwise(s: Supermap, tol: float = EQ_TOL) -> bool:
     The candidate map N on input effects comes from the maximally mixed
     probe, N(|mu><nu|) = sum_m Tr_Kout S(|m,mu><m,nu|) / h_out, in one
     contraction.  Then, one row m at a time, every output effect must equal
-    delta_mn N(|mu><nu|), and N must be identity preserving and CP.  A row
-    holds k_in²·h_in·h_out·h_in entries.  Shares no code path with the
+    delta_mn N(|mu><nu|), and N must be identity preserving and CP.
+
+    Only the columns n >= m are computed:
+    Tr_Kout S(|n,nu><m,mu|) = Tr_Kout S(|m,mu><n,nu|)† holds exactly for
+    every Kraus set, so the lower rows carry the same gaps.  Row m holds
+    k_in²·h_in·(h_out − m)·h_in entries.  Shares no code path with the
     dual-map test.
     """
     h_out, h_in, k_in = s.h_out, s.h_in, s.k_in
@@ -232,18 +246,21 @@ def is_deterministic_effectwise(s: Supermap, tol: float = EQ_TOL) -> bool:
     # n_map[p, mu, q, nu] = <p| N(|mu><nu|) |q>
     n_map = (probe.T @ probe.conj()).reshape(k_in, h_in, k_in, h_in) / h_out
     n_scale = np.maximum(1.0, np.linalg.norm(n_map, axis=(0, 2)))
-    flat = t.conj().reshape(t.shape[0], -1)
-    # One row buffer, reused so only one row is held at a time; out is its
-    # out[p, mu, q, n, nu] = <p| Tr_Kout S(|m,mu><n,nu|) |q> view, parts its
-    # real view.
-    row = np.empty((k_in * h_in, flat.shape[1]), dtype=complex)
-    out = row.reshape(k_in, h_in, k_in, h_out, h_in)
-    parts = row.view(float).reshape(*out.shape, 2)
+    r, conj = t.shape[0], t.conj()
+    # Row m is the contiguous prefix of one buffer sized for row 0; out is its
+    # out[p, mu, q, n - m, nu] = <p| Tr_Kout S(|m,mu><n,nu|) |q> view, and the
+    # squared gap sums its real view over p and q, then over (re, im).
+    buf = np.empty(k_in * h_in * k_in * h_out * h_in, dtype=complex)
     for m in range(h_out):
-        np.matmul(t[:, :, m, :].reshape(t.shape[0], -1).T, flat, out=row)
-        out[:, :, :, m, :] -= n_map
-        gap = np.sqrt(np.einsum("pmqnvc,pmqnvc->mnv", parts, parts))
-        gap[:, m, :] /= n_scale
+        nn = h_out - m
+        row = buf[: k_in * h_in * k_in * nn * h_in].reshape(k_in * h_in, -1)
+        np.matmul(t[:, :, m, :].reshape(r, -1).T, conj[:, :, m:, :].reshape(r, -1), out=row)
+        out = row.reshape(k_in, h_in, k_in, nn, h_in)
+        out[:, :, :, 0, :] -= n_map
+        parts = row.view(float).reshape(k_in, h_in, k_in, -1)
+        sq = np.einsum("pmqx,pmqx->mx", parts, parts).reshape(h_in, nn, h_in, 2)
+        gap = np.sqrt(sq.sum(axis=3))
+        gap[:, 0, :] /= n_scale
         if np.any(gap > tol):
             return False
     # Identity preservation: N(I) = I on K_in.

@@ -95,8 +95,7 @@ def evaluate(t: Tester, op: QuantumOperation, tol: float = EQ_TOL) -> OutcomeDis
     _check_ports(op, t.h_in, t.h_out, "tester")
     probs = []
     for p in t.effects:
-        val = complex(np.trace(op.choi @ p))
-        x = val.real
+        x = float(np.einsum("ij,ji->", op.choi, p).real)
         if -tol <= x < 0.0:
             x = 0.0
         elif 1.0 < x <= 1.0 + tol:
@@ -125,10 +124,14 @@ def is_informationally_complete(t: Tester, tol: float = EQ_TOL) -> bool:
     """True iff the effects span the full operator space on H_out ⊗ H_in.
 
     Decided by the rank of the stacked vectorized effects at a relative
-    singular-value threshold.
+    singular-value threshold; fewer than (h_out·h_in)² effects cannot span,
+    and are rejected without an SVD.
     """
+    full = (t.h_out * t.h_in) ** 2
+    if len(t.effects) < full:
+        return False
     stacked = np.stack([p.reshape(-1) for p in t.effects])
-    return numerical_rank(stacked, tol) == (t.h_out * t.h_in) ** 2
+    return numerical_rank(stacked, tol) == full
 
 
 def prepare_measure_tester(rho: np.ndarray, povm, h_out: int) -> Tester:

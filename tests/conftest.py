@@ -7,6 +7,8 @@ from hypothesis import HealthCheck, settings
 settings.register_profile(
     "supermaps", max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+# More examples for the reference-loop suites; select with --hypothesis-profile=ci.
+settings.register_profile("ci", settings.get_profile("supermaps"), max_examples=200)
 settings.load_profile("supermaps")
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -9,6 +9,7 @@ property tests check that both give the same verdicts and residuals.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -30,12 +31,14 @@ from supermaps.supermap import (
     action_distance,
     determinism_certificate,
     dual_supermap,
+    identity_supermap,
     is_deterministic,
     is_deterministic_effectwise,
     sum_supermaps,
+    tensor_supermaps,
 )
 
-from conftest import matrix_units
+from conftest import I2, matrix_units
 
 dims_st = st.tuples(*(st.integers(1, 4) for _ in range(4)))
 seed_st = st.integers(0, 2**32 - 1)
@@ -247,3 +250,90 @@ def test_effectwise_diagonal_blocks_are_relative_to_the_effect_norm():
         assert np.sqrt(2) * delta > tol
         assert is_deterministic_effectwise(s, tol) == verdict
         assert ref_effectwise(s, tol) == verdict
+
+
+# ---------------------------------------------------------------- off-diagonal defects
+#
+# Both tests compute only the upper block triangle and rely on the exact
+# symmetry of the lower one.  Each fixture below is deterministic in every
+# diagonal block and fails in exactly one off-diagonal pair of blocks, in a
+# row other than the first; tensoring with an identity supermap spreads that
+# pair over several blocks of a larger space.
+
+
+def certificate_block_defect():
+    """h_out = 2, h_in = 1, k_in = 3: X_aa = I for every a, X_ab = 0 except X_12 = Z.
+
+    T_0 = [I; 0], T_1 = [0; I], T_2 = [0; Z] on the (Kraus index, K_out) rows,
+    so cand_12 = Tr Z / 2 = 0 and choi_n = I: only the (1, 2) block fails.
+    """
+    ops = np.zeros((2, 2, 3, 2), dtype=complex)  # (Kraus i, K_out c, K_in a, H_out x)
+    ops[0, :, 0, :] = I2
+    ops[1, :, 1, :] = I2
+    ops[1, :, 2, :] = np.diag([1.0, -1.0])
+    return Supermap(1, 2, 3, 2, tuple(ops.reshape(2, 6, 2)))
+
+
+def effectwise_block_defect():
+    """h_out = 3, h_in = k_in = 1: Tr_Kout S(|m><n|) = <u_n|u_m> with u = (e0, e1, e1).
+
+    Every diagonal effect is 1 = N(1), but the (1, 2) effect is 1, not 0.
+    """
+    return Supermap(1, 3, 1, 2, (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]),))
+
+
+def certificate_block_gaps(s):
+    """{(a, b): ||X_ab − I ⊗ cand_ab||_F} by matrix units of K_in (reference)."""
+    gaps = {}
+    for a, b, unit in matrix_units(s.k_in):
+        x = dual_supermap(s, kron(np.eye(s.k_out), unit))
+        cand = partial_trace(x, [s.h_out, s.h_in], keep=[1]) / s.h_out
+        gaps[a, b] = frob(x - kron(np.eye(s.h_out), cand))
+    return gaps
+
+
+def effectwise_block_gaps(s):
+    """{(m, n): largest ||Tr_Kout S(|m,mu><n,nu|) − delta_mn N(|mu><nu|)||_F} (reference)."""
+    d = s.h_out * s.h_in
+    effects = {}
+    for i, j, unit in matrix_units(d):
+        effects[i, j] = partial_trace(s.act(unit), [s.k_out, s.k_in], keep=[1])
+    gaps = {}
+    for (i, j), eff in effects.items():
+        (m, mu), (n, nu) = divmod(i, s.h_in), divmod(j, s.h_in)
+        target = np.zeros_like(eff)
+        if m == n:
+            target = sum(effects[k * s.h_in + mu, k * s.h_in + nu] for k in range(s.h_out))
+            target = target / s.h_out
+        gaps[m, n] = max(gaps.get((m, n), 0.0), frob(eff - target))
+    return gaps
+
+
+def spread(s, h):
+    """s ⊗ identity on an h-dimensional input: the defect moves into several blocks."""
+    return tensor_supermaps(s, identity_supermap(h, 1))
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_certificate_fails_on_one_off_diagonal_block(h):
+    s = spread(certificate_block_defect(), h)
+    gaps = certificate_block_gaps(s)
+    bad = {blk for blk, gap in gaps.items() if gap > 1.0}
+    assert bad and all(a != b for a, b in bad)
+    assert all(gaps[a, a] == 0.0 for a in range(s.k_in))
+    cert = determinism_certificate(s)
+    assert cert.product_residual >= 1.0
+    assert cert.herm_residual == cert.tp_residual == 0.0
+    assert min_eig_floor(cert.min_eig, cert.max_eig)
+    assert not is_deterministic(s)
+    assert not is_deterministic_effectwise(s)
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_effectwise_fails_on_one_off_diagonal_block(h):
+    s = spread(effectwise_block_defect(), h)
+    gaps = effectwise_block_gaps(s)
+    assert {blk for blk, gap in gaps.items() if gap > 0.5} == {(1, 2), (2, 1)}
+    assert max(gaps[m, m] for m in range(s.h_out)) <= 1e-15
+    assert not is_deterministic_effectwise(s)
+    assert not is_deterministic(s)

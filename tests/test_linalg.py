@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from supermaps.linalg import (
+    _PHASE_EPS,
     check_povm,
     dag,
     eigh_sorted,
@@ -194,6 +195,80 @@ class TestEighSorted:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             eigh_sorted(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def ref_eigh_sorted(m):
+    """The former body of eigh_sorted: one phase fix per column in a Python loop."""
+    w, v = np.linalg.eigh((m + dag(m)) / 2.0)
+    w = w[::-1].copy()
+    v = v[:, ::-1].copy()
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        nz = np.nonzero(np.abs(col) > _PHASE_EPS)[0]
+        if nz.size:
+            pivot = col[nz[0]]
+            v[:, k] = col * (pivot.conjugate() / abs(pivot))
+    return w, v
+
+
+def leading_zero_hermitian(n, split, rng):
+    """Block diagonal on [0, split) ⊕ [split, n): the second block's eigenvectors start with zeros."""
+    m = random_hermitian(n, rng)
+    m[:split, split:] = 0.0
+    m[split:, :split] = 0.0
+    return m
+
+
+def tiny_leading_hermitian(n, rng):
+    """Couples entry 0 to the rest at 1e-12, so eigenvectors lead with entries below _PHASE_EPS."""
+    m = random_hermitian(n, rng)
+    m[0, 1:] *= 1e-12
+    m[1:, 0] *= 1e-12
+    return m
+
+
+def degenerate_hermitian(n, rng):
+    """Random eigenbasis with eigenvalues in {0, 1, 2}: degenerate eigenspaces."""
+    u = random_isometry(n, n, rng)
+    return (u * rng.integers(0, 3, n)) @ dag(u)
+
+
+class TestEighSortedMatchesLoop:
+    """The vectorized phase fix gives bit-identical output to the per-column loop."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+    def test_random(self, rng, n):
+        for _ in range(5):
+            self.assert_same(random_hermitian(n, rng))
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_leading_zeros(self, rng, n):
+        for split in range(1, n):
+            m = leading_zero_hermitian(n, split, rng)
+            self.assert_same(m, leading=lambda v: np.any(v[0] == 0.0))
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_leading_entries_below_threshold(self, rng, n):
+        m = tiny_leading_hermitian(n, rng)
+        self.assert_same(m, leading=lambda v: np.any((v[0] != 0) & (np.abs(v[0]) <= _PHASE_EPS)))
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_degenerate(self, rng, n):
+        for _ in range(5):
+            self.assert_same(degenerate_hermitian(n, rng))
+
+    def test_empty(self):
+        w, v = eigh_sorted(np.zeros((0, 0)))
+        assert w.shape == (0,) and v.shape == (0, 0)
+
+    @staticmethod
+    def assert_same(m, leading=None):
+        w, v = eigh_sorted(m)
+        w_ref, v_ref = ref_eigh_sorted(np.asarray(m, dtype=complex))
+        if leading is not None:
+            assert leading(v_ref), "fixture lacks the eigenvectors it is meant to cover"
+        np.testing.assert_array_equal(w, w_ref)
+        np.testing.assert_array_equal(v, v_ref)
 
 
 class TestRandomIsometry:

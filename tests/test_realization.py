@@ -251,6 +251,15 @@ class TestRunCircuit:
         rho = random_density(2, rng)
         assert abs(np.trace(run_circuit(c, e, rho)) - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("outcome", [-1, 2, 5])
+    def test_outcome_out_of_range_raises(self, rng, outcome):
+        half = Supermap(2, 2, 2, 2, (np.sqrt(0.5) * np.eye(4),))
+        c = realize_probabilistic([half, half])
+        e = random_channel(2, 2, 2, rng)
+        rho = random_density(2, rng)
+        with pytest.raises(ValueError, match=f"outcome {outcome} out of range for 2 projectors"):
+            run_circuit(c, e, rho, outcome=outcome)
+
 
 class TestDelayedReading:
     def test_single_deterministic_part(self, rng):

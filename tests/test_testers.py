@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from supermaps.linalg import kron, random_density
+from supermaps.linalg import kron, random_density, random_isometry
 from supermaps.operations import (
     KrausSet,
     QuantumOperation,
@@ -45,6 +45,14 @@ def pauli_eigenbasis_povm():
         for k in range(2):
             povm.append(np.outer(v[:, k], v[:, k].conj()) / 3.0)
     return povm
+
+
+def qubit_sic_povm():
+    """Four tetrahedral qubit effects (I + r·σ)/4: informationally complete."""
+    c = np.sqrt(2.0) / 3.0
+    bloch = [(0.0, 0.0, 1.0), (2 * c, 0.0, -1 / 3), (-c, np.sqrt(2 / 3), -1 / 3),
+             (-c, -np.sqrt(2 / 3), -1 / 3)]
+    return [(I2 + x * X + y * Y + z * Z) / 4 for x, y, z in bloch]
 
 
 def depolarizing_qubit():
@@ -165,6 +173,32 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(t, identity_operation(3))
 
+    @pytest.mark.parametrize("h_in, h_out", [(1, 1), (2, 2), (2, 3), (4, 4)])
+    def test_matches_trace_of_product(self, rng, h_in, h_out):
+        """Tr(choi·P) as one einsum agrees with trace(choi @ P), unclamped."""
+        from supermaps.operations import random_operation
+
+        d = h_out * h_in
+        povm = [np.outer(col, col.conj()) for col in random_isometry(d, d, rng).T]
+        t = tester_from_circuit(random_density(h_in * h_in, rng), povm, h_in=h_in, h_out=h_out)
+        for op in (random_channel(h_in, h_out, 2, rng), random_operation(h_in, h_out, 2, rng)):
+            expected = [np.trace(op.choi @ p).real for p in t.effects]
+            np.testing.assert_allclose(list(evaluate(t, op, tol=0.0)), expected, rtol=0, atol=1e-12)
+
+    def test_clamp_boundaries_are_inclusive(self):
+        """Raw values within tol of [0, 1] are clamped; values beyond tol are kept.
+
+        On one-dimensional spaces the effects are scalars, so the raw
+        probabilities 1 + 2⁻²⁰ and −2⁻³¹ are exact, and so is each boundary.
+        """
+        over, under = 2.0**-20, 2.0**-31
+        t = make_tester([np.array([[1.0 + over]]), np.array([[-under]])], 1, 1, tol=1e-5)
+        channel = QuantumOperation(1, 1, np.eye(1))
+        assert list(evaluate(t, channel, tol=over)) == [1.0, 0.0]
+        assert list(evaluate(t, channel, tol=over / 2)) == [1.0 + over, 0.0]
+        assert list(evaluate(t, channel, tol=under)) == [1.0 + over, 0.0]
+        assert list(evaluate(t, channel, tol=np.nextafter(under, 0.0))) == [1.0 + over, -under]
+
 
 class TestDiscrimination:
     def test_identical_channels_are_coin_flips(self, rng):
@@ -211,6 +245,26 @@ class TestInformationalCompleteness:
         joint = [kron(a, b) for a in povm1q for b in povm1q]
         t = tester_from_circuit(bell_projector(2) / 2, joint, h_in=2, h_out=2)
         assert is_informationally_complete(t)
+
+    @pytest.mark.parametrize("h_in", [1, 2])
+    def test_effect_count_at_the_square_of_the_dimension(self, monkeypatch, h_in):
+        """D² spanning effects are complete; merging two leaves D² − 1, decided without an SVD."""
+        d = 2 * h_in
+        if h_in == 1:
+            t = make_tester(qubit_sic_povm(), 2, 1)
+        else:
+            joint = [kron(a, b) for a in qubit_sic_povm() for b in qubit_sic_povm()]
+            t = tester_from_circuit(bell_projector(2) / 2, joint, h_in=2, h_out=2)
+        assert t.n_outcomes == d**2
+        assert is_informationally_complete(t)
+        merged = make_tester([t.effects[0] + t.effects[1], *t.effects[2:]], 2, h_in)
+        assert merged.n_outcomes == d**2 - 1
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("rank computed for too few effects")
+
+        monkeypatch.setattr(testers, "numerical_rank", no_svd)
+        assert not is_informationally_complete(merged)
 
     def test_injectivity_on_operations(self, rng):
         # complete tester separates distinct channels
