@@ -21,7 +21,6 @@ from .linalg import (
     kron,
     numerical_rank,
     psd_factors,
-    psd_spectrum,
     readonly_copy,
 )
 from .operations import (
@@ -106,15 +105,11 @@ def programmable_channel(dev: ProgrammableDevice, program: np.ndarray) -> Quantu
         )
     if not is_density_matrix(sigma):
         raise ValueError("program is not a density matrix")
-    w, vecs = psd_spectrum(sigma)
     u4 = dev.unitary.reshape(dev.dim_sys, dev.dim_prog, dev.dim_sys, dev.dim_prog)
-    ops = []
-    for k in range(w.size):
-        # (I ⊗ <l|) U (I ⊗ |s_k>), one Kraus operator per retained program
-        # eigenvector and traced-out basis state.
-        amp = np.einsum("mlnp,p->lmn", u4, vecs[:, k])
-        for l in range(dev.dim_prog):
-            ops.append(np.sqrt(w[k]) * amp[l])
+    # (I ⊗ <l|) U (I ⊗ sqrt(w_k) |s_k>), one Kraus operator per retained
+    # program eigenvector k and traced-out basis state l.
+    ops = np.einsum("mlnp,pk->klmn", u4, psd_factors(sigma))
+    ops = ops.reshape(-1, dev.dim_sys, dev.dim_sys)
     return kraus_to_choi(KrausSet(dev.dim_sys, dev.dim_sys, tuple(ops)))
 
 

@@ -23,6 +23,7 @@ from .operations import (
     apply_operation,
     choi_residuals,
     choi_to_kraus,
+    effect_of,
     is_channel,
     kraus_to_choi,
 )
@@ -221,7 +222,7 @@ def cmd_tester_eval(args) -> dict:
     tester = _load_tester(args.effects, dim_out, dim_in, args.tol, "tester-eval")
     with _fails_as("tester-eval"):
         op = QuantumOperation(dim_in, dim_out, choi)
-        probs = evaluate(tester, op, args.tol)
+        probs = evaluate(tester, op)
     total_gap = abs(float(sum(probs)) - 1.0)
     return _report(
         "tester-eval",
@@ -255,15 +256,15 @@ def cmd_tomography_check(args) -> dict:
     h_in = int(round(np.sqrt(f.shape[0])))
     if h_in * h_in != f.shape[0]:
         raise io.FileFormatError("probe state dimension is not a perfect square")
-    h_out = args.h_out if args.h_out else h_in
+    # Faithfulness does not depend on h_out, so the probe's own h_in serves.
     with _fails_as("tomography-check"):
-        setup = TomographySetup(faithful_state=f, h_in=h_in, h_out=h_out)
+        setup = TomographySetup(faithful_state=f, h_in=h_in, h_out=h_in)
     faithful = is_faithful(setup, args.tol)
     return _report(
         "tomography-check",
         faithful,
         0.0,
-        {"faithful": faithful, "h_in": h_in, "h_out": h_out},
+        {"faithful": faithful, "h_in": h_in},
     )
 
 
@@ -278,11 +279,11 @@ def cmd_program_channel(args) -> dict:
     with _fails_as("program-channel"):
         dev = ProgrammableDevice(unitary=u, dim_sys=args.dim_sys, dim_prog=dim_prog)
         op = programmable_channel(dev, sigma)
-    res = choi_residuals(op.choi, op.dim_in, op.dim_out)
+    gap = frob(effect_of(op) - np.eye(op.dim_in))
     payload = io.operation_to_json(op.dim_in, op.dim_out, op.choi)
-    details = {"channel_residual": res["channel_residual"], "operation": payload}
+    details = {"channel_residual": gap, "operation": payload}
     _write_out(args, details, ("operation.json", payload))
-    return _report("program-channel", is_channel(op, args.tol), res["channel_residual"], details)
+    return _report("program-channel", is_channel(op, args.tol), gap, details)
 
 
 def cmd_selftest(args) -> dict:
@@ -295,30 +296,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Checks, conversions and circuit realizations for quantum "
         "operations and supermaps stored as JSON files.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=EQ_TOL, help="residual tolerance")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized work")
-    common.add_argument("--out", type=str, default=None, help="directory for emitted files")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=EQ_TOL, help="residual tolerance")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=str, default=None, help="directory for emitted files")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-op", parents=[common], help="validate an operation file")
+    p = sub.add_parser("check-op", parents=[tol], help="validate an operation file")
     p.add_argument("path")
     p.set_defaults(func=cmd_check_op)
 
-    p = sub.add_parser("kraus2choi", parents=[common], help="Kraus set file to Choi operation file")
+    p = sub.add_parser("kraus2choi", parents=[out], help="Kraus set file to Choi operation file")
     p.add_argument("path")
     p.set_defaults(func=cmd_kraus2choi)
 
-    p = sub.add_parser("choi2kraus", parents=[common], help="operation file to canonical Kraus file")
+    p = sub.add_parser("choi2kraus", parents=[tol, out], help="operation file to canonical Kraus file")
     p.add_argument("path")
     p.set_defaults(func=cmd_choi2kraus)
 
-    p = sub.add_parser("apply", parents=[common], help="apply an operation to a state")
+    p = sub.add_parser("apply", parents=[out], help="apply an operation to a state")
     p.add_argument("--op", required=True)
     p.add_argument("--state", required=True)
     p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("supermap", parents=[common], help="analyze a supermap file")
+    p = sub.add_parser("supermap", parents=[tol, out], help="analyze a supermap file")
     p.add_argument("path")
     p.add_argument(
         "--check",
@@ -327,37 +328,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_supermap)
 
-    p = sub.add_parser("realize", parents=[common], help="factor a deterministic supermap into isometries")
+    p = sub.add_parser("realize", parents=[tol, out], help="factor a deterministic supermap into isometries")
     p.add_argument("path")
     p.set_defaults(func=cmd_realize)
 
-    p = sub.add_parser("realize-prob", parents=[common], help="realize alternatives with ancilla projectors")
+    p = sub.add_parser("realize-prob", parents=[tol, out], help="realize alternatives with ancilla projectors")
     p.add_argument("paths", nargs="+")
     p.set_defaults(func=cmd_realize_prob)
 
-    p = sub.add_parser("tester-eval", parents=[common], help="outcome probabilities of a tester on an operation")
+    p = sub.add_parser("tester-eval", parents=[tol], help="outcome probabilities of a tester on an operation")
     p.add_argument("effects", nargs="+", help="effect matrix files")
     p.add_argument("--op", required=True)
     p.set_defaults(func=cmd_tester_eval)
 
-    p = sub.add_parser("tester-check", parents=[common], help="validate tester normalization")
+    p = sub.add_parser("tester-check", parents=[tol], help="validate tester normalization")
     p.add_argument("effects", nargs="+", help="effect matrix files")
     p.add_argument("--dim-out", type=int, required=True)
     p.add_argument("--dim-in", type=int, required=True)
     p.set_defaults(func=cmd_tester_check)
 
-    p = sub.add_parser("tomography-check", parents=[common], help="probe-state faithfulness check")
+    p = sub.add_parser("tomography-check", parents=[tol], help="probe-state faithfulness check")
     p.add_argument("--state", required=True)
-    p.add_argument("--h-out", type=int, default=None)
     p.set_defaults(func=cmd_tomography_check)
 
-    p = sub.add_parser("program-channel", parents=[common], help="channel programmed by a state")
+    p = sub.add_parser("program-channel", parents=[tol, out], help="channel programmed by a state")
     p.add_argument("--unitary", required=True)
     p.add_argument("--program", required=True)
     p.add_argument("--dim-sys", type=int, required=True)
     p.set_defaults(func=cmd_program_channel)
 
-    p = sub.add_parser("selftest", parents=[common], help="randomized property suites")
+    p = sub.add_parser("selftest", parents=[tol], help="randomized property suites")
+    p.add_argument("--seed", type=int, default=0, help="seed for the suites' fixtures")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--corrupt", choices=list(CORRUPTIONS), default=None,
                    help="debug: damage a fixture to prove the harness notices")

@@ -13,10 +13,14 @@ Tolerance policy, shared by the whole package:
 - positivity: a Hermitian matrix is positive semidefinite when its smallest
   eigenvalue is at least -POS_TOL * max(1, lambda_max), and ``psd_factors``
   keeps exactly the eigenvalues above +POS_TOL * max(1, lambda_max); the
-  trace increase of ``check-op`` (an excess over I) is a positivity test too;
+  trace increase of an operation (its effect's excess over I) is a
+  positivity test too, scaled by the largest Choi eigenvalue in
+  ``QuantumOperation``, ``check-op`` and ``KrausSet`` alike;
 - rank: ``numerical_rank`` counts the singular values above tol * s_max.
 A caller's ``tol`` (the CLI's ``--tol``) replaces EQ_TOL in these rules;
-POS_TOL is fixed.
+POS_TOL is fixed, so the positivity helpers take no ``tol``.  A tester's
+``tol`` is set once, at construction: it also sets the clamp of
+``evaluate`` and the rank rule of ``is_informationally_complete``.
 """
 
 from __future__ import annotations
@@ -53,15 +57,15 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return rel_residual(m, dag(m))
 
 
-def min_eig_floor(lam_min: float, lam_max: float, tol: float = POS_TOL) -> bool:
-    """Positivity verdict for an eigenvalue range."""
-    return lam_min >= -tol * max(1.0, lam_max)
+def min_eig_floor(lam_min: float, lam_max: float) -> bool:
+    """Positivity verdict for an eigenvalue range, at POS_TOL."""
+    return lam_min >= -POS_TOL * max(1.0, lam_max)
 
 
-def is_positive_semidefinite(m: np.ndarray, tol: float = POS_TOL) -> bool:
-    """Check m >= 0 within the eigenvalue tolerance (m assumed Hermitian)."""
+def is_positive_semidefinite(m: np.ndarray) -> bool:
+    """Check m >= 0 within POS_TOL (m assumed Hermitian)."""
     w = np.linalg.eigvalsh((m + dag(m)) / 2.0)
-    return min_eig_floor(float(w[0]), float(w[-1]), tol)
+    return min_eig_floor(float(w[0]), float(w[-1]))
 
 
 def readonly_copy(m: np.ndarray) -> np.ndarray:
@@ -155,21 +159,14 @@ def eigh_sorted(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.nd
     return w, v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
-def psd_spectrum(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenpairs of ``eigh_sorted`` above POS_TOL * max(1, lambda_max)."""
-    w, v = eigh_sorted(m, tol)
-    keep = w > POS_TOL * max(1.0, float(w[0]))
-    return w[keep], v[:, keep]
-
-
-def psd_factors(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    """Columns sqrt(w_j) v_j of the retained eigenpairs, so m ≈ F F†.
-
-    Column j unvectorizes to the j-th canonical Kraus operator when m is a
-    Choi operator.  ``tol`` is the hermiticity tolerance of ``eigh_sorted``.
+def psd_factors(m: np.ndarray) -> np.ndarray:
+    """Columns sqrt(w_j) v_j over the ``eigh_sorted`` eigenpairs with w_j above
+    POS_TOL * max(1, lambda_max), so m ≈ F F†.  Column j unvectorizes to the
+    j-th canonical Kraus operator when m is a Choi operator.
     """
-    w, v = psd_spectrum(m, tol)
-    return v * np.sqrt(w)
+    w, v = eigh_sorted(m)
+    keep = w > POS_TOL * max(1.0, float(w[0]))
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 def kraus_sum(ops: Iterable[np.ndarray], x: np.ndarray) -> np.ndarray:

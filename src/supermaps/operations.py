@@ -121,7 +121,11 @@ class KrausSet:
         bound = sum((dag(e) @ e for e in ops), np.zeros((self.dim_in, self.dim_in)))
         eigs = np.linalg.eigvalsh((bound + dag(bound)) / 2.0)
         excess = float(eigs[-1]) - 1.0
-        if excess > POS_TOL * max(1.0, float(eigs[-1])):
+        # Scaled as in QuantumOperation, by the largest Choi eigenvalue (the squared
+        # spectral norm of the stacked vec(E_j)), needed only when excess > POS_TOL.
+        if excess > POS_TOL and excess > POS_TOL * max(
+            1.0, np.linalg.norm(np.stack(ops).reshape(len(ops), -1), 2) ** 2
+        ):
             raise ValueError(
                 f"Kraus bound violated: sum E†E exceeds identity by {excess:.3e}"
             )

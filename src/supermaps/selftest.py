@@ -71,7 +71,7 @@ def _split_kraus(s, rng: np.random.Generator, n_parts: int):
     ]
 
 
-def _suite_choi_kraus(rng, trials, tol):
+def _suite_choi_kraus(rng, trials):
     worst = 0.0
     for _ in range(trials):
         d_in = int(rng.integers(2, 4))
@@ -83,7 +83,7 @@ def _suite_choi_kraus(rng, trials, tol):
     return worst
 
 
-def _suite_application(rng, trials, tol):
+def _suite_application(rng, trials):
     worst = 0.0
     for _ in range(trials):
         d_in = int(rng.integers(2, 4))
@@ -103,7 +103,7 @@ def _suite_normalization(rng, trials, tol):
         ch = random_channel(d_in, d_out, int(rng.integers(1, 4)) * max(1, -(-d_in // d_out)), rng)
         rho = random_density(d_in, rng)
         worst = max(worst, abs(np.trace(kron(np.eye(d_out), rho) @ ch.choi).real - 1.0))
-        ok, recovered = is_normalization_functional(kron(np.eye(d_out), rho), (d_out, d_in))
+        ok, recovered = is_normalization_functional(kron(np.eye(d_out), rho), (d_out, d_in), tol)
         worst = max(worst, frob(recovered - rho) if ok else np.inf)
     return worst
 
@@ -166,7 +166,7 @@ def _suite_testers(rng, trials, tol, corrupt=None):
         _, norm_residual, trace_gap = _factor_identity(sum(effects), d, d)
         worst = max(worst, norm_residual, trace_gap)
         if norm_residual <= tol and trace_gap <= tol:
-            t = make_tester(effects, d, d)
+            t = make_tester(effects, d, d, tol)
             ch = random_channel(d, d, int(rng.integers(1, 4)), rng)
             probs = evaluate(t, ch)
             worst = max(worst, abs(sum(probs) - 1.0))
@@ -179,8 +179,8 @@ def run_selftest(seed: int, trials: int, tol: float = EQ_TOL, corrupt: str | Non
         raise ValueError(f"unknown corruption '{corrupt}' (choose from {CORRUPTIONS})")
     rng = as_rng(seed)
     suites = {
-        "choi-kraus-roundtrip": lambda r: _suite_choi_kraus(r, trials, tol),
-        "operator-sum-vs-choi-application": lambda r: _suite_application(r, trials, tol),
+        "choi-kraus-roundtrip": lambda r: _suite_choi_kraus(r, trials),
+        "operator-sum-vs-choi-application": lambda r: _suite_application(r, trials),
         "normalization-functionals": lambda r: _suite_normalization(r, trials, tol),
         "determinism-tests-agreement": lambda r: _suite_determinism_agreement(
             r, max(1, trials // 10), tol

@@ -27,7 +27,6 @@ import numpy as np
 
 from .linalg import (
     EQ_TOL,
-    HERM_TOL,
     _kraus_operators,
     dag,
     frob,
@@ -319,7 +318,7 @@ def _certified(s: Supermap, tol: float) -> DeterminismCertificate:
 def effect_map_of(s: Supermap, tol: float = EQ_TOL) -> EffectMap:
     """Canonical Kraus form of the effect map of a deterministic supermap."""
     cert = _certified(s, tol)
-    f = psd_factors(cert.choi_n, tol=max(HERM_TOL, cert.herm_residual * 2))
+    f = psd_factors(cert.choi_n)
     return EffectMap(tuple(f.T.reshape(-1, s.h_in, s.k_in)), tol)
 
 

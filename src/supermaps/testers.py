@@ -35,7 +35,9 @@ class Tester:
     Validated at construction within ``tol``: each effect must be positive
     and their sum must factor as I ⊗ sigma, with sigma (derived, not passed)
     a state on H_in; the residual of that factorization is reported on
-    failure.  The effects and sigma are stored as read-only copies.
+    failure.  The effects and sigma are stored as read-only copies.  The
+    same ``tol`` sets the clamp of ``evaluate`` and the rank rule of
+    ``is_informationally_complete``.
     """
 
     h_in: int
@@ -90,15 +92,15 @@ def make_tester(effects, h_out: int, h_in: int, tol: float = EQ_TOL) -> Tester:
     return Tester(h_in=h_in, h_out=h_out, effects=tuple(effects), tol=tol)
 
 
-def evaluate(t: Tester, op: QuantumOperation, tol: float = EQ_TOL) -> OutcomeDistribution:
-    """Outcome probabilities p_j = Tr[choi P_j], clamped to [0, 1] within slack."""
+def evaluate(t: Tester, op: QuantumOperation) -> OutcomeDistribution:
+    """Outcome probabilities p_j = Tr[choi P_j], clamped to [0, 1] within ``t.tol``."""
     _check_ports(op, t.h_in, t.h_out, "tester")
     probs = []
     for p in t.effects:
         x = float(np.einsum("ij,ji->", op.choi, p).real)
-        if -tol <= x < 0.0:
+        if -t.tol <= x < 0.0:
             x = 0.0
-        elif 1.0 < x <= 1.0 + tol:
+        elif 1.0 < x <= 1.0 + t.tol:
             x = 1.0
         probs.append(x)
     return OutcomeDistribution(np.array(probs))
@@ -120,18 +122,18 @@ def discrimination_probability(t: Tester, ops, priors) -> float:
     )
 
 
-def is_informationally_complete(t: Tester, tol: float = EQ_TOL) -> bool:
+def is_informationally_complete(t: Tester) -> bool:
     """True iff the effects span the full operator space on H_out ⊗ H_in.
 
-    Decided by the rank of the stacked vectorized effects at a relative
-    singular-value threshold; fewer than (h_out·h_in)² effects cannot span,
-    and are rejected without an SVD.
+    Decided by the rank of the stacked vectorized effects at the relative
+    singular-value threshold ``t.tol * s_max``; fewer than (h_out·h_in)²
+    effects cannot span, and are rejected without an SVD.
     """
     full = (t.h_out * t.h_in) ** 2
     if len(t.effects) < full:
         return False
     stacked = np.stack([p.reshape(-1) for p in t.effects])
-    return numerical_rank(stacked, tol) == full
+    return numerical_rank(stacked, t.tol) == full
 
 
 def prepare_measure_tester(rho: np.ndarray, povm, h_out: int) -> Tester:

@@ -9,7 +9,7 @@ import pytest
 
 from supermaps import io as sio
 from supermaps.applications import ProgrammableDevice, programmable_channel
-from supermaps.cli import main
+from supermaps.cli import build_parser, main
 from supermaps.linalg import POS_TOL, kron, random_density, random_isometry, rel_residual
 from supermaps.operations import (
     KrausSet,
@@ -22,7 +22,7 @@ from supermaps.operations import (
 from supermaps.supermap import Supermap, identity_supermap
 from supermaps.testers import prepare_measure_tester
 
-from conftest import I2, bell_projector
+from conftest import I2, X, Y, Z, bell_projector
 from test_supermap import random_circuit_supermap
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -285,6 +285,32 @@ class TestTesterCommands:
         got_sigma = sio.matrix_from_json(report["details"]["sigma"])
         np.testing.assert_allclose(got_sigma, sigma, atol=1e-12)
 
+    @pytest.mark.parametrize("command", ["tester-eval", "tester-check"])
+    def test_completeness_rank_follows_tol(self, capsys, tmp_path, command):
+        """The IC rank rule runs at --tol: a relative singular value of 5e-5 counts at 1e-8 only.
+
+        The effects (I + n_j·σ)/4 on a qubit (h_in = 1) take the tetrahedron
+        n_j with its z components scaled by eps; the vectorized effects then
+        have singular values proportional to (2, c, c, eps·c), c = 2/sqrt(3).
+        """
+        eps = 5e-5 * np.sqrt(3)
+        paulis = (X, Y, eps * Z)
+        tetrahedron = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+        effects = [(I2 + sum(c * p for c, p in zip(n, paulis))) / 4 for n in tetrahedron]
+        s = np.linalg.svd(np.stack([e.reshape(-1) for e in effects]), compute_uv=False)
+        assert s[-1] / s[0] == pytest.approx(5e-5, rel=1e-6)
+        paths = self._effect_files(tmp_path, effects)
+        if command == "tester-eval":
+            op_path = tmp_path / "state.json"
+            sio.save_json(op_path, sio.operation_to_json(1, 2, KET0))
+            argv = [command, *paths, "--op", str(op_path)]
+        else:
+            argv = [command, *paths, "--dim-out", "2", "--dim-in", "1"]
+        for tol_flag, complete in (([], True), (["--tol", "1e-2"], False)):
+            code, report = run_cli(capsys, *argv, *tol_flag)
+            assert code == 0
+            assert report["details"]["informationally_complete"] is complete
+
 
 class TestTomographyAndProgramming:
     def test_tomography_check_faithful(self, capsys, tmp_path):
@@ -370,6 +396,29 @@ class TestTraceIncreaseBoundary:
         assert report["details"]["trace_non_increasing"] is (side < 1)
         assert code == (0 if side < 1 else 1)
 
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3])
+    def test_choi2kraus_at_the_boundary(self, capsys, tmp_path, d, side):
+        """choi2kraus accepts exactly the operations check-op accepts.
+
+        (1 + x) times the identity channel on dimension d has largest Choi
+        eigenvalue d (1 + x); its one Kraus operator sqrt(1 + x) I must pass
+        the Kraus bound at that same scale.
+        """
+        a = side * d * POS_TOL
+        x = a / (1 - a)
+        path = tmp_path / "op.json"
+        sio.save_json(path, sio.operation_to_json(d, d, (1 + x) * identity_operation(d).choi))
+        code, report = run_cli(capsys, "choi2kraus", str(path))
+        assert code == (0 if side < 1 else 1)
+        assert report["pass"] is (side < 1)
+        if side < 1:
+            assert report["details"]["kraus_count"] == 1
+            (op,) = sio.kraus_set_from_json(report["details"]["kraus"])[2]
+            np.testing.assert_allclose(op, np.sqrt(1 + x) * np.eye(d), rtol=0, atol=1e-12)
+        else:
+            assert "increases trace" in report["details"]["error"]
+
 
 @pytest.mark.parametrize(
     "argv, files, written",
@@ -423,6 +472,12 @@ class TestSelftest:
             capsys, "selftest", "--seed", "5", "--trials", "10", "--corrupt", corruption
         )
         assert code == 1 and not report["pass"]
+
+    def test_corrupt_tester_at_loose_tol_reports(self, capsys):
+        """At --tol 0.3 some damaged testers pass the normalization check and are built at 0.3 too."""
+        code, report = run_cli(capsys, "selftest", "--tol", "0.3", "--corrupt", "tester-norm")
+        assert code == 1 and not report["pass"]
+        assert report["details"]["tester-normalization"]["pass"] is False
 
 
 def test_module_entry_point(identity_op_file):
@@ -521,3 +576,37 @@ class TestIoEdgeCases:
         assert code == 2
         assert captured.out == ""
         assert message in captured.err
+
+
+# Each subcommand with its required arguments and the option flags it reads.
+SUBCOMMAND_FLAGS = [
+    (["check-op", "op.json"], {"--tol"}),
+    (["kraus2choi", "kraus.json"], {"--out"}),
+    (["choi2kraus", "op.json"], {"--tol", "--out"}),
+    (["apply", "--op", "op.json", "--state", "rho.json"], {"--out"}),
+    (["supermap", "map.json"], {"--tol", "--out"}),
+    (["realize", "map.json"], {"--tol", "--out"}),
+    (["realize-prob", "map.json"], {"--tol", "--out"}),
+    (["tester-eval", "e.json", "--op", "op.json"], {"--tol"}),
+    (["tester-check", "e.json", "--dim-out", "2", "--dim-in", "2"], {"--tol"}),
+    (["tomography-check", "--state", "f.json"], {"--tol"}),
+    (["program-channel", "--unitary", "u.json", "--program", "s.json", "--dim-sys", "2"],
+     {"--tol", "--out"}),
+    (["selftest"], {"--tol", "--seed"}),
+]
+FLAG_VALUES = {"--tol": "0.001", "--out": "dir", "--seed": "3", "--h-out": "2"}
+PARSED = {"--tol": 0.001, "--out": "dir", "--seed": 3}
+
+
+@pytest.mark.parametrize("argv, reads", SUBCOMMAND_FLAGS, ids=[a[0] for a, _ in SUBCOMMAND_FLAGS])
+def test_subcommand_takes_only_the_flags_it_reads(capsys, argv, reads):
+    """Flags a subcommand reads are parsed; any other is an argparse error, exit 2."""
+    args = build_parser().parse_args([*argv, *(x for f in sorted(reads) for x in (f, FLAG_VALUES[f]))])
+    for flag in reads:
+        assert getattr(args, flag[2:]) == PARSED[flag]
+    for flag in sorted(set(FLAG_VALUES) - reads):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {flag}" in captured.err

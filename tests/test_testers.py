@@ -175,29 +175,41 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("h_in, h_out", [(1, 1), (2, 2), (2, 3), (4, 4)])
     def test_matches_trace_of_product(self, rng, h_in, h_out):
-        """Tr(choi·P) as one einsum agrees with trace(choi @ P), unclamped."""
+        """Tr(choi·P) as one einsum agrees with trace(choi @ P).
+
+        The tester carries tol 1e-12, so a clamp could move a probability by
+        no more than the comparison allows.
+        """
         from supermaps.operations import random_operation
 
         d = h_out * h_in
         povm = [np.outer(col, col.conj()) for col in random_isometry(d, d, rng).T]
-        t = tester_from_circuit(random_density(h_in * h_in, rng), povm, h_in=h_in, h_out=h_out)
+        circuit = tester_from_circuit(random_density(h_in * h_in, rng), povm, h_in=h_in, h_out=h_out)
+        t = make_tester(circuit.effects, h_out, h_in, tol=1e-12)
         for op in (random_channel(h_in, h_out, 2, rng), random_operation(h_in, h_out, 2, rng)):
             expected = [np.trace(op.choi @ p).real for p in t.effects]
-            np.testing.assert_allclose(list(evaluate(t, op, tol=0.0)), expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(list(evaluate(t, op)), expected, rtol=0, atol=1e-12)
 
     def test_clamp_boundaries_are_inclusive(self):
-        """Raw values within tol of [0, 1] are clamped; values beyond tol are kept.
+        """Raw values within the tester's tol of [0, 1] are clamped; values beyond it are kept.
 
-        On one-dimensional spaces the effects are scalars, so the raw
-        probabilities 1 + 2⁻²⁰ and −2⁻³¹ are exact, and so is each boundary.
+        The one-dimensional effects [[1 + x]] and [[−x]], with x = 2⁻³¹ below
+        POS_TOL, sum to exactly 1, so they make a tester at any tol, and the
+        raw probabilities 1 + x and −x on the identity channel are exact.
+        Near 1 the doubles are 2⁻⁵² apart, so x − 2⁻⁵² is the largest tol
+        whose 1 + tol lies below 1 + x.
         """
-        over, under = 2.0**-20, 2.0**-31
-        t = make_tester([np.array([[1.0 + over]]), np.array([[-under]])], 1, 1, tol=1e-5)
+        x = 2.0**-31
         channel = QuantumOperation(1, 1, np.eye(1))
-        assert list(evaluate(t, channel, tol=over)) == [1.0, 0.0]
-        assert list(evaluate(t, channel, tol=over / 2)) == [1.0 + over, 0.0]
-        assert list(evaluate(t, channel, tol=under)) == [1.0 + over, 0.0]
-        assert list(evaluate(t, channel, tol=np.nextafter(under, 0.0))) == [1.0 + over, -under]
+
+        def probs(tol):
+            t = make_tester([np.array([[1.0 + x]]), np.array([[-x]])], 1, 1, tol=tol)
+            return list(evaluate(t, channel))
+
+        assert probs(0.0) == [1.0 + x, -x]
+        assert probs(x) == [1.0, 0.0]
+        assert probs(x - 2.0**-52) == [1.0 + x, -x]
+        assert probs(np.nextafter(x, 0.0))[1] == -x
 
 
 class TestDiscrimination:
