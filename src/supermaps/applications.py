@@ -14,6 +14,7 @@ import numpy as np
 
 from .linalg import (
     EQ_TOL,
+    _check_dims,
     check_povm,
     dag,
     is_density_matrix,
@@ -43,6 +44,7 @@ class ProgrammableDevice:
     dim_prog: int
 
     def __post_init__(self):
+        _check_dims(self.dim_sys, self.dim_prog)
         u = readonly_copy(self.unitary)
         d = self.dim_sys * self.dim_prog
         if u.shape != (d, d):
@@ -61,6 +63,7 @@ class TomographySetup:
     h_out: int
 
     def __post_init__(self):
+        _check_dims(self.h_in, self.h_out)
         f = readonly_copy(self.faithful_state)
         d = self.h_in * self.h_in
         if f.shape != (d, d):

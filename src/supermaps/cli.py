@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io
 from .applications import ProgrammableDevice, TomographySetup, is_faithful, programmable_channel
-from .linalg import EQ_TOL, POS_TOL, frob, min_eig_floor
+from .linalg import EQ_TOL, frob
 from .operations import (
     KrausSet,
     QuantumOperation,
@@ -92,20 +92,18 @@ def _write_out(args, details: dict, files) -> None:
 
 def cmd_check_op(args) -> dict:
     dim_in, dim_out, choi = io.operation_from_json(io.load_json(args.path))
+    # The verdicts QuantumOperation enforces; --tol governs only "channel".
     res = choi_residuals(choi, dim_in, dim_out)
-    cp = min_eig_floor(res["min_eig"], res["max_eig"])
-    herm_ok = res["hermiticity"] <= args.tol
-    tni = res["trace_increase"] <= POS_TOL * max(1.0, res["max_eig"])
     channel = res["channel_residual"] / np.sqrt(dim_in) <= args.tol
     worst = max(res["hermiticity"], -min(res["min_eig"], 0.0), res["trace_increase"])
     return _report(
         "check-op",
-        cp and herm_ok and tni,
+        res["cp"] and res["hermitian"] and res["trace_non_increasing"],
         worst,
         {
-            "cp": cp,
-            "hermitian": herm_ok,
-            "trace_non_increasing": tni,
+            "cp": res["cp"],
+            "hermitian": res["hermitian"],
+            "trace_non_increasing": res["trace_non_increasing"],
             "channel": channel,
             "min_eigenvalue": res["min_eig"],
             "hermiticity_residual": res["hermiticity"],
@@ -290,6 +288,19 @@ def cmd_selftest(args) -> dict:
     return run_selftest(args.seed, args.trials, tol=args.tol, corrupt=args.corrupt)
 
 
+def _at_least(cast, low):
+    """argparse type: the text read by ``cast``, finite and at least ``low``; else exit 2."""
+
+    def parse(text: str):
+        value = cast(text)  # unreadable text: argparse's "invalid <cast> value"
+        if not low <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite {cast.__name__} >= {low}")
+        return value
+
+    parse.__name__ = cast.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supermaps",
@@ -297,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         "operations and supermaps stored as JSON files.",
     )
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=EQ_TOL, help="residual tolerance")
+    tol.add_argument("--tol", type=_at_least(float, 0), default=EQ_TOL, help="residual tolerance")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=str, default=None, help="directory for emitted files")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -343,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tester-check", parents=[tol], help="validate tester normalization")
     p.add_argument("effects", nargs="+", help="effect matrix files")
-    p.add_argument("--dim-out", type=int, required=True)
-    p.add_argument("--dim-in", type=int, required=True)
+    p.add_argument("--dim-out", type=_at_least(int, 1), required=True)
+    p.add_argument("--dim-in", type=_at_least(int, 1), required=True)
     p.set_defaults(func=cmd_tester_check)
 
     p = sub.add_parser("tomography-check", parents=[tol], help="probe-state faithfulness check")
@@ -354,12 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("program-channel", parents=[tol, out], help="channel programmed by a state")
     p.add_argument("--unitary", required=True)
     p.add_argument("--program", required=True)
-    p.add_argument("--dim-sys", type=int, required=True)
+    p.add_argument("--dim-sys", type=_at_least(int, 1), required=True)
     p.set_defaults(func=cmd_program_channel)
 
     p = sub.add_parser("selftest", parents=[tol], help="randomized property suites")
-    p.add_argument("--seed", type=int, default=0, help="seed for the suites' fixtures")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0, help="seed for the suites' fixtures")
+    p.add_argument("--trials", type=_at_least(int, 0), default=50)
     p.add_argument("--corrupt", choices=list(CORRUPTIONS), default=None,
                    help="debug: damage a fixture to prove the harness notices")
     p.set_defaults(func=cmd_selftest)

@@ -8,19 +8,24 @@ Tolerance policy, shared by the whole package:
 
 - residuals: two matrices agree when ||a - b||_F <= tol * max(1, ||b||_F)
   (``rel_residual``; ``isometry_residual`` applies it to M†M against I),
-  with tol = EQ_TOL, or HERM_TOL for hermiticity;
+  with tol = EQ_TOL;
 - orthogonality: projectors satisfy ||P Q||_F <= tol * max(1, ||P||_F ||Q||_F);
-- positivity: a Hermitian matrix is positive semidefinite when its smallest
-  eigenvalue is at least -POS_TOL * max(1, lambda_max), and ``psd_factors``
-  keeps exactly the eigenvalues above +POS_TOL * max(1, lambda_max); the
-  trace increase of an operation (its effect's excess over I) is a
-  positivity test too, scaled by the largest Choi eigenvalue in
-  ``QuantumOperation``, ``check-op`` and ``KrausSet`` alike;
+- positivity, one rule (``is_positive_semidefinite``, on the numbers of
+  ``hermitian_spectrum``): hermiticity residual at most HERM_TOL, and smallest
+  eigenvalue of the Hermitian part at least -POS_TOL * max(1, lambda_max).
+  Choi operators follow it through ``choi_residuals``, whose verdicts
+  ``QuantumOperation`` enforces and ``check-op`` reports; their trace increase
+  (the effect's excess over I) is a positivity test at the same scale, in
+  ``KrausSet`` too.  ``psd_factors`` keeps exactly the eigenvalues above
+  +POS_TOL * max(1, lambda_max);
 - rank: ``numerical_rank`` counts the singular values above tol * s_max.
-A caller's ``tol`` (the CLI's ``--tol``) replaces EQ_TOL in these rules;
-POS_TOL is fixed, so the positivity helpers take no ``tol``.  A tester's
-``tol`` is set once, at construction: it also sets the clamp of
-``evaluate`` and the rank rule of ``is_informationally_complete``.
+A caller's ``tol`` (the CLI's ``--tol``) replaces EQ_TOL in the residual,
+orthogonality and rank rules.  HERM_TOL and POS_TOL are fixed: the positivity
+helpers take no ``tol``, and ``check-op``'s ``--tol`` governs only ``channel``.
+The determinism tests and ancilla projectors compare hermiticity as a
+residual, at ``tol``.  A tester's ``tol`` is set once, at construction: it
+also sets the clamp of ``evaluate`` and the rank rule of
+``is_informationally_complete``.
 """
 
 from __future__ import annotations
@@ -57,15 +62,22 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return rel_residual(m, dag(m))
 
 
+def hermitian_spectrum(m: np.ndarray) -> tuple[float, float, float]:
+    """Hermiticity residual of m, and the extreme eigenvalues of its Hermitian part."""
+    d = dag(m)
+    w = np.linalg.eigvalsh((m + d) / 2.0)
+    return rel_residual(m, d), float(w[0]), float(w[-1])
+
+
 def min_eig_floor(lam_min: float, lam_max: float) -> bool:
     """Positivity verdict for an eigenvalue range, at POS_TOL."""
     return lam_min >= -POS_TOL * max(1.0, lam_max)
 
 
 def is_positive_semidefinite(m: np.ndarray) -> bool:
-    """Check m >= 0 within POS_TOL (m assumed Hermitian)."""
-    w = np.linalg.eigvalsh((m + dag(m)) / 2.0)
-    return min_eig_floor(float(w[0]), float(w[-1]))
+    """The positivity rule: m is Hermitian within HERM_TOL and m >= 0 within POS_TOL."""
+    herm, lam_min, lam_max = hermitian_spectrum(m)
+    return herm <= HERM_TOL and min_eig_floor(lam_min, lam_max)
 
 
 def readonly_copy(m: np.ndarray) -> np.ndarray:
@@ -73,6 +85,12 @@ def readonly_copy(m: np.ndarray) -> np.ndarray:
     m = np.array(m, dtype=complex)
     m.setflags(write=False)
     return m
+
+
+def _check_dims(*dims: int) -> None:
+    """Raise ValueError unless every space dimension is at least 1."""
+    if min(dims) < 1:
+        raise ValueError("dimensions must be positive")
 
 
 def _kraus_operators(ops, shape: tuple[int, int]) -> tuple:
@@ -198,6 +216,15 @@ def is_density_matrix(m: np.ndarray) -> bool:
     return is_positive_semidefinite(m) and abs(np.trace(m) - 1.0) <= EQ_TOL
 
 
+def _check_positive_elements(elements, d: int, what: str) -> None:
+    """Raise ValueError, naming ``what``, unless each element is a d x d positive operator."""
+    for m in elements:
+        if m.shape != (d, d):
+            raise ValueError(f"{what} shape {m.shape} != ({d}, {d})")
+        if not is_positive_semidefinite(m):
+            raise ValueError(f"{what} is not positive semidefinite")
+
+
 def check_povm(povm, d: int | None = None, what: str = "POVM") -> list[np.ndarray]:
     """Validate d x d POVM elements: each one's shape and positivity, then the sum.
 
@@ -209,11 +236,7 @@ def check_povm(povm, d: int | None = None, what: str = "POVM") -> list[np.ndarra
         raise ValueError(f"{what} is empty")
     if d is None:
         d = povm[0].shape[0]
-    for m in povm:
-        if m.shape != (d, d):
-            raise ValueError(f"{what} element shape {m.shape} != ({d}, {d})")
-        if not is_positive_semidefinite(m):
-            raise ValueError(f"{what} element is not positive semidefinite")
+    _check_positive_elements(povm, d, f"{what} element")
     if rel_residual(sum(povm), np.eye(d)) > EQ_TOL:
         raise ValueError(f"{what} does not sum to the identity")
     return povm

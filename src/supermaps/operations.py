@@ -25,10 +25,11 @@ from .linalg import (
     EQ_TOL,
     HERM_TOL,
     POS_TOL,
+    _check_dims,
     _kraus_operators,
     dag,
     frob,
-    hermiticity_residual,
+    hermitian_spectrum,
     kraus_sum,
     kron,
     min_eig_floor,
@@ -42,26 +43,28 @@ from .linalg import (
 
 
 def choi_residuals(choi: np.ndarray, dim_in: int, dim_out: int) -> dict:
-    """Diagnostics for a candidate Choi operator.
+    """Residuals and verdicts of the operation contract for a candidate Choi operator.
 
-    Returns hermiticity residual, extreme eigenvalues, the trace-non-increase
-    violation (largest eigenvalue of effect − I, clipped at 0) and the
-    Frobenius distance of the effect from the identity (channel residual).
+    Residuals: hermiticity, extreme eigenvalues of the Hermitian part, trace increase
+    (largest eigenvalue of effect − I, clipped at 0), channel residual ||effect − I||_F.
+    Verdicts, in the order QuantumOperation enforces them: hermitian, cp, trace_non_increasing.
     """
     choi = np.asarray(choi, dtype=complex)
-    herm = hermiticity_residual(choi)
+    herm, lam_min, lam_max = hermitian_spectrum(choi)
     sym = (choi + dag(choi)) / 2.0
-    eigs = np.linalg.eigvalsh(sym)
     effect = np.einsum(
         "nanb->ab", sym.reshape(dim_out, dim_in, dim_out, dim_in)
     )
-    eff_eigs = np.linalg.eigvalsh((effect + dag(effect)) / 2.0)
+    increase = max(0.0, hermitian_spectrum(effect)[2] - 1.0)
     return {
         "hermiticity": herm,
-        "min_eig": float(eigs[0]),
-        "max_eig": float(eigs[-1]),
-        "trace_increase": max(0.0, float(eff_eigs[-1]) - 1.0),
+        "min_eig": lam_min,
+        "max_eig": lam_max,
+        "trace_increase": increase,
         "channel_residual": frob(effect - np.eye(dim_in)),
+        "hermitian": herm <= HERM_TOL,
+        "cp": min_eig_floor(lam_min, lam_max),
+        "trace_non_increasing": increase <= POS_TOL * max(1.0, lam_max),
     }
 
 
@@ -79,8 +82,7 @@ class QuantumOperation:
     choi: np.ndarray
 
     def __post_init__(self):
-        if self.dim_in < 1 or self.dim_out < 1:
-            raise ValueError("dimensions must be positive")
+        _check_dims(self.dim_in, self.dim_out)
         choi = readonly_copy(self.choi)
         d = self.dim_out * self.dim_in
         if choi.shape != (d, d):
@@ -88,18 +90,14 @@ class QuantumOperation:
         if not np.all(np.isfinite(choi)):
             raise ValueError("Choi operator has non-finite entries")
         res = choi_residuals(choi, self.dim_in, self.dim_out)
-        if res["hermiticity"] > HERM_TOL:
-            raise ValueError(
-                f"Choi operator not Hermitian (residual {res['hermiticity']:.3e})"
-            )
-        if not min_eig_floor(res["min_eig"], res["max_eig"]):
-            raise ValueError(
-                f"Choi operator not positive semidefinite (min eigenvalue {res['min_eig']:.3e})"
-            )
-        if res["trace_increase"] > POS_TOL * max(1.0, res["max_eig"]):
-            raise ValueError(
-                f"operation increases trace (effect exceeds identity by {res['trace_increase']:.3e})"
-            )
+        for verdict, message in (
+            ("hermitian", "Choi operator not Hermitian (residual {hermiticity:.3e})"),
+            ("cp", "Choi operator not positive semidefinite (min eigenvalue {min_eig:.3e})"),
+            ("trace_non_increasing",
+             "operation increases trace (effect exceeds identity by {trace_increase:.3e})"),
+        ):
+            if not res[verdict]:
+                raise ValueError(message.format(**res))
         object.__setattr__(self, "choi", choi)
 
     @property
@@ -117,10 +115,10 @@ class KrausSet:
     operators: tuple
 
     def __post_init__(self):
+        _check_dims(self.dim_in, self.dim_out)
         ops = _kraus_operators(self.operators, (self.dim_out, self.dim_in))
         bound = sum((dag(e) @ e for e in ops), np.zeros((self.dim_in, self.dim_in)))
-        eigs = np.linalg.eigvalsh((bound + dag(bound)) / 2.0)
-        excess = float(eigs[-1]) - 1.0
+        excess = hermitian_spectrum(bound)[2] - 1.0
         # Scaled as in QuantumOperation, by the largest Choi eigenvalue (the squared
         # spectral norm of the stacked vec(E_j)), needed only when excess > POS_TOL.
         if excess > POS_TOL and excess > POS_TOL * max(

@@ -35,6 +35,7 @@ import numpy as np
 
 from .linalg import (
     EQ_TOL,
+    _check_dims,
     as_rng,
     dag,
     frob,
@@ -80,6 +81,7 @@ class CircuitRealization:
     w_residual: float = field(init=False)
 
     def __post_init__(self):
+        _check_dims(self.dim_a, self.dim_b)
         v = readonly_copy(self.v)
         w = readonly_copy(self.w)
         if v.shape[0] % self.dim_b or w.shape[0] % self.dim_a:

@@ -27,10 +27,11 @@ import numpy as np
 
 from .linalg import (
     EQ_TOL,
+    _check_dims,
     _kraus_operators,
     dag,
     frob,
-    hermiticity_residual,
+    hermitian_spectrum,
     isometry_residual,
     kraus_sum,
     kron,
@@ -101,8 +102,7 @@ class Supermap:
     )
 
     def __post_init__(self):
-        if min(self.h_in, self.h_out, self.k_in, self.k_out) < 1:
-            raise ValueError("space dimensions must be positive")
+        _check_dims(self.h_in, self.h_out, self.k_in, self.k_out)
         ops = _kraus_operators(self.kraus, (self.k_out * self.k_in, self.h_out * self.h_in))
         if not ops:
             raise ValueError("supermap needs at least one Kraus operator")
@@ -201,16 +201,15 @@ def determinism_certificate(s: Supermap) -> DeterminismCertificate:
         # cand_ba = cand_ab†
         choi_n4[:, a + 1 :, :, a] = cand[1:].conj().transpose(2, 0, 1)
     choi_n = choi_n4.reshape(h_in * k_in, h_in * k_in)
-    herm = hermiticity_residual(choi_n)
+    herm, lam_min, lam_max = hermitian_spectrum(choi_n)
     marg = partial_trace(choi_n, [h_in, k_in], keep=[1])
     tp = frob(marg - np.eye(k_in)) / np.sqrt(k_in)
-    eigs = np.linalg.eigvalsh((choi_n + dag(choi_n)) / 2.0)
     cert = DeterminismCertificate(
         product_residual=worst,
         herm_residual=herm,
         tp_residual=tp,
-        min_eig=float(eigs[0]),
-        max_eig=float(eigs[-1]),
+        min_eig=lam_min,
+        max_eig=lam_max,
         choi_n=choi_n,
     )
     object.__setattr__(s, "_certificate", cert)
@@ -266,11 +265,8 @@ def is_deterministic_effectwise(s: Supermap, tol: float = EQ_TOL) -> bool:
     if rel_residual(np.einsum("pzqz->pq", n_map), np.eye(k_in)) > tol:
         return False
     # Complete positivity of N via its Choi operator on K_in ⊗ H_in.
-    choi = n_map.reshape(k_in * h_in, k_in * h_in)
-    if hermiticity_residual(choi) > tol:
-        return False
-    eigs = np.linalg.eigvalsh((choi + dag(choi)) / 2.0)
-    return min_eig_floor(float(eigs[0]), float(eigs[-1]))
+    herm, lam_min, lam_max = hermitian_spectrum(n_map.reshape(k_in * h_in, k_in * h_in))
+    return herm <= tol and min_eig_floor(lam_min, lam_max)
 
 
 @dataclass(frozen=True, eq=False)

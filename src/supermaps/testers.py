@@ -16,9 +16,10 @@ import numpy as np
 
 from .linalg import (
     EQ_TOL,
+    _check_dims,
+    _check_positive_elements,
     check_povm,
     is_density_matrix,
-    is_positive_semidefinite,
     kron,
     numerical_rank,
     psd_factors,
@@ -47,18 +48,12 @@ class Tester:
     sigma: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        _check_dims(self.h_in, self.h_out)
         object.__setattr__(self, "effects", tuple(map(readonly_copy, self.effects)))
-        d = self.h_out * self.h_in
         if not self.effects:
             raise ValueError("tester needs at least one effect")
-        total = np.zeros((d, d), dtype=complex)
-        for p in self.effects:
-            if p.shape != (d, d):
-                raise ValueError(f"effect shape {p.shape} != ({d}, {d})")
-            if not is_positive_semidefinite(p):
-                raise ValueError("tester effect is not positive semidefinite")
-            total += p
-        sigma, residual, trace_gap = _factor_identity(total, self.h_out, self.h_in)
+        _check_positive_elements(self.effects, self.h_out * self.h_in, "tester effect")
+        sigma, residual, trace_gap = _factor_identity(sum(self.effects), self.h_out, self.h_in)
         if residual > self.tol or trace_gap > self.tol:
             raise ValueError(
                 f"effects do not normalize to I ⊗ sigma (residual {residual:.3e}, "

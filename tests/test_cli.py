@@ -10,7 +10,7 @@ import pytest
 from supermaps import io as sio
 from supermaps.applications import ProgrammableDevice, programmable_channel
 from supermaps.cli import build_parser, main
-from supermaps.linalg import POS_TOL, kron, random_density, random_isometry, rel_residual
+from supermaps.linalg import HERM_TOL, POS_TOL, kron, random_density, random_isometry, rel_residual
 from supermaps.operations import (
     KrausSet,
     effect_of,
@@ -610,3 +610,80 @@ def test_subcommand_takes_only_the_flags_it_reads(capsys, argv, reads):
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"unrecognized arguments: {flag}" in captured.err
+
+
+class TestHermiticityBoundary:
+    """check-op, choi2kraus, apply and tester-eval accept the same operations at every --tol."""
+
+    @pytest.mark.parametrize("tol_flag", [[], ["--tol", "1e-2"]])
+    @pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3])
+    def test_all_four_agree_at_herm_tol(self, capsys, tmp_path, side, tol_flag):
+        # C = 0.4 |I><I| + 0.2 I plus e at entry [0, 1]: ||C − C†||_F = e √2 and
+        # ||C†||_F² = 1.12 + e², so the residual r = side * HERM_TOL solves to
+        # e² = 1.12 r² / (2 − r²).
+        r = side * HERM_TOL
+        choi = 0.4 * bell_projector(2) + 0.2 * np.eye(4, dtype=complex)
+        choi[0, 1] += np.sqrt(1.12 * r**2 / (2 - r**2))
+        tester = prepare_measure_tester(I2 / 2, [KET0, I2 - KET0], h_out=2)
+        paths = {}
+        for name, obj in [
+            ("op", sio.operation_to_json(2, 2, choi)),
+            ("rho", sio.matrix_to_json(I2 / 2)),
+            *((f"e{j}", sio.matrix_to_json(e)) for j, e in enumerate(tester.effects)),
+        ]:
+            paths[name] = str(tmp_path / f"{name}.json")
+            sio.save_json(paths[name], obj)
+        accepted = side < 1
+        for argv in (
+            ["check-op", paths["op"], *tol_flag],
+            ["choi2kraus", paths["op"], *tol_flag],
+            ["apply", "--op", paths["op"], "--state", paths["rho"]],
+            ["tester-eval", paths["e0"], paths["e1"], "--op", paths["op"], *tol_flag],
+        ):
+            code, report = run_cli(capsys, *argv)
+            assert (code, report["pass"]) == ((0, True) if accepted else (1, False)), argv[0]
+            if argv[0] == "check-op":
+                assert report["details"]["hermitian"] is accepted
+                assert report["details"]["hermiticity_residual"] == pytest.approx(r, rel=1e-6)
+            elif not accepted:
+                assert "not Hermitian" in report["details"]["error"]
+
+
+MALFORMED_FLAGS = [
+    ["selftest", "--seed", "-1"],
+    ["selftest", "--trials", "-1"],
+    ["selftest", "--tol", "nan"],
+    ["check-op", "op.json", "--tol", "-1"],
+    ["check-op", "op.json", "--tol", "inf"],
+    ["tester-check", "e.json", "--dim-out", "-1", "--dim-in", "-1"],
+    ["tester-check", "e.json", "--dim-out", "2", "--dim-in", "0"],
+    ["program-channel", "--unitary", "u.json", "--program", "s.json", "--dim-sys", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_FLAGS, ids=" ".join)
+def test_malformed_numeric_flag_exits_2(capsys, argv):
+    """A numeric flag outside its range is an argparse error: exit 2, no report."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{argv[-1]!r} is not a finite" in captured.err
+
+
+@pytest.mark.parametrize("flag, cast", [("--seed", "int"), ("--tol", "float")])
+def test_unreadable_numeric_flag_keeps_argparse_message(capsys, flag, cast):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", flag, "1.5x"])
+    assert exc.value.code == 2
+    assert f"invalid {cast} value: '1.5x'" in capsys.readouterr().err
+
+
+def test_numeric_flags_accept_their_lower_bounds():
+    parse = build_parser().parse_args
+    args = parse(["selftest", "--seed", "0", "--trials", "0", "--tol", "0"])
+    assert (args.seed, args.trials, args.tol) == (0, 0, 0.0)
+    args = parse(["tester-check", "e.json", "--dim-out", "1", "--dim-in", "1"])
+    assert (args.dim_out, args.dim_in) == (1, 1)
+    args = parse(["program-channel", "--unitary", "u", "--program", "s", "--dim-sys", "1"])
+    assert args.dim_sys == 1
