@@ -24,7 +24,6 @@ from .operations import (
     choi_residuals,
     choi_to_kraus,
     effect_of,
-    is_channel,
     kraus_to_choi,
 )
 from .realization import circuit_to_supermap, realize, realize_probabilistic
@@ -116,7 +115,7 @@ def cmd_kraus2choi(args) -> dict:
     dim_in, dim_out, ops = io.kraus_set_from_json(io.load_json(args.path))
     with _fails_as("kraus2choi"):
         op = kraus_to_choi(KrausSet(dim_in, dim_out, tuple(ops)))
-    payload = io.operation_to_json(op.dim_in, op.dim_out, op.choi)
+    payload = io.Rendered(io.operation_to_json(op.dim_in, op.dim_out, op.choi))
     details: dict = {"operation": payload}
     _write_out(args, details, ("operation.json", payload))
     return _report("kraus2choi", True, 0.0, details)
@@ -128,7 +127,7 @@ def cmd_choi2kraus(args) -> dict:
         op = QuantumOperation(dim_in, dim_out, choi)
     kraus = choi_to_kraus(op)
     roundtrip = frob(kraus_to_choi(kraus).choi - op.choi)
-    payload = io.kraus_set_to_json(dim_in, dim_out, kraus.operators)
+    payload = io.Rendered(io.kraus_set_to_json(dim_in, dim_out, kraus.operators))
     details: dict = {"kraus_count": len(kraus.operators), "kraus": payload}
     _write_out(args, details, ("kraus.json", payload))
     return _report("choi2kraus", roundtrip <= args.tol, roundtrip, details)
@@ -140,7 +139,7 @@ def cmd_apply(args) -> dict:
     with _fails_as("apply"):
         op = QuantumOperation(dim_in, dim_out, choi)
         out_state = apply_operation(op, rho)
-    payload = io.matrix_to_json(out_state)
+    payload = io.Rendered(io.matrix_to_json(out_state))
     details = {"probability": float(np.trace(out_state).real), "output": payload}
     _write_out(args, details, ("output_state.json", payload))
     return _report("apply", True, 0.0, details)
@@ -164,7 +163,7 @@ def cmd_supermap(args) -> dict:
     # effect-map
     with _fails_as("supermap-effect-map", cert.residual):
         em = effect_map_of(s, args.tol)
-    payload = [io.matrix_to_json(n) for n in em.kraus]
+    payload = [io.Rendered(io.matrix_to_json(n)) for n in em.kraus]
     details: dict = {"kraus_count": len(em.kraus), "kraus": payload}
     _write_out(args, details, {f"effect_map_{j}.json": mat for j, mat in enumerate(payload)})
     return _report("supermap-effect-map", True, cert.residual, details)
@@ -278,10 +277,11 @@ def cmd_program_channel(args) -> dict:
         dev = ProgrammableDevice(unitary=u, dim_sys=args.dim_sys, dim_prog=dim_prog)
         op = programmable_channel(dev, sigma)
     gap = frob(effect_of(op) - np.eye(op.dim_in))
-    payload = io.operation_to_json(op.dim_in, op.dim_out, op.choi)
+    payload = io.Rendered(io.operation_to_json(op.dim_in, op.dim_out, op.choi))
     details = {"channel_residual": gap, "operation": payload}
     _write_out(args, details, ("operation.json", payload))
-    return _report("program-channel", is_channel(op, args.tol), gap, details)
+    # is_channel's rule on the same effect: rel_residual(effect, I) <= tol.
+    return _report("program-channel", gap / np.sqrt(op.dim_in) <= args.tol, gap, details)
 
 
 def cmd_selftest(args) -> dict:

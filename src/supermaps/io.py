@@ -11,6 +11,10 @@ reads back as the integer 0, so it loads as +0.0.  Schemas:
                    "kraus": [MatrixFile, ...]}
     Report        {"check": name, "pass": bool, "residual": float,
                    "details": object}
+
+Each payload is formatted once: ``dumps17`` splices a ``Rendered`` text into
+the document around it by indenting its lines, so a payload written to a file
+and quoted in a report costs one "%.17g" pass.
 """
 
 from __future__ import annotations
@@ -29,17 +33,25 @@ class FileFormatError(ValueError):
     """Malformed input file (schema or parse problem, CLI exit code 2)."""
 
 
-def _is_pair_list(obj, types: set) -> bool:
-    """True when ``obj`` is a non-empty list of 2-element lists of the exact ``types``."""
-    return (
-        set(map(type, obj)) == {list}
-        and set(map(len, obj)) == {2}
-        and set(map(type, chain.from_iterable(obj))) <= types
-    )
+class Rendered:
+    """An object's or array's JSON text at indent 0, which ``dumps17`` splices in.
+
+    Every line after the first of a value rendered at indent k carries the
+    same extra pad, and JSON text holds no raw newline inside a string, so
+    indenting the lines of this text gives exactly the value's text at indent k.
+    It holds the text, not a str subclass, which would copy it once more.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, obj):
+        self.text = dumps17(obj)
 
 
 def _render(obj, indent: int) -> str:
     pad = "  " * indent
+    if isinstance(obj, Rendered):
+        return obj.text.replace("\n", "\n" + pad) if pad else obj.text
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -56,7 +68,11 @@ def _render(obj, indent: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if _is_pair_list(obj, {float}):
+        if (
+            set(map(type, obj)) == {list}
+            and set(map(len, obj)) == {2}
+            and set(map(type, chain.from_iterable(obj))) == {float}
+        ):
             # Matrix data: the generic branch below would give the same text
             # one entry at a time ("%.17g" is the routine format() uses).
             flat = tuple(chain.from_iterable(obj))
@@ -119,13 +135,15 @@ def matrix_from_json(obj) -> np.ndarray:
     _need("data" in obj and isinstance(obj["data"], list), "missing 'data' array")
     data = obj["data"]
     _need(len(data) == rows * cols, f"'data' must hold {rows * cols} entries")
-    if _is_pair_list(data, {int, float}):
+    # Pairs of plain ints and floats (no bool, str or None) decode as one
+    # array, whose shape checks that each holds two.
+    if set(map(type, data)) == {list} and set(map(type, chain.from_iterable(data))) <= {int, float}:
         try:
             pairs = np.array(data, dtype=float)
-        except OverflowError:  # an integer beyond the double range
+        except (ValueError, OverflowError):  # ragged pairs; an integer beyond the double range
             pass
         else:
-            if np.isfinite(pairs).all():
+            if pairs.shape == (rows * cols, 2) and np.isfinite(pairs).all():
                 # A bit-exact reinterpretation; re + 1j*im would lose -0.0 parts.
                 return pairs.view(complex).reshape(rows, cols)
     # The per-entry loop defines a valid entry: it names the first bad one and

@@ -212,15 +212,17 @@ def isometry_residual(m: np.ndarray) -> float:
 
 
 def is_density_matrix(m: np.ndarray) -> bool:
-    """Positive semidefinite with unit trace, within POS_TOL and EQ_TOL."""
-    return is_positive_semidefinite(m) and abs(np.trace(m) - 1.0) <= EQ_TOL
+    """Finite, positive semidefinite and of unit trace, within POS_TOL and EQ_TOL."""
+    return np.isfinite(m).all() and is_positive_semidefinite(m) and abs(np.trace(m) - 1.0) <= EQ_TOL
 
 
 def _check_positive_elements(elements, d: int, what: str) -> None:
-    """Raise ValueError, naming ``what``, unless each element is a d x d positive operator."""
+    """Raise ValueError, naming ``what``, unless each element is finite, d x d and positive."""
     for m in elements:
         if m.shape != (d, d):
             raise ValueError(f"{what} shape {m.shape} != ({d}, {d})")
+        if not np.isfinite(m).all():
+            raise ValueError(f"{what} has non-finite entries")
         if not is_positive_semidefinite(m):
             raise ValueError(f"{what} is not positive semidefinite")
 

@@ -10,19 +10,32 @@ import pytest
 from supermaps import io as sio
 from supermaps.applications import ProgrammableDevice, programmable_channel
 from supermaps.cli import build_parser, main
-from supermaps.linalg import HERM_TOL, POS_TOL, kron, random_density, random_isometry, rel_residual
+from supermaps.linalg import (
+    EQ_TOL,
+    HERM_TOL,
+    POS_TOL,
+    frob,
+    kron,
+    random_density,
+    random_isometry,
+    rel_residual,
+)
 from supermaps.operations import (
     KrausSet,
+    QuantumOperation,
+    apply_operation,
+    choi_to_kraus,
     effect_of,
     identity_operation,
     is_channel,
     kraus_to_choi,
     random_channel,
 )
-from supermaps.supermap import Supermap, identity_supermap
+from supermaps.supermap import Supermap, determinism_certificate, effect_map_of, identity_supermap
 from supermaps.testers import prepare_measure_tester
 
 from conftest import I2, X, Y, Z, bell_projector
+from test_io_codec import ref_render
 from test_supermap import random_circuit_supermap
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -453,6 +466,80 @@ def test_out_files_and_written(capsys, tmp_path, identity_op_file, identity_map_
     assert sorted(p.name for p in out.iterdir()) == files
     assert report["details"]["written"] == str(out / written if written else out)
     assert list(report["details"])[-1] == "written"
+
+
+def _payload_case(command, rng, tmp_path):
+    """(argv, pass, residual, details without "written", {file name: payload}) of a command.
+
+    The payloads come from the library and the file reader, not from the CLI.
+    """
+
+    def put(name, obj):
+        sio.save_json(tmp_path / name, obj)
+        return str(tmp_path / name)
+
+    def op_file():
+        path = put("op.json", sio.operation_to_json(2, 3, random_channel(2, 3, 2, rng).choi))
+        dim_in, dim_out, choi = sio.operation_from_json(sio.load_json(path))
+        return path, QuantumOperation(dim_in, dim_out, choi)
+
+    if command == "kraus2choi":
+        ops = choi_to_kraus(random_channel(2, 3, 2, rng)).operators
+        path = put("kraus.json", sio.kraus_set_to_json(2, 3, ops))
+        op = kraus_to_choi(KrausSet(2, 3, tuple(sio.kraus_set_from_json(sio.load_json(path))[2])))
+        payload = sio.operation_to_json(2, 3, op.choi)
+        return [command, path], True, 0.0, {"operation": payload}, {"operation.json": payload}
+    if command == "choi2kraus":
+        path, op = op_file()
+        kraus = choi_to_kraus(op)
+        roundtrip = frob(kraus_to_choi(kraus).choi - op.choi)
+        payload = sio.kraus_set_to_json(2, 3, kraus.operators)
+        details = {"kraus_count": len(kraus.operators), "kraus": payload}
+        return [command, path], roundtrip <= EQ_TOL, roundtrip, details, {"kraus.json": payload}
+    if command == "apply":
+        path, op = op_file()
+        state = put("rho.json", sio.matrix_to_json(random_density(2, rng)))
+        out_state = apply_operation(op, sio.matrix_from_json(sio.load_json(state)))
+        payload = sio.matrix_to_json(out_state)
+        details = {"probability": float(np.trace(out_state).real), "output": payload}
+        argv = [command, "--op", path, "--state", state]
+        return argv, True, 0.0, details, {"output_state.json": payload}
+    if command == "program-channel":
+        u = put("u.json", sio.matrix_to_json(random_isometry(4, 4, rng)))
+        sigma = put("sigma.json", sio.matrix_to_json(random_density(2, rng)))
+        dev = ProgrammableDevice(sio.matrix_from_json(sio.load_json(u)), 2, 2)
+        op = programmable_channel(dev, sio.matrix_from_json(sio.load_json(sigma)))
+        gap = frob(effect_of(op) - np.eye(2))
+        payload = sio.operation_to_json(2, 2, op.choi)
+        argv = [command, "--unitary", u, "--program", sigma, "--dim-sys", "2"]
+        details = {"channel_residual": gap, "operation": payload}
+        return argv, is_channel(op), gap, details, {"operation.json": payload}
+    path = put("map.json", sio.supermap_to_json(random_circuit_supermap(rng, (2, 3, 1, 2))))
+    s = sio.supermap_from_json(sio.load_json(path))
+    payload = [sio.matrix_to_json(n) for n in effect_map_of(s).kraus]
+    details = {"kraus_count": len(payload), "kraus": payload}
+    files = {f"effect_map_{j}.json": m for j, m in enumerate(payload)}
+    return ["supermap", path, "--check", "effect-map"], True, determinism_certificate(s).residual, details, files
+
+
+@pytest.mark.parametrize("command", ["kraus2choi", "choi2kraus", "apply", "program-channel", "effect-map"])
+def test_payloads_render_as_the_reference(capsys, rng, tmp_path, command):
+    """stdout and each --out file are the reference rendering of the library's payloads."""
+    argv, passed, residual, details, files = _payload_case(command, rng, tmp_path)
+    out = tmp_path / "out"
+    code = main([*argv, "--out", str(out)])
+    written = out if command == "effect-map" else out / next(iter(files))
+    report = {
+        "check": "supermap-effect-map" if command == "effect-map" else command,
+        "pass": passed,
+        "residual": float(max(residual, 0.0)),
+        "details": {**details, "written": str(written)},
+    }
+    assert passed and code == 0
+    assert capsys.readouterr().out == ref_render(report, 0) + "\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)
+    for name, payload in files.items():
+        assert (out / name).read_text(encoding="utf-8") == ref_render(payload, 0) + "\n"
 
 
 class TestSelftest:

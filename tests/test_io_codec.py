@@ -5,8 +5,9 @@ time: a recursive renderer that formats every number on its own, a writer
 that converts each complex entry with ``float``, and a reader that checks and
 converts each ``[re, im]`` pair in turn.  The library renders, writes and
 reads matrix data as whole arrays; the property tests check that the text is
-the same byte for byte, that decoded matrices are the same bit for bit and
-that malformed entries raise the same exception with the same message.
+the same byte for byte, also with parts pre-rendered as ``Rendered`` text,
+that decoded matrices are the same bit for bit and that malformed entries
+raise the same exception with the same message.
 """
 
 import json
@@ -163,6 +164,53 @@ def test_matrix_to_json_matches_reference(m):
 def test_dumps17_matches_reference(obj):
     assert sio.dumps17(obj) == ref_render(obj, 0)
     assert sio.dumps17(as_loaded(obj)) == ref_render(as_loaded(obj), 0)
+
+
+def sub_paths(obj, path=()):
+    """The path (keys and indices) of each dict and list in obj, obj itself included.
+
+    A number is not pre-rendered: its text would break a one-line number list.
+    """
+    if isinstance(obj, (dict, list)):
+        yield path
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from sub_paths(value, path + (key,))
+
+
+def replace_at(obj, path, new):
+    """A copy of obj with the value at ``path`` replaced by ``new``; dict order is kept."""
+    if not path:
+        return new
+    key, rest = path[0], path[1:]
+    if isinstance(obj, dict):
+        return {k: replace_at(v, rest, new) if k == key else v for k, v in obj.items()}
+    return [replace_at(v, rest, new) if i == key else v for i, v in enumerate(obj)]
+
+
+def value_at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def pre_render_all(obj):
+    """obj with every dict and list pre-rendered, innermost first."""
+    if isinstance(obj, dict):
+        return sio.Rendered({k: pre_render_all(v) for k, v in obj.items()})
+    if isinstance(obj, list):
+        return sio.Rendered([pre_render_all(v) for v in obj])
+    return obj
+
+
+@given(obj=reports)
+def test_pre_rendered_text_splices_at_every_depth(obj):
+    """A dict or list replaced by its pre-rendered text renders as it did itself."""
+    want = ref_render(obj, 0)
+    for path in sub_paths(obj):
+        rendered = sio.Rendered(value_at(obj, path))
+        assert rendered.text == ref_render(value_at(obj, path), 0)
+        assert sio.dumps17(replace_at(obj, path, rendered)) == want
+    assert sio.dumps17(pre_render_all(obj)) == want
 
 
 @given(m=matrices())

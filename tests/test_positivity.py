@@ -209,6 +209,38 @@ class TestPositivityRule:
             programmable_povm([np.eye(4)], SKEW_STATE)
 
 
+NON_FINITE = {
+    "nan": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    "inf": np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    "off-diagonal -inf": np.array([[0.5, -np.inf], [0.0, 0.5]]),
+    "imaginary inf": np.array([[0.5, complex(0.0, np.inf)], [0.0, 0.5]]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", NON_FINITE.values(), ids=list(NON_FINITE))
+class TestNonFiniteInput:
+    """One finiteness check before the positivity rule: one message, no numpy warning."""
+
+    def test_density_matrix_is_false(self, m):
+        assert not is_density_matrix(m)
+
+    def test_povm_element_is_rejected(self, m):
+        with pytest.raises(ValueError, match="^POVM element has non-finite entries$"):
+            check_povm([m, np.eye(2) / 2])
+        with pytest.raises(ValueError, match="^joint POVM element has non-finite entries$"):
+            tester_from_circuit(np.eye(1), [m], h_in=1, h_out=2)
+
+    def test_tester_effect_is_rejected(self, m):
+        with pytest.raises(ValueError, match="^tester effect has non-finite entries$"):
+            testers.Tester(h_in=1, h_out=2, effects=(np.eye(2) / 2, m))
+
+    def test_program_is_rejected(self, m):
+        dev = ProgrammableDevice(unitary=np.eye(4), dim_sys=2, dim_prog=2)
+        with pytest.raises(ValueError, match="^program is not a density matrix$"):
+            programmable_channel(dev, m)
+
+
 # Each validated type with space dimensions, built with (first, second)
 # substituted for two of them; the other arguments are valid for dimension 1.
 DIM_CASES = {
