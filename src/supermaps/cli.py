@@ -77,15 +77,19 @@ def _write_out(args, details: dict, files) -> None:
     """Save JSON files under ``--out``, when it is given, and record where.
 
     ``files`` is one (name, object) pair, recorded in details["written"] as
-    the file's path, or a dict of them, recorded as the directory.
+    the file's path, or a dict of them, recorded as the directory.  An
+    ``--out`` that cannot be created or written is malformed input.
     """
     if args.out is None:
         return
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     single = isinstance(files, tuple)
-    for name, obj in [files] if single else files.items():
-        io.save_json(out / name, obj)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, obj in [files] if single else files.items():
+            io.save_json(out / name, obj)
+    except OSError as exc:
+        raise io.FileFormatError(f"cannot write --out {out}: {exc}") from exc
     details["written"] = str(out / files[0] if single else out)
 
 

@@ -10,22 +10,24 @@ Tolerance policy, shared by the whole package:
   (``rel_residual``; ``isometry_residual`` applies it to M†M against I),
   with tol = EQ_TOL;
 - orthogonality: projectors satisfy ||P Q||_F <= tol * max(1, ||P||_F ||Q||_F);
-- positivity, one rule (``is_positive_semidefinite``, on the numbers of
-  ``hermitian_spectrum``): hermiticity residual at most HERM_TOL, and smallest
-  eigenvalue of the Hermitian part at least -POS_TOL * max(1, lambda_max).
-  Choi operators follow it through ``choi_residuals``, whose verdicts
-  ``QuantumOperation`` enforces and ``check-op`` reports; their trace increase
-  (the effect's excess over I) is a positivity test at the same scale, in
-  ``KrausSet`` too.  ``psd_factors`` keeps exactly the eigenvalues above
-  +POS_TOL * max(1, lambda_max);
+- positivity, one rule (``is_positive_semidefinite``): hermiticity residual
+  (``hermiticity_residual``) at most HERM_TOL, and smallest eigenvalue of the
+  Hermitian part (``hermitian_spectrum``) at least
+  -POS_TOL * max(1, lambda_max).  Choi operators follow it through
+  ``choi_residuals``, whose verdicts ``QuantumOperation`` enforces and
+  ``check-op`` reports; their trace increase (the effect's excess over I) is
+  a positivity test at the same scale, in ``KrausSet`` too.  ``psd_factors``
+  keeps exactly the eigenvalues above +POS_TOL * max(1, lambda_max);
+- hermiticity is measured only where it can fail: matrices given to the
+  positivity rule, Choi operators in ``choi_residuals`` and ancilla
+  projectors (at ``tol``).  Matrices Hermitian by construction up to rounding
+  (an effect, sum E†E, the maps the determinism tests derive) get a spectrum;
 - rank: ``numerical_rank`` counts the singular values above tol * s_max.
 A caller's ``tol`` (the CLI's ``--tol``) replaces EQ_TOL in the residual,
 orthogonality and rank rules.  HERM_TOL and POS_TOL are fixed: the positivity
 helpers take no ``tol``, and ``check-op``'s ``--tol`` governs only ``channel``.
-The determinism tests and ancilla projectors compare hermiticity as a
-residual, at ``tol``.  A tester's ``tol`` is set once, at construction: it
-also sets the clamp of ``evaluate`` and the rank rule of
-``is_informationally_complete``.
+A tester's ``tol`` is set once, at construction: it also sets the clamp of
+``evaluate`` and the rank rule of ``is_informationally_complete``.
 """
 
 from __future__ import annotations
@@ -62,11 +64,10 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return rel_residual(m, dag(m))
 
 
-def hermitian_spectrum(m: np.ndarray) -> tuple[float, float, float]:
-    """Hermiticity residual of m, and the extreme eigenvalues of its Hermitian part."""
-    d = dag(m)
-    w = np.linalg.eigvalsh((m + d) / 2.0)
-    return rel_residual(m, d), float(w[0]), float(w[-1])
+def hermitian_spectrum(m: np.ndarray) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of the Hermitian part of m."""
+    w = np.linalg.eigvalsh((m + dag(m)) / 2.0)
+    return float(w[0]), float(w[-1])
 
 
 def min_eig_floor(lam_min: float, lam_max: float) -> bool:
@@ -76,8 +77,7 @@ def min_eig_floor(lam_min: float, lam_max: float) -> bool:
 
 def is_positive_semidefinite(m: np.ndarray) -> bool:
     """The positivity rule: m is Hermitian within HERM_TOL and m >= 0 within POS_TOL."""
-    herm, lam_min, lam_max = hermitian_spectrum(m)
-    return herm <= HERM_TOL and min_eig_floor(lam_min, lam_max)
+    return hermiticity_residual(m) <= HERM_TOL and min_eig_floor(*hermitian_spectrum(m))
 
 
 def readonly_copy(m: np.ndarray) -> np.ndarray:
@@ -153,36 +153,27 @@ def permute_systems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> 
     return t.transpose(axes).reshape(total, total)
 
 
-def eigh_sorted(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition, eigenvalues descending, phases fixed.
+def psd_factors(m: np.ndarray) -> np.ndarray:
+    """Columns sqrt(w_j) v_j over the eigenpairs of the Hermitian part of m with
+    w_j above POS_TOL * max(1, lambda_max), so m ≈ F F†.  Column j unvectorizes
+    to the j-th canonical Kraus operator when m is a Choi operator.
 
-    Each eigenvector is rescaled so its first entry above the phase threshold
-    is real positive, which makes downstream canonical Kraus sets
-    deterministic.  Raises ValueError if m is not Hermitian within ``tol``.
+    The columns come in descending order of w_j, and each v_j is rescaled so
+    its first entry above the phase threshold is real positive, which makes
+    the canonical Kraus sets deterministic.
     """
     m = np.asarray(m, dtype=complex)
-    herm = hermiticity_residual(m)
-    if herm > tol:
-        raise ValueError(f"matrix is not Hermitian within tolerance (residual {herm:.3e})")
     w, v = np.linalg.eigh((m + dag(m)) / 2.0)
-    w, v = w[::-1].copy(), v[:, ::-1]
     if not v.size:
-        return w, v
+        return v
+    w, v = w[::-1], v[:, ::-1]
     # The pivot of each column is its first entry above the threshold (the
     # argmax of the mask); a unit vector always has one.  Its modulus comes
     # from hypot, as abs() of a complex scalar does: numpy's vectorized
     # complex abs can differ in the last bit.
     first = (np.abs(v) > _PHASE_EPS).argmax(axis=0)
     pivot = v[first, np.arange(v.shape[1])]
-    return w, v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
-
-
-def psd_factors(m: np.ndarray) -> np.ndarray:
-    """Columns sqrt(w_j) v_j over the ``eigh_sorted`` eigenpairs with w_j above
-    POS_TOL * max(1, lambda_max), so m ≈ F F†.  Column j unvectorizes to the
-    j-th canonical Kraus operator when m is a Choi operator.
-    """
-    w, v = eigh_sorted(m)
+    v = v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
     keep = w > POS_TOL * max(1.0, float(w[0]))
     return v[:, keep] * np.sqrt(w[keep])
 

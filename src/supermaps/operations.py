@@ -30,6 +30,7 @@ from .linalg import (
     dag,
     frob,
     hermitian_spectrum,
+    hermiticity_residual,
     kraus_sum,
     kron,
     min_eig_floor,
@@ -50,12 +51,13 @@ def choi_residuals(choi: np.ndarray, dim_in: int, dim_out: int) -> dict:
     Verdicts, in the order QuantumOperation enforces them: hermitian, cp, trace_non_increasing.
     """
     choi = np.asarray(choi, dtype=complex)
-    herm, lam_min, lam_max = hermitian_spectrum(choi)
-    sym = (choi + dag(choi)) / 2.0
+    herm = hermiticity_residual(choi)
+    sym = (choi + dag(choi)) / 2.0  # exactly Hermitian: the helper leaves it as it is
+    lam_min, lam_max = hermitian_spectrum(sym)
     effect = np.einsum(
         "nanb->ab", sym.reshape(dim_out, dim_in, dim_out, dim_in)
     )
-    increase = max(0.0, hermitian_spectrum(effect)[2] - 1.0)
+    increase = max(0.0, hermitian_spectrum(effect)[1] - 1.0)
     return {
         "hermiticity": herm,
         "min_eig": lam_min,
@@ -118,7 +120,7 @@ class KrausSet:
         _check_dims(self.dim_in, self.dim_out)
         ops = _kraus_operators(self.operators, (self.dim_out, self.dim_in))
         bound = sum((dag(e) @ e for e in ops), np.zeros((self.dim_in, self.dim_in)))
-        excess = hermitian_spectrum(bound)[2] - 1.0
+        excess = hermitian_spectrum(bound)[1] - 1.0
         # Scaled as in QuantumOperation, by the largest Choi eigenvalue (the squared
         # spectral norm of the stacked vec(E_j)), needed only when excess > POS_TOL.
         if excess > POS_TOL and excess > POS_TOL * max(

@@ -60,7 +60,6 @@ class DeterminismCertificate:
     """
 
     product_residual: float  # worst ||S_*(I ⊗ unit) − I ⊗ candidate|| over the basis
-    herm_residual: float  # hermiticity of choi_n; only its diagonal blocks can differ
     tp_residual: float  # ||Tr_out[choi_n] − I|| / sqrt(k_in)
     min_eig: float
     max_eig: float
@@ -72,14 +71,13 @@ class DeterminismCertificate:
     def verdict(self, tol: float = EQ_TOL) -> bool:
         return (
             self.product_residual <= tol
-            and self.herm_residual <= tol
             and self.tp_residual <= tol
             and min_eig_floor(self.min_eig, self.max_eig)
         )
 
     @property
     def residual(self) -> float:
-        return max(self.product_residual, self.herm_residual, self.tp_residual)
+        return max(self.product_residual, self.tp_residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,9 +169,7 @@ def determinism_certificate(s: Supermap) -> DeterminismCertificate:
     Only the upper block triangle b >= a is computed: X_ba = X_ab† holds
     exactly for every Kraus set, so the lower blocks of ``choi_n`` are filled
     with the conjugates of the upper ones, and the gap of X_ba equals that of
-    X_ab.  ``herm_residual`` therefore sees only the rounding inside the
-    diagonal blocks; no verdict can depend on that, because the off-diagonal
-    symmetry is exact.  Row a holds (k_in − a)·(h_out·h_in)² entries.
+    X_ab.  Row a holds (k_in − a)·(h_out·h_in)² entries.
     """
     if s._certificate is not None:
         return s._certificate
@@ -201,12 +197,11 @@ def determinism_certificate(s: Supermap) -> DeterminismCertificate:
         # cand_ba = cand_ab†
         choi_n4[:, a + 1 :, :, a] = cand[1:].conj().transpose(2, 0, 1)
     choi_n = choi_n4.reshape(h_in * k_in, h_in * k_in)
-    herm, lam_min, lam_max = hermitian_spectrum(choi_n)
+    lam_min, lam_max = hermitian_spectrum(choi_n)
     marg = partial_trace(choi_n, [h_in, k_in], keep=[1])
     tp = frob(marg - np.eye(k_in)) / np.sqrt(k_in)
     cert = DeterminismCertificate(
         product_residual=worst,
-        herm_residual=herm,
         tp_residual=tp,
         min_eig=lam_min,
         max_eig=lam_max,
@@ -265,8 +260,7 @@ def is_deterministic_effectwise(s: Supermap, tol: float = EQ_TOL) -> bool:
     if rel_residual(np.einsum("pzqz->pq", n_map), np.eye(k_in)) > tol:
         return False
     # Complete positivity of N via its Choi operator on K_in ⊗ H_in.
-    herm, lam_min, lam_max = hermitian_spectrum(n_map.reshape(k_in * h_in, k_in * h_in))
-    return herm <= tol and min_eig_floor(lam_min, lam_max)
+    return min_eig_floor(*hermitian_spectrum(n_map.reshape(k_in * h_in, k_in * h_in)))
 
 
 @dataclass(frozen=True, eq=False)

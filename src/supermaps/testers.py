@@ -110,6 +110,8 @@ def discrimination_probability(t: Tester, ops, priors) -> float:
             f"need one channel and one prior per outcome ({t.n_outcomes}), "
             f"got {len(ops)} channels and {priors.size} priors"
         )
+    if not (np.isfinite(priors).all() and (priors >= 0).all()):
+        raise ValueError("priors must be finite and non-negative")
     if abs(priors.sum() - 1.0) > EQ_TOL:
         raise ValueError("priors must sum to 1")
     return float(

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from supermaps.linalg import _PHASE_EPS
+
 # One policy for every property test.  No per-example deadline: timings on a
 # small shared machine are too noisy for the 200 ms default.
 settings.register_profile(
@@ -30,6 +32,23 @@ def matrix_units(dim: int):
             unit = np.zeros((dim, dim), dtype=complex)
             unit[a, b] = 1.0
             yield a, b, unit
+
+
+def ref_eigh_sorted(m):
+    """Reference eigendecomposition of m's Hermitian part: eigenvalues descending,
+    each eigenvector's first entry above _PHASE_EPS made real positive, one
+    column at a time in a Python loop."""
+    m = np.asarray(m, dtype=complex)
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    w = w[::-1].copy()
+    v = v[:, ::-1].copy()
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        nz = np.nonzero(np.abs(col) > _PHASE_EPS)[0]
+        if nz.size:
+            pivot = col[nz[0]]
+            v[:, k] = col * (pivot.conjugate() / abs(pivot))
+    return w, v
 
 
 @pytest.fixture

@@ -664,6 +664,25 @@ class TestIoEdgeCases:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize(
+        "below, message",
+        [(None, "File exists"), ("sub", "Not a directory")],
+        ids=["out-is-a-file", "out-under-a-file"],
+    )
+    def test_uncreatable_out_exits_2(self, capsys, tmp_path, below, message):
+        kraus = tmp_path / "kraus.json"
+        sio.save_json(kraus, sio.kraus_set_to_json(2, 2, [I2]))
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / below if below else afile
+        code = main(["kraus2choi", str(kraus), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: malformed input: cannot write --out {out}: ")
+        assert captured.err.count("\n") == 1 and message in captured.err
+        assert afile.read_text() == "kept"
+
 
 # Each subcommand with its required arguments and the option flags it reads.
 SUBCOMMAND_FLAGS = [

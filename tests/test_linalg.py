@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from supermaps.linalg import (
+    POS_TOL,
     _PHASE_EPS,
     check_povm,
     dag,
-    eigh_sorted,
     kron,
     partial_trace,
     permute_systems,
+    psd_factors,
     random_density,
     random_isometry,
 )
 
-from conftest import X, Z, I2, bell_projector
+from conftest import X, Z, I2, bell_projector, ref_eigh_sorted
 
 
 def kron_oracle(a, b):
@@ -158,117 +159,107 @@ class TestPermuteSystems:
             permute_systems(np.eye(4), [2, 2], [0, 0])
 
 
-class TestEighSorted:
+def random_psd(dim, rng):
+    """G G† for a complex Gaussian G: positive semidefinite, full rank."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return g @ dag(g)
+
+
+class TestPsdFactors:
     def test_diagonal(self):
-        w, v = eigh_sorted(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(w, [3.0, 1.0])
-        np.testing.assert_allclose(v, np.eye(2), atol=1e-15)
+        f = psd_factors(np.diag([3.0, 1.0]))
+        np.testing.assert_allclose(f, np.diag([np.sqrt(3.0), 1.0]), atol=1e-15)
 
     def test_pauli_x_closed_form(self):
-        w, v = eigh_sorted(X)
-        np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-15)
-        s = 1 / np.sqrt(2)
-        np.testing.assert_allclose(v[:, 0], [s, s], atol=1e-12)
-        np.testing.assert_allclose(v[:, 1], [s, -s], atol=1e-12)
+        # I + X = 2 |+><+|: one factor, sqrt(2) |+> = (1, 1).
+        f = psd_factors(I2 + X)
+        np.testing.assert_allclose(f, [[1.0], [1.0]], atol=1e-12)
 
     def test_reconstruction(self, rng):
-        m = random_hermitian(6, rng)
-        w, v = eigh_sorted(m)
-        rebuilt = (v * w) @ dag(v)
-        assert np.linalg.norm(rebuilt - m) <= 1e-10 * np.linalg.norm(m)
+        m = random_psd(6, rng)
+        f = psd_factors(m)
+        assert np.linalg.norm(f @ dag(f) - m) <= 1e-10 * np.linalg.norm(m)
 
-    def test_descending_and_orthonormal(self, rng):
-        m = random_hermitian(5, rng)
-        w, v = eigh_sorted(m)
+    def test_descending_and_orthogonal(self, rng):
+        m = random_psd(5, rng)
+        f = psd_factors(m)
+        gram = dag(f) @ f
+        w = gram.diagonal().real
         assert np.all(np.diff(w) <= 1e-12)
-        np.testing.assert_allclose(dag(v) @ v, np.eye(5), atol=1e-12)
+        np.testing.assert_allclose(gram, np.diag(w), atol=1e-12 * w[0])
 
     def test_phase_convention_deterministic(self, rng):
-        m = random_hermitian(4, rng)
-        w1, v1 = eigh_sorted(m)
-        w2, v2 = eigh_sorted(m.copy())
-        np.testing.assert_array_equal(v1, v2)
+        m = random_psd(4, rng)
+        f1, f2 = psd_factors(m), psd_factors(m.copy())
+        np.testing.assert_array_equal(f1, f2)
+        v = f1 / np.linalg.norm(f1, axis=0)
         for k in range(4):
-            first = v1[np.abs(v1[:, k]) > 1e-10, k][0]
+            first = v[np.abs(v[:, k]) > 1e-10, k][0]
             assert abs(first.imag) < 1e-12 and first.real > 0
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eigh_sorted(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-
-def ref_eigh_sorted(m):
-    """The former body of eigh_sorted: one phase fix per column in a Python loop."""
-    w, v = np.linalg.eigh((m + dag(m)) / 2.0)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.nonzero(np.abs(col) > _PHASE_EPS)[0]
-        if nz.size:
-            pivot = col[nz[0]]
-            v[:, k] = col * (pivot.conjugate() / abs(pivot))
-    return w, v
-
-
-def leading_zero_hermitian(n, split, rng):
+def leading_zero_psd(n, split, rng):
     """Block diagonal on [0, split) ⊕ [split, n): the second block's eigenvectors start with zeros."""
-    m = random_hermitian(n, rng)
+    m = random_psd(n, rng)
     m[:split, split:] = 0.0
     m[split:, :split] = 0.0
     return m
 
 
-def tiny_leading_hermitian(n, rng):
-    """Couples entry 0 to the rest at 1e-12, so eigenvectors lead with entries below _PHASE_EPS."""
-    m = random_hermitian(n, rng)
+def tiny_leading_psd(n, rng):
+    """Couples entry 0 to the rest at 1e-12, so eigenvectors lead with entries below _PHASE_EPS.
+
+    Scaling the off-diagonal part of row and column 0 by a factor below 1
+    keeps a positive matrix positive (its Schur complement only grows).
+    """
+    m = random_psd(n, rng)
     m[0, 1:] *= 1e-12
     m[1:, 0] *= 1e-12
     return m
 
 
-def degenerate_hermitian(n, rng):
-    """Random eigenbasis with eigenvalues in {0, 1, 2}: degenerate eigenspaces."""
+def degenerate_psd(n, rng):
+    """Random eigenbasis with eigenvalues in {0, 1, 2}: degenerate eigenspaces, zeros dropped."""
     u = random_isometry(n, n, rng)
     return (u * rng.integers(0, 3, n)) @ dag(u)
 
 
-class TestEighSortedMatchesLoop:
-    """The vectorized phase fix gives bit-identical output to the per-column loop."""
+class TestPsdFactorsMatchesLoop:
+    """The vectorized phase fix gives bit-identical factors to the per-column loop."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
     def test_random(self, rng, n):
         for _ in range(5):
-            self.assert_same(random_hermitian(n, rng))
+            self.assert_same(random_psd(n, rng))
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_leading_zeros(self, rng, n):
         for split in range(1, n):
-            m = leading_zero_hermitian(n, split, rng)
+            m = leading_zero_psd(n, split, rng)
             self.assert_same(m, leading=lambda v: np.any(v[0] == 0.0))
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_leading_entries_below_threshold(self, rng, n):
-        m = tiny_leading_hermitian(n, rng)
+        m = tiny_leading_psd(n, rng)
         self.assert_same(m, leading=lambda v: np.any((v[0] != 0) & (np.abs(v[0]) <= _PHASE_EPS)))
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_degenerate(self, rng, n):
         for _ in range(5):
-            self.assert_same(degenerate_hermitian(n, rng))
+            self.assert_same(degenerate_psd(n, rng))
 
     def test_empty(self):
-        w, v = eigh_sorted(np.zeros((0, 0)))
-        assert w.shape == (0,) and v.shape == (0, 0)
+        f = psd_factors(np.zeros((0, 0)))
+        assert f.shape == (0, 0)
 
     @staticmethod
     def assert_same(m, leading=None):
-        w, v = eigh_sorted(m)
-        w_ref, v_ref = ref_eigh_sorted(np.asarray(m, dtype=complex))
+        f = psd_factors(m)
+        w_ref, v_ref = ref_eigh_sorted(m)
+        keep = w_ref > POS_TOL * max(1.0, w_ref[0])
         if leading is not None:
-            assert leading(v_ref), "fixture lacks the eigenvectors it is meant to cover"
-        np.testing.assert_array_equal(w, w_ref)
-        np.testing.assert_array_equal(v, v_ref)
+            assert leading(v_ref[:, keep]), "fixture lacks the eigenvectors it is meant to cover"
+        np.testing.assert_array_equal(f, v_ref[:, keep] * np.sqrt(w_ref[keep]))
 
 
 class TestRandomIsometry:

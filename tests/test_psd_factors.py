@@ -1,8 +1,9 @@
 """psd_factors against the eigh-and-cutoff step it replaced at six call sites.
 
-``ref_spectrum`` is the step each site used to spell out: ``eigh_sorted``,
-keep the eigenvalues above POS_TOL * max(1, lambda_0), scale the kept
-eigenvectors by sqrt(w).  Every fixture puts one eigenvalue a factor
+``ref_spectrum`` is the step each site used to spell out: the sorted,
+phase-fixed eigendecomposition (``ref_eigh_sorted``, a per-column loop in
+conftest), keep the eigenvalues above POS_TOL * max(1, lambda_0), scale the
+kept eigenvectors by sqrt(w).  Every fixture puts one eigenvalue a factor
 1 ± 1e-3 from that cutoff, so a site that kept a different number of
 factors would differ from the reference by about POS_TOL, far above the
 1e-12 the comparisons allow.
@@ -18,23 +19,25 @@ from supermaps.applications import (
     programmable_channel,
     tomography_supermap,
 )
-from supermaps.linalg import HERM_TOL, POS_TOL, eigh_sorted, kron, psd_factors, random_isometry
+from supermaps.linalg import POS_TOL, kron, psd_factors, random_isometry
 from supermaps.operations import KrausSet, choi_to_kraus, kraus_to_choi
 from supermaps.supermap import Supermap, determinism_certificate, effect_map_of
 from supermaps.testers import as_supermap_parts, make_tester
 
+from conftest import ref_eigh_sorted
+
 SIGNS = (1, -1)
 
 
-def ref_spectrum(m, tol=HERM_TOL):
+def ref_spectrum(m):
     """The former inline step, as (w_j, v_j) pairs of the kept eigenvalues."""
-    w, v = eigh_sorted(m, tol)
+    w, v = ref_eigh_sorted(m)
     cutoff = POS_TOL * max(1.0, float(w[0]))
     return [(w[j], v[:, j]) for j in range(w.size) if w[j] > cutoff]
 
 
-def ref_factors(m, tol=HERM_TOL):
-    return [np.sqrt(wj) * vj for wj, vj in ref_spectrum(m, tol)]
+def ref_factors(m):
+    return [np.sqrt(wj) * vj for wj, vj in ref_spectrum(m)]
 
 
 def near_cutoff(lam0, sign):
@@ -117,9 +120,7 @@ def test_effect_map_of(rng, h_in, k_in, h_out, sign):
     """S(E) = E ∘ C for a channel C from K_in to H_in, whose Choi is the effect map's."""
     ops = tuple(kron(np.eye(h_out), c.T) for c in channel_kraus(h_in, k_in, sign, rng))
     s = Supermap(h_in, h_out, k_in, h_out, ops)
-    cert = determinism_certificate(s)
-    tol = max(HERM_TOL, cert.herm_residual * 2)
-    expected = [f.reshape(h_in, k_in) for f in ref_factors(cert.choi_n, tol)]
+    expected = [f.reshape(h_in, k_in) for f in ref_factors(determinism_certificate(s).choi_n)]
     assert_same_ops(effect_map_of(s).kraus, expected)
 
 

@@ -239,6 +239,19 @@ class TestDiscrimination:
         with pytest.raises(ValueError):
             discrimination_probability(t, [identity_operation(2)], [1.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "priors",
+        [[1.5, -0.5], [np.nan, 1.0], [np.nan, np.nan], [np.inf, -np.inf], [1.0, -0.0 - 1e-300]],
+        ids=["negative", "nan", "all-nan", "inf", "tiny-negative"],
+    )
+    def test_negative_or_non_finite_priors_rejected(self, priors):
+        # [1.5, -0.5] sums to 1 and used to "succeed" with probability 1.5.
+        t = prepare_measure_tester(KET0, basis_povm(), h_out=2)
+        ident = identity_operation(2)
+        with pytest.raises(ValueError, match="^priors must be finite and non-negative$"):
+            discrimination_probability(t, [ident, ident], priors)
+
 
 class TestInformationalCompleteness:
     def test_coin_flip_is_not(self, rng):
