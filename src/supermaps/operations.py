@@ -144,14 +144,19 @@ def identity_operation(dim: int) -> QuantumOperation:
     return QuantumOperation(dim, dim, np.outer(vec_i, vec_i.conj()))
 
 
-def kraus_to_choi(k: KrausSet) -> QuantumOperation:
-    """Choi operator of a Kraus set: sum_j vec(E_j) vec(E_j)†."""
+def _kraus_choi(k: KrausSet) -> np.ndarray:
+    """sum_j vec(E_j) vec(E_j)†: a sum of outer products, positive by construction."""
     d = k.dim_out * k.dim_in
     choi = np.zeros((d, d), dtype=complex)
     for e in k.operators:
         v = e.reshape(-1)
         choi += np.outer(v, v.conj())
-    return QuantumOperation(k.dim_in, k.dim_out, choi)
+    return choi
+
+
+def kraus_to_choi(k: KrausSet) -> QuantumOperation:
+    """Choi operator of a Kraus set: sum_j vec(E_j) vec(E_j)†."""
+    return QuantumOperation(k.dim_in, k.dim_out, _kraus_choi(k))
 
 
 def choi_to_kraus(op: QuantumOperation) -> KrausSet:

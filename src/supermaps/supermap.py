@@ -43,8 +43,8 @@ from .linalg import (
 )
 from .operations import QuantumOperation, _check_ports
 
-# Budget in complex entries (1 MB) for the blocks action_distance works on;
-# the two determinism tests hold one row of their contraction at a time.
+# Budget in complex entries (1 MB) for the blocks action_distance works on
+# and for the tiles of the two determinism tests.
 _CHUNK = 1 << 16
 
 
@@ -69,7 +69,7 @@ class DeterminismCertificate:
         object.__setattr__(self, "choi_n", readonly_copy(self.choi_n))
 
     def verdict(self, tol: float = EQ_TOL) -> bool:
-        return (
+        return bool(
             self.product_residual <= tol
             and self.tp_residual <= tol
             and min_eig_floor(self.min_eig, self.max_eig)
@@ -155,53 +155,73 @@ def _factor_identity(c: np.ndarray, d_out: int, d_in: int) -> tuple[np.ndarray, 
     return rho, rel_residual(c, kron(np.eye(d_out), rho)), abs(np.trace(rho) - 1.0)
 
 
+def _certificate_tiles(k_in: int, d: int):
+    """Tiles (a0, a1, b0, b1) of the certificate's upper block triangle, of d x d blocks.
+
+    A tile holds the blocks X_ab for a in [a0, a1) and b in [b0, b1).  When
+    the whole k_in x k_in block square fits in _CHUNK entries it is the only
+    tile; otherwise each block row a is cut into runs of column blocks b >= a
+    of at most _CHUNK entries, or of one block where a block is larger.
+    """
+    if (k_in * d) ** 2 <= _CHUNK:
+        yield 0, k_in, 0, k_in
+        return
+    nb = max(1, _CHUNK // (d * d))
+    for a in range(k_in):
+        for b in range(a, k_in, nb):
+            yield a, a + 1, b, min(b + nb, k_in)
+
+
 def determinism_certificate(s: Supermap) -> DeterminismCertificate:
-    """Comb normalization residuals of the dual map, one row of K_in at a time.
+    """Comb normalization residuals of the dual map, one tile of blocks at a time.
 
     With the Kraus operators stacked as T[(i, c), a, x] (c on K_out, a on
     K_in, x on H_out ⊗ H_in), the dual image of I_Kout ⊗ |a><b| is
-    X_ab = T[:, a, :]† T[:, b, :], so one matmul per row a yields X_ab for
-    every b.  Each X_ab must factor as I_Hout ⊗ cand_ab with
+    X_ab = T[:, a, :]† T[:, b, :], so one matmul yields every X_ab of a tile.
+    Each X_ab must factor as I_Hout ⊗ cand_ab with
     cand_ab = Tr_Hout[X_ab] / h_out; the candidates assemble into the Choi
     operator of the induced map N_*, which must additionally be CP and trace
     preserving.
 
-    Only the upper block triangle b >= a is computed: X_ba = X_ab† holds
-    exactly for every Kraus set, so the lower blocks of ``choi_n`` are filled
-    with the conjugates of the upper ones, and the gap of X_ba equals that of
-    X_ab.  Row a holds (k_in − a)·(h_out·h_in)² entries.
+    X_ba = X_ab† holds exactly for every Kraus set, so the gap of X_ba equals
+    that of X_ab and cand_ba = cand_ab†: only the upper block triangle b >= a
+    is needed, and the lower blocks of ``choi_n`` are the conjugates of the
+    upper ones.  The triangle is walked in tiles of at most _CHUNK entries
+    (``_certificate_tiles``), each one matmul and one reduction into a
+    buffer the size of the largest tile.  A small supermap is a single tile
+    holding its whole block square: there the blocks below the diagonal come
+    without another call, and their gaps, being the same, count too.
     """
     if s._certificate is not None:
         return s._certificate
     h_out, h_in, k_in = s.h_out, s.h_in, s.k_in
     d = h_out * h_in
     t = np.stack(s.kraus).reshape(-1, k_in, d)
-    cols = t.reshape(t.shape[0], k_in * d)
-    choi_n4 = np.zeros((h_in, k_in, h_in, k_in), dtype=complex)
-    # Row a is the contiguous prefix of one buffer sized for row 0; x is its
-    # x[m, mu, b - a, n, nu] = <m, mu| X_ab |n, nu> view, parts its real view.
-    buf = np.empty(d * k_in * d, dtype=complex)
-    worst = 0.0
-    for a in range(k_in):
-        nb = k_in - a
-        row = buf[: d * nb * d].reshape(d, nb * d)
-        np.matmul(t[:, a, :].conj().T, cols[:, a * d :], out=row)
-        x = row.reshape(h_out, h_in, nb, h_out, h_in)
-        parts = row.view(float).reshape(*x.shape, 2)
-        cand = np.einsum("mubmv->buv", x) / h_out
-        np.einsum("mubmv->mubv", x)[...] -= cand.transpose(1, 0, 2)
-        gap = np.sqrt(np.einsum("mubnvc,mubnvc->b", parts, parts))
-        scale = np.maximum(1.0, np.sqrt(h_out) * np.linalg.norm(cand, axis=(1, 2)))
-        worst = max(worst, float(np.max(gap / scale)))
-        choi_n4[:, a, :, a:] = cand.transpose(1, 2, 0)
-        # cand_ba = cand_ab†
-        choi_n4[:, a + 1 :, :, a] = cand[1:].conj().transpose(2, 0, 1)
-    choi_n = choi_n4.reshape(h_in * k_in, h_in * k_in)
+    cols = t.reshape(len(t), k_in * d)
+    tiles = list(_certificate_tiles(k_in, d))
+    buf = np.empty(max((a1 - a0) * (b1 - b0) for a0, a1, b0, b1 in tiles) * d * d, dtype=complex)
+    cand = np.zeros((k_in, k_in, h_in, h_in), dtype=complex)  # cand[a, b] = cand_ab
+    gap = np.zeros((k_in, k_in))  # squared Frobenius gaps
+    for a0, a1, b0, b1 in tiles:
+        tile = buf[: (a1 - a0) * (b1 - b0) * d * d].reshape((a1 - a0) * d, -1)
+        np.matmul(t[:, a0:a1].conj().reshape(len(t), -1).T, cols[:, b0 * d : b1 * d], out=tile)
+        # x[a, m, u, b, n, v] = <m, u| X_ab |n, v>; parts is its real view.
+        x = tile.reshape(a1 - a0, h_out, h_in, b1 - b0, h_out, h_in)
+        c = np.einsum("amubmv->abuv", x) / h_out
+        np.einsum("amubmv->amubv", x)[...] -= c.transpose(0, 2, 1, 3)[:, None]
+        parts = tile.view(float).reshape(a1 - a0, d, b1 - b0, 2 * d)
+        gap[a0:a1, b0:b1] = np.einsum("axby,axby->ab", parts, parts)
+        cand[a0:a1, b0:b1] = c
+    lower = np.tri(k_in, k=-1, dtype=bool)[:, :, None, None]
+    np.copyto(cand, cand.transpose(1, 0, 3, 2).conj(), where=lower)
+    parts = cand.view(float).reshape(k_in, k_in, -1)
+    scale = np.maximum(1.0, np.sqrt(h_out * np.einsum("abz,abz->ab", parts, parts)))
+    choi_n = cand.transpose(2, 0, 3, 1).reshape(h_in * k_in, h_in * k_in)
     lam_min, lam_max = hermitian_spectrum(choi_n)
-    marg = partial_trace(choi_n, [h_in, k_in], keep=[1])
-    tp = frob(marg - np.eye(k_in)) / np.sqrt(k_in)
+    # Tr_Hin[choi_n] - I, the marginal on K_in against the identity
+    tp = frob(np.einsum("abuu->ab", cand) - np.eye(k_in)) / np.sqrt(k_in)
     cert = DeterminismCertificate(
-        product_residual=worst,
+        product_residual=float(np.max(np.sqrt(gap) / scale)),
         tp_residual=tp,
         min_eig=lam_min,
         max_eig=lam_max,
@@ -216,51 +236,77 @@ def is_deterministic(s: Supermap, tol: float = EQ_TOL) -> bool:
     return determinism_certificate(s).verdict(tol)
 
 
+def _effectwise_tiles(h_out: int, e: int):
+    """Tiles (m0, m1, n0, n1) of the effect-wise test's upper block triangle, of e x e blocks.
+
+    A tile holds the blocks of output effects of the input units
+    |m, mu><n, nu| for m in [m0, m1) and n in [n0, n1).  When the whole
+    h_out x h_out block square fits in _CHUNK entries it is the only tile;
+    otherwise each block row m is cut into runs of column blocks n >= m of at
+    most _CHUNK entries, or of one block where a block is larger.
+    """
+    if (h_out * e) ** 2 <= _CHUNK:
+        yield 0, h_out, 0, h_out
+        return
+    nn = max(1, _CHUNK // (e * e))
+    for m in range(h_out):
+        for n in range(m, h_out, nn):
+            yield m, m + 1, n, min(n + nn, h_out)
+
+
 def is_deterministic_effectwise(s: Supermap, tol: float = EQ_TOL) -> bool:
     """Independent determinism verifier through effect factorization.
 
-    With the Kraus operators stacked as T[(i, c), p, m, mu] (c on K_out, p on
+    With the Kraus operators stacked as U[(i, c), m, mu, p] (c on K_out, p on
     K_in, (m, mu) on H_out ⊗ H_in), the output effect of the input unit
-    |m,mu><n,nu| is Tr_Kout S(|m,mu><n,nu|) = T[:, :, m, mu]ᵀ conj(T[:, :, n, nu]).
+    |m,mu><n,nu| is Tr_Kout S(|m,mu><n,nu|) = U[:, m, mu, :]ᵀ conj(U[:, n, nu, :]).
     The candidate map N on input effects comes from the maximally mixed
     probe, N(|mu><nu|) = sum_m Tr_Kout S(|m,mu><m,nu|) / h_out, in one
-    contraction.  Then, one row m at a time, every output effect must equal
-    delta_mn N(|mu><nu|), and N must be identity preserving and CP.
+    contraction.  Every output effect must equal delta_mn N(|mu><nu|), and N
+    must be identity preserving and CP.
 
-    Only the columns n >= m are computed:
     Tr_Kout S(|n,nu><m,mu|) = Tr_Kout S(|m,mu><n,nu|)† holds exactly for
-    every Kraus set, so the lower rows carry the same gaps.  Row m holds
-    k_in²·h_in·(h_out − m)·h_in entries.  Shares no code path with the
-    dual-map test.
+    every Kraus set, so the blocks n < m carry the same gaps as the blocks
+    n >= m.  Those are walked in tiles of at most _CHUNK entries
+    (``_effectwise_tiles``), each one matmul and one reduction into a buffer
+    the size of the largest tile, and the test stops at the first tile with
+    a gap above tol.  A small supermap is a single tile holding its whole
+    block square, whose lower blocks are checked too.  Tiles hold conjugated
+    effects and meet conj(N), which leaves every gap as it is.  Shares no
+    code path with the dual-map test.
     """
     h_out, h_in, k_in = s.h_out, s.h_in, s.k_in
-    t = np.stack(s.kraus).reshape(-1, k_in, h_out, h_in)
-    probe = t.transpose(0, 2, 1, 3).reshape(-1, k_in * h_in)
-    # n_map[p, mu, q, nu] = <p| N(|mu><nu|) |q>
-    n_map = (probe.T @ probe.conj()).reshape(k_in, h_in, k_in, h_in) / h_out
-    n_scale = np.maximum(1.0, np.linalg.norm(n_map, axis=(0, 2)))
-    r, conj = t.shape[0], t.conj()
-    # Row m is the contiguous prefix of one buffer sized for row 0; out is its
-    # out[p, mu, q, n - m, nu] = <p| Tr_Kout S(|m,mu><n,nu|) |q> view, and the
-    # squared gap sums its real view over p and q, then over (re, im).
-    buf = np.empty(k_in * h_in * k_in * h_out * h_in, dtype=complex)
-    for m in range(h_out):
-        nn = h_out - m
-        row = buf[: k_in * h_in * k_in * nn * h_in].reshape(k_in * h_in, -1)
-        np.matmul(t[:, :, m, :].reshape(r, -1).T, conj[:, :, m:, :].reshape(r, -1), out=row)
-        out = row.reshape(k_in, h_in, k_in, nn, h_in)
-        out[:, :, :, 0, :] -= n_map
-        parts = row.view(float).reshape(k_in, h_in, k_in, -1)
-        sq = np.einsum("pmqx,pmqx->mx", parts, parts).reshape(h_in, nn, h_in, 2)
-        gap = np.sqrt(sq.sum(axis=3))
-        gap[:, 0, :] /= n_scale
+    e = h_in * k_in
+    u = np.ascontiguousarray(
+        np.stack(s.kraus).reshape(-1, k_in, h_out, h_in).transpose(0, 2, 3, 1)
+    )
+    probe = u.reshape(-1, e)
+    # n_conj[mu, p, nu, q] = conj(<p| N(|mu><nu|) |q>)
+    n_conj = (probe.conj().T @ probe).reshape(h_in, k_in, h_in, k_in) / h_out
+    parts = n_conj.view(float)
+    n_scale = np.maximum(1.0, np.sqrt(np.einsum("upvq,upvq->uv", parts, parts)))
+    blocks = u.reshape(len(u), h_out * e)
+    tiles = list(_effectwise_tiles(h_out, e))
+    buf = np.empty(max((m1 - m0) * (n1 - n0) for m0, m1, n0, n1 in tiles) * e * e, dtype=complex)
+    for m0, m1, n0, n1 in tiles:
+        tile = buf[: (m1 - m0) * (n1 - n0) * e * e].reshape((m1 - m0) * e, -1)
+        np.matmul(u[:, m0:m1].conj().reshape(len(u), -1).T, blocks[:, n0 * e : n1 * e], out=tile)
+        # x[m, mu, p, n, nu, q] = conj(<p| Tr_Kout S(|m,mu><n,nu|) |q>)
+        x = tile.reshape(m1 - m0, h_in, k_in, n1 - n0, h_in, k_in)
+        if n0 == m0:  # the tile holds the diagonal blocks of its rows
+            np.einsum("mupmvq->mupvq", x[:, :, :, : m1 - m0])[...] -= n_conj
+        # The squared gap sums the real view over p and q, then over (re, im).
+        parts = tile.view(float).reshape((m1 - m0) * h_in, k_in, -1, 2 * k_in)
+        gap = np.sqrt(np.einsum("ipjq,ipjq->ij", parts, parts)).reshape(m1 - m0, h_in, -1, h_in)
+        if n0 == m0:
+            np.einsum("mumv->muv", gap[:, :, : m1 - m0])[...] /= n_scale
         if np.any(gap > tol):
             return False
     # Identity preservation: N(I) = I on K_in.
-    if rel_residual(np.einsum("pzqz->pq", n_map), np.eye(k_in)) > tol:
+    if rel_residual(np.einsum("zpzq->pq", n_conj), np.eye(k_in)) > tol:
         return False
-    # Complete positivity of N via its Choi operator on K_in ⊗ H_in.
-    return min_eig_floor(*hermitian_spectrum(n_map.reshape(k_in * h_in, k_in * h_in)))
+    # Complete positivity of N via its (conjugated) Choi operator on H_in ⊗ K_in.
+    return min_eig_floor(*hermitian_spectrum(n_conj.reshape(e, e)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,6 +8,7 @@ from supermaps.linalg import (
     _PHASE_EPS,
     check_povm,
     dag,
+    frob,
     kron,
     partial_trace,
     permute_systems,
@@ -69,6 +70,40 @@ def partial_trace_oracle(m, dims, keep):
 def random_hermitian(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + dag(g)) / 2
+
+
+class TestFrob:
+    """frob gives the bits of np.linalg.norm, whatever the layout of its input."""
+
+    @staticmethod
+    def arrays(rng):
+        g = rng.standard_normal((6, 5))
+        c = g + 1j * rng.standard_normal((6, 5))
+        t = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+        return {
+            "real": g,
+            "complex": c,
+            "real-transposed": g.T,
+            "complex-transposed": c.T,
+            "conjugate-transposed": dag(c),
+            "sliced": c[1::2, ::-2],
+            "axes-swapped": t.transpose(2, 0, 1),
+            "real-part-view": c.real,
+            "1-D": c[:, 2],
+            "1-D-strided": g.reshape(-1)[::3],
+            "integer": np.arange(-7, 5).reshape(3, 4),
+            "0-D": np.array(3.0 - 4.0j),
+            "empty": np.zeros((0, 3), dtype=complex),
+            "empty-real": np.zeros(0),
+            "tiny": 1e-170 * c,
+            "huge": 1e150 * c,
+        }
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bits_equal_numpy_norm(self, seed):
+        for name, x in self.arrays(np.random.default_rng(seed)).items():
+            assert frob(x) == float(np.linalg.norm(x)), name
+            assert type(frob(x)) is float, name
 
 
 class TestKron:

@@ -1,0 +1,144 @@
+"""The tiled determinism tests against their per-matrix-unit references.
+
+Both tests walk their upper block triangle in tiles of at most
+``supermap._CHUNK`` entries.  The default budget makes every small supermap a
+single tile, so here the budget is cut down to one entry, one block, one and
+a half blocks, two blocks and one block row of either test.  The tiles then
+cut the rows and columns of the triangle at every block boundary, and the
+verdicts, residuals and ``choi_n`` must still match the references of
+``test_closed_forms``.  The last test holds both tests to a fixed memory
+budget at local dimension 16.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from supermaps import supermap
+from supermaps.linalg import random_isometry
+from supermaps.realization import CircuitRealization, circuit_to_supermap
+from supermaps.supermap import (
+    Supermap,
+    _certificate_tiles,
+    _effectwise_tiles,
+    determinism_certificate,
+    is_deterministic,
+    is_deterministic_effectwise,
+)
+
+from test_closed_forms import (
+    DAMAGE,
+    certificate_block_defect,
+    damaged_supermap,
+    dims_st,
+    effectwise_block_defect,
+    ref_certificate,
+    ref_effectwise,
+    ref_is_deterministic,
+    seed_st,
+    spread,
+)
+
+
+def budgets(s):
+    """Tile budgets that cut each test's triangle at every block boundary, and more coarsely."""
+    cert_block = (s.h_out * s.h_in) ** 2
+    eff_block = (s.h_in * s.k_in) ** 2
+    out = {1}
+    for block, rows in ((cert_block, s.k_in), (eff_block, s.h_out)):
+        out |= {block, 3 * block // 2, 2 * block, rows * block}
+    return sorted(out)
+
+
+def check_against_references(s):
+    """Verdicts at two tolerances, residuals and choi_n of a fresh copy of s, against the references."""
+    fresh = Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus)
+    cert = determinism_certificate(fresh)
+    worst, _, tp, lo, hi, choi_n = ref_certificate(s)
+    assert abs(cert.product_residual - worst) <= 1e-12
+    assert abs(cert.tp_residual - tp) <= 1e-12
+    assert abs(cert.min_eig - lo) <= 1e-12
+    assert abs(cert.max_eig - hi) <= 1e-12
+    assert np.max(np.abs(cert.choi_n - choi_n)) <= 1e-12
+    for tol in (1e-8, 1e-6):
+        assert is_deterministic(fresh, tol) == ref_is_deterministic(s, tol)
+        assert is_deterministic_effectwise(fresh, tol) == ref_effectwise(s, tol)
+
+
+@given(dims=dims_st, seed=seed_st, damage=st.sampled_from(DAMAGE))
+def test_every_budget_matches_the_references(dims, seed, damage):
+    s = damaged_supermap(dims, seed, damage)
+    for chunk in budgets(s):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(supermap, "_CHUNK", chunk)
+            check_against_references(s)
+
+
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize(
+    "defect", [certificate_block_defect, effectwise_block_defect], ids=["certificate", "effectwise"]
+)
+def test_off_diagonal_defects_fail_at_every_budget(monkeypatch, defect, h):
+    s = spread(defect(), h)
+    for chunk in budgets(s):
+        monkeypatch.setattr(supermap, "_CHUNK", chunk)
+        check_against_references(s)
+        fresh = Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus)
+        assert not is_deterministic(fresh)
+        assert not is_deterministic_effectwise(fresh)
+
+
+@pytest.mark.parametrize("tiles", [_certificate_tiles, _effectwise_tiles])
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+@pytest.mark.parametrize("side", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [1, 4, 9, 13, 27, 36, 1 << 16])
+def test_tiles_cover_the_upper_triangle_once_within_budget(monkeypatch, tiles, rows, side, chunk):
+    monkeypatch.setattr(supermap, "_CHUNK", chunk)
+    block = side * side
+    covered = []
+    for r0, r1, c0, c1 in tiles(rows, side):
+        size = (r1 - r0) * (c1 - c0) * block
+        assert size <= chunk or (r1 - r0, c1 - c0) == (1, 1)
+        covered += [(r, c) for r in range(r0, r1) for c in range(c0, c1)]
+    upper = [(r, c) for r, c in covered if c >= r]
+    assert sorted(upper) == [(r, c) for r in range(rows) for c in range(r, rows)]
+    # Only a tile holding the whole block square reaches below the diagonal.
+    assert len(covered) == len(upper) or len(covered) == rows * rows
+
+
+@given(dims=dims_st, seed=seed_st, damage=st.sampled_from(DAMAGE))
+def test_verdicts_are_python_bools(dims, seed, damage):
+    s = damaged_supermap(dims, seed, damage)
+    for tol in (0.0, 1e-12, 1e-8):
+        assert type(is_deterministic(s, tol)) is bool
+        assert type(is_deterministic_effectwise(s, tol)) is bool
+
+
+def traced_peak(test, s):
+    """(result, tracemalloc peak in bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = test(s)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fixed_memory_budget_at_d16():
+    """At (16,16,16,16) with 3 Kraus operators (3 MB stacked), each test peaks below 12 MB.
+
+    Untiled, one row of the certificate peaked at 23 MB and one of the
+    effect-wise test at 31 MB.
+    """
+    rng = np.random.default_rng(16)
+    v, w = random_isometry(48, 16, rng), random_isometry(48, 48, rng)
+    s = circuit_to_supermap(CircuitRealization(v=v, w=w, dim_a=3, dim_b=3), (16,) * 4)
+    assert len(s.kraus) == 3
+    cert, cert_peak = traced_peak(determinism_certificate, s)
+    effectwise, effectwise_peak = traced_peak(is_deterministic_effectwise, s)
+    assert cert_peak <= 12e6 and effectwise_peak <= 12e6, (cert_peak, effectwise_peak)
+    # s is deterministic, so both tests ran over their whole triangle.
+    assert cert.verdict() and effectwise
