@@ -3,12 +3,18 @@
 Every command prints a single JSON report to stdout (diagnostics go to
 stderr) and exits 0 when all requested checks pass, 1 when a check fails,
 and 2 on malformed input.
+
+The argument parser is built once per process; each call looks its
+``cmd_*`` handler up by subcommand name, so a replaced handler is the one
+that runs.  Matrices are handed to ``io`` as arrays, which it writes
+without building nested lists.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from pathlib import Path
 
@@ -120,7 +126,7 @@ def cmd_kraus2choi(args) -> dict:
     dim_in, dim_out, ops = io.kraus_set_from_json(io.load_json(args.path))
     with _fails_as("kraus2choi"):
         op = kraus_to_choi(KrausSet(dim_in, dim_out, tuple(ops)))
-    payload = io.Rendered(io.operation_to_json(op.dim_in, op.dim_out, op.choi))
+    payload = io.Rendered(io._operation_doc(op.dim_in, op.dim_out, op.choi))
     details: dict = {"operation": payload}
     _write_out(args, details, ("operation.json", payload))
     return _report("kraus2choi", True, 0.0, details)
@@ -133,7 +139,7 @@ def cmd_choi2kraus(args) -> dict:
     kraus = choi_to_kraus(op)
     # The round trip's Choi operator is positive by construction: not validated again.
     roundtrip = frob(_kraus_choi(kraus) - op.choi)
-    payload = io.Rendered(io.kraus_set_to_json(dim_in, dim_out, kraus.operators))
+    payload = io.Rendered(io._kraus_set_doc(dim_in, dim_out, kraus.operators))
     details: dict = {"kraus_count": len(kraus.operators), "kraus": payload}
     _write_out(args, details, ("kraus.json", payload))
     return _report("choi2kraus", roundtrip <= args.tol, roundtrip, details)
@@ -145,7 +151,7 @@ def cmd_apply(args) -> dict:
     with _fails_as("apply"):
         op = QuantumOperation(dim_in, dim_out, choi)
         out_state = apply_operation(op, rho)
-    payload = io.Rendered(io.matrix_to_json(out_state))
+    payload = io.Rendered(out_state)
     details = {"probability": float(np.trace(out_state).real), "output": payload}
     _write_out(args, details, ("output_state.json", payload))
     return _report("apply", True, 0.0, details)
@@ -169,7 +175,7 @@ def cmd_supermap(args) -> dict:
     # effect-map
     with _fails_as("supermap-effect-map", cert.residual):
         em = effect_map_of(s, args.tol)
-    payload = [io.Rendered(io.matrix_to_json(n)) for n in em.kraus]
+    payload = [io.Rendered(n) for n in em.kraus]
     details: dict = {"kraus_count": len(em.kraus), "kraus": payload}
     _write_out(args, details, {f"effect_map_{j}.json": mat for j, mat in enumerate(payload)})
     return _report("supermap-effect-map", True, cert.residual, details)
@@ -180,9 +186,9 @@ def _circuit_details(args, circuit, **residuals) -> dict:
     meta = {"dim_a": circuit.dim_a, "dim_b": circuit.dim_b, **residuals}
     details = dict(meta)
     _write_out(args, details, {
-        "v.json": io.matrix_to_json(circuit.v),
-        "w.json": io.matrix_to_json(circuit.w),
-        **{f"projector_{j}.json": io.matrix_to_json(p) for j, p in enumerate(circuit.projectors or ())},
+        "v.json": circuit.v,
+        "w.json": circuit.w,
+        **{f"projector_{j}.json": p for j, p in enumerate(circuit.projectors or ())},
         "meta.json": meta,
     })
     return details
@@ -248,7 +254,7 @@ def cmd_tester_check(args) -> dict:
         0.0,
         {
             "outcomes": tester.n_outcomes,
-            "sigma": io.matrix_to_json(tester.sigma),
+            "sigma": tester.sigma,
             "informationally_complete": is_informationally_complete(tester),
         },
     )
@@ -283,7 +289,7 @@ def cmd_program_channel(args) -> dict:
         dev = ProgrammableDevice(unitary=u, dim_sys=args.dim_sys, dim_prog=dim_prog)
         op = programmable_channel(dev, sigma)
     gap = frob(effect_of(op) - np.eye(op.dim_in))
-    payload = io.Rendered(io.operation_to_json(op.dim_in, op.dim_out, op.choi))
+    payload = io.Rendered(io._operation_doc(op.dim_in, op.dim_out, op.choi))
     details = {"channel_residual": gap, "operation": payload}
     _write_out(args, details, ("operation.json", payload))
     # is_channel's rule on the same effect: rel_residual(effect, I) <= tol.
@@ -321,20 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-op", parents=[tol], help="validate an operation file")
     p.add_argument("path")
-    p.set_defaults(func=cmd_check_op)
 
     p = sub.add_parser("kraus2choi", parents=[out], help="Kraus set file to Choi operation file")
     p.add_argument("path")
-    p.set_defaults(func=cmd_kraus2choi)
 
     p = sub.add_parser("choi2kraus", parents=[tol, out], help="operation file to canonical Kraus file")
     p.add_argument("path")
-    p.set_defaults(func=cmd_choi2kraus)
 
     p = sub.add_parser("apply", parents=[out], help="apply an operation to a state")
     p.add_argument("--op", required=True)
     p.add_argument("--state", required=True)
-    p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("supermap", parents=[tol, out], help="analyze a supermap file")
     p.add_argument("path")
@@ -343,51 +345,49 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["deterministic", "prob-preserving", "effect-map"],
         default="deterministic",
     )
-    p.set_defaults(func=cmd_supermap)
 
     p = sub.add_parser("realize", parents=[tol, out], help="factor a deterministic supermap into isometries")
     p.add_argument("path")
-    p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("realize-prob", parents=[tol, out], help="realize alternatives with ancilla projectors")
     p.add_argument("paths", nargs="+")
-    p.set_defaults(func=cmd_realize_prob)
 
     p = sub.add_parser("tester-eval", parents=[tol], help="outcome probabilities of a tester on an operation")
     p.add_argument("effects", nargs="+", help="effect matrix files")
     p.add_argument("--op", required=True)
-    p.set_defaults(func=cmd_tester_eval)
 
     p = sub.add_parser("tester-check", parents=[tol], help="validate tester normalization")
     p.add_argument("effects", nargs="+", help="effect matrix files")
     p.add_argument("--dim-out", type=_at_least(int, 1), required=True)
     p.add_argument("--dim-in", type=_at_least(int, 1), required=True)
-    p.set_defaults(func=cmd_tester_check)
 
     p = sub.add_parser("tomography-check", parents=[tol], help="probe-state faithfulness check")
     p.add_argument("--state", required=True)
-    p.set_defaults(func=cmd_tomography_check)
 
     p = sub.add_parser("program-channel", parents=[tol, out], help="channel programmed by a state")
     p.add_argument("--unitary", required=True)
     p.add_argument("--program", required=True)
     p.add_argument("--dim-sys", type=_at_least(int, 1), required=True)
-    p.set_defaults(func=cmd_program_channel)
 
     p = sub.add_parser("selftest", parents=[tol], help="randomized property suites")
     p.add_argument("--seed", type=_at_least(int, 0), default=0, help="seed for the suites' fixtures")
     p.add_argument("--trials", type=_at_least(int, 0), default=50)
     p.add_argument("--corrupt", choices=list(CORRUPTIONS), default=None,
                    help="debug: damage a fixture to prove the harness notices")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        report = args.func(args)
+        report = handler(args)
     except CheckFailure as exc:
         print(io.dumps17(exc.report))
         print(f"error: check failed: {exc.report['details'].get('error', exc)}", file=sys.stderr)

@@ -12,9 +12,18 @@ reads back as the integer 0, so it loads as +0.0.  Schemas:
     Report        {"check": name, "pass": bool, "residual": float,
                    "details": object}
 
-Each payload is formatted once: ``dumps17`` splices a ``Rendered`` text into
-the document around it by indenting its lines, so a payload written to a file
-and quoted in a report costs one "%.17g" pass.
+Writing.  A two-dimensional numpy array anywhere in a document is written as
+its MatrixFile, straight from the array: one finiteness check on the array,
+one flat sequence of floats, one "%.17g" template.  The ``data`` lists that
+``matrix_to_json`` returns are written by the same template after scans of
+their types and lengths.  Each payload is formatted once: ``dumps17``
+splices a ``Rendered`` text into the document around it by indenting its
+lines, so a payload written to a file and quoted in a report costs one
+"%.17g" pass.
+
+Reading.  ``data`` whose entries are all lists of two plain ints or floats
+(three scans) is converted in one flat pass and checked finite as a whole;
+any other ``data`` goes entry by entry, and the first bad entry is named.
 """
 
 from __future__ import annotations
@@ -48,10 +57,36 @@ class Rendered:
         self.text = dumps17(obj)
 
 
+_NON_FINITE = "refusing to serialize a non-finite number"
+
+
+def _pair_rows(flat: tuple, pad: str) -> str:
+    """Matrix data from its floats re0, im0, re1, ...: one [re, im] pair a line.
+
+    The generic list branch of ``_render`` gives the same text one number at
+    a time ("%.17g" is the routine format() uses).
+    """
+    sep = ",\n" + pad + "  "
+    body = sep.join(["[%.17g, %.17g]"] * (len(flat) // 2)) % flat
+    return "[\n" + pad + "  " + body + "\n" + pad + "]"
+
+
 def _render(obj, indent: int) -> str:
     pad = "  " * indent
     if isinstance(obj, Rendered):
         return obj.text.replace("\n", "\n" + pad) if pad else obj.text
+    if isinstance(obj, np.ndarray):
+        # The text of matrix_to_json(obj), without building its nested lists.
+        m = np.ascontiguousarray(obj, dtype=complex)
+        _need(m.ndim == 2, "matrix must be two-dimensional")
+        flat = m.reshape(-1).view(float)
+        if not np.isfinite(flat).all():
+            raise ValueError(_NON_FINITE)
+        inner = pad + "  "
+        return (
+            f'{{\n{inner}"rows": {m.shape[0]},\n{inner}"cols": {m.shape[1]},\n{inner}"data": '
+            + _pair_rows(tuple(flat.tolist()), inner) + "\n" + pad + "}"
+        )
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -61,7 +96,7 @@ def _render(obj, indent: int) -> str:
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
         if not math.isfinite(v):
-            raise ValueError("refusing to serialize a non-finite number")
+            raise ValueError(_NON_FINITE)
         return format(v, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -73,14 +108,10 @@ def _render(obj, indent: int) -> str:
             and set(map(len, obj)) == {2}
             and set(map(type, chain.from_iterable(obj))) == {float}
         ):
-            # Matrix data: the generic branch below would give the same text
-            # one entry at a time ("%.17g" is the routine format() uses).
             flat = tuple(chain.from_iterable(obj))
             if not all(map(math.isfinite, flat)):
-                raise ValueError("refusing to serialize a non-finite number")
-            sep = ",\n" + pad + "  "
-            body = sep.join(["[%.17g, %.17g]"] * len(obj)) % flat
-            return "[\n" + pad + "  " + body + "\n" + pad + "]"
+                raise ValueError(_NON_FINITE)
+            return _pair_rows(flat, pad)
         if all(
             isinstance(x, (int, float, np.integer, np.floating))
             and not isinstance(x, (bool, np.bool_))
@@ -135,17 +166,21 @@ def matrix_from_json(obj) -> np.ndarray:
     _need("data" in obj and isinstance(obj["data"], list), "missing 'data' array")
     data = obj["data"]
     _need(len(data) == rows * cols, f"'data' must hold {rows * cols} entries")
-    # Pairs of plain ints and floats (no bool, str or None) decode as one
-    # array, whose shape checks that each holds two.
-    if set(map(type, data)) == {list} and set(map(type, chain.from_iterable(data))) <= {int, float}:
+    # Pairs of plain ints and floats (no bool, str or None) decode in one flat
+    # pass; the length scan keeps a 3-entry pair beside a 1-entry one out.
+    if (
+        set(map(type, data)) == {list}
+        and set(map(len, data)) == {2}
+        and set(map(type, chain.from_iterable(data))) <= {int, float}
+    ):
         try:
-            pairs = np.array(data, dtype=float)
-        except (ValueError, OverflowError):  # ragged pairs; an integer beyond the double range
+            flat = np.fromiter(chain.from_iterable(data), dtype=float, count=2 * rows * cols)
+        except OverflowError:  # an integer beyond the double range
             pass
         else:
-            if pairs.shape == (rows * cols, 2) and np.isfinite(pairs).all():
+            if np.isfinite(flat).all():
                 # A bit-exact reinterpretation; re + 1j*im would lose -0.0 parts.
-                return pairs.view(complex).reshape(rows, cols)
+                return flat.view(complex).reshape(rows, cols)
     # The per-entry loop defines a valid entry: it names the first bad one and
     # also accepts float subclasses such as np.float64.
     out = np.empty(rows * cols, dtype=complex)
@@ -165,8 +200,13 @@ def matrix_from_json(obj) -> np.ndarray:
     return out.reshape(rows, cols)
 
 
+def _operation_doc(dim_in: int, dim_out: int, choi) -> dict:
+    """An OperationFile document; ``choi`` as an array is written straight from it."""
+    return {"dim_in": dim_in, "dim_out": dim_out, "choi": choi}
+
+
 def operation_to_json(dim_in: int, dim_out: int, choi: np.ndarray) -> dict:
-    return {"dim_in": dim_in, "dim_out": dim_out, "choi": matrix_to_json(choi)}
+    return _operation_doc(dim_in, dim_out, matrix_to_json(choi))
 
 
 def operation_from_json(obj) -> tuple[int, int, np.ndarray]:
@@ -181,18 +221,18 @@ def operation_from_json(obj) -> tuple[int, int, np.ndarray]:
     return dim_in, dim_out, choi
 
 
+def _kraus_set_doc(dim_in: int, dim_out: int, operators) -> dict:
+    """A KrausFile document; operators as arrays are written straight from them."""
+    return {"dim_in": dim_in, "dim_out": dim_out, "kraus": list(operators)}
+
+
 def kraus_set_to_json(dim_in: int, dim_out: int, operators) -> dict:
-    return {
-        "dim_in": dim_in,
-        "dim_out": dim_out,
-        "kraus": [matrix_to_json(e) for e in operators],
-    }
+    return _kraus_set_doc(dim_in, dim_out, map(matrix_to_json, operators))
 
 
 def _kraus_list(obj, shape: tuple[int, int]) -> list[np.ndarray]:
-    """The non-empty 'kraus' array of matrices, each of the given shape."""
-    _need("kraus" in obj and isinstance(obj["kraus"], list) and obj["kraus"],
-          "missing non-empty 'kraus' array")
+    """The 'kraus' array of matrices, each of the given shape; an empty one is the zero operation."""
+    _need("kraus" in obj and isinstance(obj["kraus"], list), "missing 'kraus' array")
     ops = [matrix_from_json(m) for m in obj["kraus"]]
     for k in ops:
         _need(k.shape == shape, f"Kraus operator must be {shape[0]}x{shape[1]}, got {k.shape}")
@@ -221,6 +261,7 @@ def supermap_from_json(obj) -> Supermap:
     dims = {k: _pos_int(obj, k) for k in ("h_in", "h_out", "k_in", "k_out")}
     shape = (dims["k_out"] * dims["k_in"], dims["h_out"] * dims["h_in"])
     ops = _kraus_list(obj, shape)
+    _need(ops, "missing non-empty 'kraus' array")
     return Supermap(dims["h_in"], dims["h_out"], dims["k_in"], dims["k_out"], tuple(ops))
 
 

@@ -163,13 +163,18 @@ def _suite_testers(rng, trials, tol, corrupt=None):
         effects = [kron(m, rho.T) for m in povm]
         if corrupt == "tester-norm":
             effects[0] = 1.5 * effects[0]
-        _, norm_residual, trace_gap = _factor_identity(sum(effects), d, d)
-        worst = max(worst, norm_residual, trace_gap)
-        if norm_residual <= tol and trace_gap <= tol:
+        try:
             t = make_tester(effects, d, d, tol)
-            ch = random_channel(d, d, int(rng.integers(1, 4)), rng)
-            probs = evaluate(t, ch)
-            worst = max(worst, abs(sum(probs) - 1.0))
+        except ValueError:
+            # A rejected tester still reports the normalization residual it failed on.
+            _, norm_residual, trace_gap = _factor_identity(sum(effects), d, d)
+            if norm_residual <= tol and trace_gap <= tol:
+                raise
+            worst = max(worst, norm_residual, trace_gap)
+            continue
+        ch = random_channel(d, d, int(rng.integers(1, 4)), rng)
+        probs = evaluate(t, ch)
+        worst = max(worst, t.residual, t.trace_gap, abs(sum(probs) - 1.0))
     return worst
 
 

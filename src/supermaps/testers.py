@@ -36,9 +36,10 @@ class Tester:
     Validated at construction within ``tol``: each effect must be positive
     and their sum must factor as I ⊗ sigma, with sigma (derived, not passed)
     a state on H_in; the residual of that factorization is reported on
-    failure.  The effects and sigma are stored as read-only copies.  The
-    same ``tol`` sets the clamp of ``evaluate`` and the rank rule of
-    ``is_informationally_complete``.
+    failure, and kept with its trace gap as ``residual``/``trace_gap``
+    (derived) on success.  The effects and sigma are stored as read-only
+    copies.  The same ``tol`` sets the clamp of ``evaluate`` and the rank
+    rule of ``is_informationally_complete``.
     """
 
     h_in: int
@@ -46,6 +47,8 @@ class Tester:
     effects: tuple
     tol: float = EQ_TOL
     sigma: np.ndarray = field(init=False)
+    residual: float = field(init=False)
+    trace_gap: float = field(init=False)
 
     def __post_init__(self):
         _check_dims(self.h_in, self.h_out)
@@ -60,6 +63,8 @@ class Tester:
                 f"trace gap {trace_gap:.3e})"
             )
         object.__setattr__(self, "sigma", readonly_copy(sigma))
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "trace_gap", trace_gap)
 
     @property
     def n_outcomes(self) -> int:

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from supermaps import cli
 from supermaps import io as sio
 from supermaps.applications import ProgrammableDevice, programmable_channel
 from supermaps.cli import build_parser, main
@@ -149,6 +150,25 @@ class TestConversions:
         dim_in, dim_out, ops = sio.kraus_set_from_json(sio.load_json(tmp_path / "k" / "kraus.json"))
         back = kraus_to_choi(KrausSet(dim_in, dim_out, tuple(ops)))
         assert np.linalg.norm(back.choi - op.choi) <= 1e-8
+
+    def test_zero_operation_round_trip(self, capsys, tmp_path):
+        """choi2kraus writes the zero operation as an empty Kraus set, which kraus2choi reads back."""
+        path = tmp_path / "zero.json"
+        sio.save_json(path, sio.operation_to_json(2, 3, np.zeros((6, 6))))
+        code, report = run_cli(capsys, "choi2kraus", str(path), "--out", str(tmp_path / "k"))
+        assert code == 0 and report["details"]["kraus_count"] == 0
+        code, report = run_cli(capsys, "kraus2choi", str(tmp_path / "k" / "kraus.json"),
+                               "--out", str(tmp_path / "o"))
+        assert code == 0 and report["pass"]
+        dim_in, dim_out, choi = sio.operation_from_json(sio.load_json(tmp_path / "o" / "operation.json"))
+        assert (dim_in, dim_out) == (2, 3) and not choi.any()
+        # A supermap file still needs at least one Kraus operator.
+        map_path = tmp_path / "map.json"
+        sio.save_json(map_path, {"h_in": 2, "h_out": 2, "k_in": 2, "k_out": 2, "kraus": []})
+        code = main(["supermap", str(map_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: malformed input: missing non-empty 'kraus' array\n"
 
     def test_apply(self, capsys, tmp_path, identity_op_file, rng):
         rho = random_density(2, rng)
@@ -682,6 +702,20 @@ class TestIoEdgeCases:
         assert captured.err.startswith(f"error: malformed input: cannot write --out {out}: ")
         assert captured.err.count("\n") == 1 and message in captured.err
         assert afile.read_text() == "kept"
+
+
+def test_each_call_dispatches_afresh(capsys, monkeypatch, identity_op_file, identity_map_file):
+    """One parser serves every call; the handler is looked up and the flags parsed per call."""
+    assert main(["check-op", identity_op_file]) == 0
+    capsys.readouterr()
+    patched = {"check": "patched", "pass": True, "residual": 0.0, "details": {}}
+    monkeypatch.setattr(cli, "cmd_check_op", lambda args: patched)
+    assert run_cli(capsys, "check-op", identity_op_file) == (0, patched)
+    code, report = run_cli(capsys, "supermap", identity_map_file, "--check", "effect-map")
+    assert code == 0 and report["check"] == "supermap-effect-map"
+    code, report = run_cli(capsys, "supermap", identity_map_file)
+    assert code == 0 and report["check"] == "supermap-deterministic"
+    assert cli._parser() is cli._parser()
 
 
 # Each subcommand with its required arguments and the option flags it reads.

@@ -5,9 +5,11 @@ time: a recursive renderer that formats every number on its own, a writer
 that converts each complex entry with ``float``, and a reader that checks and
 converts each ``[re, im]`` pair in turn.  The library renders, writes and
 reads matrix data as whole arrays; the property tests check that the text is
-the same byte for byte, also with parts pre-rendered as ``Rendered`` text,
-that decoded matrices are the same bit for bit and that malformed entries
-raise the same exception with the same message.
+the same byte for byte, also with parts pre-rendered as ``Rendered`` text
+and with matrices left as arrays (written as the reference writes their
+``matrix_to_json`` documents), that decoded matrices are the same bit for
+bit and that malformed entries raise the same exception with the same
+message.
 """
 
 import json
@@ -96,7 +98,7 @@ def ref_matrix_from_json(obj) -> np.ndarray:
 
 # ---------------------------------------------------------------- strategies
 
-KINDS = ("random", "whole", "zero", "negzero", "huge", "tiny", "bits")
+KINDS = ("random", "whole", "zero", "negzero", "huge", "tiny", "subnormal", "bits")
 
 
 def part_values(rng, kind, n):
@@ -111,6 +113,8 @@ def part_values(rng, kind, n):
     if kind in ("huge", "tiny"):
         scale = 1e300 if kind == "huge" else 1e-300
         return rng.uniform(-9.9, 9.9, n) * scale * 10.0 ** rng.integers(-8, 8, n)
+    if kind == "subnormal":
+        return rng.uniform(-1.0, 1.0, n) * 2.0**-1022
     bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(float)
     return np.where(np.isfinite(bits), bits, 1.5)
 
@@ -135,18 +139,30 @@ scalars = (
 )
 matrix_objects = matrices().map(sio.matrix_to_json)
 pair_items = st.floats(-1e6, 1e6) | st.integers(-(2**70), 2**70)
-# Report-like documents: matrices nested in dicts and lists beside ints,
-# bools, strings and plain number lists, including lists of number pairs.
+# Report-like documents: matrices, as documents and as arrays, nested in dicts
+# and lists beside ints, bools, strings and plain number lists, including lists
+# of number pairs.
 reports = st.recursive(
-    scalars | matrix_objects | st.lists(st.lists(pair_items, min_size=2, max_size=2)),
+    scalars | matrix_objects | matrices() | st.lists(st.lists(pair_items, min_size=2, max_size=2)),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=8,
 )
 
 
+def listed(obj):
+    """obj with each array replaced by its reference ``matrix_to_json`` document."""
+    if isinstance(obj, np.ndarray):
+        return ref_matrix_to_json(obj)
+    if isinstance(obj, dict):
+        return {k: listed(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [listed(v) for v in obj]
+    return obj
+
+
 def as_loaded(obj):
     """The object json.loads gives back for the written text (whole numbers become ints)."""
-    return json.loads(ref_render(obj, 0))
+    return json.loads(ref_render(listed(obj), 0))
 
 
 # ---------------------------------------------------------------- properties
@@ -162,17 +178,18 @@ def test_matrix_to_json_matches_reference(m):
 
 @given(obj=reports)
 def test_dumps17_matches_reference(obj):
-    assert sio.dumps17(obj) == ref_render(obj, 0)
+    assert sio.dumps17(obj) == ref_render(listed(obj), 0)
     assert sio.dumps17(as_loaded(obj)) == ref_render(as_loaded(obj), 0)
 
 
 def sub_paths(obj, path=()):
-    """The path (keys and indices) of each dict and list in obj, obj itself included.
+    """The path (keys and indices) of each dict, list and array in obj, obj itself included.
 
     A number is not pre-rendered: its text would break a one-line number list.
     """
-    if isinstance(obj, (dict, list)):
+    if isinstance(obj, (dict, list, np.ndarray)):
         yield path
+    if isinstance(obj, (dict, list)):
         for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
             yield from sub_paths(value, path + (key,))
 
@@ -194,7 +211,9 @@ def value_at(obj, path):
 
 
 def pre_render_all(obj):
-    """obj with every dict and list pre-rendered, innermost first."""
+    """obj with every dict, list and array pre-rendered, innermost first."""
+    if isinstance(obj, np.ndarray):
+        return sio.Rendered(obj)
     if isinstance(obj, dict):
         return sio.Rendered({k: pre_render_all(v) for k, v in obj.items()})
     if isinstance(obj, list):
@@ -204,11 +223,11 @@ def pre_render_all(obj):
 
 @given(obj=reports)
 def test_pre_rendered_text_splices_at_every_depth(obj):
-    """A dict or list replaced by its pre-rendered text renders as it did itself."""
-    want = ref_render(obj, 0)
+    """A dict, list or array replaced by its pre-rendered text renders as it did itself."""
+    want = ref_render(listed(obj), 0)
     for path in sub_paths(obj):
         rendered = sio.Rendered(value_at(obj, path))
-        assert rendered.text == ref_render(value_at(obj, path), 0)
+        assert rendered.text == ref_render(listed(value_at(obj, path)), 0)
         assert sio.dumps17(replace_at(obj, path, rendered)) == want
     assert sio.dumps17(pre_render_all(obj)) == want
 
@@ -237,11 +256,12 @@ def test_non_finite_write_raises_like_reference(m, at, where):
     flat = m.reshape(-1).copy()
     setattr(flat[at % flat.size : at % flat.size + 1], where, np.inf)
     obj = sio.matrix_to_json(flat.reshape(m.shape))
-    with pytest.raises(ValueError) as got:
-        sio.dumps17({"choi": obj})
     with pytest.raises(ValueError) as want:
         ref_render({"choi": obj}, 0)
-    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    for doc in (obj, flat.reshape(m.shape)):
+        with pytest.raises(ValueError) as got:
+            sio.dumps17({"choi": doc})
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 BAD_ENTRIES = {
@@ -254,6 +274,8 @@ BAD_ENTRIES = {
     "dict": {"re": 1.0, "im": 0.0},
     "1e999": [json.loads("1e999"), 0.0],
     "np.float64-nan": [np.float64(1.0), np.float64("nan")],
+    # Two consecutive entries (a tuple): their numbers still count 2·rows·cols.
+    "compensating-ragged": ([1.0, 0.0, 0.0], [1.0]),
 }
 
 
@@ -263,7 +285,9 @@ def test_malformed_entry_raises_like_reference(kind, m, at, loaded):
     obj = sio.matrix_to_json(m)
     if loaded:
         obj = as_loaded(obj)
-    obj["data"][at % len(obj["data"])] = BAD_ENTRIES[kind]
+    bad = BAD_ENTRIES[kind]
+    for j, entry in enumerate(bad if isinstance(bad, tuple) else [bad]):
+        obj["data"][(at + j) % len(obj["data"])] = entry
     with pytest.raises(FileFormatError) as got:
         sio.matrix_from_json(obj)
     with pytest.raises(FileFormatError) as want:

@@ -15,7 +15,7 @@ from supermaps.operations import (
     random_channel,
     tensor,
 )
-from supermaps.supermap import is_deterministic, sum_supermaps
+from supermaps.supermap import _factor_identity, is_deterministic, sum_supermaps
 from supermaps import testers
 from supermaps.testers import (
     as_supermap_parts,
@@ -115,6 +115,17 @@ class TestTesterValidatesItself:
             testers.Tester(h_in=2, h_out=2, effects=effects)
         t = make_tester(effects, 2, 2, tol=1e-4)
         assert t.tol == 1e-4 and t.n_outcomes == 2
+
+    def test_keeps_the_residuals_it_measured(self, rng):
+        sigma = random_density(2, rng)
+        # Off I ⊗ sigma by 1e-6 (the Z part) and off trace one by 5e-7.
+        effects = [kron(I2 / 2 + 1e-6 * Z, sigma), (1 + 1e-6) * kron(I2, sigma) / 2]
+        t = make_tester(effects, 2, 2, tol=1e-4)
+        _, residual, trace_gap = _factor_identity(sum(t.effects), 2, 2)
+        assert (t.residual, t.trace_gap) == (residual, trace_gap)
+        assert 0 < t.residual <= 1e-4 and 0 < t.trace_gap <= 1e-4
+        with pytest.raises(TypeError):
+            testers.Tester(h_in=2, h_out=2, effects=effects, residual=0.0)
 
 
 class TestTesterFrozen:
