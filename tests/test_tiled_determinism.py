@@ -6,8 +6,10 @@ single tile, so here the budget is cut down to one entry, one block, one and
 a half blocks, two blocks and one block row of either test.  The tiles then
 cut the rows and columns of the triangle at every block boundary, and the
 verdicts, residuals and ``choi_n`` must still match the references of
-``test_closed_forms``.  The last test holds both tests to a fixed memory
-budget at local dimension 16.
+``test_closed_forms``, whose positivity stage must always hold.  Supermaps
+whose Kraus entries overflow the squares the tests take must be rejected at
+every budget.  The last test holds both tests to a fixed memory budget at
+local dimension 16.
 """
 
 import tracemalloc
@@ -18,13 +20,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supermaps import supermap
-from supermaps.linalg import random_isometry
-from supermaps.realization import CircuitRealization, circuit_to_supermap
+from supermaps.linalg import min_eig_floor, random_isometry
+from supermaps.realization import CircuitRealization, circuit_to_supermap, realize
 from supermaps.supermap import (
+    NotDeterministicError,
     Supermap,
     _certificate_tiles,
     _effectwise_tiles,
     determinism_certificate,
+    effect_map_of,
     is_deterministic,
     is_deterministic_effectwise,
 )
@@ -60,8 +64,8 @@ def check_against_references(s):
     worst, _, tp, lo, hi, choi_n = ref_certificate(s)
     assert abs(cert.product_residual - worst) <= 1e-12
     assert abs(cert.tp_residual - tp) <= 1e-12
-    assert abs(cert.min_eig - lo) <= 1e-12
-    assert abs(cert.max_eig - hi) <= 1e-12
+    # N is CP by construction, so the reference's positivity stage always holds.
+    assert min_eig_floor(lo, hi)
     assert np.max(np.abs(cert.choi_n - choi_n)) <= 1e-12
     for tol in (1e-8, 1e-6):
         assert is_deterministic(fresh, tol) == ref_is_deterministic(s, tol)
@@ -89,6 +93,33 @@ def test_off_diagonal_defects_fail_at_every_budget(monkeypatch, defect, h):
         fresh = Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus)
         assert not is_deterministic(fresh)
         assert not is_deterministic_effectwise(fresh)
+
+
+@given(
+    dims=dims_st,
+    seed=seed_st,
+    damage=st.sampled_from(DAMAGE),
+    scale=st.sampled_from((1e150, 1e160, 1e300)),
+)
+def test_overflowing_kraus_sets_are_rejected_at_every_budget(dims, seed, damage, scale):
+    """Kraus entries near 1e150 or above overflow the squares both tests take.
+
+    The residuals then come out inf or NaN, and every comparison must reject
+    them: both tests return False, and neither the effect map nor a circuit
+    is built.
+    """
+    s = damaged_supermap(dims, seed, damage)
+    ops = tuple(scale * k for k in s.kraus)
+    for chunk in budgets(s):
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+            mp.setattr(supermap, "_CHUNK", chunk)
+            fresh = Supermap(*dims, ops)
+            assert is_deterministic(fresh) is False
+            assert is_deterministic_effectwise(fresh) is False
+            with pytest.raises(NotDeterministicError):
+                effect_map_of(fresh)
+            with pytest.raises(NotDeterministicError):
+                realize(fresh)
 
 
 @pytest.mark.parametrize("tiles", [_certificate_tiles, _effectwise_tiles])
