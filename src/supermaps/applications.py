@@ -83,15 +83,16 @@ def sandwich_supermap(pre: QuantumOperation, post: QuantumOperation) -> Supermap
     for name, ch in (("pre", pre), ("post", post)):
         if not is_channel(ch):
             raise ValueError(f"{name} map must be a channel")
-    pre_k = choi_to_kraus(pre).operators
+    pre_t = choi_to_kraus(pre).operators.transpose(0, 2, 1)
     post_k = choi_to_kraus(post).operators
-    ops = tuple(kron(d, c.T) for d in post_k for c in pre_k)
+    # kron of 4-D stacks: entry (j, k) is D_j ⊗ C_k^T, D_j of post, C_k of pre.
+    ops = kron(post_k[:, None], pre_t[None])
     return Supermap(
         h_in=pre.dim_out,
         h_out=post.dim_in,
         k_in=pre.dim_in,
         k_out=post.dim_out,
-        kraus=ops,
+        kraus=ops.reshape(-1, *ops.shape[2:]),
     )
 
 
@@ -113,7 +114,7 @@ def programmable_channel(dev: ProgrammableDevice, program: np.ndarray) -> Quantu
     # program eigenvector k and traced-out basis state l.
     ops = np.einsum("mlnp,pk->klmn", u4, psd_factors(sigma))
     ops = ops.reshape(-1, dev.dim_sys, dev.dim_sys)
-    return kraus_to_choi(KrausSet(dev.dim_sys, dev.dim_sys, tuple(ops)))
+    return kraus_to_choi(KrausSet(dev.dim_sys, dev.dim_sys, ops))
 
 
 def programmable_povm(joint_povm, program: np.ndarray) -> list[np.ndarray]:
@@ -142,13 +143,12 @@ def tomography_supermap(setup: TomographySetup) -> Supermap:
     any decomposition of F would do.
     """
     f = psd_factors(setup.faithful_state).T.reshape(-1, setup.h_in, setup.h_in)
-    ops = tuple(kron(np.eye(setup.h_out), f_r.T) for f_r in f)
     return Supermap(
         h_in=setup.h_in,
         h_out=setup.h_out,
         k_in=1,
         k_out=setup.h_out * setup.h_in,
-        kraus=ops,
+        kraus=kron(np.eye(setup.h_out)[None], f.transpose(0, 2, 1)),
     )
 
 
@@ -206,4 +206,4 @@ def povm_as_channel(povm) -> QuantumOperation:
             e = np.zeros((n_out, d), dtype=complex)
             e[n, :] = f.conj()
             ops.append(e)
-    return kraus_to_choi(KrausSet(d, n_out, tuple(ops)))
+    return kraus_to_choi(KrausSet(d, n_out, ops))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import io
 from .applications import ProgrammableDevice, TomographySetup, is_faithful, programmable_channel
-from .linalg import EQ_TOL, frob
+from .linalg import EQ_TOL, frob, is_density_matrix
 from .operations import (
     KrausSet,
     QuantumOperation,
@@ -137,7 +137,7 @@ def cmd_check_op(args) -> dict:
 def cmd_kraus2choi(args) -> dict:
     dim_in, dim_out, ops = io.kraus_set_from_json(io.load_json(args.path))
     with _fails_as("kraus2choi"):
-        op = kraus_to_choi(KrausSet(dim_in, dim_out, tuple(ops)))
+        op = kraus_to_choi(KrausSet(dim_in, dim_out, ops))
     payload = io.Rendered(io._operation_doc(op.dim_in, op.dim_out, op.choi))
     details: dict = {"operation": payload}
     _write_out(args, details, ("operation.json", payload))
@@ -163,6 +163,8 @@ def cmd_apply(args) -> dict:
     with _fails_as("apply"):
         op = QuantumOperation(dim_in, dim_out, choi)
         out_state = apply_operation(op, rho)
+        if not is_density_matrix(rho):
+            raise ValueError("state is not a density matrix")
     payload = io.Rendered(out_state)
     details = {"probability": float(np.trace(out_state).real), "output": payload}
     _write_out(args, details, ("output_state.json", payload))
@@ -395,7 +397,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        report = handler(args)
+        # Overflow shows in the report (non-finite numbers read 1e300), not as warnings.
+        with np.errstate(all="ignore"):
+            report = handler(args)
     except CheckFailure as exc:
         print(io.dumps17(exc.report))
         print(f"error: check failed: {exc.report['details'].get('error', exc)}", file=sys.stderr)

@@ -262,7 +262,7 @@ def supermap_from_json(obj) -> Supermap:
     shape = (dims["k_out"] * dims["k_in"], dims["h_out"] * dims["h_in"])
     ops = _kraus_list(obj, shape)
     _need(ops, "missing non-empty 'kraus' array")
-    return Supermap(dims["h_in"], dims["h_out"], dims["k_in"], dims["k_out"], tuple(ops))
+    return Supermap(dims["h_in"], dims["h_out"], dims["k_in"], dims["k_out"], ops)
 
 
 def load_json(path) -> object:

@@ -103,18 +103,27 @@ def _check_dims(*dims: int) -> None:
         raise ValueError("dimensions must be positive")
 
 
-def _kraus_operators(ops, shape: tuple[int, int]) -> tuple:
-    """Read-only complex copies of Kraus operators, each checked for shape and finiteness."""
+def _kraus_operators(ops, shape: tuple[int, int] | None) -> np.ndarray:
+    """One read-only complex array (r, *shape) of the Kraus operators ``ops``, any
+    iterable of 2-D arrays or one 3-D array; ``shape=None`` takes the first one's.
+    One copy, one shape check and one finiteness check."""
     # Copies inline, not through readonly_copy: the benchmark's tracer pins the
     # spans of Supermap's validator, which must therefore call no public function.
-    ops = tuple(np.array(k, dtype=complex) for k in ops)
-    for k in ops:
-        if k.shape != shape:
-            raise ValueError(f"Kraus operator shape {k.shape} != {shape}")
-        if not np.all(np.isfinite(k)):
-            raise ValueError("Kraus operator has non-finite entries")
-        k.setflags(write=False)
-    return ops
+    ops = ops if isinstance(ops, np.ndarray) else list(ops)
+    shape = shape or (np.shape(ops[0]) if len(ops) else (0, 0))
+    try:
+        arr = np.array(ops, dtype=complex) if len(ops) else np.empty((0, *shape), dtype=complex)
+        got = arr.shape[1:]
+    except ValueError:  # ragged operators: name the first of another shape
+        got = next((np.shape(k) for k in ops if np.shape(k) != shape), None)
+        if got is None:
+            raise
+    if got != shape:
+        raise ValueError(f"Kraus operator shape {got} != {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("Kraus operator has non-finite entries")
+    arr.setflags(write=False)
+    return arr
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -188,14 +197,13 @@ def psd_factors(m: np.ndarray) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])
 
 
-def kraus_sum(ops: Iterable[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Operator sum sum_K K x K† over a non-empty sequence of operators.
+def kraus_sum(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Operator sum sum_K K x K† over an array (r, rows, cols) of operators; 0 if r = 0.
 
     One matmul pair per operator: at the sizes used here this is faster
     than a stacked einsum.
     """
-    ops = list(ops)
-    out = np.zeros((ops[0].shape[0],) * 2, dtype=complex)
+    out = np.zeros((ops.shape[1],) * 2, dtype=complex)
     for k in ops:
         out += k @ x @ dag(k)
     return out

@@ -110,21 +110,23 @@ class QuantumOperation:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Operator-sum representation E(rho) = sum_j E_j rho E_j†, with read-only operators."""
+    """Operator-sum representation E(rho) = sum_j E_j rho E_j†, with ``operators``
+    one read-only array (r, dim_out, dim_in); r = 0 is the zero operation."""
 
     dim_in: int
     dim_out: int
-    operators: tuple
+    operators: np.ndarray
 
     def __post_init__(self):
         _check_dims(self.dim_in, self.dim_out)
         ops = _kraus_operators(self.operators, (self.dim_out, self.dim_in))
-        bound = sum((dag(e) @ e for e in ops), np.zeros((self.dim_in, self.dim_in)))
-        excess = hermitian_spectrum(bound)[1] - 1.0
+        # sum_j E_j† E_j is the Gram matrix of the E_j stacked as one column.
+        column = ops.reshape(-1, self.dim_in)
+        excess = hermitian_spectrum(dag(column) @ column)[1] - 1.0
         # Scaled as in QuantumOperation, by the largest Choi eigenvalue (the squared
         # spectral norm of the stacked vec(E_j)), needed only when excess > POS_TOL.
         if excess > POS_TOL and excess > POS_TOL * max(
-            1.0, np.linalg.norm(np.stack(ops).reshape(len(ops), -1), 2) ** 2
+            1.0, np.linalg.norm(ops.reshape(len(ops), -1), 2) ** 2
         ):
             raise ValueError(
                 f"Kraus bound violated: sum E†E exceeds identity by {excess:.3e}"
@@ -133,8 +135,6 @@ class KrausSet:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Direct operator-sum action, sum_j E_j rho E_j†."""
-        if not self.operators:  # the zero operation
-            return np.zeros((self.dim_out, self.dim_out), dtype=complex)
         return kraus_sum(self.operators, rho)
 
 
@@ -148,8 +148,8 @@ def _kraus_choi(k: KrausSet) -> np.ndarray:
     """sum_j vec(E_j) vec(E_j)†: a sum of outer products, positive by construction."""
     d = k.dim_out * k.dim_in
     choi = np.zeros((d, d), dtype=complex)
-    for e in k.operators:
-        v = e.reshape(-1)
+    # One outer product at a time: no one contraction gives the bits kraus2choi writes.
+    for v in k.operators.reshape(len(k.operators), d):
         choi += np.outer(v, v.conj())
     return choi
 
@@ -166,8 +166,7 @@ def choi_to_kraus(op: QuantumOperation) -> KrausSet:
     only above the positivity threshold; they come out pairwise orthogonal in
     the Hilbert-Schmidt inner product and reproduce the Choi operator.
     """
-    ops = psd_factors(op.choi).T.reshape(-1, op.dim_out, op.dim_in)
-    return KrausSet(op.dim_in, op.dim_out, tuple(ops))
+    return KrausSet(op.dim_in, op.dim_out, psd_factors(op.choi).T.reshape(-1, op.dim_out, op.dim_in))
 
 
 def _check_ports(op: QuantumOperation, dim_in: int, dim_out: int, what: str) -> None:
@@ -231,8 +230,7 @@ def random_channel(
             f"no isometry into dim {dim_out}x{kraus_rank} from dim {dim_in}"
         )
     v = random_isometry(dim_out * kraus_rank, dim_in, seed)
-    blocks = v.reshape(dim_out, kraus_rank, dim_in)
-    ops = tuple(blocks[:, j, :] for j in range(kraus_rank))
+    ops = v.reshape(dim_out, kraus_rank, dim_in).transpose(1, 0, 2)
     return kraus_to_choi(KrausSet(dim_in, dim_out, ops))
 
 

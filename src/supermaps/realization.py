@@ -41,6 +41,7 @@ from .linalg import (
     frob,
     hermiticity_residual,
     isometry_residual,
+    psd_factors,
     random_density,
     readonly_copy,
     rel_residual,
@@ -48,8 +49,8 @@ from .linalg import (
 from .operations import QuantumOperation, _check_ports, apply_operation, random_channel
 from .supermap import (
     Supermap,
+    _certified,
     apply_supermap,
-    effect_map_of,
     is_deterministic,  # noqa: F401 (unused; the benchmark's tracer test patches it here)
     sum_supermaps,
 )
@@ -127,18 +128,19 @@ class CircuitRealization:
 
 def _isometries(s: Supermap, tol: float) -> tuple[np.ndarray, np.ndarray, int, int]:
     """(V, W, dim_a, dim_b) of ``realize``'s circuit, before CircuitRealization checks it."""
-    n_ops = effect_map_of(s, tol).kraus
-    dim_b = len(n_ops)
+    nn = psd_factors(_certified(s, tol).choi_n).T.reshape(-1, s.h_in, s.k_in)
+    dim_b = len(nn)
     dim_a = len(s.kraus)
 
-    # V stacks the conjugated effect-map Kraus operators along ancilla B.
-    nn = np.stack(n_ops)
+    # V stacks the conjugated canonical Kraus operators N_j of the effect map along
+    # ancilla B: V†V = conj(sum_j N_j† N_j), so V's check is N's identity preservation.
     v = nn.conj().reshape(dim_b * s.h_in, s.k_in)
 
     # W_{ni,mj} = <(<h_m| ⊗ N_j†), (<k_n| ⊗ I) S_i> / ||N_j||²  by
     # Hilbert-Schmidt orthogonality of the canonical right-hand set.
-    ss = np.stack(s.kraus).reshape(dim_a, s.k_out, s.k_in, s.h_out, s.h_in)
-    weights = np.array([np.vdot(n, n).real for n in n_ops])
+    ss = s.kraus.reshape(dim_a, s.k_out, s.k_in, s.h_out, s.h_in)
+    # One vdot per operator: a single einsum changes the last bits of W.
+    weights = np.array([np.vdot(n, n).real for n in nn])
     w4 = np.einsum("jek,inkme->nimj", nn, ss) / weights
     return v, w4.reshape(s.k_out * dim_a, s.h_out * dim_b), dim_a, dim_b
 
@@ -148,8 +150,8 @@ def realize(s: Supermap, tol: float = EQ_TOL) -> CircuitRealization:
 
     The ancilla B has one dimension per canonical Kraus operator of the
     effect map; A has one per Kraus operator of the supermap itself.
-    ``tol`` governs determinism, the effect map's identity preservation and
-    the V/W isometry residuals (kept as ``v_residual``/``w_residual``).
+    ``tol`` governs determinism and the V/W isometry residuals (kept as
+    ``v_residual``/``w_residual``); V's measures the effect map's identity preservation.
     Raises NotDeterministicError for non-deterministic input, ValueError
     naming the residual for numerically inconsistent input.
     """
@@ -190,7 +192,7 @@ def circuit_to_supermap(c: CircuitRealization, dims: tuple[int, int, int, int]):
     v3 = c.v.reshape(c.dim_b, h_in, k_in)
     kraus = np.einsum("kimb,bxc->ikcmx", w4, v3).reshape(c.dim_a, k_out * k_in, h_out * h_in)
     if c.projectors is None:
-        return Supermap(h_in, h_out, k_in, k_out, tuple(kraus))
+        return Supermap(h_in, h_out, k_in, k_out, kraus)
     maps = []
     for p in c.projectors:
         w, vecs = np.linalg.eigh((p + dag(p)) / 2.0)
@@ -199,7 +201,7 @@ def circuit_to_supermap(c: CircuitRealization, dims: tuple[int, int, int, int]):
             ops = np.einsum("ir,ikx->rkx", u.conj(), kraus)
         else:
             ops = np.zeros((1, *kraus.shape[1:]), dtype=complex)
-        maps.append(Supermap(h_in, h_out, k_in, k_out, tuple(ops)))
+        maps.append(Supermap(h_in, h_out, k_in, k_out, ops))
     return maps
 
 

@@ -64,11 +64,7 @@ def _split_kraus(s, rng: np.random.Generator, n_parts: int):
     n = len(s.kraus)
     n_parts = min(n_parts, n)
     cuts = sorted(rng.choice(np.arange(1, n), size=n_parts - 1, replace=False)) if n_parts > 1 else []
-    bounds = [0, *cuts, n]
-    return [
-        Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus[bounds[i] : bounds[i + 1]])
-        for i in range(n_parts)
-    ]
+    return [Supermap(s.h_in, s.h_out, s.k_in, s.k_out, ops) for ops in np.split(s.kraus, cuts)]
 
 
 def _suite_choi_kraus(rng, trials):
@@ -114,9 +110,7 @@ def _suite_determinism_agreement(rng, trials, tol):
         s = _random_deterministic_supermap(rng)
         if is_deterministic(s, tol) != is_deterministic_effectwise(s, tol):
             disagreements += 1
-        damaged = Supermap(
-            s.h_in, s.h_out, s.k_in, s.k_out, tuple(0.9 * k for k in s.kraus)
-        )
+        damaged = Supermap(s.h_in, s.h_out, s.k_in, s.k_out, 0.9 * s.kraus)
         if is_deterministic(damaged, tol) != is_deterministic_effectwise(damaged, tol):
             disagreements += 1
     return float(disagreements)

@@ -31,7 +31,6 @@ from .linalg import (
     EQ_TOL,
     _check_dims,
     _kraus_operators,
-    dag,
     frob,
     isometry_residual,
     kraus_sum,
@@ -79,16 +78,16 @@ class Supermap:
     """CP map on Choi operators in Kraus form.
 
     ``h_in``/``h_out`` are the input operation's spaces, ``k_in``/``k_out``
-    the output operation's.  Each Kraus operator has shape
-    (k_out*k_in, h_out*h_in).  Instances are frozen, so the cached
-    determinism certificate always describes the stored Kraus operators.
+    the output operation's.  ``kraus`` is stored as one read-only array of
+    shape (r, k_out*k_in, h_out*h_in), r >= 1.  Instances are frozen, so the
+    cached determinism certificate always describes the stored Kraus operators.
     """
 
     h_in: int
     h_out: int
     k_in: int
     k_out: int
-    kraus: tuple
+    kraus: np.ndarray
     _certificate: DeterminismCertificate | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -96,7 +95,7 @@ class Supermap:
     def __post_init__(self):
         _check_dims(self.h_in, self.h_out, self.k_in, self.k_out)
         ops = _kraus_operators(self.kraus, (self.k_out * self.k_in, self.h_out * self.h_in))
-        if not ops:
+        if not len(ops):
             raise ValueError("supermap needs at least one Kraus operator")
         object.__setattr__(self, "kraus", ops)
 
@@ -108,7 +107,7 @@ class Supermap:
 def identity_supermap(dim_in: int, dim_out: int) -> Supermap:
     """Supermap leaving operations from dim_in to dim_out untouched."""
     d = dim_out * dim_in
-    return Supermap(dim_in, dim_out, dim_in, dim_out, (np.eye(d, dtype=complex),))
+    return Supermap(dim_in, dim_out, dim_in, dim_out, np.eye(d, dtype=complex)[None])
 
 
 def apply_supermap(s: Supermap, op: QuantumOperation) -> QuantumOperation:
@@ -123,7 +122,7 @@ def dual_supermap(s: Supermap, o: np.ndarray) -> np.ndarray:
     d = s.k_out * s.k_in
     if o.shape != (d, d):
         raise ValueError(f"operator shape {o.shape} != ({d}, {d})")
-    return kraus_sum(map(dag, s.kraus), o)
+    return kraus_sum(s.kraus.conj().transpose(0, 2, 1), o)
 
 
 def is_normalization_functional(
@@ -191,7 +190,7 @@ def determinism_certificate(s: Supermap) -> DeterminismCertificate:
         return s._certificate
     h_out, h_in, k_in = s.h_out, s.h_in, s.k_in
     d = h_out * h_in
-    t = np.stack(s.kraus).reshape(-1, k_in, d)
+    t = s.kraus.reshape(-1, k_in, d)
     cols = t.reshape(len(t), k_in * d)
     tiles = list(_certificate_tiles(k_in, d))
     buf = np.empty(max((a1 - a0) * (b1 - b0) for a0, a1, b0, b1 in tiles) * d * d, dtype=complex)
@@ -270,9 +269,7 @@ def is_deterministic_effectwise(s: Supermap, tol: float = EQ_TOL) -> bool:
     """
     h_out, h_in, k_in = s.h_out, s.h_in, s.k_in
     e = h_in * k_in
-    u = np.ascontiguousarray(
-        np.stack(s.kraus).reshape(-1, k_in, h_out, h_in).transpose(0, 2, 3, 1)
-    )
+    u = np.ascontiguousarray(s.kraus.reshape(-1, k_in, h_out, h_in).transpose(0, 2, 3, 1))
     probe = u.reshape(-1, e)
     # n_conj[mu, p, nu, q] = conj(<p| N(|mu><nu|) |q>)
     n_conj = (probe.conj().T @ probe).reshape(h_in, k_in, h_in, k_in) / h_out
@@ -306,25 +303,25 @@ class EffectMap:
     Stored through Kraus operators N_l from K_in to H_in, acting on effects
     as N(P) = sum_l N_l† P N_l and on states as N_*(rho) = sum_l N_l rho N_l†.
     Identity preservation (sum_l N_l† N_l = I) is validated at construction,
-    within ``tol``; the operators are stored as read-only copies.
+    within ``tol``; ``kraus`` is one read-only array (r, h_in, k_in).
     """
 
-    kraus: tuple
+    kraus: np.ndarray
     tol: float = EQ_TOL
 
     def __post_init__(self):
-        ops = tuple(map(readonly_copy, self.kraus))
-        if not ops:
+        ops = _kraus_operators(self.kraus, None)
+        if not len(ops):
             raise ValueError("effect map needs at least one Kraus operator")
         # sum_l N_l† N_l is the Gram matrix of the N_l stacked as one column.
-        residual = isometry_residual(np.vstack(ops))
+        residual = isometry_residual(ops.reshape(-1, ops.shape[2]))
         if not residual <= self.tol:
             raise ValueError(f"effect map is not identity preserving (residual {residual:.3e})")
         object.__setattr__(self, "kraus", ops)
 
     def on_effect(self, p: np.ndarray) -> np.ndarray:
         """Transport an input effect: N(P) = sum_l N_l† P N_l."""
-        return kraus_sum(map(dag, self.kraus), p)
+        return kraus_sum(self.kraus.conj().transpose(0, 2, 1), p)
 
     def on_state(self, rho: np.ndarray) -> np.ndarray:
         """Trace-preserving dual action: N_*(rho) = sum_l N_l rho N_l†."""
@@ -335,9 +332,9 @@ def _certified(s: Supermap, tol: float) -> DeterminismCertificate:
     """The determinism certificate of s; raises NotDeterministicError if it fails at tol."""
     cert = determinism_certificate(s)
     if not cert.verdict(tol):
-        raise NotDeterministicError(
-            f"supermap is not deterministic (residual {cert.residual:.3e})"
-        )
+        # A non-finite residual reads 1e300, as in the CLI's reports.
+        shown = cert.residual if np.isfinite(cert.residual) else 1e300
+        raise NotDeterministicError(f"supermap is not deterministic (residual {shown:.3e})")
     return cert
 
 
@@ -345,7 +342,7 @@ def effect_map_of(s: Supermap, tol: float = EQ_TOL) -> EffectMap:
     """Canonical Kraus form of the effect map of a deterministic supermap."""
     cert = _certified(s, tol)
     f = psd_factors(cert.choi_n)
-    return EffectMap(tuple(f.T.reshape(-1, s.h_in, s.k_in)), tol)
+    return EffectMap(f.T.reshape(-1, s.h_in, s.k_in), tol)
 
 
 def _identity_map_residual(s: Supermap, tol: float) -> float:
@@ -372,10 +369,10 @@ def tensor_supermaps(a: Supermap, b: Supermap) -> Supermap:
     """
     h_in, h_out = a.h_in * b.h_in, a.h_out * b.h_out
     k_in, k_out = a.k_in * b.k_in, a.k_out * b.k_out
-    ta = np.stack(a.kraus).reshape(-1, a.k_out, a.k_in, a.h_out, a.h_in)
-    tb = np.stack(b.kraus).reshape(-1, b.k_out, b.k_in, b.h_out, b.h_in)
+    ta = a.kraus.reshape(-1, a.k_out, a.k_in, a.h_out, a.h_in)
+    tb = b.kraus.reshape(-1, b.k_out, b.k_in, b.h_out, b.h_in)
     ops = np.einsum("iabcd,jefgh->ijaebfcgdh", ta, tb).reshape(-1, k_out * k_in, h_out * h_in)
-    return Supermap(h_in, h_out, k_in, k_out, tuple(ops))
+    return Supermap(h_in, h_out, k_in, k_out, ops)
 
 
 def sum_supermaps(parts) -> Supermap:
@@ -384,12 +381,9 @@ def sum_supermaps(parts) -> Supermap:
     if not parts:
         raise ValueError("need at least one supermap")
     dims = (parts[0].h_in, parts[0].h_out, parts[0].k_in, parts[0].k_out)
-    ops = []
-    for p in parts:
-        if (p.h_in, p.h_out, p.k_in, p.k_out) != dims:
-            raise ValueError("summed supermaps must share all four space dimensions")
-        ops.extend(p.kraus)
-    return Supermap(*dims, tuple(ops))
+    if any((p.h_in, p.h_out, p.k_in, p.k_out) != dims for p in parts):
+        raise ValueError("summed supermaps must share all four space dimensions")
+    return Supermap(*dims, np.concatenate([p.kraus for p in parts]))
 
 
 def action_distance(a: Supermap, b: Supermap) -> float:
@@ -407,7 +401,7 @@ def action_distance(a: Supermap, b: Supermap) -> float:
     if (a.h_in, a.h_out, a.k_in, a.k_out) != (b.h_in, b.h_out, b.k_in, b.k_out):
         raise ValueError("supermaps act on different spaces")
     # cols[i] holds column i of every Kraus operator: shape (d, k_out*k_in, r)
-    cols_a, cols_b = (np.stack(s.kraus).transpose(2, 1, 0) for s in (a, b))
+    cols_a, cols_b = (s.kraus.transpose(2, 1, 0) for s in (a, b))
     d, m = cols_a.shape[:2]
     r = cols_a.shape[2] + cols_b.shape[2]
     alpha, beta = [], []

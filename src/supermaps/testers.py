@@ -186,5 +186,5 @@ def as_supermap_parts(t: Tester) -> list[Supermap]:
         ops = psd_factors(p).conj().T.reshape(-1, 1, d)
         if not ops.size:
             ops = np.zeros((1, 1, d), dtype=complex)
-        parts.append(Supermap(t.h_in, t.h_out, 1, 1, tuple(ops)))
+        parts.append(Supermap(t.h_in, t.h_out, 1, 1, ops))
     return parts

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,20 @@ class TestConversions:
         out = sio.matrix_from_json(report["details"]["output"])
         np.testing.assert_allclose(out, rho, atol=1e-12)
         assert report["details"]["probability"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "rho", [2.0 * I2, 1e160 * I2, np.diag([1.5, -0.5])], ids=["2I", "1e160I", "not-psd"]
+    )
+    def test_apply_rejects_a_matrix_that_is_not_a_state(self, capsys, tmp_path, identity_op_file, rho):
+        spath = tmp_path / "rho.json"
+        sio.save_json(spath, sio.matrix_to_json(rho))
+        code = main(["apply", "--op", identity_op_file, "--state", str(spath)])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 1 and captured.out == sio.dumps17(report) + "\n"
+        assert report == {"check": "apply", "pass": False, "residual": 0.0,
+                          "details": {"error": "state is not a density matrix"}}
+        assert captured.err == "error: check failed: state is not a density matrix\n"
 
 
 class TestSupermapCommand:
@@ -712,7 +727,11 @@ class TestIoEdgeCases:
 
 
 class TestNonFiniteReports:
-    """Overflowing inputs give one failing JSON report, non-finite numbers written as +-1e300."""
+    """Overflowing inputs give one failing JSON report, non-finite numbers written as +-1e300.
+
+    No numpy warning is raised, stderr holds at most the one ``error:`` line,
+    and a failure's text states the residual as the report does.
+    """
 
     @pytest.mark.parametrize(
         "argv",
@@ -721,6 +740,7 @@ class TestNonFiniteReports:
             ["supermap", "map.json", "--check", "effect-map"],
             ["supermap", "map.json", "--check", "prob-preserving"],
             ["realize", "map.json"],
+            ["realize-prob", "map.json"],
             ["check-op", "op.json"],
         ],
         ids=lambda argv: "-".join(argv[::2]),
@@ -729,15 +749,21 @@ class TestNonFiniteReports:
     def test_overflow_exits_1_with_one_report(self, capsys, monkeypatch, tmp_path, argv, scale):
         monkeypatch.chdir(tmp_path)
         s = identity_supermap(2, 2)
-        sio.save_json("map.json", sio.supermap_to_json(Supermap(2, 2, 2, 2, (scale * s.kraus[0],))))
+        sio.save_json("map.json", sio.supermap_to_json(Supermap(2, 2, 2, 2, scale * s.kraus)))
         sio.save_json("op.json", sio.operation_to_json(2, 2, scale * np.eye(4)))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(argv)
-        out = capsys.readouterr().out
-        report = json.loads(out)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
         assert code == 1 and report["pass"] is False
-        assert out == sio.dumps17(report) + "\n"
-        assert report["residual"] == 1e300 or argv[0] == "check-op"
+        assert captured.out == sio.dumps17(report) + "\n"
+        error = report["details"].get("error")
+        assert captured.err == ("" if error is None else f"error: check failed: {error}\n")
+        if argv[0] in ("supermap", "realize"):
+            assert report["residual"] == 1e300
+        if error is not None:
+            assert error == "supermap is not deterministic (residual 1.000e+300)"
 
     def test_non_finite_numbers_become_1e300_with_their_sign(self):
         nan, inf = float("nan"), float("inf")

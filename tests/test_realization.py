@@ -543,24 +543,24 @@ def isometry_calls(monkeypatch):
 
 
 class TestEachContractMeasuredOnce:
-    """One realization measures three residuals: the effect map's, V's and W's."""
+    """One realization measures two residuals, V's and W's; V's is the effect map's."""
 
     def test_realize(self, rng, isometry_calls):
         s = random_circuit_supermap(rng)  # built from a circuit, which measures V and W
         isometry_calls.clear()
         realize(s)
-        assert len(isometry_calls) == 3
+        assert len(isometry_calls) == 2
 
     def test_realize_probabilistic(self, rng, isometry_calls):
         s = random_circuit_supermap(rng, dim_a=3)
         parts = [Supermap(s.h_in, s.h_out, s.k_in, s.k_out, (k,)) for k in s.kraus]
         isometry_calls.clear()
         realize_probabilistic(parts)
-        assert len(isometry_calls) == 3
+        assert len(isometry_calls) == 2
 
     def test_cli_realize(self, rng, tmp_path, capsys, isometry_calls):
         path = tmp_path / "map.json"
         sio.save_json(path, sio.supermap_to_json(random_circuit_supermap(rng)))
         isometry_calls.clear()
         assert main(["realize", str(path)]) == 0
-        assert len(isometry_calls) == 3
+        assert len(isometry_calls) == 2
