@@ -49,7 +49,7 @@ class ProgrammableDevice:
         d = self.dim_sys * self.dim_prog
         if u.shape != (d, d):
             raise ValueError(f"unitary must be {d}x{d}, got {u.shape}")
-        if isometry_residual(u) > EQ_TOL or isometry_residual(dag(u)) > EQ_TOL:
+        if not (isometry_residual(u) <= EQ_TOL and isometry_residual(dag(u)) <= EQ_TOL):  # NaN too
             raise ValueError("interaction is not unitary within tolerance")
         object.__setattr__(self, "unitary", u)
 

@@ -85,10 +85,12 @@ def _report(check: str, ok: bool, residual: float, details: dict) -> dict:
 
 @contextlib.contextmanager
 def _fails_as(check: str, residual: float = 0.0):
-    """Turn a ValueError raised in the block into ``check``'s failing report."""
+    """Turn a ValueError raised in the block into ``check``'s failing report, with
+    the residual a NotDeterministicError names, if any, in place of ``residual``."""
     try:
         yield
     except ValueError as exc:
+        residual = getattr(exc, "residual", None) or residual
         raise CheckFailure(_report(check, False, residual, {"error": str(exc)}))
 
 

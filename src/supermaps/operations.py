@@ -122,7 +122,10 @@ class KrausSet:
         ops = _kraus_operators(self.operators, (self.dim_out, self.dim_in))
         # sum_j E_j† E_j is the Gram matrix of the E_j stacked as one column.
         column = ops.reshape(-1, self.dim_in)
-        excess = hermitian_spectrum(dag(column) @ column)[1] - 1.0
+        gram = dag(column) @ column
+        if not np.isfinite(gram).all():  # eigvalsh of an overflowed matrix is garbage
+            raise ValueError("Kraus bound violated: sum E†E overflows")
+        excess = hermitian_spectrum(gram)[1] - 1.0
         # Scaled as in QuantumOperation, by the largest Choi eigenvalue (the squared
         # spectral norm of the stacked vec(E_j)), needed only when excess > POS_TOL.
         if excess > POS_TOL and excess > POS_TOL * max(

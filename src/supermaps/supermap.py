@@ -48,7 +48,11 @@ _CHUNK = 1 << 16
 
 
 class NotDeterministicError(ValueError):
-    """Raised when an operation requires a channel-preserving supermap."""
+    """Raised when an operation requires a channel-preserving supermap; holds the ``residual``."""
+
+    def __init__(self, message: str, residual: float | None = None):
+        super().__init__(message)
+        self.residual = residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,7 +338,7 @@ def _certified(s: Supermap, tol: float) -> DeterminismCertificate:
     if not cert.verdict(tol):
         # A non-finite residual reads 1e300, as in the CLI's reports.
         shown = cert.residual if np.isfinite(cert.residual) else 1e300
-        raise NotDeterministicError(f"supermap is not deterministic (residual {shown:.3e})")
+        raise NotDeterministicError(f"supermap is not deterministic (residual {shown:.3e})", shown)
     return cert
 
 

@@ -281,6 +281,16 @@ class TestRealizeCommands:
         assert code == 1
         assert report["details"]["error"] == "supermap is not deterministic (residual 5.000e-01)"
 
+    def test_failing_realizations_report_the_residual_they_name(self, capsys, tmp_path):
+        path = tmp_path / "scaled.json"
+        sio.save_json(path, sio.supermap_to_json(Supermap(2, 2, 2, 2, (0.9 * np.eye(4),))))
+        reports = [run_cli(capsys, command, str(path)) for command in ("realize", "realize-prob")]
+        for code, report in reports:
+            assert code == 1
+            assert report["details"]["error"] == "supermap is not deterministic (residual 1.900e-01)"
+            assert report["residual"] == pytest.approx(0.19, abs=1e-12)
+        assert reports[0][1]["residual"] == reports[1][1]["residual"]
+
     def test_realize_prob(self, capsys, rng, tmp_path):
         s = random_circuit_supermap(rng, dim_a=2)
         paths = []
@@ -760,7 +770,7 @@ class TestNonFiniteReports:
         assert captured.out == sio.dumps17(report) + "\n"
         error = report["details"].get("error")
         assert captured.err == ("" if error is None else f"error: check failed: {error}\n")
-        if argv[0] in ("supermap", "realize"):
+        if argv[0] != "check-op":
             assert report["residual"] == 1e300
         if error is not None:
             assert error == "supermap is not deterministic (residual 1.000e+300)"
@@ -771,6 +781,80 @@ class TestNonFiniteReports:
         assert report["residual"] == 1e300
         assert report["details"] == {"a": -1e300, "b": [1e300, 2.5], "c": {"d": 1e300}}
         assert cli._report("r", False, -inf, {})["residual"] == 0.0
+
+
+class TestScaledInputs:
+    """Each command fails cleanly on an input scaled by 2 or 1e160: exit 1 with one
+    failing report, stderr exactly its one ``error:`` line, no numpy warning."""
+
+    ARGV = {
+        "kraus2choi": ["kraus2choi", "kraus.json"],
+        "choi2kraus": ["choi2kraus", "op.json"],
+        "program-channel": ["program-channel", "--unitary", "u.json", "--program", "sigma.json",
+                            "--dim-sys", "2"],
+        "tester-eval": ["tester-eval", "e0.json", "e1.json", "--op", "op.json"],
+        "tester-check": ["tester-check", "e0.json", "e1.json", "--dim-out", "2", "--dim-in", "2"],
+        "tomography-check": ["tomography-check", "--state", "probe.json"],
+    }
+    # (command, the input file scaled, the error text at scale 2, and at 1e160 or
+    # its start: the tester's relative residual overflows there, and the trace
+    # gap alone rejects it)
+    CASES = [
+        ("kraus2choi", "kraus.json", "Kraus bound violated: sum E†E exceeds identity by 3.000e+00",
+         "Kraus bound violated: sum E†E overflows"),
+        ("choi2kraus", "op.json", "operation increases trace (effect exceeds identity by 1.000e+00)",
+         "operation increases trace (effect exceeds identity by 1.000e+160)"),
+        ("program-channel", "u.json", "interaction is not unitary within tolerance",
+         "interaction is not unitary within tolerance"),
+        ("program-channel", "sigma.json", "program is not a density matrix",
+         "program is not a density matrix"),
+        ("tester-eval", "e0.json",
+         "effects do not normalize to I ⊗ sigma (residual 3.333e-01, trace gap 5.000e-01)",
+         "effects do not normalize to I ⊗ sigma (residual "),
+        ("tester-eval", "op.json", "operation increases trace (effect exceeds identity by 1.000e+00)",
+         "operation increases trace (effect exceeds identity by 1.000e+160)"),
+        ("tester-check", "e0.json",
+         "effects do not normalize to I ⊗ sigma (residual 3.333e-01, trace gap 5.000e-01)",
+         "effects do not normalize to I ⊗ sigma (residual "),
+        ("tomography-check", "probe.json", "probe is not a density matrix",
+         "probe is not a density matrix"),
+    ]
+
+    @staticmethod
+    def _write_inputs(scaled: str, scale: float) -> None:
+        bell = bell_projector(2) / 2
+        inputs = {
+            "kraus.json": lambda c: sio.kraus_set_to_json(2, 2, [c * I2]),
+            "op.json": lambda c: sio.operation_to_json(2, 2, c * bell_projector(2)),
+            "u.json": lambda c: sio.matrix_to_json(c * np.eye(4)[[0, 1, 3, 2]]),
+            "sigma.json": lambda c: sio.matrix_to_json(c * KET0),
+            "e0.json": lambda c: sio.matrix_to_json(c * kron(KET0, I2 / 2)),
+            "e1.json": lambda c: sio.matrix_to_json(c * kron(I2 - KET0, I2 / 2)),
+            "probe.json": lambda c: sio.matrix_to_json(c * bell),
+        }
+        for name, doc in inputs.items():
+            sio.save_json(name, doc(scale if name == scaled else 1.0))
+
+    @pytest.mark.parametrize("scale", [2.0, 1e160])
+    @pytest.mark.parametrize("command, scaled, at_2, at_1e160", CASES,
+                             ids=[f"{case[0]}-{case[1]}" for case in CASES])
+    def test_fails_with_one_report(self, capsys, monkeypatch, tmp_path, command, scaled, at_2,
+                                   at_1e160, scale):
+        monkeypatch.chdir(tmp_path)
+        self._write_inputs(None, 1.0)
+        assert main(self.ARGV[command]) == 0  # the unscaled inputs pass
+        self._write_inputs(scaled, scale)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(self.ARGV[command])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 1 and report["pass"] is False and report["check"] == command
+        assert captured.out == sio.dumps17(report) + "\n"
+        error = report["details"].pop("error")
+        assert report["details"] == {} and error.startswith(at_2 if scale == 2.0 else at_1e160)
+        assert captured.err == f"error: check failed: {error}\n"
 
 
 def test_each_call_dispatches_afresh(capsys, monkeypatch, identity_op_file, identity_map_file):

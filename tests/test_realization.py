@@ -22,6 +22,7 @@ from supermaps.linalg import (
 )
 from supermaps.operations import (
     QuantumOperation,
+    _check_ports,
     apply_operation,
     choi_to_kraus,
     identity_operation,
@@ -291,6 +292,90 @@ class TestDelayedReading:
         report = delayed_reading_check(parts, trials=50, seed=7)
         assert report.max_action_residual <= 1e-8
         assert report.max_probability_residual <= 1e-8
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (1, 3, 2, 1), (3, 2, 2, 3)])
+    @pytest.mark.parametrize(
+        "excess, tiny_part, tol", [(5e-9, False, 1e-8), (5e-9, True, 1e-8), (3.5e-7, False, 1e-6)]
+    )
+    def test_parts_within_tol_give_a_residual_not_an_error(self, dims, excess, tiny_part, tol):
+        # S scaled by 1 + excess increases trace by more than the POS_TOL floor
+        # but less than tol: realize_probabilistic accepts it, so the check
+        # must report the excess rather than reject the part's output.
+        s = random_circuit_supermap(np.random.default_rng(0), dims)
+        parts = [Supermap(*dims, np.sqrt(1 + excess) * s.kraus)]
+        if tiny_part:
+            parts.append(Supermap(*dims, 1e-6 * s.kraus[:1]))  # 1e-12 times S_0
+        report = delayed_reading_check(parts, trials=3, seed=0, tol=tol)
+        assert report.passed
+        assert report.max_probability_residual == pytest.approx(excess, rel=1e-3)
+        assert report.max_action_residual <= 1e-12
+
+
+def ref_run_circuit(c, op, rho, outcome=None):
+    """run_circuit as it was when delayed reading called it once per outcome."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (c.k_in, c.k_in):
+        raise ValueError(f"input state shape {rho.shape} != ({c.k_in}, {c.k_in})")
+    _check_ports(op, c.h_in, c.h_out, "circuit")
+    if outcome is not None:
+        if c.projectors is None:
+            raise ValueError("circuit has no measurement projectors")
+        if not 0 <= outcome < len(c.projectors):
+            raise ValueError(
+                f"outcome {outcome} out of range for {len(c.projectors)} projectors"
+            )
+    b, h_in, h_out = c.dim_b, c.h_in, c.h_out
+    state = (c.v @ rho @ dag(c.v)).reshape(b, h_in, b, h_in)  # on (B, H_in)
+    mid = np.einsum("namb,xayb->nxmy", op.choi4, state)  # on (H_out, B)
+    mid = mid.reshape(h_out * b, h_out * b)
+    out = (c.w @ mid @ dag(c.w)).reshape(c.k_out, c.dim_a, c.k_out, c.dim_a)  # (K_out, A)
+    if outcome is None:
+        return np.einsum("kala->kl", out)
+    p = c.projectors[outcome]
+    return np.einsum("ab,kblc,ca->kl", p, out, p)
+
+
+def ref_delayed_reading_check(parts, trials, seed, tol=linalg.EQ_TOL):
+    """delayed_reading_check as it was: the whole circuit once per outcome, and
+    each part's direct action built as a validated QuantumOperation."""
+    parts = list(parts)
+    circuit = realize_probabilistic(parts, tol)
+    rng = linalg.as_rng(seed)
+    worst_action = 0.0
+    worst_prob = 0.0
+    h_in, h_out, k_in = circuit.h_in, circuit.h_out, circuit.k_in
+    for _ in range(trials):
+        rank = int(rng.integers(1, 4))
+        channel = random_channel(h_in, h_out, max(rank, -(-h_in // h_out)), rng)
+        rho = random_density(k_in, rng)
+        total_p = 0.0
+        for j, part in enumerate(parts):
+            direct = apply_operation(apply_supermap(part, channel), rho)
+            circ = ref_run_circuit(circuit, channel, rho, outcome=j)
+            worst_action = max(worst_action, linalg.frob(direct - circ))
+            total_p += float(np.trace(circ).real)
+        worst_prob = max(worst_prob, abs(total_p - 1.0))
+    return worst_action, worst_prob
+
+
+@given(
+    dims=st.tuples(*(st.integers(1, 4) for _ in range(4))),
+    n_parts=st.integers(1, 3),
+    trials=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_delayed_reading_matches_reference_bit_for_bit(dims, n_parts, trials, seed):
+    """One circuit run per trial, read at every outcome, against one run per outcome."""
+    h_in, h_out, k_in, k_out = dims
+    rng = np.random.default_rng(seed)
+    dim_b = max(int(rng.integers(1, 3)), -(-k_in // h_in))
+    dim_a = max(n_parts, int(rng.integers(1, 4)), -(-(h_out * dim_b) // k_out))
+    s = random_circuit_supermap(rng, dims, dim_a=dim_a, dim_b=dim_b)
+    parts = [Supermap(*dims, ops) for ops in np.array_split(s.kraus, n_parts)]
+    report = delayed_reading_check(parts, trials, seed)
+    expected = ref_delayed_reading_check(parts, trials, seed)
+    got = (report.max_action_residual, report.max_probability_residual)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 class TestProjectorValidation:
