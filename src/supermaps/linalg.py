@@ -22,7 +22,9 @@ Tolerance policy, shared by the whole package:
   positivity rule, Choi operators in ``choi_residuals`` and ancilla
   projectors (at ``tol``).  Matrices Hermitian by construction up to rounding
   (an effect, sum E†E) get a spectrum; the effect maps the determinism tests
-  derive, whose Choi operators are Gram matrices, get neither;
+  derive and the Choi operators ``kraus_to_choi`` builds, all Gram matrices,
+  get neither: the latter take their ``KrausSet``'s verdict, since their
+  effect is the transposed sum E†E it bounded;
 - rank: ``numerical_rank`` counts the singular values above tol * s_max.
 A caller's ``tol`` (the CLI's ``--tol``) replaces EQ_TOL in the residual,
 orthogonality and rank rules.  HERM_TOL and POS_TOL are fixed: the positivity

@@ -76,7 +76,8 @@ class QuantumOperation:
 
     The Choi operator lives on out ⊗ in (out factor first) and is validated
     at construction: Hermitian, positive semidefinite, and with effect
-    Tr_out[choi] <= I, all within the package tolerances.
+    Tr_out[choi] <= I, all within the package tolerances, except when
+    ``kraus_to_choi`` builds it on its ``KrausSet``'s verdict.
     """
 
     dim_in: int
@@ -158,8 +159,18 @@ def _kraus_choi(k: KrausSet) -> np.ndarray:
 
 
 def kraus_to_choi(k: KrausSet) -> QuantumOperation:
-    """Choi operator of a Kraus set: sum_j vec(E_j) vec(E_j)†."""
-    return QuantumOperation(k.dim_in, k.dim_out, _kraus_choi(k))
+    """Choi operator of a Kraus set: sum_j vec(E_j) vec(E_j)†.
+
+    Taken on ``KrausSet``'s verdict, not validated again: a sum of outer
+    products is Hermitian and positive up to rounding, and its effect
+    (sum E†E)ᵀ is the matrix ``KrausSet`` bounded, at the same scale.
+    """
+    op = object.__new__(QuantumOperation)  # skips __post_init__, the validator
+    choi = _kraus_choi(k)
+    choi.setflags(write=False)
+    for name, value in (("dim_in", k.dim_in), ("dim_out", k.dim_out), ("choi", choi)):
+        object.__setattr__(op, name, value)
+    return op
 
 
 def choi_to_kraus(op: QuantumOperation) -> KrausSet:

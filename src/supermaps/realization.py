@@ -41,7 +41,6 @@ from .linalg import (
     frob,
     hermiticity_residual,
     isometry_residual,
-    psd_factors,
     random_density,
     readonly_copy,
     rel_residual,
@@ -127,7 +126,7 @@ class CircuitRealization:
 
 def _isometries(s: Supermap, tol: float) -> tuple[np.ndarray, np.ndarray, int, int]:
     """(V, W, dim_a, dim_b) of ``realize``'s circuit, before CircuitRealization checks it."""
-    nn = psd_factors(_certified(s, tol).choi_n).T.reshape(-1, s.h_in, s.k_in)
+    nn = _certified(s, tol).factors.T.reshape(-1, s.h_in, s.k_in)
     dim_b = len(nn)
     dim_a = len(s.kraus)
 
@@ -148,7 +147,8 @@ def realize(s: Supermap, tol: float = EQ_TOL) -> CircuitRealization:
     """Factor a deterministic supermap into isometries V and W.
 
     The ancilla B has one dimension per canonical Kraus operator of the
-    effect map; A has one per Kraus operator of the supermap itself.
+    effect map (the certificate's ``factors``, shared with ``effect_map_of``);
+    A has one per Kraus operator of the supermap itself.
     ``tol`` governs determinism and the V/W isometry residuals (kept as
     ``v_residual``/``w_residual``); V's measures the effect map's identity preservation.
     Raises NotDeterministicError for non-deterministic input, ValueError

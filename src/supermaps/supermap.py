@@ -24,6 +24,7 @@ construction, and only the factorization and N's normalization are tested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +60,8 @@ class NotDeterministicError(ValueError):
 class DeterminismCertificate:
     """Residuals backing a determinism verdict; tolerance-independent.
 
-    Frozen, with a read-only copy of ``choi_n``, because supermaps cache it.
+    Frozen, with a read-only copy of ``choi_n``, because supermaps cache it;
+    ``factors`` is derived from it once, on first use.
     """
 
     product_residual: float  # worst ||S_*(I ⊗ unit) − I ⊗ candidate|| over the basis
@@ -75,6 +77,13 @@ class DeterminismCertificate:
     @property
     def residual(self) -> float:
         return max(self.product_residual, self.tp_residual)
+
+    @cached_property
+    def factors(self) -> np.ndarray:
+        """Read-only psd_factors(choi_n): N's canonical Kraus operators, vectorized."""
+        f = psd_factors(self.choi_n)
+        f.setflags(write=False)
+        return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,10 +352,9 @@ def _certified(s: Supermap, tol: float) -> DeterminismCertificate:
 
 
 def effect_map_of(s: Supermap, tol: float = EQ_TOL) -> EffectMap:
-    """Canonical Kraus form of the effect map of a deterministic supermap."""
-    cert = _certified(s, tol)
-    f = psd_factors(cert.choi_n)
-    return EffectMap(f.T.reshape(-1, s.h_in, s.k_in), tol)
+    """Canonical Kraus form of the effect map of a deterministic supermap, copied
+    from the certificate's ``factors``, which ``realize`` reads too."""
+    return EffectMap(_certified(s, tol).factors.T.reshape(-1, s.h_in, s.k_in), tol)
 
 
 def _identity_map_residual(s: Supermap, tol: float) -> float:

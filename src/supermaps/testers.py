@@ -57,7 +57,9 @@ class Tester:
             raise ValueError("tester needs at least one effect")
         _check_positive_elements(self.effects, self.h_out * self.h_in, "tester effect")
         sigma, residual, trace_gap = _factor_identity(sum(self.effects), self.h_out, self.h_in)
-        if residual > self.tol or trace_gap > self.tol:
+        if not (residual <= self.tol and trace_gap <= self.tol):  # NaN fails too
+            # A non-finite residual or gap reads 1e300, as in supermap._certified.
+            residual, trace_gap = (x if np.isfinite(x) else 1e300 for x in (residual, trace_gap))
             raise ValueError(
                 f"effects do not normalize to I ⊗ sigma (residual {residual:.3e}, "
                 f"trace gap {trace_gap:.3e})"

@@ -796,9 +796,8 @@ class TestScaledInputs:
         "tester-check": ["tester-check", "e0.json", "e1.json", "--dim-out", "2", "--dim-in", "2"],
         "tomography-check": ["tomography-check", "--state", "probe.json"],
     }
-    # (command, the input file scaled, the error text at scale 2, and at 1e160 or
-    # its start: the tester's relative residual overflows there, and the trace
-    # gap alone rejects it)
+    # (command, the input file scaled, and the error text at scale 2 and at 1e160:
+    # the tester's relative residual overflows to NaN there, and reads 1e300)
     CASES = [
         ("kraus2choi", "kraus.json", "Kraus bound violated: sum E†E exceeds identity by 3.000e+00",
          "Kraus bound violated: sum E†E overflows"),
@@ -810,12 +809,12 @@ class TestScaledInputs:
          "program is not a density matrix"),
         ("tester-eval", "e0.json",
          "effects do not normalize to I ⊗ sigma (residual 3.333e-01, trace gap 5.000e-01)",
-         "effects do not normalize to I ⊗ sigma (residual "),
+         "effects do not normalize to I ⊗ sigma (residual 1.000e+300, trace gap 5.000e+159)"),
         ("tester-eval", "op.json", "operation increases trace (effect exceeds identity by 1.000e+00)",
          "operation increases trace (effect exceeds identity by 1.000e+160)"),
         ("tester-check", "e0.json",
          "effects do not normalize to I ⊗ sigma (residual 3.333e-01, trace gap 5.000e-01)",
-         "effects do not normalize to I ⊗ sigma (residual "),
+         "effects do not normalize to I ⊗ sigma (residual 1.000e+300, trace gap 5.000e+159)"),
         ("tomography-check", "probe.json", "probe is not a density matrix",
          "probe is not a density matrix"),
     ]
@@ -853,7 +852,7 @@ class TestScaledInputs:
         assert code == 1 and report["pass"] is False and report["check"] == command
         assert captured.out == sio.dumps17(report) + "\n"
         error = report["details"].pop("error")
-        assert report["details"] == {} and error.startswith(at_2 if scale == 2.0 else at_1e160)
+        assert report["details"] == {} and error == (at_2 if scale == 2.0 else at_1e160)
         assert captured.err == f"error: check failed: {error}\n"
 
 

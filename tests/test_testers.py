@@ -1,5 +1,6 @@
 """Process POVMs: normalization, evaluation, discrimination, completeness."""
 
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -126,6 +127,20 @@ class TestTesterValidatesItself:
         assert 0 < t.residual <= 1e-4 and 0 < t.trace_gap <= 1e-4
         with pytest.raises(TypeError):
             testers.Tester(h_in=2, h_out=2, effects=effects, residual=0.0)
+
+    @pytest.mark.parametrize("residual, trace_gap, shown", [
+        (np.nan, 0.0, "residual 1.000e+300, trace gap 0.000e+00"),
+        (0.0, np.nan, "residual 0.000e+00, trace gap 1.000e+300"),
+        (np.inf, np.inf, "residual 1.000e+300, trace gap 1.000e+300"),
+    ])
+    def test_non_finite_residuals_fail_and_read_1e300(self, monkeypatch, residual, trace_gap,
+                                                      shown):
+        # A NaN passes neither comparison, so one beside a passing number must still fail.
+        monkeypatch.setattr(testers, "_factor_identity",
+                            lambda c, d_out, d_in: (np.eye(d_in) / d_in, residual, trace_gap))
+        message = f"effects do not normalize to I ⊗ sigma ({shown})"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            testers.Tester(h_in=2, h_out=2, effects=[kron(I2, I2) / 2])
 
 
 class TestTesterFrozen:
