@@ -8,6 +8,8 @@ process testers (POVMs on operations), and constructions for channel
 programming and tomography.
 """
 
+import types
+
 from .linalg import (
     EQ_TOL,
     HERM_TOL,
@@ -82,64 +84,7 @@ from .applications import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EQ_TOL",
-    "HERM_TOL",
-    "POS_TOL",
-    "CircuitRealization",
-    "EffectMap",
-    "KrausSet",
-    "NotDeterministicError",
-    "OutcomeDistribution",
-    "ProgrammableDevice",
-    "QuantumOperation",
-    "Supermap",
-    "Tester",
-    "TomographySetup",
-    "action_distance",
-    "apply_operation",
-    "apply_supermap",
-    "as_supermap_parts",
-    "choi_to_kraus",
-    "circuit_to_supermap",
-    "compose",
-    "delayed_reading_check",
-    "determinism_certificate",
-    "discrimination_probability",
-    "dual_supermap",
-    "effect_map_of",
-    "effect_of",
-    "evaluate",
-    "identity_operation",
-    "identity_supermap",
-    "informationally_complete_tester_for",
-    "is_channel",
-    "is_deterministic",
-    "is_deterministic_effectwise",
-    "is_faithful",
-    "is_informationally_complete",
-    "is_normalization_functional",
-    "is_probability_preserving",
-    "kraus_to_choi",
-    "kron",
-    "make_tester",
-    "partial_trace",
-    "permute_systems",
-    "povm_as_channel",
-    "prepare_measure_tester",
-    "programmable_channel",
-    "programmable_povm",
-    "random_channel",
-    "random_density",
-    "random_isometry",
-    "random_operation",
-    "realize",
-    "realize_probabilistic",
-    "run_circuit",
-    "sandwich_supermap",
-    "sum_supermaps",
-    "tensor",
-    "tensor_supermaps",
-    "tester_from_circuit",
-    "tomography_supermap",
-]
+# Every public name imported above.  The imports also bind each submodule,
+# and ``types`` is one too: modules are left out.
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, types.ModuleType)]

@@ -31,6 +31,8 @@ orthogonality and rank rules.  HERM_TOL and POS_TOL are fixed: the positivity
 helpers take no ``tol``, and ``check-op``'s ``--tol`` governs only ``channel``.
 A tester's ``tol`` is set once, at construction: it also sets the clamp of
 ``evaluate`` and the rank rule of ``is_informationally_complete``.
+A residual that is not finite reads 1e300 in every report and message
+(``_cap_non_finite``).
 """
 
 from __future__ import annotations
@@ -99,6 +101,11 @@ def readonly_copy(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _cap_non_finite(x: float) -> float:
+    """x as every report and message writes it: NaN and +inf read 1e300, -inf -1e300."""
+    return x if math.isfinite(x) else (-1e300 if x < 0 else 1e300)
+
+
 def _check_dims(*dims: int) -> None:
     """Raise ValueError unless every space dimension is at least 1."""
     if min(dims) < 1:
@@ -113,6 +120,8 @@ def _kraus_operators(ops, shape: tuple[int, int] | None) -> np.ndarray:
     # spans of Supermap's validator, which must therefore call no public function.
     ops = ops if isinstance(ops, np.ndarray) else list(ops)
     shape = shape or (np.shape(ops[0]) if len(ops) else (0, 0))
+    if len(shape) != 2:
+        raise ValueError(f"Kraus operators must be matrices, got shape {shape}")
     try:
         arr = np.array(ops, dtype=complex) if len(ops) else np.empty((0, *shape), dtype=complex)
         got = arr.shape[1:]
@@ -255,17 +264,11 @@ def check_povm(povm, d: int | None = None, what: str = "POVM") -> list[np.ndarra
     return povm
 
 
-def as_rng(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_isometry(rows: int, cols: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-style random isometry (orthonormal columns), deterministic per seed."""
     if cols > rows:
         raise ValueError(f"cannot build a {rows}x{cols} isometry: more columns than rows")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, r = np.linalg.qr(g)
     d = np.diagonal(r).copy()
@@ -275,7 +278,7 @@ def random_isometry(rows: int, cols: int, seed: int | np.random.Generator) -> np
 
 def random_density(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     """Random full-rank density matrix (Hilbert-Schmidt style)."""
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ dag(g)
     return rho / np.trace(rho).real

@@ -39,7 +39,6 @@ from .linalg import (
     random_isometry,
     readonly_copy,
     rel_residual,
-    as_rng,
 )
 
 
@@ -252,7 +251,7 @@ def random_operation(
     dim_in: int, dim_out: int, kraus_rank: int, seed: int | np.random.Generator
 ) -> QuantumOperation:
     """Random trace-non-increasing operation (scaled random channel)."""
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     scale = rng.uniform(0.2, 1.0)
     ch = random_channel(dim_in, dim_out, kraus_rank, rng)
     return QuantumOperation(dim_in, dim_out, scale * ch.choi)

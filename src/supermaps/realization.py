@@ -36,7 +36,6 @@ import numpy as np
 from .linalg import (
     EQ_TOL,
     _check_dims,
-    as_rng,
     dag,
     frob,
     hermiticity_residual,
@@ -83,8 +82,9 @@ class CircuitRealization:
         _check_dims(self.dim_a, self.dim_b)
         v = readonly_copy(self.v)
         w = readonly_copy(self.w)
-        if v.shape[0] % self.dim_b or w.shape[0] % self.dim_a:
-            raise ValueError("isometry shapes inconsistent with ancilla dimensions")
+        if (v.ndim != 2 or w.ndim != 2 or v.shape[0] % self.dim_b
+                or w.shape[0] % self.dim_a or w.shape[1] % self.dim_b):
+            raise ValueError(f"isometry shapes {v.shape}, {w.shape} inconsistent with ancilla dimensions")
         for name, m in (("V", v), ("W", w)):
             residual = isometry_residual(m)
             if not residual <= self.tol:  # also rejects NaN
@@ -278,7 +278,7 @@ def delayed_reading_check(
     """
     parts = list(parts)
     circuit = realize_probabilistic(parts, tol)
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     worst_action = 0.0
     worst_prob = 0.0
     h_in, h_out, k_in, k_out = circuit.h_in, circuit.h_out, circuit.k_in, circuit.k_out

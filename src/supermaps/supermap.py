@@ -30,6 +30,7 @@ import numpy as np
 
 from .linalg import (
     EQ_TOL,
+    _cap_non_finite,
     _check_dims,
     _kraus_operators,
     frob,
@@ -345,8 +346,7 @@ def _certified(s: Supermap, tol: float) -> DeterminismCertificate:
     """The determinism certificate of s; raises NotDeterministicError if it fails at tol."""
     cert = determinism_certificate(s)
     if not cert.verdict(tol):
-        # A non-finite residual reads 1e300, as in the CLI's reports.
-        shown = cert.residual if np.isfinite(cert.residual) else 1e300
+        shown = _cap_non_finite(cert.residual)
         raise NotDeterministicError(f"supermap is not deterministic (residual {shown:.3e})", shown)
     return cert
 

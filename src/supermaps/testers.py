@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import (
     EQ_TOL,
+    _cap_non_finite,
     _check_dims,
     _check_positive_elements,
     check_povm,
@@ -58,8 +59,7 @@ class Tester:
         _check_positive_elements(self.effects, self.h_out * self.h_in, "tester effect")
         sigma, residual, trace_gap = _factor_identity(sum(self.effects), self.h_out, self.h_in)
         if not (residual <= self.tol and trace_gap <= self.tol):  # NaN fails too
-            # A non-finite residual or gap reads 1e300, as in supermap._certified.
-            residual, trace_gap = (x if np.isfinite(x) else 1e300 for x in (residual, trace_gap))
+            residual, trace_gap = map(_cap_non_finite, (residual, trace_gap))
             raise ValueError(
                 f"effects do not normalize to I ⊗ sigma (residual {residual:.3e}, "
                 f"trace gap {trace_gap:.3e})"

@@ -409,6 +409,30 @@ class TestTomographyAndProgramming:
         choi = sio.matrix_from_json(report["details"]["operation"]["choi"])
         np.testing.assert_allclose(choi, kron(sigma, np.eye(2)), atol=1e-10)
 
+    PROGRAM = ["program-channel", "--unitary", "m0.json", "--program", "m1.json", "--dim-sys", "2"]
+
+    # A matrix that parses but has the wrong size for its role is a failed check,
+    # named by the type that rejects it, whether or not its size is a square.
+    @pytest.mark.parametrize("argv, shapes, error", [
+        (["tomography-check", "--state", "m0.json"], [(3, 3)], "probe state must be 4x4, got (3, 3)"),
+        (["tomography-check", "--state", "m0.json"], [(4, 5)], "probe state must be 4x4, got (4, 5)"),
+        (PROGRAM, [(6, 6), (2, 2)], "unitary must be 4x4, got (6, 6)"),
+        (PROGRAM, [(4, 5), (2, 2)], "unitary must be 4x4, got (4, 5)"),
+        (PROGRAM, [(4, 4), (2, 3)], "program shape (2, 3) != (2, 2)"),
+    ])
+    def test_wrong_size_matrix_is_a_failed_check(self, capsys, monkeypatch, tmp_path, argv,
+                                                 shapes, error):
+        monkeypatch.chdir(tmp_path)
+        for j, shape in enumerate(shapes):
+            sio.save_json(f"m{j}.json", sio.matrix_to_json(np.eye(*shape)))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out) == {
+            "check": argv[0], "pass": False, "residual": 0, "details": {"error": error}
+        }
+        assert captured.err == f"error: check failed: {error}\n"
+
 
 class TestChannelBoundary:
     """is_channel, check-op and program-channel make one relative channel test."""

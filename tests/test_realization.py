@@ -340,7 +340,7 @@ def ref_delayed_reading_check(parts, trials, seed, tol=linalg.EQ_TOL):
     each part's direct action built as a validated QuantumOperation."""
     parts = list(parts)
     circuit = realize_probabilistic(parts, tol)
-    rng = linalg.as_rng(seed)
+    rng = np.random.default_rng(seed)
     worst_action = 0.0
     worst_prob = 0.0
     h_in, h_out, k_in = circuit.h_in, circuit.h_out, circuit.k_in
