@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io
 from .applications import ProgrammableDevice, TomographySetup, is_faithful, programmable_channel
-from .linalg import EQ_TOL, _cap_non_finite, frob, is_density_matrix
+from .linalg import EQ_TOL, _cap_non_finite, _worst, frob, is_density_matrix
 from .operations import (
     KrausSet,
     QuantumOperation,
@@ -149,7 +149,7 @@ def cmd_choi2kraus(args) -> dict:
         op = QuantumOperation(dim_in, dim_out, choi)
     kraus = choi_to_kraus(op)
     # The round trip's Choi operator is positive by construction: not validated again.
-    roundtrip = frob(_kraus_choi(kraus) - op.choi)
+    roundtrip = frob(_kraus_choi(kraus.operators) - op.choi)
     payload = io.Rendered(io._kraus_set_doc(dim_in, dim_out, kraus.operators))
     details: dict = {"kraus_count": len(kraus.operators), "kraus": payload}
     _write_out(args, details, ("kraus.json", payload))
@@ -224,7 +224,7 @@ def cmd_realize_prob(args) -> dict:
         circuit, (parts[0].h_in, parts[0].h_out, parts[0].k_in, parts[0].k_out)
     )
     residuals = [action_distance(r, p) for r, p in zip(rebuilt, parts)]
-    worst = max(residuals)
+    worst = _worst(*residuals)
     details = _circuit_details(args, circuit, part_residuals=residuals)
     return _report("realize-prob", worst <= args.tol, worst, details)
 

@@ -22,9 +22,14 @@ Tolerance policy, shared by the whole package:
   positivity rule, Choi operators in ``choi_residuals`` and ancilla
   projectors (at ``tol``).  Matrices Hermitian by construction up to rounding
   (an effect, sum E†E) get a spectrum; the effect maps the determinism tests
-  derive and the Choi operators ``kraus_to_choi`` builds, all Gram matrices,
-  get neither: the latter take their ``KrausSet``'s verdict, since their
-  effect is the transposed sum E†E it bounded;
+  derive, all Gram matrices, get neither;
+- admission (``operations._admitted``): values the library builds and can
+  prove valid skip a second check.  ``kraus_to_choi``'s Choi operator, a sum
+  of outer products, takes its ``KrausSet``'s verdict on the effect (sum E†E)ᵀ;
+  ``random_channel``'s has effect (V†V)ᵀ = I to QR rounding (about 1e-15, far
+  inside POS_TOL), and ``random_operation``'s is scale < 1 times that.  The
+  projectors of ``realize_probabilistic`` are exact 0/1 diagonals on disjoint
+  ranges that sum to exactly I;
 - rank: ``numerical_rank`` counts the singular values above tol * s_max.
 A caller's ``tol`` (the CLI's ``--tol``) replaces EQ_TOL in the residual,
 orthogonality and rank rules.  HERM_TOL and POS_TOL are fixed: the positivity
@@ -32,7 +37,7 @@ helpers take no ``tol``, and ``check-op``'s ``--tol`` governs only ``channel``.
 A tester's ``tol`` is set once, at construction: it also sets the clamp of
 ``evaluate`` and the rank rule of ``is_informationally_complete``.
 A residual that is not finite reads 1e300 in every report and message
-(``_cap_non_finite``).
+(``_cap_non_finite``), and a NaN residual fails: folds keep it (``_worst``).
 """
 
 from __future__ import annotations
@@ -104,6 +109,11 @@ def readonly_copy(m: np.ndarray) -> np.ndarray:
 def _cap_non_finite(x: float) -> float:
     """x as every report and message writes it: NaN and +inf read 1e300, -inf -1e300."""
     return x if math.isfinite(x) else (-1e300 if x < 0 else 1e300)
+
+
+def _worst(*xs: float) -> float:
+    """max(xs), or NaN if one is NaN: max alone keeps a NaN only when it comes first."""
+    return math.nan if any(map(math.isnan, xs)) else max(xs)
 
 
 def _check_dims(*dims: int) -> None:

@@ -75,8 +75,8 @@ class QuantumOperation:
 
     The Choi operator lives on out ⊗ in (out factor first) and is validated
     at construction: Hermitian, positive semidefinite, and with effect
-    Tr_out[choi] <= I, all within the package tolerances, except when
-    ``kraus_to_choi`` builds it on its ``KrausSet``'s verdict.
+    Tr_out[choi] <= I, all within the package tolerances, except when the
+    library admits one it built (``_admitted``; the ``linalg`` policy).
     """
 
     dim_in: int
@@ -147,12 +147,21 @@ def identity_operation(dim: int) -> QuantumOperation:
     return QuantumOperation(dim, dim, np.outer(vec_i, vec_i.conj()))
 
 
-def _kraus_choi(k: KrausSet) -> np.ndarray:
-    """sum_j vec(E_j) vec(E_j)†: a sum of outer products, positive by construction."""
-    d = k.dim_out * k.dim_in
+def _admitted(dim_in: int, dim_out: int, choi: np.ndarray) -> QuantumOperation:
+    """The operation of a new Choi array the library built and proved valid, made read-only."""
+    op = object.__new__(QuantumOperation)  # skips __post_init__, the validator
+    choi.setflags(write=False)
+    for name, value in (("dim_in", dim_in), ("dim_out", dim_out), ("choi", choi)):
+        object.__setattr__(op, name, value)
+    return op
+
+
+def _kraus_choi(ops: np.ndarray) -> np.ndarray:
+    """sum_j vec(E_j) vec(E_j)† over (r, dim_out, dim_in): positive by construction."""
+    d = ops.shape[1] * ops.shape[2]
     choi = np.zeros((d, d), dtype=complex)
     # One outer product at a time: no one contraction gives the bits kraus2choi writes.
-    for v in k.operators.reshape(len(k.operators), d):
+    for v in ops.reshape(len(ops), d):
         choi += np.outer(v, v.conj())
     return choi
 
@@ -164,12 +173,7 @@ def kraus_to_choi(k: KrausSet) -> QuantumOperation:
     products is Hermitian and positive up to rounding, and its effect
     (sum E†E)ᵀ is the matrix ``KrausSet`` bounded, at the same scale.
     """
-    op = object.__new__(QuantumOperation)  # skips __post_init__, the validator
-    choi = _kraus_choi(k)
-    choi.setflags(write=False)
-    for name, value in (("dim_in", k.dim_in), ("dim_out", k.dim_out), ("choi", choi)):
-        object.__setattr__(op, name, value)
-    return op
+    return _admitted(k.dim_in, k.dim_out, _kraus_choi(k.operators))
 
 
 def choi_to_kraus(op: QuantumOperation) -> KrausSet:
@@ -244,7 +248,8 @@ def random_channel(
         )
     v = random_isometry(dim_out * kraus_rank, dim_in, seed)
     ops = v.reshape(dim_out, kraus_rank, dim_in).transpose(1, 0, 2)
-    return kraus_to_choi(KrausSet(dim_in, dim_out, ops))
+    # Admitted, not validated: sum E†E = V†V is I to QR rounding, about 1e-15.
+    return _admitted(dim_in, dim_out, _kraus_choi(ops))
 
 
 def random_operation(
@@ -254,4 +259,4 @@ def random_operation(
     rng = np.random.default_rng(seed)
     scale = rng.uniform(0.2, 1.0)
     ch = random_channel(dim_in, dim_out, kraus_rank, rng)
-    return QuantumOperation(dim_in, dim_out, scale * ch.choi)
+    return _admitted(dim_in, dim_out, scale * ch.choi)  # PSD, with effect scale·I <= I

@@ -36,6 +36,7 @@ import numpy as np
 from .linalg import (
     EQ_TOL,
     _check_dims,
+    _worst,
     dag,
     frob,
     hermiticity_residual,
@@ -162,13 +163,15 @@ def realize_probabilistic(parts, tol: float = EQ_TOL) -> CircuitRealization:
 
     The parts must sum to a deterministic supermap.  Part j receives the
     projector onto the ancilla-A basis indices of its Kraus operators in the
-    concatenated realization.
+    concatenated realization.  V and W are checked at ``tol``; the projectors
+    are attached unchecked: exact 0/1 diagonals on disjoint ranges, summing to I.
     """
     parts = list(parts)
-    v, w, dim_a, dim_b = _isometries(sum_supermaps(parts), tol)
+    circuit = CircuitRealization(*_isometries(sum_supermaps(parts), tol), tol=tol)
     owner = np.repeat(np.arange(len(parts)), [len(p.kraus) for p in parts])  # part of each A index
-    projectors = tuple(np.diag(owner == j).astype(complex) for j in range(len(parts)))
-    return CircuitRealization(v, w, dim_a, dim_b, projectors, tol)
+    projectors = tuple(readonly_copy(np.diag(owner == j)) for j in range(len(parts)))
+    object.__setattr__(circuit, "projectors", projectors)
+    return circuit
 
 
 def circuit_to_supermap(c: CircuitRealization, dims: tuple[int, int, int, int]):
@@ -292,12 +295,7 @@ def delayed_reading_check(
             choi4 = part.act(channel.choi).reshape(k_out, k_in, k_out, k_in)
             direct = np.einsum("namb,ab->nm", choi4, rho)
             circ = np.einsum("ab,kblc,ca->kl", p, out, p)
-            worst_action = max(worst_action, frob(direct - circ))
+            worst_action = _worst(worst_action, frob(direct - circ))
             total_p += float(np.trace(circ).real)
-        worst_prob = max(worst_prob, abs(total_p - 1.0))
-    return DelayedReadingReport(
-        trials=trials,
-        max_action_residual=worst_action,
-        max_probability_residual=worst_prob,
-        tol=tol,
-    )
+        worst_prob = _worst(worst_prob, abs(total_p - 1.0))
+    return DelayedReadingReport(trials, worst_action, worst_prob, tol)

@@ -13,6 +13,7 @@ import numpy as np
 from .linalg import (
     EQ_TOL,
     _cap_non_finite,
+    _worst,
     frob,
     isometry_residual,
     kron,
@@ -48,11 +49,8 @@ CORRUPTIONS = ("v-isometry", "tester-norm")
 def _random_deterministic_supermap(rng: np.random.Generator, dims=(2, 2, 2, 2)):
     """Deterministic supermap from a random two-isometry circuit."""
     h_in, h_out, k_in, k_out = dims
-    dim_b = int(rng.integers(1, 3))
-    lo = -(-k_in // h_in)  # ceil division: V needs dim_b * h_in >= k_in
-    dim_b = max(dim_b, lo)
-    dim_a = int(rng.integers(1, 4))
-    dim_a = max(dim_a, -(-(h_out * dim_b) // k_out))
+    dim_b = max(int(rng.integers(1, 3)), -(-k_in // h_in))  # V needs dim_b * h_in >= k_in
+    dim_a = max(int(rng.integers(1, 4)), -(-(h_out * dim_b) // k_out))
     v = random_isometry(dim_b * h_in, k_in, rng)
     w = random_isometry(k_out * dim_a, h_out * dim_b, rng)
     circuit = CircuitRealization(v=v, w=w, dim_a=dim_a, dim_b=dim_b)
@@ -75,7 +73,7 @@ def _suite_choi_kraus(rng, trials):
         rank = int(rng.integers(1, 5))
         op = random_operation(d_in, d_out, max(rank, -(-d_in // d_out)), rng)
         back = kraus_to_choi(choi_to_kraus(op))
-        worst = max(worst, frob(back.choi - op.choi))
+        worst = _worst(worst, frob(back.choi - op.choi))
     return worst
 
 
@@ -87,7 +85,7 @@ def _suite_application(rng, trials):
         op = random_operation(d_in, d_out, 2 * max(1, -(-d_in // d_out)), rng)
         k = choi_to_kraus(op)
         rho = random_density(d_in, rng)
-        worst = max(worst, frob(k.apply(rho) - apply_operation(op, rho)))
+        worst = _worst(worst, frob(k.apply(rho) - apply_operation(op, rho)))
     return worst
 
 
@@ -98,9 +96,9 @@ def _suite_normalization(rng, trials, tol):
         d_out = int(rng.integers(2, 4))
         ch = random_channel(d_in, d_out, int(rng.integers(1, 4)) * max(1, -(-d_in // d_out)), rng)
         rho = random_density(d_in, rng)
-        worst = max(worst, abs(np.trace(kron(np.eye(d_out), rho) @ ch.choi).real - 1.0))
+        worst = _worst(worst, abs(np.trace(kron(np.eye(d_out), rho) @ ch.choi).real - 1.0))
         ok, recovered = is_normalization_functional(kron(np.eye(d_out), rho), (d_out, d_in), tol)
-        worst = max(worst, frob(recovered - rho) if ok else np.inf)
+        worst = _worst(worst, frob(recovered - rho) if ok else np.inf)
     return worst
 
 
@@ -126,7 +124,7 @@ def _suite_realization(rng, trials, tol, corrupt=None):
             # The circuit is immutable; damage a local copy of V instead.
             v = v.copy()
             v[0, 0] += 1e-3
-        worst = max(
+        worst = _worst(
             worst,
             isometry_residual(v),
             circuit.w_residual,
@@ -143,7 +141,7 @@ def _suite_delayed_reading(rng, trials, tol):
         s = _random_deterministic_supermap(rng)
         parts = _split_kraus(s, rng, int(rng.integers(2, 4)))
         report = delayed_reading_check(parts, trials=3, seed=rng, tol=tol)
-        worst = max(worst, report.max_action_residual, report.max_probability_residual)
+        worst = _worst(worst, report.max_action_residual, report.max_probability_residual)
     return worst
 
 
@@ -164,11 +162,11 @@ def _suite_testers(rng, trials, tol, corrupt=None):
             _, norm_residual, trace_gap = _factor_identity(sum(effects), d, d)
             if norm_residual <= tol and trace_gap <= tol:
                 raise
-            worst = max(worst, norm_residual, trace_gap)
+            worst = _worst(worst, norm_residual, trace_gap)
             continue
         ch = random_channel(d, d, int(rng.integers(1, 4)), rng)
         probs = evaluate(t, ch)
-        worst = max(worst, t.residual, t.trace_gap, abs(sum(probs) - 1.0))
+        worst = _worst(worst, t.residual, t.trace_gap, abs(sum(probs) - 1.0))
     return worst
 
 

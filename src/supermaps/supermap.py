@@ -32,6 +32,7 @@ from .linalg import (
     EQ_TOL,
     _cap_non_finite,
     _check_dims,
+    _worst,
     _kraus_operators,
     frob,
     isometry_residual,
@@ -437,5 +438,5 @@ def action_distance(a: Supermap, b: Supermap) -> float:
         np.matmul(alpha[i : i + step], alpha_h, out=gap)
         gap -= beta[i : i + step] @ beta_h
         parts = gap.view(float).reshape(-1, rank, d, rank, 2)
-        worst = max(worst, float(np.max(np.einsum("irjsc,irjsc->ij", parts, parts))))
+        worst = _worst(worst, float(np.max(np.einsum("irjsc,irjsc->ij", parts, parts))))
     return float(np.sqrt(worst))

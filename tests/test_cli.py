@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -308,6 +309,18 @@ class TestRealizeCommands:
             for j in range(len(paths))
         ]
         np.testing.assert_allclose(sum(projectors), np.eye(report["details"]["dim_a"]))
+
+    def test_realize_prob_fails_on_a_nan_part_residual(self, capsys, rng, tmp_path, monkeypatch):
+        # Part residuals [0.0, NaN]: max alone would read 0.0 and pass.
+        s = random_circuit_supermap(rng, dim_a=2)
+        paths = [str(tmp_path / f"part{j}.json") for j in range(2)]
+        for path, k in zip(paths, s.kraus):
+            sio.save_json(path, sio.supermap_to_json(Supermap(s.h_in, s.h_out, s.k_in, s.k_out, (k,))))
+        residuals = iter([0.0, np.nan])
+        monkeypatch.setattr(cli, "action_distance", lambda a, b: next(residuals))
+        code, report = run_cli(capsys, "realize-prob", *paths)
+        assert code == 1 and report["pass"] is False and report["residual"] == 1e300
+        assert report["details"]["part_residuals"] == [0.0, 1e300]
 
 
 class TestTesterCommands:
@@ -635,6 +648,24 @@ class TestSelftest:
             capsys, "selftest", "--seed", "5", "--trials", "10", "--corrupt", corruption
         )
         assert code == 1 and not report["pass"]
+
+    @pytest.mark.parametrize("name, nan, suites", [
+        ("frob", np.nan, ["choi-kraus-roundtrip", "operator-sum-vs-choi-application",
+                          "normalization-functionals"]),
+        ("action_distance", np.nan, ["realization-roundtrip"]),
+        ("delayed_reading_check", SimpleNamespace(max_action_residual=0.0,
+                                                  max_probability_residual=np.nan),
+         ["delayed-reading"]),
+        ("evaluate", [np.nan], ["tester-normalization"]),
+    ])
+    def test_nan_residual_fails_its_suite(self, capsys, monkeypatch, name, nan, suites):
+        # The patched step gives NaN on every trial; each suite's fold must keep
+        # it, so the suite fails and its residual reads 1e300.
+        monkeypatch.setattr(f"supermaps.selftest.{name}", lambda *args, **kwargs: nan)
+        code, report = run_cli(capsys, "selftest", "--seed", "0", "--trials", "5")
+        assert code == 1 and report["pass"] is False and report["residual"] == 1e300
+        failed = {k: v["max_residual"] for k, v in report["details"].items() if not v["pass"]}
+        assert failed == dict.fromkeys(suites, 1e300)
 
     def test_corrupt_tester_at_loose_tol_reports(self, capsys):
         """At --tol 0.3 some damaged testers pass the normalization check and are built at 0.3 too."""

@@ -18,7 +18,6 @@ spectrum per Kraus set.
 """
 
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -88,7 +87,7 @@ def ref_realize(s: Supermap, tol: float = EQ_TOL) -> CircuitRealization:
 
 def ref_kraus_to_choi(k: KrausSet) -> QuantumOperation:
     """Choi operator of a Kraus set: sum_j vec(E_j) vec(E_j)†."""
-    return QuantumOperation(k.dim_in, k.dim_out, _kraus_choi(k))
+    return QuantumOperation(k.dim_in, k.dim_out, _kraus_choi(k.operators))
 
 
 # ---------------------------------------------------------------- fixtures
@@ -195,7 +194,7 @@ def test_kraus_set_verdict_implies_the_choi_verdicts(dims, r, kind, seed, scale)
     dim_in, dim_out = dims
     ops = kraus_fixture(dim_in, dim_out, r, kind, seed, scale)
     # The Choi operator the sum of outer products gives, whether or not KrausSet admits it.
-    choi = _kraus_choi(SimpleNamespace(dim_in=dim_in, dim_out=dim_out, operators=ops))
+    choi = _kraus_choi(ops)
     res = choi_residuals(choi, dim_in, dim_out)
     try:
         k = KrausSet(dim_in, dim_out, ops)

@@ -1,11 +1,16 @@
 """Tensor bookkeeping primitives against element-wise oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supermaps.linalg import (
     POS_TOL,
     _PHASE_EPS,
+    _worst,
     check_povm,
     dag,
     frob,
@@ -334,3 +339,11 @@ class TestCheckPovm:
             check_povm([])
         with pytest.raises(ValueError, match="^joint POVM is empty$"):
             check_povm(iter(()), 4, "joint POVM")
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=5))
+def test_worst_keeps_nan_and_otherwise_is_max(xs):
+    if any(map(math.isnan, xs)):
+        assert math.isnan(_worst(*xs))
+    else:
+        assert _worst(*xs) is max(xs)  # the very float max picks, so its bits

@@ -310,6 +310,27 @@ class TestDelayedReading:
         assert report.max_probability_residual == pytest.approx(excess, rel=1e-3)
         assert report.max_action_residual <= 1e-12
 
+    def test_nan_action_residual_fails(self, rng, monkeypatch):
+        monkeypatch.setattr("supermaps.realization.frob", lambda m: np.nan)
+        report = delayed_reading_check([random_circuit_supermap(rng)], trials=3, seed=2)
+        assert np.isnan(report.max_action_residual) and not report.passed
+        assert report.max_probability_residual <= 1e-10
+
+    def test_nan_probability_residual_fails(self, rng, monkeypatch):
+        # Only the last trial's circuit output is NaN: a fold by max alone drops it.
+        original = sys.modules["supermaps.realization"]._circuit_output
+        runs = []
+
+        def last_is_nan(c, op, rho):
+            runs.append(rho)
+            out = original(c, op, rho)
+            return out * np.nan if len(runs) == 3 else out
+
+        monkeypatch.setattr("supermaps.realization._circuit_output", last_is_nan)
+        report = delayed_reading_check([random_circuit_supermap(rng)], trials=3, seed=2)
+        assert np.isnan(report.max_probability_residual) and np.isnan(report.max_action_residual)
+        assert not report.passed
+
 
 def ref_run_circuit(c, op, rho, outcome=None):
     """run_circuit as it was when delayed reading called it once per outcome."""

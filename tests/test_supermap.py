@@ -10,6 +10,7 @@ from supermaps.operations import (
     apply_operation,
     choi_to_kraus,
     compose,
+    identity_operation,
     is_channel,
     kraus_to_choi,
     random_channel,
@@ -107,6 +108,14 @@ class TestApplySupermap:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             apply_supermap(identity_supermap(2, 2), random_channel(3, 3, 1, rng))
+
+    def test_output_is_validated_and_the_check_can_fail(self):
+        # S = 2 I is not trace-non-increasing, so S(E) is not an operation: the
+        # re-validation of S(E) is the only check between S and a wrong result.
+        with pytest.raises(
+            ValueError, match=r"^operation increases trace \(effect exceeds identity by 3\.000e\+00\)$"
+        ):
+            apply_supermap(Supermap(1, 1, 1, 1, [[[2.0]]]), identity_operation(1))
 
 
 class TestDualSupermap:
@@ -351,6 +360,15 @@ class TestSumSupermaps:
 
 
 class TestActionDistance:
+    def test_overflowing_actions_are_not_identical(self):
+        # Every gap is inf − inf = NaN: the distance is NaN, which no tol passes,
+        # not the 0.0 a fold by max alone would keep.  A gap that is only
+        # infinite stays infinite.
+        one = lambda x: Supermap(1, 1, 1, 1, [[[x]]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(action_distance(one(1e200), one(2e200)))
+            assert action_distance(one(1e100), one(3e100)) == np.inf
+
     def test_kraus_freedom_invisible(self, rng):
         # rotating the Kraus list by a unitary leaves the action unchanged
         s = random_circuit_supermap(rng, dim_a=2)
