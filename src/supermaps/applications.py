@@ -117,21 +117,20 @@ def programmable_channel(dev: ProgrammableDevice, program: np.ndarray) -> Quantu
     return kraus_to_choi(KrausSet(dev.dim_sys, dev.dim_sys, ops))
 
 
-def programmable_povm(joint_povm, program: np.ndarray) -> list[np.ndarray]:
-    """Effective POVM P_j = Tr_prog[E_j (I ⊗ sigma)] for a program state sigma."""
+def programmable_povm(joint_povm, program: np.ndarray) -> np.ndarray:
+    """Effective POVM P_j = Tr_prog[E_j (I ⊗ sigma)] for a program state sigma,
+    as one read-only (n, d_sys, d_sys) array."""
     sigma = np.asarray(program, dtype=complex)
-    d_prog = sigma.shape[0]
     if not is_density_matrix(sigma):
         raise ValueError("program is not a density matrix")
+    d_prog = sigma.shape[0]
     povm = check_povm(joint_povm, what="joint POVM")
-    d = povm[0].shape[0]
+    d = povm.shape[1]
     if d % d_prog:
         raise ValueError("joint POVM dimension is not a multiple of the program's")
     d_sys = d // d_prog
-    out = []
-    for e in povm:
-        e4 = e.reshape(d_sys, d_prog, d_sys, d_prog)
-        out.append(np.einsum("mpnq,qp->mn", e4, sigma))
+    out = np.einsum("jmpnq,qp->jmn", povm.reshape(-1, d_sys, d_prog, d_sys, d_prog), sigma)
+    out.setflags(write=False)
     return out
 
 
@@ -179,8 +178,8 @@ def informationally_complete_tester_for(setup: TomographySetup, povm) -> Tester:
     if not is_faithful(setup):
         raise ValueError("probe state is not faithful")
     d_out = setup.h_out * setup.h_in
-    povm = [np.asarray(m, dtype=complex) for m in povm]
-    rank = numerical_rank(np.stack([m.reshape(-1) for m in povm]))
+    povm = check_povm(povm, d_out)
+    rank = numerical_rank(povm.reshape(len(povm), -1))
     if rank != d_out**2:
         raise ValueError(
             f"POVM is not informationally complete on the output space "
@@ -198,8 +197,7 @@ def povm_as_channel(povm) -> QuantumOperation:
     outcome; classical registers are diagonal-supported quantum systems.
     """
     povm = check_povm(povm)
-    d = povm[0].shape[0]
-    n_out = len(povm)
+    n_out, d = povm.shape[:2]
     ops = []
     for n, p in enumerate(povm):
         for f in psd_factors(p).T:

@@ -197,7 +197,7 @@ def _circuit_details(args, circuit, **residuals) -> dict:
     _write_out(args, details, {
         "v.json": circuit.v,
         "w.json": circuit.w,
-        **{f"projector_{j}.json": p for j, p in enumerate(circuit.projectors or ())},
+        **{f"projector_{j}.json": p for j, p in enumerate(() if circuit.projectors is None else circuit.projectors)},
         "meta.json": meta,
     })
     return details

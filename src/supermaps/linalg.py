@@ -122,16 +122,16 @@ def _check_dims(*dims: int) -> None:
         raise ValueError("dimensions must be positive")
 
 
-def _kraus_operators(ops, shape: tuple[int, int] | None) -> np.ndarray:
-    """One read-only complex array (r, *shape) of the Kraus operators ``ops``, any
+def _operator_stack(ops, shape: tuple[int, int] | None, what: str = "Kraus operator") -> np.ndarray:
+    """One read-only complex array (n, *shape) of the operators ``ops``, any
     iterable of 2-D arrays or one 3-D array; ``shape=None`` takes the first one's.
-    One copy, one shape check and one finiteness check."""
+    One copy, one shape check and one finiteness check, whose messages name ``what``."""
     # Copies inline, not through readonly_copy: the benchmark's tracer pins the
     # spans of Supermap's validator, which must therefore call no public function.
     ops = ops if isinstance(ops, np.ndarray) else list(ops)
     shape = shape or (np.shape(ops[0]) if len(ops) else (0, 0))
     if len(shape) != 2:
-        raise ValueError(f"Kraus operators must be matrices, got shape {shape}")
+        raise ValueError(f"{what}s must be matrices, got shape {shape}")
     try:
         arr = np.array(ops, dtype=complex) if len(ops) else np.empty((0, *shape), dtype=complex)
         got = arr.shape[1:]
@@ -140,9 +140,9 @@ def _kraus_operators(ops, shape: tuple[int, int] | None) -> np.ndarray:
         if got is None:
             raise
     if got != shape:
-        raise ValueError(f"Kraus operator shape {got} != {shape}")
+        raise ValueError(f"{what} shape {got} != {shape}")
     if not np.isfinite(arr).all():
-        raise ValueError("Kraus operator has non-finite entries")
+        raise ValueError(f"{what} has non-finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -242,33 +242,26 @@ def isometry_residual(m: np.ndarray) -> float:
 
 
 def is_density_matrix(m: np.ndarray) -> bool:
-    """Finite, positive semidefinite and of unit trace, within POS_TOL and EQ_TOL."""
-    return np.isfinite(m).all() and is_positive_semidefinite(m) and abs(np.trace(m) - 1.0) <= EQ_TOL
+    """Square, finite, positive semidefinite and of unit trace, within POS_TOL and EQ_TOL."""
+    m = np.asarray(m)
+    return (m.ndim == 2 and m.shape[0] == m.shape[1] and np.isfinite(m).all()
+            and is_positive_semidefinite(m) and abs(np.trace(m) - 1.0) <= EQ_TOL)
 
 
-def _check_positive_elements(elements, d: int, what: str) -> None:
-    """Raise ValueError, naming ``what``, unless each element is finite, d x d and positive."""
-    for m in elements:
-        if m.shape != (d, d):
-            raise ValueError(f"{what} shape {m.shape} != ({d}, {d})")
-        if not np.isfinite(m).all():
-            raise ValueError(f"{what} has non-finite entries")
-        if not is_positive_semidefinite(m):
-            raise ValueError(f"{what} is not positive semidefinite")
-
-
-def check_povm(povm, d: int | None = None, what: str = "POVM") -> list[np.ndarray]:
+def check_povm(povm, d: int | None = None, what: str = "POVM") -> np.ndarray:
     """Validate d x d POVM elements: each one's shape and positivity, then the sum.
 
     ``d`` defaults to the first element's size, and an empty POVM is rejected.
-    Returns the elements as complex arrays; raises ValueError naming ``what``.
+    Returns the elements as one read-only (n, d, d) complex array; raises
+    ValueError naming ``what``.
     """
-    povm = [np.asarray(m, dtype=complex) for m in povm]
-    if not povm:
+    povm = povm if isinstance(povm, np.ndarray) else list(povm)
+    if not len(povm):
         raise ValueError(f"{what} is empty")
-    if d is None:
-        d = povm[0].shape[0]
-    _check_positive_elements(povm, d, f"{what} element")
+    d = np.shape(povm[0])[0] if d is None else d
+    povm = _operator_stack(povm, (d, d), f"{what} element")
+    if not all(map(is_positive_semidefinite, povm)):
+        raise ValueError(f"{what} element is not positive semidefinite")
     if rel_residual(sum(povm), np.eye(d)) > EQ_TOL:
         raise ValueError(f"{what} does not sum to the identity")
     return povm

@@ -26,7 +26,7 @@ from .linalg import (
     HERM_TOL,
     POS_TOL,
     _check_dims,
-    _kraus_operators,
+    _operator_stack,
     dag,
     frob,
     hermitian_spectrum,
@@ -119,7 +119,7 @@ class KrausSet:
 
     def __post_init__(self):
         _check_dims(self.dim_in, self.dim_out)
-        ops = _kraus_operators(self.operators, (self.dim_out, self.dim_in))
+        ops = _operator_stack(self.operators, (self.dim_out, self.dim_in))
         # sum_j E_j† E_j is the Gram matrix of the E_j stacked as one column.
         column = ops.reshape(-1, self.dim_in)
         gram = dag(column) @ column

@@ -36,6 +36,7 @@ import numpy as np
 from .linalg import (
     EQ_TOL,
     _check_dims,
+    _operator_stack,
     _worst,
     dag,
     frob,
@@ -61,7 +62,8 @@ class CircuitRealization:
     ``v``: (dim_b * h_in) x k_in isometry into the (B, H_in) composite.
     ``w``: (k_out * dim_a) x (h_out * dim_b) isometry into (K_out, A).
     ``projectors``: optional orthogonal projectors on A summing to the
-    identity, one per probabilistic alternative.
+    identity, one per probabilistic alternative, held as one read-only
+    (n, dim_a, dim_a) array.
     ``tol`` bounds every check; ``v_residual``/``w_residual`` (derived) hold
     the ``isometry_residual`` of V and W that the validator measured.
 
@@ -74,7 +76,7 @@ class CircuitRealization:
     w: np.ndarray
     dim_a: int
     dim_b: int
-    projectors: tuple | None = None
+    projectors: np.ndarray | None = None
     tol: float = EQ_TOL
     v_residual: float = field(init=False)
     w_residual: float = field(init=False)
@@ -93,10 +95,8 @@ class CircuitRealization:
             object.__setattr__(self, f"{name.lower()}_residual", residual)
         projs = None
         if self.projectors is not None:
-            projs = tuple(map(readonly_copy, self.projectors))
+            projs = _operator_stack(self.projectors, (self.dim_a, self.dim_a), "ancilla projector")
             for i, p in enumerate(projs):
-                if p.shape != (self.dim_a, self.dim_a):
-                    raise ValueError("projector shape does not match ancilla A")
                 if hermiticity_residual(p) > self.tol or rel_residual(p @ p, p) > self.tol:
                     raise ValueError("ancilla projectors must be Hermitian idempotents")
                 for q in projs[:i]:
@@ -169,8 +169,8 @@ def realize_probabilistic(parts, tol: float = EQ_TOL) -> CircuitRealization:
     parts = list(parts)
     circuit = CircuitRealization(*_isometries(sum_supermaps(parts), tol), tol=tol)
     owner = np.repeat(np.arange(len(parts)), [len(p.kraus) for p in parts])  # part of each A index
-    projectors = tuple(readonly_copy(np.diag(owner == j)) for j in range(len(parts)))
-    object.__setattr__(circuit, "projectors", projectors)
+    projectors = (owner == np.arange(len(parts))[:, None])[:, None] * np.eye(len(owner))
+    object.__setattr__(circuit, "projectors", readonly_copy(projectors))
     return circuit
 
 

@@ -32,8 +32,8 @@ from .linalg import (
     EQ_TOL,
     _cap_non_finite,
     _check_dims,
+    _operator_stack,
     _worst,
-    _kraus_operators,
     frob,
     isometry_residual,
     kraus_sum,
@@ -109,7 +109,7 @@ class Supermap:
 
     def __post_init__(self):
         _check_dims(self.h_in, self.h_out, self.k_in, self.k_out)
-        ops = _kraus_operators(self.kraus, (self.k_out * self.k_in, self.h_out * self.h_in))
+        ops = _operator_stack(self.kraus, (self.k_out * self.k_in, self.h_out * self.h_in))
         if not len(ops):
             raise ValueError("supermap needs at least one Kraus operator")
         object.__setattr__(self, "kraus", ops)
@@ -325,7 +325,7 @@ class EffectMap:
     tol: float = EQ_TOL
 
     def __post_init__(self):
-        ops = _kraus_operators(self.kraus, None)
+        ops = _operator_stack(self.kraus, None)
         if not len(ops):
             raise ValueError("effect map needs at least one Kraus operator")
         # sum_l N_l† N_l is the Gram matrix of the N_l stacked as one column.

@@ -18,9 +18,10 @@ from .linalg import (
     EQ_TOL,
     _cap_non_finite,
     _check_dims,
-    _check_positive_elements,
+    _operator_stack,
     check_povm,
     is_density_matrix,
+    is_positive_semidefinite,
     kron,
     numerical_rank,
     psd_factors,
@@ -38,14 +39,15 @@ class Tester:
     and their sum must factor as I ⊗ sigma, with sigma (derived, not passed)
     a state on H_in; the residual of that factorization is reported on
     failure, and kept with its trace gap as ``residual``/``trace_gap``
-    (derived) on success.  The effects and sigma are stored as read-only
-    copies.  The same ``tol`` sets the clamp of ``evaluate`` and the rank
-    rule of ``is_informationally_complete``.
+    (derived) on success.  The effects are stored as one read-only
+    (n, d, d) array, d = h_out·h_in, and sigma as a read-only copy.  The
+    same ``tol`` sets the clamp of ``evaluate`` and the rank rule of
+    ``is_informationally_complete``.
     """
 
     h_in: int
     h_out: int
-    effects: tuple
+    effects: np.ndarray
     tol: float = EQ_TOL
     sigma: np.ndarray = field(init=False)
     residual: float = field(init=False)
@@ -53,11 +55,15 @@ class Tester:
 
     def __post_init__(self):
         _check_dims(self.h_in, self.h_out)
-        object.__setattr__(self, "effects", tuple(map(readonly_copy, self.effects)))
-        if not self.effects:
+        d = self.h_out * self.h_in
+        effects = _operator_stack(self.effects, (d, d), "tester effect")
+        if not len(effects):
             raise ValueError("tester needs at least one effect")
-        _check_positive_elements(self.effects, self.h_out * self.h_in, "tester effect")
-        sigma, residual, trace_gap = _factor_identity(sum(self.effects), self.h_out, self.h_in)
+        if not all(map(is_positive_semidefinite, effects)):
+            raise ValueError("tester effect is not positive semidefinite")
+        object.__setattr__(self, "effects", effects)
+        # Python's sum: numpy's effects.sum(0) adds 1x1 effects pairwise, in another order.
+        sigma, residual, trace_gap = _factor_identity(sum(effects), self.h_out, self.h_in)
         if not (residual <= self.tol and trace_gap <= self.tol):  # NaN fails too
             residual, trace_gap = map(_cap_non_finite, (residual, trace_gap))
             raise ValueError(
@@ -91,21 +97,15 @@ class OutcomeDistribution:
 
 def make_tester(effects, h_out: int, h_in: int, tol: float = EQ_TOL) -> Tester:
     """Validated tester from its effects, with the normalization state extracted."""
-    return Tester(h_in=h_in, h_out=h_out, effects=tuple(effects), tol=tol)
+    return Tester(h_in=h_in, h_out=h_out, effects=effects, tol=tol)
 
 
 def evaluate(t: Tester, op: QuantumOperation) -> OutcomeDistribution:
     """Outcome probabilities p_j = Tr[choi P_j], clamped to [0, 1] within ``t.tol``."""
     _check_ports(op, t.h_in, t.h_out, "tester")
-    probs = []
-    for p in t.effects:
-        x = float(np.einsum("ij,ji->", op.choi, p).real)
-        if -t.tol <= x < 0.0:
-            x = 0.0
-        elif 1.0 < x <= 1.0 + t.tol:
-            x = 1.0
-        probs.append(x)
-    return OutcomeDistribution(np.array(probs))
+    x = np.einsum("ij,kji->k", op.choi, t.effects).real
+    x = np.where((-t.tol <= x) & (x < 0.0), 0.0, x)
+    return OutcomeDistribution(np.where((1.0 < x) & (x <= 1.0 + t.tol), 1.0, x))
 
 
 def discrimination_probability(t: Tester, ops, priors) -> float:
@@ -136,8 +136,7 @@ def is_informationally_complete(t: Tester) -> bool:
     full = (t.h_out * t.h_in) ** 2
     if len(t.effects) < full:
         return False
-    stacked = np.stack([p.reshape(-1) for p in t.effects])
-    return numerical_rank(stacked, t.tol) == full
+    return numerical_rank(t.effects.reshape(len(t.effects), -1), t.tol) == full
 
 
 def prepare_measure_tester(rho: np.ndarray, povm, h_out: int) -> Tester:
@@ -159,20 +158,15 @@ def tester_from_circuit(input_state: np.ndarray, povm, h_in: int, h_out: int) ->
     for every operation E.
     """
     x = np.asarray(input_state, dtype=complex)
+    if not is_density_matrix(x):
+        raise ValueError("input state is not a density matrix")
     if x.shape[0] % h_in:
         raise ValueError("input state dimension is not a multiple of h_in")
     b = x.shape[0] // h_in
-    if not is_density_matrix(x):
-        raise ValueError("input state is not a density matrix")
-    povm = check_povm(povm, h_out * b, "joint POVM")
-    x4 = x.reshape(h_in, b, h_in, b)
-    effects = []
-    for m in povm:
-        m4 = m.reshape(h_out, b, h_out, b)
-        # P[(a,alpha),(c,gamma)] = sum_{b,d} X[(gamma,b),(alpha,d)] M[(a,d),(c,b)]
-        p4 = np.einsum("gbad,edcb->eacg", x4, m4)
-        effects.append(p4.reshape(h_out * h_in, h_out * h_in))
-    return make_tester(effects, h_out, h_in)
+    m5 = check_povm(povm, h_out * b, "joint POVM").reshape(-1, h_out, b, h_out, b)
+    # P_j[(a,alpha),(c,gamma)] = sum_{b,d} X[(gamma,b),(alpha,d)] M_j[(a,d),(c,b)]
+    effects = np.einsum("gbad,jedcb->jeacg", x.reshape(h_in, b, h_in, b), m5)
+    return make_tester(effects.reshape(-1, h_out * h_in, h_out * h_in), h_out, h_in)
 
 
 def as_supermap_parts(t: Tester) -> list[Supermap]:

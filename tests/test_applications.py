@@ -332,6 +332,19 @@ class TestInformationallyCompleteTester:
         with pytest.raises(ValueError, match="informationally complete"):
             informationally_complete_tester_for(setup, basis_projectors)
 
+    # The POVM was not validated: NaN raised LinAlgError from the rank's SVD, and
+    # a ragged or empty list numpy's stacking errors.
+    @pytest.mark.parametrize("povm, message", [
+        ([np.full((4, 4), np.nan)], "POVM element has non-finite entries"),
+        ([np.eye(4), np.eye(2)], "POVM element shape (2, 2) != (4, 4)"),
+        ([], "POVM is empty"),
+    ], ids=["nan", "ragged", "empty"])
+    def test_povm_is_validated(self, povm, message):
+        setup = TomographySetup(faithful_state=bell_projector(2) / 2, h_in=2, h_out=2)
+        with pytest.raises(ValueError) as exc:
+            informationally_complete_tester_for(setup, povm)
+        assert str(exc.value) == message
+
     def test_statistics_invert_to_the_channel(self, rng):
         # the operational content of completeness: outcome probabilities of an
         # unknown channel determine its Choi operator by linear inversion

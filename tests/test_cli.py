@@ -795,24 +795,34 @@ class TestNonFiniteReports:
     """Overflowing inputs give one failing JSON report, non-finite numbers written as +-1e300.
 
     No numpy warning is raised, stderr holds at most the one ``error:`` line,
-    and a failure's text states the residual as the report does.
+    and a failure's text states the residual as the report does.  The same
+    inputs scaled by 2 fail with their finite residuals.
     """
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["supermap", "map.json", "--check", "deterministic"],
-            ["supermap", "map.json", "--check", "effect-map"],
-            ["supermap", "map.json", "--check", "prob-preserving"],
-            ["realize", "map.json"],
-            ["realize-prob", "map.json"],
-            ["check-op", "op.json"],
-        ],
-        ids=lambda argv: "-".join(argv[::2]),
-    )
-    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
-    def test_overflow_exits_1_with_one_report(self, capsys, monkeypatch, tmp_path, argv, scale):
-        monkeypatch.chdir(tmp_path)
+    ARGVS = [
+        ["supermap", "map.json", "--check", "deterministic"],
+        ["supermap", "map.json", "--check", "effect-map"],
+        ["supermap", "map.json", "--check", "prob-preserving"],
+        ["realize", "map.json"],
+        ["realize-prob", "map.json"],
+        ["check-op", "op.json"],
+    ]
+    # (residual, error) of each of ARGVS at scale 2.  The supermap's normalization
+    # residual is ||4 I - I||_F / ||I||_F = 3 (to rounding), and the operation's
+    # effect 4 I exceeds I by 3.
+    NOT_DETERMINISTIC = "supermap is not deterministic (residual 3.000e+00)"
+    AT_2 = [
+        (2.9999999999999996, None),
+        (2.9999999999999996, NOT_DETERMINISTIC),
+        (2.9999999999999996, NOT_DETERMINISTIC),
+        (2.9999999999999996, NOT_DETERMINISTIC),
+        (2.9999999999999996, NOT_DETERMINISTIC),
+        (3.0, None),
+    ]
+
+    @staticmethod
+    def _fails_with_one_report(capsys, argv, scale):
+        """Run argv on the identity supermap and the identity's Choi operator times scale."""
         s = identity_supermap(2, 2)
         sio.save_json("map.json", sio.supermap_to_json(Supermap(2, 2, 2, 2, scale * s.kraus)))
         sio.save_json("op.json", sio.operation_to_json(2, 2, scale * np.eye(4)))
@@ -825,10 +835,23 @@ class TestNonFiniteReports:
         assert captured.out == sio.dumps17(report) + "\n"
         error = report["details"].get("error")
         assert captured.err == ("" if error is None else f"error: check failed: {error}\n")
+        return report["residual"], error
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: "-".join(argv[::2]))
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
+    def test_overflow_exits_1_with_one_report(self, capsys, monkeypatch, tmp_path, argv, scale):
+        monkeypatch.chdir(tmp_path)
+        residual, error = self._fails_with_one_report(capsys, argv, scale)
         if argv[0] != "check-op":
-            assert report["residual"] == 1e300
+            assert residual == 1e300
         if error is not None:
             assert error == "supermap is not deterministic (residual 1.000e+300)"
+
+    @pytest.mark.parametrize("argv, expected", list(zip(ARGVS, AT_2)),
+                             ids=["-".join([argv[0], *argv[3:]]) for argv in ARGVS])
+    def test_scale_2_exits_1_with_its_residual(self, capsys, monkeypatch, tmp_path, argv, expected):
+        monkeypatch.chdir(tmp_path)
+        assert self._fails_with_one_report(capsys, argv, 2.0) == expected
 
     def test_non_finite_numbers_become_1e300_with_their_sign(self):
         nan, inf = float("nan"), float("inf")

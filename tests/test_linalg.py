@@ -14,6 +14,7 @@ from supermaps.linalg import (
     check_povm,
     dag,
     frob,
+    is_density_matrix,
     kron,
     partial_trace,
     permute_systems,
@@ -325,6 +326,15 @@ def test_random_density_is_state(rng):
     rho = random_density(3, rng)
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
+
+
+@pytest.mark.parametrize(
+    "m", [np.ones((2, 3)) / 2, np.ones(2) / 2, np.array([1.0]), np.eye(2)[None] / 2, np.array(1.0)],
+    ids=["2x3", "1-d", "1-d-unit", "3-d", "0-d"],
+)
+def test_is_density_matrix_is_false_unless_square(m):
+    # Non-square input raised numpy's broadcast error, and 1-D input LinAlgError.
+    assert is_density_matrix(m) is False
 
 
 class TestCheckPovm:

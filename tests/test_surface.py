@@ -101,7 +101,12 @@ REJECTIONS = {
         ValueError, "input state dimension is not a multiple of h_in"),
     "circuit-projector-shape": (
         lambda: _circuit(projectors=(np.eye(3),)),
-        ValueError, "projector shape does not match ancilla A"),
+        ValueError, "ancilla projector shape (3, 3) != (2, 2)"),
+    # Every orthogonality and idempotence test is False on NaN, so a NaN
+    # projector was accepted.
+    "circuit-projector-non-finite": (
+        lambda: _circuit(projectors=(np.full((2, 2), np.nan), I2)),
+        ValueError, "ancilla projector has non-finite entries"),
     "circuit-projector-idempotent": (
         lambda: _circuit(projectors=(np.diag([1.0, 0.5]), np.diag([0.0, 0.5]))),
         ValueError, "ancilla projectors must be Hermitian idempotents"),
@@ -117,6 +122,23 @@ REJECTIONS = {
     "programmable-povm-dimension": (
         lambda: programmable_povm([np.eye(3)], I2 / 2),
         ValueError, "joint POVM dimension is not a multiple of the program's"),
+    # A program or input state that is not a square matrix raised numpy's errors
+    # (IndexError for a 0-d one).
+    "programmable-povm-program-non-square": (
+        lambda: programmable_povm([np.eye(4)], np.ones((2, 3)) / 2),
+        ValueError, "program is not a density matrix"),
+    "programmable-povm-program-1d": (
+        lambda: programmable_povm([np.eye(4)], np.ones(2) / 2),
+        ValueError, "program is not a density matrix"),
+    "programmable-povm-program-0d": (
+        lambda: programmable_povm([np.eye(4)], np.float64(1.0)),
+        ValueError, "program is not a density matrix"),
+    "tester-from-circuit-state-0d": (
+        lambda: tester_from_circuit(np.float64(1.0), [np.eye(1)], h_in=1, h_out=1),
+        ValueError, "input state is not a density matrix"),
+    "tester-from-circuit-state-non-square": (
+        lambda: tester_from_circuit(np.ones((4, 2)), [np.eye(4)], h_in=2, h_out=2),
+        ValueError, "input state is not a density matrix"),
     "dumps17-type": (
         lambda: dumps17({"a": {1, 2}}),
         TypeError, "cannot serialize set"),
