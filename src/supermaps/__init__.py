@@ -14,6 +14,7 @@ from .linalg import (
     EQ_TOL,
     HERM_TOL,
     POS_TOL,
+    ResidualError,
     kron,
     partial_trace,
     permute_systems,

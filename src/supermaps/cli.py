@@ -4,7 +4,9 @@ Every command prints a single JSON report to stdout (diagnostics go to
 stderr) and exits 0 when all requested checks pass, 1 when a check fails,
 and 2 on malformed input.
 
-The argument parser is built once per process; each call looks its
+A ValueError from a handler is a failed check: ``main`` alone turns it into
+the failing report, whose residual is the one a ``ResidualError`` carries, or
+0.  The argument parser is built once per process; each call looks its
 ``cmd_*`` handler up by subcommand name, so a replaced handler is the one
 that runs.  Matrices are handed to ``io`` as arrays, which it writes
 without building nested lists.
@@ -13,7 +15,6 @@ without building nested lists.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import sys
 from pathlib import Path
@@ -26,7 +27,6 @@ from .linalg import EQ_TOL, _cap_non_finite, _worst, frob, is_density_matrix
 from .operations import (
     KrausSet,
     QuantumOperation,
-    _kraus_choi,
     apply_operation,
     choi_residuals,
     choi_to_kraus,
@@ -49,19 +49,6 @@ FAIL = 1
 MALFORMED = 2
 
 
-class CheckFailure(Exception):
-    """A semantic check failed; carries the report to emit before exit 1."""
-
-    def __init__(self, report: dict):
-        super().__init__(report.get("check", "check"))
-        self.report = report
-
-
-def _emit(report: dict) -> int:
-    print(io.dumps17(report))
-    return PASS if report["pass"] else FAIL
-
-
 def _finite(x):
     """x with each float in it passed through ``_cap_non_finite``."""
     if isinstance(x, dict):
@@ -78,17 +65,6 @@ def _report(check: str, ok: bool, residual: float, details: dict) -> dict:
         "residual": _finite(float(max(residual, 0.0))),
         "details": _finite(details),
     }
-
-
-@contextlib.contextmanager
-def _fails_as(check: str, residual: float = 0.0):
-    """Turn a ValueError raised in the block into ``check``'s failing report, with
-    the residual a NotDeterministicError names, if any, in place of ``residual``."""
-    try:
-        yield
-    except ValueError as exc:
-        residual = getattr(exc, "residual", None) or residual
-        raise CheckFailure(_report(check, False, residual, {"error": str(exc)}))
 
 
 def _write_out(args, details: dict, files) -> None:
@@ -135,8 +111,7 @@ def cmd_check_op(args) -> dict:
 
 def cmd_kraus2choi(args) -> dict:
     dim_in, dim_out, ops = io.kraus_set_from_json(io.load_json(args.path))
-    with _fails_as("kraus2choi"):
-        op = kraus_to_choi(KrausSet(dim_in, dim_out, ops))
+    op = kraus_to_choi(KrausSet(dim_in, dim_out, ops))
     payload = io.Rendered(io._operation_doc(op.dim_in, op.dim_out, op.choi))
     details: dict = {"operation": payload}
     _write_out(args, details, ("operation.json", payload))
@@ -145,11 +120,9 @@ def cmd_kraus2choi(args) -> dict:
 
 def cmd_choi2kraus(args) -> dict:
     dim_in, dim_out, choi = io.operation_from_json(io.load_json(args.path))
-    with _fails_as("choi2kraus"):
-        op = QuantumOperation(dim_in, dim_out, choi)
+    op = QuantumOperation(dim_in, dim_out, choi)
     kraus = choi_to_kraus(op)
-    # The round trip's Choi operator is positive by construction: not validated again.
-    roundtrip = frob(_kraus_choi(kraus.operators) - op.choi)
+    roundtrip = frob(kraus_to_choi(kraus).choi - op.choi)
     payload = io.Rendered(io._kraus_set_doc(dim_in, dim_out, kraus.operators))
     details: dict = {"kraus_count": len(kraus.operators), "kraus": payload}
     _write_out(args, details, ("kraus.json", payload))
@@ -159,11 +132,10 @@ def cmd_choi2kraus(args) -> dict:
 def cmd_apply(args) -> dict:
     dim_in, dim_out, choi = io.operation_from_json(io.load_json(args.op))
     rho = io.matrix_from_json(io.load_json(args.state))
-    with _fails_as("apply"):
-        op = QuantumOperation(dim_in, dim_out, choi)
-        out_state = apply_operation(op, rho)
-        if not is_density_matrix(rho):
-            raise ValueError("state is not a density matrix")
+    op = QuantumOperation(dim_in, dim_out, choi)
+    out_state = apply_operation(op, rho)
+    if not is_density_matrix(rho):
+        raise ValueError("state is not a density matrix")
     payload = io.Rendered(out_state)
     details = {"probability": float(np.trace(out_state).real), "output": payload}
     _write_out(args, details, ("output_state.json", payload))
@@ -178,12 +150,10 @@ def cmd_supermap(args) -> dict:
                    "normalization_residual": cert.tp_residual}
         return _report("supermap-deterministic", is_deterministic(s, args.tol), cert.residual, details)
     if args.check == "prob-preserving":
-        with _fails_as("supermap-prob-preserving", cert.residual):
-            residual = _identity_map_residual(s, args.tol)
+        residual = _identity_map_residual(s, args.tol)
         return _report("supermap-prob-preserving", residual <= args.tol, residual, {})
     # effect-map
-    with _fails_as("supermap-effect-map", cert.residual):
-        em = effect_map_of(s, args.tol)
+    em = effect_map_of(s, args.tol)
     payload = [io.Rendered(n) for n in em.kraus]
     details: dict = {"kraus_count": len(em.kraus), "kraus": payload}
     _write_out(args, details, {f"effect_map_{j}.json": mat for j, mat in enumerate(payload)})
@@ -205,8 +175,7 @@ def _circuit_details(args, circuit, **residuals) -> dict:
 
 def cmd_realize(args) -> dict:
     s = io.supermap_from_json(io.load_json(args.path))
-    with _fails_as("realize", determinism_certificate(s).residual):
-        circuit = realize(s, args.tol)
+    circuit = realize(s, args.tol)
     rebuilt = circuit_to_supermap(circuit, (s.h_in, s.h_out, s.k_in, s.k_out))
     residual = action_distance(rebuilt, s)
     v_gap, w_gap = circuit.v_residual, circuit.w_residual  # both <= --tol, or realize raised
@@ -218,8 +187,7 @@ def cmd_realize(args) -> dict:
 
 def cmd_realize_prob(args) -> dict:
     parts = [io.supermap_from_json(io.load_json(p)) for p in args.paths]
-    with _fails_as("realize-prob"):
-        circuit = realize_probabilistic(parts, args.tol)
+    circuit = realize_probabilistic(parts, args.tol)
     rebuilt = circuit_to_supermap(
         circuit, (parts[0].h_in, parts[0].h_out, parts[0].k_in, parts[0].k_out)
     )
@@ -229,18 +197,15 @@ def cmd_realize_prob(args) -> dict:
     return _report("realize-prob", worst <= args.tol, worst, details)
 
 
-def _load_tester(effect_paths, h_out: int, h_in: int, tol: float, check_name: str):
+def _load_tester(effect_paths, h_out: int, h_in: int, tol: float):
     effects = [io.matrix_from_json(io.load_json(p)) for p in effect_paths]
-    with _fails_as(check_name):
-        return make_tester(effects, h_out, h_in, tol)
+    return make_tester(effects, h_out, h_in, tol)
 
 
 def cmd_tester_eval(args) -> dict:
     dim_in, dim_out, choi = io.operation_from_json(io.load_json(args.op))
-    tester = _load_tester(args.effects, dim_out, dim_in, args.tol, "tester-eval")
-    with _fails_as("tester-eval"):
-        op = QuantumOperation(dim_in, dim_out, choi)
-        probs = evaluate(tester, op)
+    tester = _load_tester(args.effects, dim_out, dim_in, args.tol)
+    probs = evaluate(tester, QuantumOperation(dim_in, dim_out, choi))
     total_gap = abs(float(sum(probs)) - 1.0)
     return _report(
         "tester-eval",
@@ -256,7 +221,7 @@ def cmd_tester_eval(args) -> dict:
 
 
 def cmd_tester_check(args) -> dict:
-    tester = _load_tester(args.effects, args.dim_out, args.dim_in, args.tol, "tester-check")
+    tester = _load_tester(args.effects, args.dim_out, args.dim_in, args.tol)
     return _report(
         "tester-check",
         True,
@@ -273,8 +238,7 @@ def cmd_tomography_check(args) -> dict:
     f = io.matrix_from_json(io.load_json(args.state))
     h_in = int(round(np.sqrt(f.shape[0])))
     # Faithfulness does not depend on h_out, so the probe's own h_in serves.
-    with _fails_as("tomography-check"):
-        setup = TomographySetup(faithful_state=f, h_in=h_in, h_out=h_in)
+    setup = TomographySetup(faithful_state=f, h_in=h_in, h_out=h_in)
     faithful = is_faithful(setup, args.tol)
     return _report(
         "tomography-check",
@@ -287,9 +251,8 @@ def cmd_tomography_check(args) -> dict:
 def cmd_program_channel(args) -> dict:
     u = io.matrix_from_json(io.load_json(args.unitary))
     sigma = io.matrix_from_json(io.load_json(args.program))
-    with _fails_as("program-channel"):
-        dev = ProgrammableDevice(unitary=u, dim_sys=args.dim_sys, dim_prog=sigma.shape[0])
-        op = programmable_channel(dev, sigma)
+    dev = ProgrammableDevice(unitary=u, dim_sys=args.dim_sys, dim_prog=sigma.shape[0])
+    op = programmable_channel(dev, sigma)
     gap = frob(effect_of(op) - np.eye(op.dim_in))
     payload = io.Rendered(io._operation_doc(op.dim_in, op.dim_out, op.choi))
     details = {"channel_residual": gap, "operation": payload}
@@ -392,14 +355,17 @@ def main(argv=None) -> int:
         # Overflow shows in the report (non-finite numbers read 1e300), not as warnings.
         with np.errstate(all="ignore"):
             report = handler(args)
-    except CheckFailure as exc:
-        print(io.dumps17(exc.report))
-        print(f"error: check failed: {exc.report['details'].get('error', exc)}", file=sys.stderr)
-        return FAIL
     except io.FileFormatError as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return MALFORMED
-    return _emit(report)
+    except ValueError as exc:  # a failed check, with the residual a ResidualError names, else 0
+        check = f"supermap-{args.check}" if args.command == "supermap" else args.command
+        residual = getattr(exc, "residual", None) or 0.0
+        print(io.dumps17(_report(check, False, residual, {"error": str(exc)})))
+        print(f"error: check failed: {exc}", file=sys.stderr)
+        return FAIL
+    print(io.dumps17(report))
+    return PASS if report["pass"] else FAIL
 
 
 if __name__ == "__main__":

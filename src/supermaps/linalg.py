@@ -38,6 +38,7 @@ A tester's ``tol`` is set once, at construction: it also sets the clamp of
 ``evaluate`` and the rank rule of ``is_informationally_complete``.
 A residual that is not finite reads 1e300 in every report and message
 (``_cap_non_finite``), and a NaN residual fails: folds keep it (``_worst``).
+A check whose message names a residual raises ``ResidualError``, which carries it.
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ POS_TOL = 1e-9
 
 # Threshold below which an eigenvector entry counts as zero for the phase fix.
 _PHASE_EPS = 1e-10
+
+
+class ResidualError(ValueError):
+    """A failed check; ``residual`` is the number its message names, or None."""
+
+    def __init__(self, message: str, residual: float | None = None):
+        super().__init__(message)
+        self.residual = residual
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -251,15 +260,16 @@ def is_density_matrix(m: np.ndarray) -> bool:
 def check_povm(povm, d: int | None = None, what: str = "POVM") -> np.ndarray:
     """Validate d x d POVM elements: each one's shape and positivity, then the sum.
 
-    ``d`` defaults to the first element's size, and an empty POVM is rejected.
-    Returns the elements as one read-only (n, d, d) complex array; raises
-    ValueError naming ``what``.
+    ``d`` defaults to the first element's shape, which must be square; an empty
+    POVM is rejected.  Returns the elements as one read-only (n, d, d) complex
+    array; raises ValueError naming ``what``.
     """
-    povm = povm if isinstance(povm, np.ndarray) else list(povm)
+    povm = _operator_stack(povm, None if d is None else (d, d), f"{what} element")
     if not len(povm):
         raise ValueError(f"{what} is empty")
-    d = np.shape(povm[0])[0] if d is None else d
-    povm = _operator_stack(povm, (d, d), f"{what} element")
+    d = povm.shape[1]
+    if povm.shape[2] != d:
+        raise ValueError(f"{what} element shape {povm.shape[1:]} != ({d}, {d})")
     if not all(map(is_positive_semidefinite, povm)):
         raise ValueError(f"{what} element is not positive semidefinite")
     if rel_residual(sum(povm), np.eye(d)) > EQ_TOL:
@@ -281,6 +291,7 @@ def random_isometry(rows: int, cols: int, seed: int | np.random.Generator) -> np
 
 def random_density(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     """Random full-rank density matrix (Hilbert-Schmidt style)."""
+    _check_dims(dim)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ dag(g)

@@ -25,6 +25,7 @@ from .linalg import (
     EQ_TOL,
     HERM_TOL,
     POS_TOL,
+    ResidualError,
     _check_dims,
     _operator_stack,
     dag,
@@ -92,14 +93,14 @@ class QuantumOperation:
         if not np.all(np.isfinite(choi)):
             raise ValueError("Choi operator has non-finite entries")
         res = choi_residuals(choi, self.dim_in, self.dim_out)
-        for verdict, message in (
-            ("hermitian", "Choi operator not Hermitian (residual {hermiticity:.3e})"),
-            ("cp", "Choi operator not positive semidefinite (min eigenvalue {min_eig:.3e})"),
-            ("trace_non_increasing",
-             "operation increases trace (effect exceeds identity by {trace_increase:.3e})"),
+        for verdict, key, message in (
+            ("hermitian", "hermiticity", "Choi operator not Hermitian (residual {:.3e})"),
+            ("cp", "min_eig", "Choi operator not positive semidefinite (min eigenvalue {:.3e})"),
+            ("trace_non_increasing", "trace_increase",
+             "operation increases trace (effect exceeds identity by {:.3e})"),
         ):
-            if not res[verdict]:
-                raise ValueError(message.format(**res))
+            if not res[verdict]:  # cp fails on a negative min_eig: its residual is -min_eig
+                raise ResidualError(message.format(res[key]), abs(res[key]))
         object.__setattr__(self, "choi", choi)
 
     @property
@@ -124,16 +125,14 @@ class KrausSet:
         column = ops.reshape(-1, self.dim_in)
         gram = dag(column) @ column
         if not np.isfinite(gram).all():  # eigvalsh of an overflowed matrix is garbage
-            raise ValueError("Kraus bound violated: sum E†E overflows")
+            raise ResidualError("Kraus bound violated: sum E†E overflows", np.inf)
         excess = hermitian_spectrum(gram)[1] - 1.0
         # Scaled as in QuantumOperation, by the largest Choi eigenvalue (the squared
         # spectral norm of the stacked vec(E_j)), needed only when excess > POS_TOL.
         if excess > POS_TOL and excess > POS_TOL * max(
             1.0, np.linalg.norm(ops.reshape(len(ops), -1), 2) ** 2
         ):
-            raise ValueError(
-                f"Kraus bound violated: sum E†E exceeds identity by {excess:.3e}"
-            )
+            raise ResidualError(f"Kraus bound violated: sum E†E exceeds identity by {excess:.3e}", excess)
         object.__setattr__(self, "operators", ops)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -240,6 +239,7 @@ def random_channel(
 
     Requires dim_out * kraus_rank >= dim_in so the isometry exists.
     """
+    _check_dims(dim_in, dim_out)
     if kraus_rank < 1:
         raise ValueError("kraus_rank must be at least 1")
     if dim_out * kraus_rank < dim_in:

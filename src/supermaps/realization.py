@@ -35,6 +35,7 @@ import numpy as np
 
 from .linalg import (
     EQ_TOL,
+    ResidualError,
     _check_dims,
     _operator_stack,
     _worst,
@@ -91,7 +92,7 @@ class CircuitRealization:
         for name, m in (("V", v), ("W", w)):
             residual = isometry_residual(m)
             if not residual <= self.tol:  # also rejects NaN
-                raise ValueError(f"{name} is not an isometry (residual {residual:.3e})")
+                raise ResidualError(f"{name} is not an isometry (residual {residual:.3e})", residual)
             object.__setattr__(self, f"{name.lower()}_residual", residual)
         projs = None
         if self.projectors is not None:

@@ -12,6 +12,7 @@ import numpy as np
 
 from .linalg import (
     EQ_TOL,
+    ResidualError,
     _cap_non_finite,
     _worst,
     frob,
@@ -35,7 +36,6 @@ from .realization import (
 )
 from .supermap import (
     Supermap,
-    _factor_identity,
     action_distance,
     is_deterministic,
     is_deterministic_effectwise,
@@ -157,12 +157,8 @@ def _suite_testers(rng, trials, tol, corrupt=None):
             effects[0] = 1.5 * effects[0]
         try:
             t = make_tester(effects, d, d, tol)
-        except ValueError:
-            # A rejected tester still reports the normalization residual it failed on.
-            _, norm_residual, trace_gap = _factor_identity(sum(effects), d, d)
-            if norm_residual <= tol and trace_gap <= tol:
-                raise
-            worst = _worst(worst, norm_residual, trace_gap)
+        except ResidualError as exc:  # a rejected tester reports the residual it failed on
+            worst = _worst(worst, exc.residual)
             continue
         ch = random_channel(d, d, int(rng.integers(1, 4)), rng)
         probs = evaluate(t, ch)

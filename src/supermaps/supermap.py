@@ -30,6 +30,7 @@ import numpy as np
 
 from .linalg import (
     EQ_TOL,
+    ResidualError,
     _cap_non_finite,
     _check_dims,
     _operator_stack,
@@ -50,12 +51,8 @@ from .operations import QuantumOperation, _check_ports
 _CHUNK = 1 << 16
 
 
-class NotDeterministicError(ValueError):
+class NotDeterministicError(ResidualError):
     """Raised when an operation requires a channel-preserving supermap; holds the ``residual``."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,7 +328,7 @@ class EffectMap:
         # sum_l N_l† N_l is the Gram matrix of the N_l stacked as one column.
         residual = isometry_residual(ops.reshape(-1, ops.shape[2]))
         if not residual <= self.tol:
-            raise ValueError(f"effect map is not identity preserving (residual {residual:.3e})")
+            raise ResidualError(f"effect map is not identity preserving (residual {residual:.3e})", residual)
         object.__setattr__(self, "kraus", ops)
 
     def on_effect(self, p: np.ndarray) -> np.ndarray:

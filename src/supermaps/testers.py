@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import (
     EQ_TOL,
+    ResidualError,
     _cap_non_finite,
     _check_dims,
     _operator_stack,
@@ -66,9 +67,9 @@ class Tester:
         sigma, residual, trace_gap = _factor_identity(sum(effects), self.h_out, self.h_in)
         if not (residual <= self.tol and trace_gap <= self.tol):  # NaN fails too
             residual, trace_gap = map(_cap_non_finite, (residual, trace_gap))
-            raise ValueError(
+            raise ResidualError(
                 f"effects do not normalize to I ⊗ sigma (residual {residual:.3e}, "
-                f"trace gap {trace_gap:.3e})"
+                f"trace gap {trace_gap:.3e})", max(residual, trace_gap)
             )
         object.__setattr__(self, "sigma", readonly_copy(sigma))
         object.__setattr__(self, "residual", residual)
@@ -112,7 +113,7 @@ def discrimination_probability(t: Tester, ops, priors) -> float:
     """Bayes success probability when outcome j is read as "channel j"."""
     ops = list(ops)
     priors = np.asarray(priors, dtype=float)
-    if len(ops) != t.n_outcomes or priors.size != t.n_outcomes:
+    if len(ops) != t.n_outcomes or priors.shape != (t.n_outcomes,):
         raise ValueError(
             f"need one channel and one prior per outcome ({t.n_outcomes}), "
             f"got {len(ops)} channels and {priors.size} priors"
@@ -157,6 +158,7 @@ def tester_from_circuit(input_state: np.ndarray, povm, h_in: int, h_out: int) ->
     The ancilla is contracted so that Tr[(E ⊗ I)(input_state) M_j] = Tr[E P_j]
     for every operation E.
     """
+    _check_dims(h_in, h_out)
     x = np.asarray(input_state, dtype=complex)
     if not is_density_matrix(x):
         raise ValueError("input state is not a density matrix")

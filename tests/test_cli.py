@@ -1,6 +1,7 @@
 """Command-line surface: file formats, reports, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from supermaps import cli
+from supermaps import cli, realization
 from supermaps import io as sio
 from supermaps.applications import ProgrammableDevice, programmable_channel
 from supermaps.cli import build_parser, main
@@ -18,6 +19,7 @@ from supermaps.linalg import (
     HERM_TOL,
     POS_TOL,
     frob,
+    isometry_residual,
     kron,
     random_density,
     random_isometry,
@@ -48,6 +50,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def named_residual(error: str) -> float:
+    """The residual a failure's message names: the largest magnitude it prints
+    (to its four digits), 1e300 for an overflow as for every non-finite
+    residual, and 0 for a message that names none."""
+    if error.endswith("overflows"):
+        return 1e300
+    return max((abs(float(x)) for x in re.findall(r"-?\d\.\d{3}e[+-]\d+", error)), default=0.0)
 
 
 @pytest.fixture
@@ -291,6 +302,23 @@ class TestRealizeCommands:
             assert report["details"]["error"] == "supermap is not deterministic (residual 1.900e-01)"
             assert report["residual"] == pytest.approx(0.19, abs=1e-12)
         assert reports[0][1]["residual"] == reports[1][1]["residual"]
+
+    def test_a_failing_isometry_reports_its_residual(self, capsys, monkeypatch, identity_map_file):
+        # W scaled by 1.001 fails its check after a passing determinism certificate;
+        # the report quotes W's residual, not the certificate's.
+        isometries, w_residuals = realization._isometries, []
+
+        def scaled(s, tol):
+            v, w, dim_a, dim_b = isometries(s, tol)
+            w_residuals.append(isometry_residual(1.001 * w))
+            return v, 1.001 * w, dim_a, dim_b
+
+        monkeypatch.setattr(realization, "_isometries", scaled)
+        for command in ("realize", "realize-prob"):
+            code, report = run_cli(capsys, command, identity_map_file)
+            assert code == 1 and report["pass"] is False
+            assert report["details"] == {"error": f"W is not an isometry (residual {w_residuals[-1]:.3e})"}
+            assert report["residual"] == w_residuals[-1] > 1e-3
 
     def test_realize_prob(self, capsys, rng, tmp_path):
         s = random_circuit_supermap(rng, dim_a=2)
@@ -863,7 +891,8 @@ class TestNonFiniteReports:
 
 class TestScaledInputs:
     """Each command fails cleanly on an input scaled by 2 or 1e160: exit 1 with one
-    failing report, stderr exactly its one ``error:`` line, no numpy warning."""
+    failing report whose residual is the one its message names, stderr exactly its
+    one ``error:`` line, no numpy warning."""
 
     ARGV = {
         "kraus2choi": ["kraus2choi", "kraus.json"],
@@ -932,6 +961,7 @@ class TestScaledInputs:
         error = report["details"].pop("error")
         assert report["details"] == {} and error == (at_2 if scale == 2.0 else at_1e160)
         assert captured.err == f"error: check failed: {error}\n"
+        assert report["residual"] == pytest.approx(named_residual(error), rel=5e-4)
 
 
 def test_each_call_dispatches_afresh(capsys, monkeypatch, identity_op_file, identity_map_file):

@@ -20,14 +20,18 @@ from supermaps import (
     identity_supermap,
     make_tester,
     partial_trace,
+    povm_as_channel,
     programmable_channel,
     programmable_povm,
     random_channel,
+    random_density,
     random_isometry,
+    random_operation,
     sum_supermaps,
     tester_from_circuit,
 )
 from supermaps.io import dumps17
+from supermaps.linalg import check_povm
 from supermaps.selftest import run_selftest
 
 from conftest import I2
@@ -40,7 +44,7 @@ def test_star_import_binds_each_public_name_of_the_submodules_and_no_module():
     names = {}
     exec("from supermaps import *", names)
     names.pop("__builtins__")
-    assert len(names) == len(supermaps.__all__) == 59
+    assert len(names) == len(supermaps.__all__) == 60
     assert {n for n, obj in vars(supermaps).items() if isinstance(obj, types.ModuleType)} >= set(
         SUBMODULES
     )
@@ -173,6 +177,39 @@ REJECTIONS = {
     "effect-map-tensors": (
         lambda: EffectMap([np.ones((1, 2, 2))]),
         ValueError, "Kraus operators must be matrices, got shape (1, 2, 2)"),
+    # Dimension 0 gave a 0x0 Choi operator (random_channel, random_operation) or
+    # a 0x0 state (random_density), and ZeroDivisionError in tester_from_circuit.
+    "random-channel-dim-0": (
+        lambda: random_channel(0, 1, 1, 0),
+        ValueError, "dimensions must be positive"),
+    "random-operation-dim-0": (
+        lambda: random_operation(0, 3, 1, 0),
+        ValueError, "dimensions must be positive"),
+    "random-density-dim-0": (
+        lambda: random_density(0, 0),
+        ValueError, "dimensions must be positive"),
+    "tester-from-circuit-h-in-0": (
+        lambda: tester_from_circuit(np.eye(2) / 2, [np.eye(2)], h_in=0, h_out=1),
+        ValueError, "dimensions must be positive"),
+    # A 0-d first POVM element raised IndexError.
+    "check-povm-0d": (
+        lambda: check_povm([1.0]),
+        ValueError, "POVM elements must be matrices, got shape ()"),
+    "programmable-povm-0d": (
+        lambda: programmable_povm([1.0], [[1.0]]),
+        ValueError, "joint POVM elements must be matrices, got shape ()"),
+    "povm-as-channel-0d": (
+        lambda: povm_as_channel([1.0]),
+        ValueError, "POVM elements must be matrices, got shape ()"),
+    # Priors of two outcomes in a 2-D array raised IndexError (1x2) or TypeError (2x1).
+    "discrimination-priors-row": (
+        lambda: discrimination_probability(
+            _ket0_tester(), [identity_operation(2)] * 2, [[0.5, 0.5]]),
+        ValueError, "need one channel and one prior per outcome (2), got 2 channels and 2 priors"),
+    "discrimination-priors-column": (
+        lambda: discrimination_probability(
+            _ket0_tester(), [identity_operation(2)] * 2, [[0.5], [0.5]]),
+        ValueError, "need one channel and one prior per outcome (2), got 2 channels and 2 priors"),
 }
 
 
