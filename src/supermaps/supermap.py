@@ -269,9 +269,12 @@ def is_deterministic_effectwise(s: Supermap, tol: float = EQ_TOL) -> bool:
     must be identity preserving.  N is CP by construction: its conjugated
     Choi operator is the Gram matrix probe† probe / h_out.
 
-    Tr_Kout S(|n,nu><m,mu|) = Tr_Kout S(|m,mu><n,nu|)† holds exactly for
-    every Kraus set, so the blocks n < m carry the same gaps as the blocks
-    n >= m.  Those are walked in tiles of at most _CHUNK entries
+    N's identity preservation is one trace of the Gram matrix, so it is
+    decided first: a supermap failing it, NaN included, is rejected after one
+    Gram, before any tile.  The verdict is the AND of both conditions either
+    way.  Tr_Kout S(|n,nu><m,mu|) = Tr_Kout S(|m,mu><n,nu|)† holds exactly
+    for every Kraus set, so the blocks n < m carry the same gaps as the
+    blocks n >= m.  Those are walked in tiles of at most _CHUNK entries
     (``_effectwise_tiles``), each one matmul and one reduction into a buffer
     the size of the largest tile, and the test stops at the first tile with
     a gap above tol.  A small supermap is a single tile holding its whole
@@ -285,6 +288,9 @@ def is_deterministic_effectwise(s: Supermap, tol: float = EQ_TOL) -> bool:
     probe = u.reshape(-1, e)
     # n_conj[mu, p, nu, q] = conj(<p| N(|mu><nu|) |q>)
     n_conj = (probe.conj().T @ probe).reshape(h_in, k_in, h_in, k_in) / h_out
+    # Identity preservation, N(I) = I on K_in; a NaN residual fails too.
+    if not rel_residual(np.einsum("zpzq->pq", n_conj), np.eye(k_in)) <= tol:
+        return False
     parts = n_conj.view(float)
     n_scale = np.maximum(1.0, np.sqrt(np.einsum("upvq,upvq->uv", parts, parts)))
     blocks = u.reshape(len(u), h_out * e)
@@ -304,8 +310,7 @@ def is_deterministic_effectwise(s: Supermap, tol: float = EQ_TOL) -> bool:
             np.einsum("mumv->muv", gap[:, :, : m1 - m0])[...] /= n_scale
         if not np.all(gap <= tol):  # a NaN gap, from an overflowing Kraus set, fails too
             return False
-    # Identity preservation: N(I) = I on K_in.
-    return rel_residual(np.einsum("zpzq->pq", n_conj), np.eye(k_in)) <= tol
+    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -116,7 +116,7 @@ def discrimination_probability(t: Tester, ops, priors) -> float:
     if len(ops) != t.n_outcomes or priors.shape != (t.n_outcomes,):
         raise ValueError(
             f"need one channel and one prior per outcome ({t.n_outcomes}), "
-            f"got {len(ops)} channels and {priors.size} priors"
+            f"got {len(ops)} channels and priors of shape {priors.shape}"
         )
     if not (np.isfinite(priors).all() and (priors >= 0).all()):
         raise ValueError("priors must be finite and non-negative")

@@ -695,6 +695,22 @@ class TestSelftest:
         failed = {k: v["max_residual"] for k, v in report["details"].items() if not v["pass"]}
         assert failed == dict.fromkeys(suites, 1e300)
 
+    def test_zero_tol_reports_every_suite(self, capsys):
+        """At --tol 0 realize refuses every supermap; each suite still reports its own residual."""
+        code, report = run_cli(capsys, "selftest", "--tol", "0", "--trials", "10")
+        assert code == 1 and report["pass"] is False
+        assert list(report) == ["check", "pass", "residual", "details"]
+        assert list(report["details"]) == [
+            "choi-kraus-roundtrip", "operator-sum-vs-choi-application", "normalization-functionals",
+            "determinism-tests-agreement", "realization-roundtrip", "delayed-reading",
+            "tester-normalization",
+        ]
+        residuals = {k: v["max_residual"] for k, v in report["details"].items()}
+        assert report["residual"] == max(residuals.values())
+        # The refusals' residuals are rounding, as for the suites that do not refuse.
+        for suite in ("realization-roundtrip", "delayed-reading", "tester-normalization"):
+            assert 0 < residuals[suite] < 1e-12 and report["details"][suite]["pass"] is False
+
     def test_corrupt_tester_at_loose_tol_reports(self, capsys):
         """At --tol 0.3 some damaged testers pass the normalization check and are built at 0.3 too."""
         code, report = run_cli(capsys, "selftest", "--tol", "0.3", "--corrupt", "tester-norm")

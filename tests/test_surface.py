@@ -205,11 +205,13 @@ REJECTIONS = {
     "discrimination-priors-row": (
         lambda: discrimination_probability(
             _ket0_tester(), [identity_operation(2)] * 2, [[0.5, 0.5]]),
-        ValueError, "need one channel and one prior per outcome (2), got 2 channels and 2 priors"),
+        ValueError,
+        "need one channel and one prior per outcome (2), got 2 channels and priors of shape (1, 2)"),
     "discrimination-priors-column": (
         lambda: discrimination_probability(
             _ket0_tester(), [identity_operation(2)] * 2, [[0.5], [0.5]]),
-        ValueError, "need one channel and one prior per outcome (2), got 2 channels and 2 priors"),
+        ValueError,
+        "need one channel and one prior per outcome (2), got 2 channels and priors of shape (2, 1)"),
 }
 
 
