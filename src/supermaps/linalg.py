@@ -38,7 +38,9 @@ A tester's ``tol`` is set once, at construction: it also sets the clamp of
 ``evaluate`` and the rank rule of ``is_informationally_complete``.
 A residual that is not finite reads 1e300 in every report and message
 (``_cap_non_finite``), and a NaN residual fails: folds keep it (``_worst``).
-A check whose message names a residual raises ``ResidualError``, which carries it.
+A check whose message names a residual raises ``ResidualError``, which carries it;
+``NotDeterministicError`` carries ``tp_residual`` when the trace condition
+fails (decided before the factorization gap is computed), else ``residual``.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from .realization import (
 )
 from .supermap import (
     Supermap,
+    _factor_identity,
     action_distance,
     is_deterministic,
     is_deterministic_effectwise,
@@ -89,22 +90,21 @@ def _trial_normalization(rng, tol):
     d_out = int(rng.integers(2, 4))
     ch = random_channel(d_in, d_out, int(rng.integers(1, 4)) * max(1, -(-d_in // d_out)), rng)
     rho = random_density(d_in, rng)
-    gap = abs(np.trace(kron(np.eye(d_out), rho) @ ch.choi).real - 1.0)
-    ok, recovered = is_normalization_functional(kron(np.eye(d_out), rho), (d_out, d_in), tol)
-    return _worst(gap, frob(recovered - rho) if ok else np.inf)
+    c = kron(np.eye(d_out), rho)
+    gap = abs(np.trace(c @ ch.choi).real - 1.0)
+    ok, recovered = is_normalization_functional(c, (d_out, d_in), tol)
+    if not ok:  # the factorization residual and trace gap it was rejected on
+        return _worst(gap, *_factor_identity(c, d_out, d_in)[1:])
+    return _worst(gap, frob(recovered - rho))
 
 
-def _suite_determinism_agreement(rng, trials, tol):
-    """The number of disagreeing verdicts over all trials: one trial of the suite fold."""
-    disagreements = 0
-    for _ in range(trials):
-        s = _random_deterministic_supermap(rng)
-        if is_deterministic(s, tol) != is_deterministic_effectwise(s, tol):
-            disagreements += 1
-        damaged = Supermap(s.h_in, s.h_out, s.k_in, s.k_out, 0.9 * s.kraus)
-        if is_deterministic(damaged, tol) != is_deterministic_effectwise(damaged, tol):
-            disagreements += 1
-    return float(disagreements)
+def _trial_determinism_agreement(rng, tol):
+    """0 when both tests agree on a deterministic supermap and on its 0.9-scaled
+    copy; a disagreement names no residual, so it reads NaN, which fails at every tol."""
+    s = _random_deterministic_supermap(rng)
+    damaged = Supermap(s.h_in, s.h_out, s.k_in, s.k_out, 0.9 * s.kraus)
+    agree = all(is_deterministic(x, tol) == is_deterministic_effectwise(x, tol) for x in (s, damaged))
+    return 0.0 if agree else np.nan
 
 
 def _trial_realization(rng, tol, corrupt):
@@ -151,26 +151,21 @@ def run_selftest(seed: int, trials: int, tol: float = EQ_TOL, corrupt: str | Non
         "choi-kraus-roundtrip": (_trial_choi_kraus, trials),
         "operator-sum-vs-choi-application": (_trial_application, trials),
         "normalization-functionals": (lambda r: _trial_normalization(r, tol), trials),
-        "determinism-tests-agreement": (lambda r: _suite_determinism_agreement(r, few, tol), 1),
+        "determinism-tests-agreement": (lambda r: _trial_determinism_agreement(r, tol), few),
         "realization-roundtrip": (lambda r: _trial_realization(r, tol, corrupt), few),
         "delayed-reading": (lambda r: _trial_delayed_reading(r, tol), few),
         "tester-normalization": (lambda r: _trial_testers(r, tol, corrupt), trials),
     }
     details = {}
-    worst = 0.0
-    ok = True
-    for name, (trial, n) in suites.items():
-        if trials == 0:
-            continue
+    for name, (trial, n) in suites.items() if trials else ():
         residual = 0.0
         for _ in range(n):
             try:
                 residual = _worst(residual, trial(rng))
             except ResidualError as exc:  # a refused fixture reports the residual it failed on
                 residual = _worst(residual, exc.residual)
-        residual = _cap_non_finite(float(residual))
-        passed = residual <= tol
-        details[name] = {"pass": passed, "max_residual": residual}
-        worst = max(worst, residual)
-        ok = ok and passed
+        # Decided before the cap, so a NaN residual fails at every tol.
+        details[name] = {"pass": bool(residual <= tol), "max_residual": _cap_non_finite(float(residual))}
+    worst = max((d["max_residual"] for d in details.values()), default=0.0)
+    ok = all(d["pass"] for d in details.values())
     return {"check": "selftest", "pass": ok, "residual": worst, "details": details}

@@ -59,23 +59,52 @@ class NotDeterministicError(ResidualError):
 class DeterminismCertificate:
     """Residuals backing a determinism verdict; tolerance-independent.
 
-    Frozen, with a read-only copy of ``choi_n``, because supermaps cache it;
-    ``factors`` is derived from it once, on first use.
+    Frozen, with read-only arrays, because supermaps cache it.
+    ``product_residual`` is computed from ``kraus`` and ``choi_n`` on first
+    read, and ``factors`` from ``choi_n`` on first use.
     """
 
-    product_residual: float  # worst ||S_*(I ⊗ unit) − I ⊗ candidate|| over the basis
-    tp_residual: float  # ||Tr_out[choi_n] − I|| / sqrt(k_in)
+    tp_residual: float  # ||Tr_Hin[choi_n] − I|| / sqrt(k_in)
     choi_n: np.ndarray  # Choi of the candidate N_* on H_in ⊗ K_in
+    kraus: np.ndarray = field(repr=False)  # T[(i, c), a, (m, u)], shape (r·k_out, k_in, h_out·h_in)
 
     def __post_init__(self):
         object.__setattr__(self, "choi_n", readonly_copy(self.choi_n))
+        if self.kraus.flags.writeable:  # a supermap's own Kraus array is read-only already
+            object.__setattr__(self, "kraus", readonly_copy(self.kraus))
 
     def verdict(self, tol: float = EQ_TOL) -> bool:
-        return bool(self.product_residual <= tol and self.tp_residual <= tol)
+        # A supermap failing the trace condition, NaN included, never reaches the tiles.
+        return bool(self.tp_residual <= tol and self.product_residual <= tol)
 
     @property
     def residual(self) -> float:
         return max(self.product_residual, self.tp_residual)
+
+    @cached_property
+    def product_residual(self) -> float:
+        """Worst ||X_ab − I ⊗ c_ab||_F / max(1, ||I ⊗ c_ab||_F): stage 2 of ``determinism_certificate``."""
+        t = self.kraus
+        k_in, d = t.shape[1:]
+        h_in = self.choi_n.shape[0] // k_in
+        h_out = d // h_in
+        # cand[a, u, b, v] = <u| c_ab |v> = choi_n[(u, a), (v, b)]
+        cand = self.choi_n.reshape(h_in, k_in, h_in, k_in).transpose(1, 0, 3, 2)
+        parts = self.choi_n.view(float).reshape(h_in, k_in, h_in, k_in, 2)
+        scale = np.maximum(1.0, np.sqrt(h_out * np.einsum("uavbz,uavbz->ab", parts, parts)))
+        cols = t.reshape(len(t), k_in * d)
+        tiles = list(_certificate_tiles(k_in, d))
+        buf = np.empty(max((a1 - a0) * (b1 - b0) for a0, a1, b0, b1 in tiles) * d * d, dtype=complex)
+        gap = np.zeros((k_in, k_in))  # squared Frobenius gaps
+        for a0, a1, b0, b1 in tiles:
+            tile = buf[: (a1 - a0) * (b1 - b0) * d * d].reshape((a1 - a0) * d, -1)
+            np.matmul(t[:, a0:a1].conj().reshape(len(t), -1).T, cols[:, b0 * d : b1 * d], out=tile)
+            # x[a, m, u, b, n, v] = <m, u| X_ab |n, v>, less c_ab on its blocks m = n
+            x = tile.reshape(a1 - a0, h_out, h_in, b1 - b0, h_out, h_in)
+            np.einsum("amubmv->amubv", x)[...] -= cand[a0:a1, None, :, b0:b1]
+            parts = tile.view(float).reshape(a1 - a0, d, b1 - b0, 2 * d)
+            gap[a0:a1, b0:b1] = np.einsum("axby,axby->ab", parts, parts)
+        return float(np.max(np.sqrt(gap) / scale))
 
     @cached_property
     def factors(self) -> np.ndarray:
@@ -146,12 +175,8 @@ def is_normalization_functional(
     factor; returns (True, rho) in that case and (False, None) otherwise.
     ``dims`` is (out dimension, in dimension) of the space c lives on.
     """
-    d_out, d_in = dims
-    c = np.asarray(c, dtype=complex)
-    rho, residual, trace_gap = _factor_identity(c, d_out, d_in)
-    if residual <= tol and trace_gap <= tol:
-        return True, rho
-    return False, None
+    rho, residual, trace_gap = _factor_identity(np.asarray(c, dtype=complex), *dims)
+    return (True, rho) if residual <= tol and trace_gap <= tol else (False, None)
 
 
 def _factor_identity(c: np.ndarray, d_out: int, d_in: int) -> tuple[np.ndarray, float, float]:
@@ -178,58 +203,33 @@ def _certificate_tiles(k_in: int, d: int):
 
 
 def determinism_certificate(s: Supermap) -> DeterminismCertificate:
-    """Comb normalization residuals of the dual map, one tile of blocks at a time.
+    """Comb normalization residuals of the dual map, in two stages.
 
     With the Kraus operators stacked as T[(i, c), a, x] (c on K_out, a on
-    K_in, x on H_out ⊗ H_in), the dual image of I_Kout ⊗ |a><b| is
-    X_ab = T[:, a, :]† T[:, b, :], so one matmul yields every X_ab of a tile.
-    Each X_ab must factor as I_Hout ⊗ cand_ab with
-    cand_ab = Tr_Hout[X_ab] / h_out; the candidates assemble into the Choi
-    operator of the induced map N_*, which must additionally be trace
-    preserving.  It is CP by construction: choi_n is the Gram matrix of the
-    vectors T[:, a, (m, u)], indexed by (u, a), over (i, c, m), over h_out.
-
-    X_ba = X_ab† holds exactly for every Kraus set, so the gap of X_ba equals
-    that of X_ab and cand_ba = cand_ab†: only the upper block triangle b >= a
-    is needed, and the lower blocks of ``choi_n`` are the conjugates of the
-    upper ones.  The triangle is walked in tiles of at most _CHUNK entries
-    (``_certificate_tiles``), each one matmul and one reduction into a
-    buffer the size of the largest tile.  A small supermap is a single tile
-    holding its whole block square: there the blocks below the diagonal come
-    without another call, and their gaps, being the same, count too.
+    K_in, x = (m, u) on H_out ⊗ H_in), the dual image of I_Kout ⊗ |a><b| is
+    X_ab = T[:, a, :]† T[:, b, :].  Each X_ab must factor as I_Hout ⊗ c_ab,
+    and the c_ab assemble into the Choi operator of N_*, which must be trace
+    preserving.  Stage 1, here, costs r·d⁶ at (d,d,d,d): choi_n, holding
+    c_ab = Tr_Hout[X_ab] / h_out, is the Gram matrix of the vectors
+    T[:, a, (m, u)], indexed by (u, a), over h_out, so N is CP by
+    construction; ``tp_residual`` is its marginal Tr_Hin against I.  Stage 2,
+    on first read of ``product_residual``, costs r·d⁷: the gaps of the X_ab
+    against I ⊗ c_ab.  X_ba = X_ab† holds exactly, so only the upper block
+    triangle b >= a is walked, in tiles of at most _CHUNK entries; a small
+    supermap is one tile holding its whole block square.  ``verdict`` and
+    ``_certified`` decide the trace condition first, so a supermap failing it
+    never reaches stage 2.
     """
     if s._certificate is not None:
         return s._certificate
     h_out, h_in, k_in = s.h_out, s.h_in, s.k_in
-    d = h_out * h_in
-    t = s.kraus.reshape(-1, k_in, d)
-    cols = t.reshape(len(t), k_in * d)
-    tiles = list(_certificate_tiles(k_in, d))
-    buf = np.empty(max((a1 - a0) * (b1 - b0) for a0, a1, b0, b1 in tiles) * d * d, dtype=complex)
-    cand = np.zeros((k_in, k_in, h_in, h_in), dtype=complex)  # cand[a, b] = cand_ab
-    gap = np.zeros((k_in, k_in))  # squared Frobenius gaps
-    for a0, a1, b0, b1 in tiles:
-        tile = buf[: (a1 - a0) * (b1 - b0) * d * d].reshape((a1 - a0) * d, -1)
-        np.matmul(t[:, a0:a1].conj().reshape(len(t), -1).T, cols[:, b0 * d : b1 * d], out=tile)
-        # x[a, m, u, b, n, v] = <m, u| X_ab |n, v>; parts is its real view.
-        x = tile.reshape(a1 - a0, h_out, h_in, b1 - b0, h_out, h_in)
-        c = np.einsum("amubmv->abuv", x) / h_out
-        np.einsum("amubmv->amubv", x)[...] -= c.transpose(0, 2, 1, 3)[:, None]
-        parts = tile.view(float).reshape(a1 - a0, d, b1 - b0, 2 * d)
-        gap[a0:a1, b0:b1] = np.einsum("axby,axby->ab", parts, parts)
-        cand[a0:a1, b0:b1] = c
-    lower = np.tri(k_in, k=-1, dtype=bool)[:, :, None, None]
-    np.copyto(cand, cand.transpose(1, 0, 3, 2).conj(), where=lower)
-    parts = cand.view(float).reshape(k_in, k_in, -1)
-    scale = np.maximum(1.0, np.sqrt(h_out * np.einsum("abz,abz->ab", parts, parts)))
-    choi_n = cand.transpose(2, 0, 3, 1).reshape(h_in * k_in, h_in * k_in)
+    # g[(i, c, m), (u, a)] = T[(i, c), a, (m, u)]
+    g = s.kraus.reshape(-1, k_in, h_out, h_in).transpose(0, 2, 3, 1).reshape(-1, h_in * k_in)
+    choi_n = g.conj().T @ g / h_out
     # Tr_Hin[choi_n] - I, the marginal on K_in against the identity
-    tp = frob(np.einsum("abuu->ab", cand) - np.eye(k_in)) / np.sqrt(k_in)
-    cert = DeterminismCertificate(
-        product_residual=float(np.max(np.sqrt(gap) / scale)),
-        tp_residual=tp,
-        choi_n=choi_n,
-    )
+    marginal = np.einsum("uaub->ab", choi_n.reshape(h_in, k_in, h_in, k_in))
+    tp = frob(marginal - np.eye(k_in)) / np.sqrt(k_in)
+    cert = DeterminismCertificate(tp, choi_n, s.kraus.reshape(-1, k_in, h_out * h_in))
     object.__setattr__(s, "_certificate", cert)
     return cert
 
@@ -346,12 +346,13 @@ class EffectMap:
 
 
 def _certified(s: Supermap, tol: float) -> DeterminismCertificate:
-    """The determinism certificate of s; raises NotDeterministicError if it fails at tol."""
+    """The determinism certificate of s; raises NotDeterministicError if it fails at tol,
+    naming ``tp_residual`` when the trace condition fails and ``residual`` otherwise."""
     cert = determinism_certificate(s)
-    if not cert.verdict(tol):
-        shown = _cap_non_finite(cert.residual)
-        raise NotDeterministicError(f"supermap is not deterministic (residual {shown:.3e})", shown)
-    return cert
+    if cert.verdict(tol):
+        return cert
+    shown = _cap_non_finite(cert.residual if cert.tp_residual <= tol else cert.tp_residual)
+    raise NotDeterministicError(f"supermap is not deterministic (residual {shown:.3e})", shown)
 
 
 def effect_map_of(s: Supermap, tol: float = EQ_TOL) -> EffectMap:

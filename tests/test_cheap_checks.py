@@ -1,9 +1,16 @@
 """Verdicts decided by a cheap number before the expensive step.
 
-``is_deterministic_effectwise`` decides N(I) = I from its one Gram matrix
-before any tile of its block triangle: supermaps failing it must be rejected
-without reaching ``_effectwise_tiles``, and one that keeps it must still
-reach the tiles.  ``is_faithful`` reads Φ as a realignment of the probe's
+The determinism certificate decides the trace condition from its one Gram
+matrix before any tile of its dual factorization gap: supermaps failing it
+must be rejected, by ``is_deterministic``, ``realize`` and ``effect_map_of``,
+without reaching ``_certificate_tiles``, and the error must carry
+``tp_residual``; one that keeps it must still reach the tiles.  Over damage
+from 1e-12 to 1, the two-stage certificate must give the per-matrix-unit
+reference's verdicts, residuals and ``choi_n``.
+``is_deterministic_effectwise`` likewise decides N(I) = I from its one Gram
+matrix before any tile of its block triangle: supermaps failing it must be
+rejected without reaching ``_effectwise_tiles``, and one that keeps it must
+still reach the tiles.  ``is_faithful`` reads Φ as a realignment of the probe's
 Hermitian part instead of rebuilding it from the probe's eigendecomposition:
 on probes at the edges of the density-matrix check, and with a singular
 value of Φ near the rank threshold, its verdict must equal the full-action
@@ -24,25 +31,97 @@ from supermaps.linalg import (
     EQ_TOL,
     HERM_TOL,
     POS_TOL,
+    _cap_non_finite,
     dag,
     frob,
     kron,
     psd_factors,
     random_isometry,
 )
-from supermaps.supermap import Supermap, is_deterministic_effectwise
+from supermaps.realization import realize
+from supermaps.supermap import (
+    NotDeterministicError,
+    Supermap,
+    determinism_certificate,
+    effect_map_of,
+    is_deterministic,
+    is_deterministic_effectwise,
+)
 
 from test_applications import realignment_rank
-from test_closed_forms import circuit_supermap, effectwise_block_defect, ref_is_faithful, spread
+from test_closed_forms import (
+    certificate_block_defect,
+    circuit_supermap,
+    dims_st,
+    effectwise_block_defect,
+    ref_certificate,
+    ref_is_deterministic,
+    ref_is_faithful,
+    spread,
+)
 
 seed_st = st.integers(0, 2**32 - 1)
 
 
-# ---------------------------------------------------------------- effect-wise early exit
-
-
 def _no_tiles(*args):
     raise AssertionError("reached the tiles")
+
+
+# ---------------------------------------------------------------- certificate early exit
+
+
+@pytest.mark.parametrize("scale", [0.9, 1e300], ids=["x0.9", "x1e300"])
+def test_certificate_rejects_on_the_trace_condition_before_any_tile(monkeypatch, scale):
+    monkeypatch.setattr(supermap, "_certificate_tiles", _no_tiles)
+    rng = np.random.default_rng(27)
+    for dims in itertools.product(range(1, 5), repeat=4):
+        ops = scale * circuit_supermap(rng, dims).kraus
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert is_deterministic(Supermap(*dims, ops)) is False
+            for refused in (realize, effect_map_of):
+                s = Supermap(*dims, ops)
+                with pytest.raises(NotDeterministicError) as exc:
+                    refused(s)
+                shown = _cap_non_finite(determinism_certificate(s).tp_residual)
+                assert exc.value.residual == shown and shown > EQ_TOL
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_certificate_reaches_the_tiles_when_the_trace_condition_holds(monkeypatch, h):
+    s = spread(certificate_block_defect(), h)
+    assert is_deterministic(s) is False
+    fresh = Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus)
+    monkeypatch.setattr(supermap, "_certificate_tiles", _no_tiles)
+    assert determinism_certificate(fresh).tp_residual == 0.0
+    with pytest.raises(AssertionError, match="reached the tiles"):
+        is_deterministic(fresh)
+
+
+@given(
+    dims=dims_st,
+    seed=seed_st,
+    kind=st.sampled_from(("scaled", "noise")),
+    log_damage=st.floats(-12.0, 0.0),
+)
+def test_two_stage_certificate_matches_reference(dims, seed, kind, log_damage):
+    rng = np.random.default_rng(seed)
+    ops = circuit_supermap(rng, dims).kraus
+    damage = 10.0**log_damage
+    if kind == "scaled":
+        ops = (1 + damage) * ops
+    else:
+        ops = ops + damage * (rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape))
+    s = Supermap(*dims, ops)
+    cert = determinism_certificate(s)
+    worst, _, tp, _, _, choi_n = ref_certificate(s)
+    assert abs(cert.tp_residual - tp) <= 1e-12 * max(1.0, tp)
+    assert abs(cert.product_residual - worst) <= 1e-12 * max(1.0, worst)
+    assert np.max(np.abs(cert.choi_n - choi_n)) <= 1e-12 * max(1.0, np.max(np.abs(choi_n)))
+    for tol in (1e-8, 1e-6):
+        assert is_deterministic(s, tol) == ref_is_deterministic(s, tol)
+
+
+# ---------------------------------------------------------------- effect-wise early exit
 
 
 @pytest.mark.parametrize("scale", [0.9, 1e300], ids=["x0.9", "x1e300"])

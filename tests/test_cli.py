@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from supermaps import cli, realization
+from supermaps import cli, realization, selftest
 from supermaps import io as sio
 from supermaps.applications import ProgrammableDevice, programmable_channel
 from supermaps.cli import build_parser, main
@@ -696,7 +696,8 @@ class TestSelftest:
         assert failed == dict.fromkeys(suites, 1e300)
 
     def test_zero_tol_reports_every_suite(self, capsys):
-        """At --tol 0 realize refuses every supermap; each suite still reports its own residual."""
+        """At --tol 0 realize refuses every supermap and is_normalization_functional every
+        functional; each suite still reports its own residual."""
         code, report = run_cli(capsys, "selftest", "--tol", "0", "--trials", "10")
         assert code == 1 and report["pass"] is False
         assert list(report) == ["check", "pass", "residual", "details"]
@@ -708,8 +709,18 @@ class TestSelftest:
         residuals = {k: v["max_residual"] for k, v in report["details"].items()}
         assert report["residual"] == max(residuals.values())
         # The refusals' residuals are rounding, as for the suites that do not refuse.
-        for suite in ("realization-roundtrip", "delayed-reading", "tester-normalization"):
+        for suite in ("normalization-functionals", "realization-roundtrip", "delayed-reading",
+                      "tester-normalization"):
             assert 0 < residuals[suite] < 1e-12 and report["details"][suite]["pass"] is False
+
+    @pytest.mark.parametrize("tol", ["1e-8", "1", "5", "1e300"])
+    def test_disagreeing_determinism_tests_fail_at_every_tol(self, capsys, monkeypatch, tol):
+        effectwise = selftest.is_deterministic_effectwise
+        monkeypatch.setattr("supermaps.selftest.is_deterministic_effectwise",
+                            lambda s, t: not effectwise(s, t))
+        code, report = run_cli(capsys, "selftest", "--tol", tol, "--trials", "10")
+        assert code == 1 and report["pass"] is False
+        assert report["details"]["determinism-tests-agreement"] == {"pass": False, "max_residual": 1e300}
 
     def test_corrupt_tester_at_loose_tol_reports(self, capsys):
         """At --tol 0.3 some damaged testers pass the normalization check and are built at 0.3 too."""

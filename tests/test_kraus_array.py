@@ -6,12 +6,18 @@ functions below are verbatim copies of the code that held a Kraus set as a
 tuple of 2-D arrays and stacked it back where it needed an array; only the
 names of the functions they call are changed to the copies'.  They run on
 ``tuple_form(s)``, which holds the Kraus operators of ``s`` as such a tuple.
-The properties check that the array form gives the same bits: the
-determinism certificate, the effect-wise verdict, ``tensor_supermaps``,
-``sum_supermaps``, ``action_distance``, ``circuit_to_supermap`` and
-realize's V, W and effect-map Kraus operators.  The remaining tests pin the
-validator's contract: private read-only copies, the shape message, and
-generator and empty input.
+The properties check that the array form gives the same bits:
+the effect-wise verdict, ``tensor_supermaps``, ``sum_supermaps``,
+``action_distance`` and ``circuit_to_supermap``.  ``ref_certificate`` is the
+tiled certificate that built ``choi_n`` from the traces of its tiles; the
+certificate now builds it as one Gram matrix, so its residuals and
+``choi_n`` must agree within 1e-12 relative, not in bits.  Where ``choi_n``
+has a degenerate spectrum (every h_in = 1 shape, where it is I), realize's
+V and W and the effect map's Kraus operators may rotate inside the
+eigenspace, so they are held to what the rotation leaves unchanged: the
+effect map's Choi operator and the supermap the circuit rebuilds.  The
+remaining tests pin the validator's contract: private read-only copies, the
+shape message, and generator and empty input.
 """
 
 import re
@@ -37,7 +43,6 @@ from supermaps.operations import KrausSet, kraus_to_choi
 from supermaps.realization import CircuitRealization, _isometries, circuit_to_supermap, realize
 from supermaps.supermap import (
     _CHUNK,
-    DeterminismCertificate,
     EffectMap,
     NotDeterministicError,
     Supermap,
@@ -59,9 +64,7 @@ KINDS = ("circuit", "x0.9", "x(1+3.5e-7)", "random", "zero")
 # ---------------------------------------------------------------- tuple-form copies
 
 
-def ref_certificate(s) -> DeterminismCertificate:
-    if s._certificate is not None:
-        return s._certificate
+def ref_certificate(s) -> SimpleNamespace:
     h_out, h_in, k_in = s.h_out, s.h_in, s.k_in
     d = h_out * h_in
     t = np.stack(s.kraus).reshape(-1, k_in, d)
@@ -87,13 +90,11 @@ def ref_certificate(s) -> DeterminismCertificate:
     choi_n = cand.transpose(2, 0, 3, 1).reshape(h_in * k_in, h_in * k_in)
     # Tr_Hin[choi_n] - I, the marginal on K_in against the identity
     tp = frob(np.einsum("abuu->ab", cand) - np.eye(k_in)) / np.sqrt(k_in)
-    cert = DeterminismCertificate(
+    return SimpleNamespace(
         product_residual=float(np.max(np.sqrt(gap) / scale)),
         tp_residual=tp,
         choi_n=choi_n,
     )
-    object.__setattr__(s, "_certificate", cert)
-    return cert
 
 
 def ref_is_deterministic_effectwise(s, tol: float = EQ_TOL) -> bool:
@@ -144,12 +145,11 @@ class RefEffectMap:
         object.__setattr__(self, "kraus", ops)
 
 
-def ref_certified(s, tol: float) -> DeterminismCertificate:
+def ref_certified(s, tol: float) -> SimpleNamespace:
     cert = ref_certificate(s)
-    if not cert.verdict(tol):
-        raise NotDeterministicError(
-            f"supermap is not deterministic (residual {cert.residual:.3e})"
-        )
+    if not (cert.product_residual <= tol and cert.tp_residual <= tol):
+        residual = max(cert.product_residual, cert.tp_residual)
+        raise NotDeterministicError(f"supermap is not deterministic (residual {residual:.3e})")
     return cert
 
 
@@ -283,6 +283,23 @@ def same_bits(got: Supermap, expected: Supermap) -> bool:
     ) and got.kraus.tobytes() == expected.kraus.tobytes()
 
 
+def close(got: float, expected: float) -> bool:
+    return abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def effect_choi(ops) -> np.ndarray:
+    """sum_l vec(N_l) vec(N_l)†, which a unitary mixing of the N_l leaves as it is."""
+    f = np.reshape(ops, (len(ops), -1))
+    return f.T @ f.conj()
+
+
+def rebuilt(s: Supermap, v: np.ndarray, w: np.ndarray, dim_a: int, dim_b: int) -> Supermap:
+    """The supermap of the circuit (V, W), unchecked: S_i = (<i|_A ⊗ I) W V."""
+    w4 = w.reshape(s.k_out, dim_a, s.h_out, dim_b)
+    kraus = np.einsum("kimb,bxc->ikcmx", w4, v.reshape(dim_b, s.h_in, s.k_in))
+    return Supermap(s.h_in, s.h_out, s.k_in, s.k_out, kraus.reshape(dim_a, s.k_out * s.k_in, -1))
+
+
 kinds_st = st.sampled_from(KINDS)
 r_st = st.integers(1, 4)
 
@@ -294,8 +311,10 @@ r_st = st.integers(1, 4)
 def test_certificate_and_effectwise_verdict(dims, r, kind, seed):
     s = fixture(dims, r, kind, seed)
     got, expected = determinism_certificate(s), ref_certificate(tuple_form(s))
-    assert (got.product_residual, got.tp_residual) == (expected.product_residual, expected.tp_residual)
-    assert got.choi_n.tobytes() == expected.choi_n.tobytes()
+    assert close(got.product_residual, expected.product_residual)
+    assert close(got.tp_residual, expected.tp_residual)
+    scale = max(1.0, float(np.max(np.abs(expected.choi_n))))
+    assert np.max(np.abs(got.choi_n - expected.choi_n)) <= 1e-12 * scale
     for tol in (1e-8, 1e-6):
         assert is_deterministic_effectwise(s, tol) == ref_is_deterministic_effectwise(tuple_form(s), tol)
 
@@ -317,9 +336,11 @@ def test_isometries_and_effect_map(dims, r, kind, seed, tol):
         return
     v, w, dim_a, dim_b = _isometries(s, tol)
     assert (dim_a, dim_b) == expected[2:]
-    assert v.tobytes() == expected[0].tobytes() and w.tobytes() == expected[1].tobytes()
-    n_ops = ref_effect_map_of(tuple_form(s), tol).kraus
-    assert effect_map_of(s, tol).kraus.tobytes() == np.stack(n_ops).tobytes()
+    ref_v, ref_w = expected[:2]
+    n_choi = effect_choi(ref_v.conj().reshape(dim_b, s.h_in, s.k_in))
+    assert np.max(np.abs(effect_choi(v.conj().reshape(dim_b, s.h_in, s.k_in)) - n_choi)) <= 1e-12
+    assert np.max(np.abs(effect_choi(effect_map_of(s, tol).kraus) - n_choi)) <= 1e-12
+    assert action_distance(rebuilt(s, v, w, dim_a, dim_b), rebuilt(s, ref_v, ref_w, dim_a, dim_b)) <= 1e-12
 
 
 @given(dims_a=dims_st, dims_b=dims_st, r=st.tuples(r_st, r_st), kinds=st.tuples(kinds_st, kinds_st),

@@ -19,6 +19,7 @@ from supermaps.operations import (
 )
 from supermaps.realization import CircuitRealization, circuit_to_supermap
 from supermaps.supermap import (
+    DeterminismCertificate,
     EffectMap,
     NotDeterministicError,
     Supermap,
@@ -227,7 +228,9 @@ class TestIsDeterministic:
         names = is_deterministic_effectwise.__code__.co_names
         for shared in ("determinism_certificate", "_certified", "DeterminismCertificate"):
             assert shared not in names
-        assert "is_deterministic_effectwise" not in determinism_certificate.__code__.co_names
+        # The certificate's gap stage is its cached product_residual.
+        for code in (determinism_certificate.__code__, DeterminismCertificate.product_residual.func.__code__):
+            assert "is_deterministic_effectwise" not in code.co_names
 
     def test_cached_certificate_is_frozen(self):
         s = identity_supermap(2, 2)
