@@ -30,7 +30,12 @@ Tolerance policy, shared by the whole package:
   inside POS_TOL), and ``random_operation``'s is scale < 1 times that.  The
   projectors of ``realize_probabilistic`` are exact 0/1 diagonals on disjoint
   ranges that sum to exactly I;
-- rank: ``numerical_rank`` counts the singular values above tol * s_max.
+- rank: ``numerical_rank`` counts the singular values above tol * s_max;
+- determinism: ``product_residual`` is the worst (m, n) block on H_out of the
+  dual Gram gap by the residual rule, ||A_m†A_n - δ_mn C||_F /
+  max(1, δ_mn ||C||_F) with C = choi_n.  The (a, b) blocks on K_in it once
+  used agree on the verdict unless their residual is in
+  [tol / (k_in S), tol h_out S], S = max(1, sqrt(h_out) ||C||_F).
 A caller's ``tol`` (the CLI's ``--tol``) replaces EQ_TOL in the residual,
 orthogonality and rank rules.  HERM_TOL and POS_TOL are fixed: the positivity
 helpers take no ``tol``, and ``check-op``'s ``--tol`` governs only ``channel``.

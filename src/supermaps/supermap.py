@@ -34,7 +34,6 @@ from .linalg import (
     _cap_non_finite,
     _check_dims,
     _operator_stack,
-    _worst,
     frob,
     isometry_residual,
     kraus_sum,
@@ -46,8 +45,9 @@ from .linalg import (
 )
 from .operations import QuantumOperation, _check_ports
 
-# Budget in complex entries (1 MB) for the blocks action_distance works on
-# and for the tiles of the two determinism tests.
+# Budget in complex entries (1 MB) for the blocks that action_distance and
+# the certificate's stage 2 multiply into (_factor_gaps and the diagonal
+# blocks), and for the effect-wise test's tiles.
 _CHUNK = 1 << 16
 
 
@@ -74,7 +74,7 @@ class DeterminismCertificate:
             object.__setattr__(self, "kraus", readonly_copy(self.kraus))
 
     def verdict(self, tol: float = EQ_TOL) -> bool:
-        # A supermap failing the trace condition, NaN included, never reaches the tiles.
+        # A supermap failing the trace condition, NaN included, never reaches stage 2.
         return bool(self.tp_residual <= tol and self.product_residual <= tol)
 
     @property
@@ -83,28 +83,28 @@ class DeterminismCertificate:
 
     @cached_property
     def product_residual(self) -> float:
-        """Worst ||X_ab − I ⊗ c_ab||_F / max(1, ||I ⊗ c_ab||_F): stage 2 of ``determinism_certificate``."""
-        t = self.kraus
-        k_in, d = t.shape[1:]
-        h_in = self.choi_n.shape[0] // k_in
-        h_out = d // h_in
-        # cand[a, u, b, v] = <u| c_ab |v> = choi_n[(u, a), (v, b)]
-        cand = self.choi_n.reshape(h_in, k_in, h_in, k_in).transpose(1, 0, 3, 2)
-        parts = self.choi_n.view(float).reshape(h_in, k_in, h_in, k_in, 2)
-        scale = np.maximum(1.0, np.sqrt(h_out * np.einsum("uavbz,uavbz->ab", parts, parts)))
-        cols = t.reshape(len(t), k_in * d)
-        tiles = list(_certificate_tiles(k_in, d))
-        buf = np.empty(max((a1 - a0) * (b1 - b0) for a0, a1, b0, b1 in tiles) * d * d, dtype=complex)
-        gap = np.zeros((k_in, k_in))  # squared Frobenius gaps
-        for a0, a1, b0, b1 in tiles:
-            tile = buf[: (a1 - a0) * (b1 - b0) * d * d].reshape((a1 - a0) * d, -1)
-            np.matmul(t[:, a0:a1].conj().reshape(len(t), -1).T, cols[:, b0 * d : b1 * d], out=tile)
-            # x[a, m, u, b, n, v] = <m, u| X_ab |n, v>, less c_ab on its blocks m = n
-            x = tile.reshape(a1 - a0, h_out, h_in, b1 - b0, h_out, h_in)
-            np.einsum("amubmv->amubv", x)[...] -= cand[a0:a1, None, :, b0:b1]
-            parts = tile.view(float).reshape(a1 - a0, d, b1 - b0, 2 * d)
-            gap[a0:a1, b0:b1] = np.einsum("axby,axby->ab", parts, parts)
-        return float(np.max(np.sqrt(gap) / scale))
+        """Worst (m, n) block ||A_m†A_n − δ_mn·C||_F / max(1, δ_mn·||C||_F), C = choi_n: stage 2."""
+        t, choi_n = self.kraus, self.choi_n
+        k_in, e = t.shape[1], len(choi_n)
+        h_out = t.shape[2] * k_in // e
+        # x[m] = A_mᵀ: x[m, (u, a), (i, c)] = T[(i, c), a, (m, u)], so x_m x_n† = conj(A_m†A_n)
+        x = t.reshape(len(t), k_in, h_out, -1).transpose(2, 3, 1, 0).reshape(h_out, e, -1)
+        if e <= x.shape[2] or (h_out * e) ** 2 <= _CHUNK // 4:
+            # No QR where it would not shrink x_m, or where the whole Gram matrix fills
+            # under a quarter buffer and the QR's fixed cost outweighs the products it saves.
+            gap = _factor_gaps(x, target=choi_n.conj())
+        else:
+            gap = _factor_gaps(np.linalg.qr(x, mode="r"))
+            step = max(1, _CHUNK // (e * e))
+            buf = np.empty((min(step, h_out), e, e), dtype=complex)
+            for m in range(0, h_out, step):
+                blk = buf[: min(step, h_out - m)]
+                np.matmul(x[m : m + step].conj(), x[m : m + step].transpose(0, 2, 1), out=blk)
+                blk -= choi_n
+                parts = blk.view(float).reshape(len(blk), -1)
+                np.einsum("mz,mz->m", parts, parts, out=np.einsum("mm->m", gap)[m : m + step])
+        np.einsum("mm->m", gap)[...] /= max(1.0, np.vdot(choi_n, choi_n).real)  # max(1, ||C||_F)²
+        return float(np.sqrt(np.max(gap)))
 
     @cached_property
     def factors(self) -> np.ndarray:
@@ -185,38 +185,20 @@ def _factor_identity(c: np.ndarray, d_out: int, d_in: int) -> tuple[np.ndarray, 
     return rho, rel_residual(c, kron(np.eye(d_out), rho)), abs(np.trace(rho) - 1.0)
 
 
-def _certificate_tiles(k_in: int, d: int):
-    """Tiles (a0, a1, b0, b1) of the certificate's upper block triangle, of d x d blocks.
-
-    A tile holds the blocks X_ab for a in [a0, a1) and b in [b0, b1).  When
-    the whole k_in x k_in block square fits in _CHUNK entries it is the only
-    tile; otherwise each block row a is cut into runs of column blocks b >= a
-    of at most _CHUNK entries, or of one block where a block is larger.
-    """
-    if (k_in * d) ** 2 <= _CHUNK:
-        yield 0, k_in, 0, k_in
-        return
-    nb = max(1, _CHUNK // (d * d))
-    for a in range(k_in):
-        for b in range(a, k_in, nb):
-            yield a, a + 1, b, min(b + nb, k_in)
-
-
 def determinism_certificate(s: Supermap) -> DeterminismCertificate:
     """Comb normalization residuals of the dual map, in two stages.
 
-    With the Kraus operators stacked as T[(i, c), a, x] (c on K_out, a on
-    K_in, x = (m, u) on H_out ⊗ H_in), the dual image of I_Kout ⊗ |a><b| is
-    X_ab = T[:, a, :]† T[:, b, :].  Each X_ab must factor as I_Hout ⊗ c_ab,
-    and the c_ab assemble into the Choi operator of N_*, which must be trace
-    preserving.  Stage 1, here, costs r·d⁶ at (d,d,d,d): choi_n, holding
-    c_ab = Tr_Hout[X_ab] / h_out, is the Gram matrix of the vectors
-    T[:, a, (m, u)], indexed by (u, a), over h_out, so N is CP by
+    With the Kraus operators stacked as T[(i, c), a, (m, u)] (c on K_out, a
+    on K_in, (m, u) on H_out ⊗ H_in), let A_m = T[:, :, (m, ·)] with rows
+    (i, c) and columns (u, a).  The dual image of I_Kout ⊗ |a><b| has the
+    entries <m, u| · |n, v> = (A_m†A_n)[(u, a), (v, b)], so S is
+    deterministic exactly when A_m†A_n = δ_mn·C for the Choi operator C of a
+    trace-preserving N_*.  Stage 1, here, costs r·d⁶ at (d,d,d,d): choi_n,
+    the average of the A_m†A_m, is one Gram matrix, so N is CP by
     construction; ``tp_residual`` is its marginal Tr_Hin against I.  Stage 2,
-    on first read of ``product_residual``, costs r·d⁷: the gaps of the X_ab
-    against I ⊗ c_ab.  X_ba = X_ab† holds exactly, so only the upper block
-    triangle b >= a is walked, in tiles of at most _CHUNK entries; a small
-    supermap is one tile holding its whole block square.  ``verdict`` and
+    on first read of ``product_residual``, costs r·d⁶: the diagonal blocks
+    A_m†A_m against C, directly, and the off-diagonal blocks through the
+    triangular factors of the A_m (``_factor_gaps``).  ``verdict`` and
     ``_certified`` decide the trace condition first, so a supermap failing it
     never reaches stage 2.
     """
@@ -402,44 +384,54 @@ def sum_supermaps(parts) -> Supermap:
     return Supermap(*dims, np.concatenate([p.kraus for p in parts]))
 
 
+def _factor_gaps(
+    r: np.ndarray, sign: np.ndarray | None = None, target: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared ||R_i·J·R_j† − δ_ij·target||_F over a stack R of shape (n, p, q), for j >= i.
+
+    J = diag(sign), or I; no target is 0.  With X_i = Q_i R_i for Q_i of
+    orthonormal columns, ||X_i J X_j†||_F = ||R_i J R_j†||_F, so tall factors
+    are measured through their triangular ones.  The gap of (j, i) is that of
+    (i, j), so a block of rows i >= i0 is multiplied against the columns
+    j >= i0 only, as one matmul into a buffer of at most _CHUNK entries;
+    entries with j < i hold their gap inside such a block and 0 outside it.
+    """
+    n, p, q = r.shape
+    rows = r.reshape(n * p, q)
+    r_h = rows.conj().T  # r_h[k, (j, s)] = conj(R_j[s, k])
+    rows = rows if sign is None else rows * sign
+    step = min(n, max(1, _CHUNK // (n * p * p)))
+    buf = np.empty(step * p * n * p, dtype=complex)
+    gaps = np.zeros((n, n))
+    for i in range(0, n, step):
+        k = min(step, n - i)
+        blk = buf[: k * p * (n - i) * p].reshape(k * p, -1)
+        np.matmul(rows[i * p : (i + k) * p], r_h[:, i * p :], out=blk)
+        if target is not None:
+            np.einsum("isit->ist", blk.reshape(k, p, n - i, p)[:, :, :k])[...] -= target
+        parts = blk.view(float).reshape(k, p, n - i, 2 * p)
+        np.einsum("isjt,isjt->ij", parts, parts, out=gaps[i : i + k, i:])
+    return gaps
+
+
 def action_distance(a: Supermap, b: Supermap) -> float:
     """Extensional distance: worst Frobenius gap of actions over matrix units.
 
     Supermaps with different Kraus lists can be the same map, so equality is
     decided by comparing actions on a spanning basis of input Choi operators.
     The action of ``a`` on |i><j| is A_i A_j†, where column k of A_i is column
-    i of the k-th Kraus operator; likewise B_i for ``b``.  With Q_i an
-    orthonormal basis of the span of [A_i, B_i] (a batched QR),
-    ||A_i A_j† − B_i B_j†||_F = ||α_i α_j† − β_i β_j†||_F for α_i = Q_i† A_i
-    and β_i = Q_i† B_i, which is evaluated for a block of rows i against all
-    columns j at a time.  Identical Kraus lists give exactly 0.
+    i of the k-th Kraus operator; likewise B_i for ``b``.  With R_i the
+    triangular factor of [A_i, B_i] (a batched QR) and J = diag(I, −I),
+    ||A_i A_j† − B_i B_j†||_F = ||R_i J R_j†||_F (``_factor_gaps``).
+    Identical Kraus arrays give exactly 0.
     """
     if (a.h_in, a.h_out, a.k_in, a.k_out) != (b.h_in, b.h_out, b.k_in, b.k_out):
         raise ValueError("supermaps act on different spaces")
-    # cols[i] holds column i of every Kraus operator: shape (d, k_out*k_in, r)
-    cols_a, cols_b = (s.kraus.transpose(2, 1, 0) for s in (a, b))
-    d, m = cols_a.shape[:2]
-    r = cols_a.shape[2] + cols_b.shape[2]
-    alpha, beta = [], []
-    step = max(1, _CHUNK // (8 * m * r))
-    for i in range(0, d, step):
-        blk_a, blk_b = cols_a[i : i + step], cols_b[i : i + step]
-        q = np.linalg.qr(np.concatenate([blk_a, blk_b], axis=2))[0]
-        qh = q.conj().transpose(0, 2, 1)
-        alpha.append(qh @ blk_a)
-        beta.append(qh @ blk_b)
-    alpha, beta = np.concatenate(alpha), np.concatenate(beta)
-    rank = alpha.shape[1]
-    # *_h[k, (j, s)] = conj(alpha_j[s, k])
-    alpha_h = alpha.conj().transpose(2, 0, 1).reshape(alpha.shape[2], -1)
-    beta_h = beta.conj().transpose(2, 0, 1).reshape(beta.shape[2], -1)
-    step = min(d, max(1, _CHUNK // (4 * d * rank * rank)))
-    buf = np.empty((step, rank, d * rank), dtype=complex)
-    worst = 0.0
-    for i in range(0, d, step):
-        gap = buf[: min(step, d - i)]
-        np.matmul(alpha[i : i + step], alpha_h, out=gap)
-        gap -= beta[i : i + step] @ beta_h
-        parts = gap.view(float).reshape(-1, rank, d, rank, 2)
-        worst = _worst(worst, float(np.max(np.einsum("irjsc,irjsc->ij", parts, parts))))
-    return float(np.sqrt(worst))
+    if np.array_equal(a.kraus, b.kraus):
+        return 0.0
+    # [A_i, B_i] is column i of every Kraus operator of a, then of b: shape (d, k_out*k_in, r)
+    factors = np.linalg.qr(np.concatenate([a.kraus, b.kraus]).transpose(2, 1, 0), mode="r")
+    if not np.isfinite(frob(factors)):  # actions that overflow: inf − inf, in whatever order BLAS sums
+        return float("nan")
+    sign = np.repeat([1.0, -1.0], [len(a.kraus), len(b.kraus)])
+    return float(np.sqrt(np.max(_factor_gaps(factors, sign))))

@@ -6,6 +6,12 @@ direct way: one matrix unit of the input space at a time, and for
 faithfulness an SVD of the full (h_out·h_in)²-sized action matrix.  The
 library computes the same quantities with chunked tensor contractions; the
 property tests check that both give the same verdicts and residuals.
+
+The certificate's ``product_residual`` cuts the dual map's Gram matrix into
+(m, n) blocks on H_out; ``ref_certificate`` cuts the same matrix into (a, b)
+blocks on K_in.  So ``product_residual`` is held to the dense per-(m, n)
+loop ``ref_product_residual`` within 1e-12, and to the (a, b) reference
+through verdicts only, outside the band of ``outside_blocking_band``.
 """
 
 import numpy as np
@@ -67,6 +73,38 @@ def ref_certificate(s):
     tp = frob(marg - np.eye(s.k_in)) / np.sqrt(s.k_in)
     eigs = np.linalg.eigvalsh((choi_n + dag(choi_n)) / 2.0)
     return worst, herm, tp, float(eigs[0]), float(eigs[-1]), choi_n
+
+
+def ref_product_residual(s):
+    """Worst ||A_m†A_n − δ_mn·C||_F / max(1, δ_mn·||C||_F) over (m, n) on H_out, one block at a time.
+
+    A_m[(i, c), (u, a)] = <c, a| S_i |m, u> and C = Σ_m A_m†A_m / h_out, which is choi_n.
+    """
+    t = s.kraus.reshape(-1, s.k_out, s.k_in, s.h_out, s.h_in)
+    a = [t[:, :, :, m].transpose(0, 1, 3, 2).reshape(-1, s.h_in * s.k_in) for m in range(s.h_out)]
+    c = sum(dag(a_m) @ a_m for a_m in a) / s.h_out
+    worst = 0.0
+    for m in range(s.h_out):
+        for n in range(s.h_out):
+            worst = max(worst, rel_residual(dag(a[m]) @ a[n], c if m == n else np.zeros_like(c)))
+    return worst
+
+
+def outside_blocking_band(s, ab_residual, tol):
+    """True if the (a, b)-blocked residual is far enough from tol that the
+    (m, n)-blocked ``product_residual`` falls on the same side of it.
+
+    Both blockings cut one gap Δ = G − I_Hout ⊗ C of the Gram matrix.  Every
+    block of either is at most ||Δ||_F, which is at most k_in times the worst
+    (a, b) block and h_out times the worst (m, n) block.  The (a, b) blocks
+    are divided by at most S = max(1, √h_out·||C||_F), the (m, n) blocks by at
+    most max(1, ||C||_F) <= S.  So ρ_ab / (h_out·S) <= ρ_mn <= k_in·S·ρ_ab, and
+    the verdicts agree unless ρ_ab lies in [tol / (k_in·S), tol·h_out·S],
+    here widened twofold for rounding.
+    """
+    c = ref_certificate(s)[5]
+    scale = max(1.0, np.sqrt(s.h_out) * frob(c))
+    return not tol / (2 * s.k_in * scale) <= ab_residual <= 2 * tol * s.h_out * scale
 
 
 def ref_is_deterministic(s, tol):
@@ -164,7 +202,11 @@ def test_certificate_matches_reference(dims, seed, damage):
     s = damaged_supermap(dims, seed, damage)
     cert = determinism_certificate(s)
     worst, _, tp, lo, hi, choi_n = ref_certificate(s)
-    assert abs(cert.product_residual - worst) <= 1e-12
+    expected = ref_product_residual(s)
+    assert abs(cert.product_residual - expected) <= 1e-12 * max(1.0, expected)
+    for tol in (1e-8, 1e-6):
+        if outside_blocking_band(s, worst, tol):
+            assert (cert.product_residual <= tol) == (worst <= tol)
     assert abs(cert.tp_residual - tp) <= 1e-12
     # N is CP by construction, so the reference's positivity stage always holds.
     assert min_eig_floor(lo, hi)
@@ -315,13 +357,18 @@ def spread(s, h):
 
 @pytest.mark.parametrize("h", [1, 2])
 def test_certificate_fails_on_one_off_diagonal_block(h):
+    """The defect sits in an off-diagonal (a, b) block, which the (m, n) blocks on
+    H_out cut into their diagonal: A_m†A_m − C holds Z's entry (m, m) = ±1 at
+    K_in entries (1, 2) and (2, 1), times the identity's |I><I| of norm h, and
+    ||C||_F = √3·h, so the residual is √2·h / (√3·h)."""
     s = spread(certificate_block_defect(), h)
     gaps = certificate_block_gaps(s)
     bad = {blk for blk, gap in gaps.items() if gap > 1.0}
     assert bad and all(a != b for a, b in bad)
     assert all(gaps[a, a] == 0.0 for a in range(s.k_in))
     cert = determinism_certificate(s)
-    assert cert.product_residual >= 1.0
+    assert cert.product_residual == pytest.approx(np.sqrt(2 / 3), rel=1e-12)
+    assert cert.product_residual == pytest.approx(ref_product_residual(s), rel=1e-12)
     assert cert.tp_residual == 0.0
     assert min_eig_floor(*ref_certificate(s)[3:5])
     assert not is_deterministic(s)

@@ -226,7 +226,7 @@ class TestIsDeterministic:
         # The effect-wise test is the cross-check of the certificate: neither
         # may reach the other, directly or through the determinism gate.
         names = is_deterministic_effectwise.__code__.co_names
-        for shared in ("determinism_certificate", "_certified", "DeterminismCertificate"):
+        for shared in ("determinism_certificate", "_certified", "DeterminismCertificate", "_factor_gaps"):
             assert shared not in names
         # The certificate's gap stage is its cached product_residual.
         for code in (determinism_certificate.__code__, DeterminismCertificate.product_residual.func.__code__):

@@ -1,15 +1,21 @@
-"""The tiled determinism tests against their per-matrix-unit references.
+"""The chunked determinism tests against their per-matrix-unit references.
 
-Both tests walk their upper block triangle in tiles of at most
-``supermap._CHUNK`` entries.  The default budget makes every small supermap a
-single tile, so here the budget is cut down to one entry, one block, one and
-a half blocks, two blocks and one block row of either test.  The tiles then
-cut the rows and columns of the triangle at every block boundary, and the
-verdicts, residuals and ``choi_n`` must still match the references of
-``test_closed_forms``, whose positivity stage must always hold.  Supermaps
-whose Kraus entries overflow the squares the tests take must be rejected at
-every budget.  The last test holds both tests to a fixed memory budget at
-local dimension 16.
+The effect-wise test walks its upper block triangle in tiles of at most
+``supermap._CHUNK`` entries.  The certificate's stage 2 multiplies its (m, n)
+blocks on H_out into buffers of at most that many entries: rows of blocks in
+``_factor_gaps``, and runs of diagonal blocks where it takes the QR route,
+which a budget below a quarter of the Gram matrix selects whenever the QR
+shrinks the blocks.  The default budget makes every small supermap a single
+chunk, so here the budget is cut down to one entry, one block, one and a half
+blocks, two blocks and one block row of either test, and kept at the
+default.  The chunks then cut the rows and columns at every block boundary,
+and the verdicts, residuals and ``choi_n`` must still match the references
+of ``test_closed_forms``, whose positivity stage must always hold; the
+certificate's verdict is compared outside the band in which its (m, n)
+blocking and the reference's (a, b) blocking may differ.  Supermaps whose
+Kraus entries overflow the squares the tests take must be rejected at every
+budget.  The last test holds both tests to a fixed memory budget at local
+dimension 16.
 """
 
 import tracemalloc
@@ -25,7 +31,6 @@ from supermaps.realization import CircuitRealization, circuit_to_supermap, reali
 from supermaps.supermap import (
     NotDeterministicError,
     Supermap,
-    _certificate_tiles,
     _effectwise_tiles,
     determinism_certificate,
     effect_map_of,
@@ -39,21 +44,28 @@ from test_closed_forms import (
     damaged_supermap,
     dims_st,
     effectwise_block_defect,
+    outside_blocking_band,
     ref_certificate,
     ref_effectwise,
     ref_is_deterministic,
+    ref_product_residual,
     seed_st,
     spread,
 )
 
 
 def budgets(s):
-    """Tile budgets that cut each test's triangle at every block boundary, and more coarsely."""
-    cert_block = (s.h_out * s.h_in) ** 2
-    eff_block = (s.h_in * s.k_in) ** 2
-    out = {1}
-    for block, rows in ((cert_block, s.k_in), (eff_block, s.h_out)):
-        out |= {block, 3 * block // 2, 2 * block, rows * block}
+    """Budgets that cut each test's chunks at every block boundary, and more coarsely.
+
+    Both tests have h_out block rows.  The effect-wise tiles and the
+    certificate's diagonal blocks are e x e, e = h_in·k_in; a row of
+    ``_factor_gaps`` holds h_out blocks of p x p, p = min(e, r·k_out) after
+    the QR, or e without it.
+    """
+    e = s.h_in * s.k_in
+    out = {1, supermap._CHUNK}
+    for block, rows in ((e * e, 1), (min(e, len(s.kraus) * s.k_out) ** 2, s.h_out), (e * e, s.h_out)):
+        out |= {block, 3 * block // 2, 2 * block, rows * block, rows * rows * block}
     return sorted(out)
 
 
@@ -62,13 +74,15 @@ def check_against_references(s):
     fresh = Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus)
     cert = determinism_certificate(fresh)
     worst, _, tp, lo, hi, choi_n = ref_certificate(s)
-    assert abs(cert.product_residual - worst) <= 1e-12
+    expected = ref_product_residual(s)
+    assert abs(cert.product_residual - expected) <= 1e-12 * max(1.0, expected)
     assert abs(cert.tp_residual - tp) <= 1e-12
     # N is CP by construction, so the reference's positivity stage always holds.
     assert min_eig_floor(lo, hi)
     assert np.max(np.abs(cert.choi_n - choi_n)) <= 1e-12
     for tol in (1e-8, 1e-6):
-        assert is_deterministic(fresh, tol) == ref_is_deterministic(s, tol)
+        if outside_blocking_band(s, worst, tol):
+            assert is_deterministic(fresh, tol) == ref_is_deterministic(s, tol)
         assert is_deterministic_effectwise(fresh, tol) == ref_effectwise(s, tol)
 
 
@@ -122,15 +136,14 @@ def test_overflowing_kraus_sets_are_rejected_at_every_budget(dims, seed, damage,
                 realize(fresh)
 
 
-@pytest.mark.parametrize("tiles", [_certificate_tiles, _effectwise_tiles])
 @pytest.mark.parametrize("rows", [1, 2, 3, 5])
 @pytest.mark.parametrize("side", [1, 2, 3])
 @pytest.mark.parametrize("chunk", [1, 4, 9, 13, 27, 36, 1 << 16])
-def test_tiles_cover_the_upper_triangle_once_within_budget(monkeypatch, tiles, rows, side, chunk):
+def test_tiles_cover_the_upper_triangle_once_within_budget(monkeypatch, rows, side, chunk):
     monkeypatch.setattr(supermap, "_CHUNK", chunk)
     block = side * side
     covered = []
-    for r0, r1, c0, c1 in tiles(rows, side):
+    for r0, r1, c0, c1 in _effectwise_tiles(rows, side):
         size = (r1 - r0) * (c1 - c0) * block
         assert size <= chunk or (r1 - r0, c1 - c0) == (1, 1)
         covered += [(r, c) for r in range(r0, r1) for c in range(c0, c1)]
