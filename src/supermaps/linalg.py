@@ -18,6 +18,10 @@ Tolerance policy, shared by the whole package:
   ``check-op`` reports; their trace increase (the effect's excess over I) is
   a positivity test at the same scale, in ``KrausSet`` too.  ``psd_factors``
   keeps exactly the eigenvalues above +POS_TOL * max(1, lambda_max);
+- the effect map's factors are the SVD of one Kraus block A_0 when
+  ``product_residual`` <= FACTOR_GATE: A_0†A_0 is then within FACTOR_GATE *
+  max(1, ||C||_F) of C = choi_n, and so are they of ``psd_factors(C)``'s, which
+  serve above the gate and everywhere else.  Both keep sigma² above the cutoff;
 - hermiticity is measured only where it can fail: matrices given to the
   positivity rule, Choi operators in ``choi_residuals`` and ancilla
   projectors (at ``tol``).  Matrices Hermitian by construction up to rounding
@@ -59,6 +63,7 @@ import numpy as np
 EQ_TOL = 1e-8
 HERM_TOL = 1e-8
 POS_TOL = 1e-9
+FACTOR_GATE = 1e-12  # product_residual's rounding: <= 9e-15 on exact supermaps to d = 24
 
 # Threshold below which an eigenvector entry counts as zero for the phase fix.
 _PHASE_EPS = 1e-10
@@ -210,28 +215,28 @@ def permute_systems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> 
 
 
 def psd_factors(m: np.ndarray) -> np.ndarray:
-    """Columns sqrt(w_j) v_j over the eigenpairs of the Hermitian part of m with
-    w_j above POS_TOL * max(1, lambda_max), so m ≈ F F†.  Column j unvectorizes
-    to the j-th canonical Kraus operator when m is a Choi operator.
-
-    The columns come in descending order of w_j, and each v_j is rescaled so
-    its first entry above the phase threshold is real positive, which makes
-    the canonical Kraus sets deterministic.
-    """
+    """``canonical_factors`` of the eigenpairs of m's Hermitian part, so m ≈ F F†.
+    Column j unvectorizes to the j-th canonical Kraus operator when m is a Choi operator."""
     m = np.asarray(m, dtype=complex)
     w, v = np.linalg.eigh((m + dag(m)) / 2.0)
+    return canonical_factors(w[::-1], v[:, ::-1])
+
+
+def canonical_factors(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Columns sqrt(w_j) v_j for w_j above POS_TOL * max(1, w_0), w descending, v's
+    columns orthonormal.  Each v_j is rescaled so its first entry above the phase
+    threshold is real positive, which makes the canonical Kraus sets deterministic."""
     if not v.size:
         return v
-    w, v = w[::-1], v[:, ::-1]
+    keep = w > POS_TOL * max(1.0, float(w[0]))
+    w, v = w[keep], v[:, keep]
     # The pivot of each column is its first entry above the threshold (the
     # argmax of the mask); a unit vector always has one.  Its modulus comes
     # from hypot, as abs() of a complex scalar does: numpy's vectorized
     # complex abs can differ in the last bit.
     first = (np.abs(v) > _PHASE_EPS).argmax(axis=0)
     pivot = v[first, np.arange(v.shape[1])]
-    v = v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
-    keep = w > POS_TOL * max(1.0, float(w[0]))
-    return v[:, keep] * np.sqrt(w[keep])
+    return v * (pivot.conj() / np.hypot(pivot.real, pivot.imag)) * np.sqrt(w)
 
 
 def kraus_sum(ops: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -30,10 +30,12 @@ import numpy as np
 
 from .linalg import (
     EQ_TOL,
+    FACTOR_GATE,
     ResidualError,
     _cap_non_finite,
     _check_dims,
     _operator_stack,
+    canonical_factors,
     frob,
     isometry_residual,
     kraus_sum,
@@ -61,7 +63,7 @@ class DeterminismCertificate:
 
     Frozen, with read-only arrays, because supermaps cache it.
     ``product_residual`` is computed from ``kraus`` and ``choi_n`` on first
-    read, and ``factors`` from ``choi_n`` on first use.
+    read, and ``factors`` from ``kraus`` or ``choi_n`` on first use.
     """
 
     tp_residual: float  # ||Tr_Hin[choi_n] − I|| / sqrt(k_in)
@@ -108,8 +110,16 @@ class DeterminismCertificate:
 
     @cached_property
     def factors(self) -> np.ndarray:
-        """Read-only psd_factors(choi_n): N's canonical Kraus operators, vectorized."""
-        f = psd_factors(self.choi_n)
+        """N's canonical Kraus operators, vectorized, read-only.  At a product_residual
+        within FACTOR_GATE, A_0†A_0 = C to rounding, so they come from the SVD of
+        A_0 = T[:, :, (0, ·)], columns (u, a); else psd_factors(choi_n)."""
+        if self.product_residual <= FACTOR_GATE:
+            k_in, e = self.kraus.shape[1], len(self.choi_n)
+            _, sv, vh = np.linalg.svd(self.kraus[:, :, : e // k_in].transpose(0, 2, 1).reshape(-1, e),
+                                      full_matrices=False)
+            f = canonical_factors(sv * sv, vh.conj().T)
+        else:
+            f = psd_factors(self.choi_n)
         f.setflags(write=False)
         return f
 

@@ -1,13 +1,17 @@
-"""Each eigendecomposition once: the certificate's cached factors, and the
+"""Each factorization once: the certificate's cached factors, and the
 Choi operator a Kraus set admits, against the code that computed them again.
 
-``DeterminismCertificate.factors`` holds ``psd_factors(choi_n)``, computed on
-first use, and both ``effect_map_of`` and ``realize`` read it.
-``kraus_to_choi`` admits its Choi operator on ``KrausSet``'s verdict instead
-of validating it as a ``QuantumOperation``.  The ``ref_*`` functions are
-verbatim copies of the code that factored ``choi_n`` in each caller and
-validated every Choi operator ``kraus_to_choi`` built; only the names of the
-functions they call are changed to the copies'.
+``DeterminismCertificate.factors`` holds N's canonical factors, computed on
+first use from the SVD of one Kraus block when ``product_residual`` is within
+FACTOR_GATE and by ``psd_factors(choi_n)`` otherwise, and both
+``effect_map_of`` and ``realize`` read it.  ``kraus_to_choi`` admits its Choi
+operator on ``KrausSet``'s verdict instead of validating it as a
+``QuantumOperation``.  ``ref_factors`` takes the same route by its own code,
+the block by a loop over entries and the canonical rule by a loop over
+columns; the other ``ref_*`` functions are verbatim copies of the code that
+factored N in each caller and validated every Choi operator
+``kraus_to_choi`` built, with only the names of the functions they call
+changed to the copies'.
 
 The properties check that the results keep their bits in either call order,
 that the cache is read-only and private to its certificate, and that
@@ -27,7 +31,7 @@ from hypothesis import strategies as st
 from supermaps import io as sio
 from supermaps import linalg
 from supermaps.cli import main
-from supermaps.linalg import EQ_TOL, POS_TOL, psd_factors, random_isometry
+from supermaps.linalg import _PHASE_EPS, EQ_TOL, FACTOR_GATE, POS_TOL, psd_factors, random_isometry
 from supermaps.operations import (
     KrausSet,
     QuantumOperation,
@@ -55,16 +59,36 @@ KRAUS_KINDS = ("random", "excess below the bound", "excess above the bound", "ra
 # ---------------------------------------------------------------- verbatim copies
 
 
+def ref_factors(s: Supermap, cert) -> np.ndarray:
+    """N's canonical factors: at a product_residual within FACTOR_GATE, the right
+    singular vectors v_j of A_0[(i, c), (u, a)] = S_i[(c, a), (0, u)] scaled by
+    sigma_j, for sigma_j² above POS_TOL max(1, sigma_0²), each phase fixed at
+    its first entry above _PHASE_EPS; else psd_factors(choi_n)."""
+    if not cert.product_residual <= FACTOR_GATE:
+        return psd_factors(cert.choi_n)
+    t = s.kraus.reshape(-1, s.k_out, s.k_in, s.h_out, s.h_in)
+    a0 = np.array([[t[i, c, a, 0, u] for u in range(s.h_in) for a in range(s.k_in)]
+                   for i in range(len(t)) for c in range(s.k_out)])
+    _, sv, vh = np.linalg.svd(a0, full_matrices=False)
+    cols = []
+    for sj, row in zip(sv, vh):
+        if sj * sj > POS_TOL * max(1.0, sv[0] * sv[0]):
+            v = row.conj()
+            pivot = v[np.nonzero(np.abs(v) > _PHASE_EPS)[0][0]]
+            cols.append(v * (pivot.conj() / np.hypot(pivot.real, pivot.imag)) * np.sqrt(sj * sj))
+    return np.array(cols).T
+
+
 def ref_effect_map_of(s: Supermap, tol: float = EQ_TOL) -> EffectMap:
     """Canonical Kraus form of the effect map of a deterministic supermap."""
     cert = _certified(s, tol)
-    f = psd_factors(cert.choi_n)
+    f = ref_factors(s, cert)
     return EffectMap(f.T.reshape(-1, s.h_in, s.k_in), tol)
 
 
 def ref_isometries(s: Supermap, tol: float) -> tuple[np.ndarray, np.ndarray, int, int]:
     """(V, W, dim_a, dim_b) of ``realize``'s circuit, before CircuitRealization checks it."""
-    nn = psd_factors(_certified(s, tol).choi_n).T.reshape(-1, s.h_in, s.k_in)
+    nn = ref_factors(s, _certified(s, tol)).T.reshape(-1, s.h_in, s.k_in)
     dim_b = len(nn)
     dim_a = len(s.kraus)
 
@@ -164,7 +188,7 @@ def test_results_keep_their_bits(dims, r, kind, seed, tol, order, kraus_r):
             continue
         factors = cert.factors
         assert factors is cert.factors and not factors.flags.writeable
-        assert factors.tobytes() == psd_factors(cert.choi_n).tobytes()
+        assert factors.tobytes() == ref_factors(s, cert).tobytes()
         if isinstance(got_map, tuple):
             continue
         # The effect map holds its own copy: writing to it leaves the certificate as it was.
@@ -234,7 +258,9 @@ class TestEachEigendecompositionOnce:
     @pytest.mark.parametrize("order", ORDERS)
     def test_effect_map_and_realize_factor_once(self, monkeypatch, rng, order):
         s = circuit_supermap(rng, (2, 3, 2, 2))
-        calls = count_calls(monkeypatch, "psd_factors")
+        calls = count_calls(monkeypatch, "psd_factors")  # an SVD or psd_factors, either counts
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append("svd") or svd(*a, **kw))
         steps = [effect_map_of, realize]
         for step in steps if order == "effect map first" else steps[::-1]:
             step(s)

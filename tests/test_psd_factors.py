@@ -6,7 +6,9 @@ conftest), keep the eigenvalues above POS_TOL * max(1, lambda_0), scale the
 kept eigenvectors by sqrt(w).  Every fixture puts one eigenvalue a factor
 1 ± 1e-3 from that cutoff, so a site that kept a different number of
 factors would differ from the reference by about POS_TOL, far above the
-1e-12 the comparisons allow.
+1e-12 the comparisons allow.  The effect map, whose factors come from an SVD
+of the supermap's Kraus block, is held to the exact Kraus operators of the
+channel it is built from instead.
 """
 
 import numpy as np
@@ -19,9 +21,9 @@ from supermaps.applications import (
     programmable_channel,
     tomography_supermap,
 )
-from supermaps.linalg import POS_TOL, kron, psd_factors, random_isometry
+from supermaps.linalg import _PHASE_EPS, POS_TOL, kron, psd_factors, random_isometry
 from supermaps.operations import KrausSet, choi_to_kraus, kraus_to_choi
-from supermaps.supermap import Supermap, determinism_certificate, effect_map_of
+from supermaps.supermap import Supermap, effect_map_of
 from supermaps.testers import as_supermap_parts, make_tester
 
 from conftest import ref_eigh_sorted
@@ -114,14 +116,33 @@ def test_choi_to_kraus(rng, h_in, k_in, sign):
     assert_same_ops(choi_to_kraus(op).operators, expected)
 
 
+def phase_fixed(op):
+    """op rescaled so that the first entry of op / ||op|| above _PHASE_EPS is real positive."""
+    flat = op.reshape(-1) / np.linalg.norm(op)
+    pivot = flat[np.nonzero(np.abs(flat) > _PHASE_EPS)[0][0]]
+    return op * (pivot.conjugate() / abs(pivot))
+
+
 @pytest.mark.parametrize("sign", SIGNS)
 @pytest.mark.parametrize("h_in, k_in, h_out", [(1, 1, 2), (3, 1, 1), (2, 2, 2), (3, 3, 1)])
 def test_effect_map_of(rng, h_in, k_in, h_out, sign):
-    """S(E) = E ∘ C for a channel C from K_in to H_in, whose Choi is the effect map's."""
-    ops = tuple(kron(np.eye(h_out), c.T) for c in channel_kraus(h_in, k_in, sign, rng))
-    s = Supermap(h_in, h_out, k_in, h_out, ops)
-    expected = [f.reshape(h_in, k_in) for f in ref_factors(determinism_certificate(s).choi_n)]
-    assert_same_ops(effect_map_of(s).kraus, expected)
+    """S(E) = E ∘ C for a channel C from K_in to H_in, whose Choi is the effect map's.
+
+    C's Kraus operators are Hilbert-Schmidt orthogonal, so their conjugates, in
+    descending norm, pivot phase fixed and cut at POS_TOL, are the effect map's
+    canonical Kraus operators exactly.  Each factor is held to its exact one
+    within 1e-12 of its norm, the one at the cutoff too: the eigenvectors of
+    choi_n are good only to about 1e-16 / lambda there, 3e-7 of that factor.
+    """
+    kraus = channel_kraus(h_in, k_in, sign, rng)
+    s = Supermap(h_in, h_out, k_in, h_out, tuple(kron(np.eye(h_out), c.T) for c in kraus))
+    exact = sorted((c.conj() for c in kraus), key=lambda c: -np.linalg.norm(c))
+    top = np.linalg.norm(exact[0]) ** 2
+    exact = [phase_fixed(c) for c in exact if np.linalg.norm(c) ** 2 > POS_TOL * max(1.0, top)]
+    got = effect_map_of(s).kraus
+    assert len(got) == len(exact) == (len(kraus) if sign > 0 else 1)
+    for a, b in zip(got, exact):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("sign", SIGNS)

@@ -226,10 +226,12 @@ class TestIsDeterministic:
         # The effect-wise test is the cross-check of the certificate: neither
         # may reach the other, directly or through the determinism gate.
         names = is_deterministic_effectwise.__code__.co_names
-        for shared in ("determinism_certificate", "_certified", "DeterminismCertificate", "_factor_gaps"):
+        for shared in ("determinism_certificate", "_certified", "DeterminismCertificate", "_factor_gaps",
+                       "svd", "canonical_factors"):
             assert shared not in names
-        # The certificate's gap stage is its cached product_residual.
-        for code in (determinism_certificate.__code__, DeterminismCertificate.product_residual.func.__code__):
+        # The certificate's gap stage is its cached product_residual; its SVD, the cached factors.
+        cached = (DeterminismCertificate.product_residual, DeterminismCertificate.factors)
+        for code in (determinism_certificate.__code__, *(c.func.__code__ for c in cached)):
             assert "is_deterministic_effectwise" not in code.co_names
 
     def test_cached_certificate_is_frozen(self):
