@@ -18,10 +18,10 @@ Tolerance policy, shared by the whole package:
   ``check-op`` reports; their trace increase (the effect's excess over I) is
   a positivity test at the same scale, in ``KrausSet`` too.  ``psd_factors``
   keeps exactly the eigenvalues above +POS_TOL * max(1, lambda_max);
-- the effect map's factors are the SVD of one Kraus block A_0 when
-  ``product_residual`` <= FACTOR_GATE: A_0†A_0 is then within FACTOR_GATE *
-  max(1, ||C||_F) of C = choi_n, and so are they of ``psd_factors(C)``'s, which
-  serve above the gate and everywhere else.  Both keep sigma² above the cutoff;
+- the effect map's factors are the thin SVD A_0 = U Σ Y† of one Kraus block,
+  keeping sigma_j >= SIGMA_CUTOFF * sigma_0: on sigma, not sigma², as the Kraus
+  operators move by sigma_j along a dropped direction.  Exact rank-deficient
+  blocks show spurious sigma_j of at most 5.3e-16 sigma_0 (circuits, d <= 32);
 - hermiticity is measured only where it can fail: matrices given to the
   positivity rule, Choi operators in ``choi_residuals`` and ancilla
   projectors (at ``tol``).  Matrices Hermitian by construction up to rounding
@@ -35,11 +35,15 @@ Tolerance policy, shared by the whole package:
   projectors of ``realize_probabilistic`` are exact 0/1 diagonals on disjoint
   ranges that sum to exactly I;
 - rank: ``numerical_rank`` counts the singular values above tol * s_max;
-- determinism: ``product_residual`` is the worst (m, n) block on H_out of the
-  dual Gram gap by the residual rule, ||A_m†A_n - δ_mn C||_F /
-  max(1, δ_mn ||C||_F) with C = choi_n.  The (a, b) blocks on K_in it once
-  used agree on the verdict unless their residual is in
-  [tol / (k_in S), tol h_out S], S = max(1, sqrt(h_out) ||C||_F).
+- determinism: ``product_residual`` rho bounds ||A_m†A_n - δ_mn C|| /
+  max(1, δ_mn ||C||), C = choi_n, all Frobenius (``DeterminismCertificate``).
+  With Δ the largest ||A_m†A_n - δ_mn C̄|| for C̄ the mean of the A_m†A_m,
+  e = h_in k_in and ε = max||E_m||: Δ <= 2 rho max(1, ||C||), rho <= 2Δ +
+  2 max||A_m|| ε + ε², ε² <= 2 sqrt(e) Δ + e (SIGMA_CUTOFF sigma_0)², and
+  ``tp_residual`` is within sqrt(h_in / k_in) Δ of C̄'s.  So the verdict may
+  differ from a test of Δ and C̄ only in that band.  Its upper edge is linear
+  in damage to Kraus entries but can grow as sqrt(Δ): one more Kraus
+  operator of norm δ moves E_m by δ and Δ by δ²;
 A caller's ``tol`` (the CLI's ``--tol``) replaces EQ_TOL in the residual,
 orthogonality and rank rules.  HERM_TOL and POS_TOL are fixed: the positivity
 helpers take no ``tol``, and ``check-op``'s ``--tol`` governs only ``channel``.
@@ -49,7 +53,7 @@ A residual that is not finite reads 1e300 in every report and message
 (``_cap_non_finite``), and a NaN residual fails: folds keep it (``_worst``).
 A check whose message names a residual raises ``ResidualError``, which carries it;
 ``NotDeterministicError`` carries ``tp_residual`` when the trace condition
-fails (decided before the factorization gap is computed), else ``residual``.
+fails (decided before any SVD), else ``residual``.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ import numpy as np
 EQ_TOL = 1e-8
 HERM_TOL = 1e-8
 POS_TOL = 1e-9
-FACTOR_GATE = 1e-12  # product_residual's rounding: <= 9e-15 on exact supermaps to d = 24
+SIGMA_CUTOFF = 1e-12  # the effect map's cutoff, on singular values
 
 # Threshold below which an eigenvector entry counts as zero for the phase fix.
 _PHASE_EPS = 1e-10
@@ -215,28 +219,34 @@ def permute_systems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> 
 
 
 def psd_factors(m: np.ndarray) -> np.ndarray:
-    """``canonical_factors`` of the eigenpairs of m's Hermitian part, so m ≈ F F†.
-    Column j unvectorizes to the j-th canonical Kraus operator when m is a Choi operator."""
+    """``canonical_factors`` of the eigenpairs of m's Hermitian part above
+    POS_TOL * max(1, lambda_max), so m ≈ F F†.  Column j unvectorizes to the
+    j-th canonical Kraus operator when m is a Choi operator."""
     m = np.asarray(m, dtype=complex)
     w, v = np.linalg.eigh((m + dag(m)) / 2.0)
-    return canonical_factors(w[::-1], v[:, ::-1])
+    w, v = w[::-1], v[:, ::-1]
+    keep = w > POS_TOL * w.max(initial=1.0)
+    return canonical_factors(v[:, keep]) * np.sqrt(w[keep])
 
 
-def canonical_factors(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Columns sqrt(w_j) v_j for w_j above POS_TOL * max(1, w_0), w descending, v's
-    columns orthonormal.  Each v_j is rescaled so its first entry above the phase
-    threshold is real positive, which makes the canonical Kraus sets deterministic."""
+def canonical_factors(v: np.ndarray) -> np.ndarray:
+    """The orthonormal columns of v, each rescaled so that its first entry above
+    the phase threshold is real positive, which makes the canonical Kraus sets
+    deterministic.  That entry is written as its modulus, so its imaginary
+    part is exactly 0."""
     if not v.size:
         return v
-    keep = w > POS_TOL * max(1.0, float(w[0]))
-    w, v = w[keep], v[:, keep]
     # The pivot of each column is its first entry above the threshold (the
     # argmax of the mask); a unit vector always has one.  Its modulus comes
     # from hypot, as abs() of a complex scalar does: numpy's vectorized
     # complex abs can differ in the last bit.
+    cols = np.arange(v.shape[1])
     first = (np.abs(v) > _PHASE_EPS).argmax(axis=0)
-    pivot = v[first, np.arange(v.shape[1])]
-    return v * (pivot.conj() / np.hypot(pivot.real, pivot.imag)) * np.sqrt(w)
+    pivot = v[first, cols]
+    modulus = np.hypot(pivot.real, pivot.imag)
+    v = v * (pivot.conj() / modulus)
+    v[first, cols] = modulus
+    return v
 
 
 def kraus_sum(ops: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -17,14 +17,13 @@ as one contraction of E's Choi tensor with the (B, H_in) state, which lands
 directly on (H_out, B), the order W expects; no operator on the enlarged
 space is formed.
 
-The construction goes through the effect map N of the supermap: with
-canonical Kraus operators N_j of N, the operator Z = sum_j |b_j> ⊗ N_j†
-connects the two Kraus decompositions of E -> Tr_Kout[S(E)], and V is the
-partial transpose of Z on its second factor.  W's matrix elements are inner
-products of the supermap's Kraus blocks against the canonical right-hand
-Kraus set {<h_m| ⊗ N_j†}, which is Hilbert-Schmidt orthogonal, so the
-coefficient solve is a plain projection and the result is automatically an
-isometry for consistent input.
+The construction reads the thin SVD A_0 = U Σ Y† of the determinism
+certificate (``DeterminismCertificate.basis``).  The effect map N has the
+canonical Kraus operators N_j, the columns σ_j·y_j unvectorized; V is the
+partial transpose of Z = sum_j |b_j> ⊗ N_j† on its second factor.  W's
+column (m, j) is the supermap's Kraus block A_m applied to y_j, divided by
+σ_j, so W V rebuilds each A_m up to its part E_m outside the span of Y, which
+the certificate bounds; no coefficient solve is needed.
 """
 
 from __future__ import annotations
@@ -128,21 +127,15 @@ class CircuitRealization:
 
 def _isometries(s: Supermap, tol: float) -> tuple[np.ndarray, np.ndarray, int, int]:
     """(V, W, dim_a, dim_b) of ``realize``'s circuit, before CircuitRealization checks it."""
-    nn = _certified(s, tol).factors.T.reshape(-1, s.h_in, s.k_in)
-    dim_b = len(nn)
-    dim_a = len(s.kraus)
-
+    cert = _certified(s, tol)
+    sv, _, b, _ = cert.basis
+    dim_a, dim_b = len(s.kraus), len(sv)
     # V stacks the conjugated canonical Kraus operators N_j of the effect map along
     # ancilla B: V†V = conj(sum_j N_j† N_j), so V's check is N's identity preservation.
-    v = nn.conj().reshape(dim_b * s.h_in, s.k_in)
-
-    # W_{ni,mj} = <(<h_m| ⊗ N_j†), (<k_n| ⊗ I) S_i> / ||N_j||²  by
-    # Hilbert-Schmidt orthogonality of the canonical right-hand set.
-    ss = s.kraus.reshape(dim_a, s.k_out, s.k_in, s.h_out, s.h_in)
-    # One vdot per operator: a single einsum changes the last bits of W.
-    weights = np.array([np.vdot(n, n).real for n in nn])
-    w4 = np.einsum("jek,inkme->nimj", nn, ss) / weights
-    return v, w4.reshape(s.k_out * dim_a, s.h_out * dim_b), dim_a, dim_b
+    v = cert.factors.T.conj().reshape(dim_b * s.h_in, s.k_in)
+    # W[(n, i), (m, j)] = (A_m y_j)[(i, n)] / σ_j, which makes W V = B Y†, the A_m to E_m.
+    w = (b / sv).reshape(s.h_out, dim_a, s.k_out, dim_b).transpose(2, 1, 0, 3)
+    return v, w.reshape(s.k_out * dim_a, s.h_out * dim_b), dim_a, dim_b
 
 
 def realize(s: Supermap, tol: float = EQ_TOL) -> CircuitRealization:

@@ -16,9 +16,11 @@ exactly when the dual map S_*(O) = sum_i S_i† O S_i satisfies
 for a channel N_* from states on K_in to states on H_in; equivalently, when
 there is an identity-preserving CP map N with
 Tr_Kout[S(E)] = N(Tr_Hout[E]) for every E.  N is the effect map of the
-supermap: it transports input effects to output effects.  Both tests below
-build N's Choi operator as a Gram matrix of the Kraus entries, so N is CP by
-construction, and only the factorization and N's normalization are tested.
+supermap: it transports input effects to output effects.  The effect-wise
+test builds N's Choi operator as a Gram matrix of the Kraus entries, and the
+certificate as Y Σ² Y† from the thin SVD of one Kraus block; either way N is
+CP by construction, and only the factorization and N's normalization are
+tested.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .linalg import (
     EQ_TOL,
-    FACTOR_GATE,
+    SIGMA_CUTOFF,
     ResidualError,
     _cap_non_finite,
     _check_dims,
@@ -41,15 +43,14 @@ from .linalg import (
     kraus_sum,
     kron,
     partial_trace,
-    psd_factors,
     readonly_copy,
     rel_residual,
 )
 from .operations import QuantumOperation, _check_ports
 
-# Budget in complex entries (1 MB) for the blocks that action_distance and
-# the certificate's stage 2 multiply into (_factor_gaps and the diagonal
-# blocks), and for the effect-wise test's tiles.
+# Budget in complex entries (1 MB) for the blocks that action_distance and the
+# certificate's off-diagonal B_m†B_n multiply into (_factor_gaps), and for the
+# effect-wise test's tiles.
 _CHUNK = 1 << 16
 
 
@@ -61,22 +62,20 @@ class NotDeterministicError(ResidualError):
 class DeterminismCertificate:
     """Residuals backing a determinism verdict; tolerance-independent.
 
-    Frozen, with read-only arrays, because supermaps cache it.
-    ``product_residual`` is computed from ``kraus`` and ``choi_n`` on first
-    read, and ``factors`` from ``kraus`` or ``choi_n`` on first use.
+    Frozen, with read-only arrays, because supermaps cache it.  Everything
+    but ``tp_residual`` is read from ``basis``, the thin SVD of one Kraus
+    block, computed on first use.
     """
 
-    tp_residual: float  # ||Tr_Hin[choi_n] − I|| / sqrt(k_in)
-    choi_n: np.ndarray  # Choi of the candidate N_* on H_in ⊗ K_in
-    kraus: np.ndarray = field(repr=False)  # T[(i, c), a, (m, u)], shape (r·k_out, k_in, h_out·h_in)
+    tp_residual: float  # ||Tr_Hin[A_0†A_0] − I|| / sqrt(k_in)
+    kraus: np.ndarray = field(repr=False)  # T[i, c, a, m, u], shape (r, k_out, k_in, h_out, h_in)
 
     def __post_init__(self):
-        object.__setattr__(self, "choi_n", readonly_copy(self.choi_n))
         if self.kraus.flags.writeable:  # a supermap's own Kraus array is read-only already
             object.__setattr__(self, "kraus", readonly_copy(self.kraus))
 
     def verdict(self, tol: float = EQ_TOL) -> bool:
-        # A supermap failing the trace condition, NaN included, never reaches stage 2.
+        # A supermap failing the trace condition, NaN included, is never factored.
         return bool(self.tp_residual <= tol and self.product_residual <= tol)
 
     @property
@@ -84,44 +83,47 @@ class DeterminismCertificate:
         return max(self.product_residual, self.tp_residual)
 
     @cached_property
+    def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(σ, Y, B, ||E_m||_F) of the thin SVD A_0 = U Σ Y†, keeping σ_j >= SIGMA_CUTOFF·σ_0:
+        B[m] = A_m Y and E_m = A_m − B_m Y†.  Each column of Y has its pivot phase fixed."""
+        r, k_out, k_in, h_out, h_in = self.kraus.shape
+        # a[m, (i, c), (u, a)] = T[i, c, a, m, u]
+        a = self.kraus.transpose(3, 0, 1, 4, 2).reshape(h_out, r * k_out, h_in * k_in)
+        _, sv, yh = np.linalg.svd(a[0], full_matrices=False)
+        keep = sv >= SIGMA_CUTOFF * sv[0]
+        sv, y = sv[keep], canonical_factors(yh[keep].conj().T)
+        b = a @ y
+        e = b @ y.conj().T
+        np.subtract(a, e, out=e)
+        parts = e.view(float).reshape(h_out, -1)
+        return sv, y, b, np.sqrt(np.einsum("mz,mz->m", parts, parts))
+
+    @cached_property
     def product_residual(self) -> float:
-        """Worst (m, n) block ||A_m†A_n − δ_mn·C||_F / max(1, δ_mn·||C||_F), C = choi_n: stage 2."""
-        t, choi_n = self.kraus, self.choi_n
-        k_in, e = t.shape[1], len(choi_n)
-        h_out = t.shape[2] * k_in // e
-        # x[m] = A_mᵀ: x[m, (u, a), (i, c)] = T[(i, c), a, (m, u)], so x_m x_n† = conj(A_m†A_n)
-        x = t.reshape(len(t), k_in, h_out, -1).transpose(2, 3, 1, 0).reshape(h_out, e, -1)
-        if e <= x.shape[2] or (h_out * e) ** 2 <= _CHUNK // 4:
-            # No QR where it would not shrink x_m, or where the whole Gram matrix fills
-            # under a quarter buffer and the QR's fixed cost outweighs the products it saves.
-            gap = _factor_gaps(x, target=choi_n.conj())
-        else:
-            gap = _factor_gaps(np.linalg.qr(x, mode="r"))
-            step = max(1, _CHUNK // (e * e))
-            buf = np.empty((min(step, h_out), e, e), dtype=complex)
-            for m in range(0, h_out, step):
-                blk = buf[: min(step, h_out - m)]
-                np.matmul(x[m : m + step].conj(), x[m : m + step].transpose(0, 2, 1), out=blk)
-                blk -= choi_n
-                parts = blk.view(float).reshape(len(blk), -1)
-                np.einsum("mz,mz->m", parts, parts, out=np.einsum("mm->m", gap)[m : m + step])
-        np.einsum("mm->m", gap)[...] /= max(1.0, np.vdot(choi_n, choi_n).real)  # max(1, ||C||_F)²
-        return float(np.sqrt(np.max(gap)))
+        """Worst (m, n) bound (||B_m†B_n − δ_mn·Σ²||_F + ||B_m||·||E_n|| + ||E_m||·||B_n|| +
+        ||E_m||·||E_n||) / max(1, δ_mn·||Σ²||_F), which is at least
+        ||A_m†A_n − δ_mn·C||_F / max(1, δ_mn·||C||_F) for C = choi_n, as E_m·Y = 0."""
+        sv, _, b, e_norm = self.basis
+        bh = b.conj().transpose(0, 2, 1)
+        gap = _factor_gaps(bh)  # ||B_m†B_n||², n >= m
+        diag = bh @ b
+        np.einsum("mjj->mj", diag)[...] -= sv * sv
+        parts = diag.view(float).reshape(len(b), -1)
+        np.einsum("mz,mz->m", parts, parts, out=np.einsum("mm->m", gap))
+        b_norm = np.linalg.norm(b, axis=(1, 2))
+        bound = np.sqrt(gap) + np.multiply.outer(b_norm, e_norm) + np.multiply.outer(e_norm, b_norm + e_norm)
+        np.einsum("mm->m", bound)[...] /= max(1.0, frob(sv * sv))
+        return float(np.max(bound))
 
     @cached_property
     def factors(self) -> np.ndarray:
-        """N's canonical Kraus operators, vectorized, read-only.  At a product_residual
-        within FACTOR_GATE, A_0†A_0 = C to rounding, so they come from the SVD of
-        A_0 = T[:, :, (0, ·)], columns (u, a); else psd_factors(choi_n)."""
-        if self.product_residual <= FACTOR_GATE:
-            k_in, e = self.kraus.shape[1], len(self.choi_n)
-            _, sv, vh = np.linalg.svd(self.kraus[:, :, : e // k_in].transpose(0, 2, 1).reshape(-1, e),
-                                      full_matrices=False)
-            f = canonical_factors(sv * sv, vh.conj().T)
-        else:
-            f = psd_factors(self.choi_n)
-        f.setflags(write=False)
-        return f
+        """N's canonical Kraus operators, vectorized, read-only: the columns σ_j·y_j, rows (u, a)."""
+        return readonly_copy(self.basis[1] * self.basis[0])
+
+    @cached_property
+    def choi_n(self) -> np.ndarray:
+        """Choi of the candidate N_* on H_in ⊗ K_in, C = Y Σ² Y†, read-only."""
+        return readonly_copy(self.factors @ self.factors.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,32 +198,28 @@ def _factor_identity(c: np.ndarray, d_out: int, d_in: int) -> tuple[np.ndarray, 
 
 
 def determinism_certificate(s: Supermap) -> DeterminismCertificate:
-    """Comb normalization residuals of the dual map, in two stages.
+    """Comb normalization residuals of the dual map, read in the singular basis of one Kraus block.
 
-    With the Kraus operators stacked as T[(i, c), a, (m, u)] (c on K_out, a
-    on K_in, (m, u) on H_out ⊗ H_in), let A_m = T[:, :, (m, ·)] with rows
+    With the Kraus operators stacked as T[i, c, a, m, u] (c on K_out, a on
+    K_in, (m, u) on H_out ⊗ H_in), let A_m = T[:, :, :, m, :] with rows
     (i, c) and columns (u, a).  The dual image of I_Kout ⊗ |a><b| has the
     entries <m, u| · |n, v> = (A_m†A_n)[(u, a), (v, b)], so S is
     deterministic exactly when A_m†A_n = δ_mn·C for the Choi operator C of a
-    trace-preserving N_*.  Stage 1, here, costs r·d⁶ at (d,d,d,d): choi_n,
-    the average of the A_m†A_m, is one Gram matrix, so N is CP by
-    construction; ``tp_residual`` is its marginal Tr_Hin against I.  Stage 2,
-    on first read of ``product_residual``, costs r·d⁶: the diagonal blocks
-    A_m†A_m against C, directly, and the off-diagonal blocks through the
-    triangular factors of the A_m (``_factor_gaps``).  ``verdict`` and
-    ``_certified`` decide the trace condition first, so a supermap failing it
-    never reaches stage 2.
+    trace-preserving N_*; then C = A_0†A_0.  ``tp_residual``, computed here
+    from A_0 alone at r·d⁴ for (d,d,d,d), is Tr_Hin[A_0†A_0] against I.  The
+    rest comes from the thin SVD A_0 = U Σ Y† on first read (``basis``): with
+    B_m = A_m Y and E_m = A_m − B_m Y†, S is deterministic exactly when every
+    E_m = 0 and B_m†B_n = δ_mn·Σ², so ``product_residual`` costs r·d⁴·ρ for a
+    rank-ρ effect map, C = Y Σ² Y† is ``choi_n``, and N is CP by construction.
+    ``verdict`` and ``_certified`` decide the trace condition first, so a
+    supermap failing it is never factored.
     """
     if s._certificate is not None:
         return s._certificate
-    h_out, h_in, k_in = s.h_out, s.h_in, s.k_in
-    # g[(i, c, m), (u, a)] = T[(i, c), a, (m, u)]
-    g = s.kraus.reshape(-1, k_in, h_out, h_in).transpose(0, 2, 3, 1).reshape(-1, h_in * k_in)
-    choi_n = g.conj().T @ g / h_out
-    # Tr_Hin[choi_n] - I, the marginal on K_in against the identity
-    marginal = np.einsum("uaub->ab", choi_n.reshape(h_in, k_in, h_in, k_in))
-    tp = frob(marginal - np.eye(k_in)) / np.sqrt(k_in)
-    cert = DeterminismCertificate(tp, choi_n, s.kraus.reshape(-1, k_in, h_out * h_in))
+    t = s.kraus.reshape(-1, s.k_out, s.k_in, s.h_out, s.h_in)
+    a0 = t[:, :, :, 0].transpose(2, 0, 1, 3).reshape(s.k_in, -1)  # a0[a, (i, c, u)] = A_0[(i, c), (u, a)]
+    marginal = a0.conj() @ a0.T  # Tr_Hin[A_0†A_0]
+    cert = DeterminismCertificate(frob(marginal - np.eye(s.k_in)) / np.sqrt(s.k_in), t)
     object.__setattr__(s, "_certificate", cert)
     return cert
 
@@ -394,17 +392,15 @@ def sum_supermaps(parts) -> Supermap:
     return Supermap(*dims, np.concatenate([p.kraus for p in parts]))
 
 
-def _factor_gaps(
-    r: np.ndarray, sign: np.ndarray | None = None, target: np.ndarray | None = None
-) -> np.ndarray:
-    """Squared ||R_i·J·R_j† − δ_ij·target||_F over a stack R of shape (n, p, q), for j >= i.
+def _factor_gaps(r: np.ndarray, sign: np.ndarray | None = None) -> np.ndarray:
+    """Squared ||R_i·J·R_j†||_F over a stack R of shape (n, p, q), for j >= i; J = diag(sign), or I.
 
-    J = diag(sign), or I; no target is 0.  With X_i = Q_i R_i for Q_i of
-    orthonormal columns, ||X_i J X_j†||_F = ||R_i J R_j†||_F, so tall factors
-    are measured through their triangular ones.  The gap of (j, i) is that of
-    (i, j), so a block of rows i >= i0 is multiplied against the columns
-    j >= i0 only, as one matmul into a buffer of at most _CHUNK entries;
-    entries with j < i hold their gap inside such a block and 0 outside it.
+    With X_i = Q_i R_i for Q_i of orthonormal columns, ||X_i J X_j†||_F =
+    ||R_i J R_j†||_F, so tall factors are measured through their triangular
+    ones.  The gap of (j, i) is that of (i, j), so a block of rows i >= i0 is
+    multiplied against the columns j >= i0 only, as one matmul into a buffer
+    of at most _CHUNK entries; entries with j < i hold their gap inside such
+    a block and 0 outside it.
     """
     n, p, q = r.shape
     rows = r.reshape(n * p, q)
@@ -417,8 +413,6 @@ def _factor_gaps(
         k = min(step, n - i)
         blk = buf[: k * p * (n - i) * p].reshape(k * p, -1)
         np.matmul(rows[i * p : (i + k) * p], r_h[:, i * p :], out=blk)
-        if target is not None:
-            np.einsum("isit->ist", blk.reshape(k, p, n - i, p)[:, :, :k])[...] -= target
         parts = blk.view(float).reshape(k, p, n - i, 2 * p)
         np.einsum("isjt,isjt->ij", parts, parts, out=gaps[i : i + k, i:])
     return gaps

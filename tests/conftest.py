@@ -36,8 +36,8 @@ def matrix_units(dim: int):
 
 def ref_eigh_sorted(m):
     """Reference eigendecomposition of m's Hermitian part: eigenvalues descending,
-    each eigenvector's first entry above _PHASE_EPS made real positive, one
-    column at a time in a Python loop."""
+    each eigenvector's first entry above _PHASE_EPS made real positive and
+    written as its modulus, one column at a time in a Python loop."""
     m = np.asarray(m, dtype=complex)
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     w = w[::-1].copy()
@@ -48,6 +48,7 @@ def ref_eigh_sorted(m):
         if nz.size:
             pivot = col[nz[0]]
             v[:, k] = col * (pivot.conjugate() / abs(pivot))
+            v[nz[0], k] = abs(pivot)
     return w, v
 
 

@@ -1,13 +1,13 @@
 """Verdicts decided by a cheap number before the expensive step.
 
-The determinism certificate decides the trace condition from its one Gram
-matrix before stage 2, its dual factorization gap: supermaps failing it
-must be rejected, by ``is_deterministic``, ``realize`` and ``effect_map_of``,
-without reaching ``_factor_gaps``, and the error must carry
-``tp_residual``; one that keeps it must still reach stage 2.  Over damage
-from 1e-12 to 1, the two-stage certificate must give the per-(m, n)
-reference's ``product_residual``, and the per-matrix-unit reference's
-``tp_residual``, ``choi_n`` and, outside the blocking band, verdicts.
+The determinism certificate decides the trace condition from one Kraus
+block before any factorization: supermaps failing it must be rejected, by
+``is_deterministic``, ``realize`` and ``effect_map_of``, without an SVD, and
+the error must carry ``tp_residual``; one that keeps it must still take the
+SVD.  Over damage from 1e-12 to 1, the certificate must keep the bounds the
+tolerance policy states against the per-(m, n) and per-matrix-unit
+references, and their verdicts outside the band those bounds leave
+(``check_certificate``).
 ``is_deterministic_effectwise`` likewise decides N(I) = I from its one Gram
 matrix before any tile of its block triangle: supermaps failing it must be
 rejected without reaching ``_effectwise_tiles``, and one that keeps it must
@@ -52,14 +52,11 @@ from supermaps.supermap import (
 from test_applications import realignment_rank
 from test_closed_forms import (
     certificate_block_defect,
+    check_certificate,
     circuit_supermap,
     dims_st,
     effectwise_block_defect,
-    outside_blocking_band,
-    ref_certificate,
-    ref_is_deterministic,
     ref_is_faithful,
-    ref_product_residual,
     spread,
 )
 
@@ -70,8 +67,8 @@ def _no_tiles(*args):
     raise AssertionError("reached the tiles")
 
 
-def _no_stage_2(*args, **kwargs):
-    raise AssertionError("reached stage 2")
+def _no_svd(*args, **kwargs):
+    raise AssertionError("reached the SVD")
 
 
 # ---------------------------------------------------------------- certificate early exit
@@ -79,7 +76,7 @@ def _no_stage_2(*args, **kwargs):
 
 @pytest.mark.parametrize("scale", [0.9, 1e300], ids=["x0.9", "x1e300"])
 def test_certificate_rejects_on_the_trace_condition_before_stage_2(monkeypatch, scale):
-    monkeypatch.setattr(supermap, "_factor_gaps", _no_stage_2)
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
     rng = np.random.default_rng(27)
     for dims in itertools.product(range(1, 5), repeat=4):
         ops = scale * circuit_supermap(rng, dims).kraus
@@ -98,9 +95,9 @@ def test_certificate_reaches_stage_2_when_the_trace_condition_holds(monkeypatch,
     s = spread(certificate_block_defect(), h)
     assert is_deterministic(s) is False
     fresh = Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus)
-    monkeypatch.setattr(supermap, "_factor_gaps", _no_stage_2)
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
     assert determinism_certificate(fresh).tp_residual == 0.0
-    with pytest.raises(AssertionError, match="reached stage 2"):
+    with pytest.raises(AssertionError, match="reached the SVD"):
         is_deterministic(fresh)
 
 
@@ -118,16 +115,7 @@ def test_two_stage_certificate_matches_reference(dims, seed, kind, log_damage):
         ops = (1 + damage) * ops
     else:
         ops = ops + damage * (rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape))
-    s = Supermap(*dims, ops)
-    cert = determinism_certificate(s)
-    worst, _, tp, _, _, choi_n = ref_certificate(s)
-    expected = ref_product_residual(s)
-    assert abs(cert.tp_residual - tp) <= 1e-12 * max(1.0, tp)
-    assert abs(cert.product_residual - expected) <= 1e-12 * max(1.0, expected)
-    assert np.max(np.abs(cert.choi_n - choi_n)) <= 1e-12 * max(1.0, np.max(np.abs(choi_n)))
-    for tol in (1e-8, 1e-6):
-        if outside_blocking_band(s, worst, tol):
-            assert is_deterministic(s, tol) == ref_is_deterministic(s, tol)
+    check_certificate(Supermap(*dims, ops))
 
 
 # ---------------------------------------------------------------- effect-wise early exit

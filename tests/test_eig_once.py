@@ -1,24 +1,24 @@
-"""Each factorization once: the certificate's cached factors, and the
+"""Each factorization once: the certificate's cached singular basis, and the
 Choi operator a Kraus set admits, against the code that computed them again.
 
-``DeterminismCertificate.factors`` holds N's canonical factors, computed on
-first use from the SVD of one Kraus block when ``product_residual`` is within
-FACTOR_GATE and by ``psd_factors(choi_n)`` otherwise, and both
-``effect_map_of`` and ``realize`` read it.  ``kraus_to_choi`` admits its Choi
-operator on ``KrausSet``'s verdict instead of validating it as a
-``QuantumOperation``.  ``ref_factors`` takes the same route by its own code,
-the block by a loop over entries and the canonical rule by a loop over
-columns; the other ``ref_*`` functions are verbatim copies of the code that
-factored N in each caller and validated every Choi operator
-``kraus_to_choi`` built, with only the names of the functions they call
-changed to the copies'.
+``DeterminismCertificate.factors`` holds N's canonical factors, read on
+first use from the thin SVD of one Kraus block, and both ``effect_map_of``
+and ``realize`` read it; ``realize`` reads W from the same basis.
+``kraus_to_choi`` admits its Choi operator on ``KrausSet``'s verdict instead
+of validating it as a ``QuantumOperation``.  ``ref_factors`` takes the
+factors' route by its own code, the block by a loop over entries and the
+cutoff and canonical rule by a loop over columns; ``ref_isometries`` builds
+W by the projection solve it replaced, one entry at a time, from those
+factors.  ``ref_kraus_to_choi`` is a verbatim copy of the code that
+validated every Choi operator ``kraus_to_choi`` built.
 
-The properties check that the results keep their bits in either call order,
-that the cache is read-only and private to its certificate, and that
-``KrausSet``'s verdict implies every verdict of ``choi_residuals`` on the
-Choi operator it admits: the argument for deleting that re-check, run as a
-test.  The counting tests pin one factorization per supermap and one
-spectrum per Kraus set.
+The properties check that the results keep their bits in either call order
+(V, W and the effect map those of a fresh copy, V and the effect map those
+of the references, W within 1e-12 of the projection solve), that the cache
+is read-only and private to its certificate, and that ``KrausSet``'s verdict
+implies every verdict of ``choi_residuals`` on the Choi operator it admits:
+the argument for deleting that re-check, run as a test.  The counting tests
+pin one factorization per supermap and one spectrum per Kraus set.
 """
 
 import sys
@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from supermaps import io as sio
 from supermaps import linalg
 from supermaps.cli import main
-from supermaps.linalg import _PHASE_EPS, EQ_TOL, FACTOR_GATE, POS_TOL, psd_factors, random_isometry
+from supermaps.linalg import _PHASE_EPS, EQ_TOL, POS_TOL, SIGMA_CUTOFF, random_isometry
 from supermaps.operations import (
     KrausSet,
     QuantumOperation,
@@ -39,7 +39,7 @@ from supermaps.operations import (
     choi_residuals,
     kraus_to_choi,
 )
-from supermaps.realization import CircuitRealization, realize
+from supermaps.realization import realize
 from supermaps.supermap import (
     EffectMap,
     Supermap,
@@ -59,54 +59,42 @@ KRAUS_KINDS = ("random", "excess below the bound", "excess above the bound", "ra
 # ---------------------------------------------------------------- verbatim copies
 
 
-def ref_factors(s: Supermap, cert) -> np.ndarray:
-    """N's canonical factors: at a product_residual within FACTOR_GATE, the right
-    singular vectors v_j of A_0[(i, c), (u, a)] = S_i[(c, a), (0, u)] scaled by
-    sigma_j, for sigma_j² above POS_TOL max(1, sigma_0²), each phase fixed at
-    its first entry above _PHASE_EPS; else psd_factors(choi_n)."""
-    if not cert.product_residual <= FACTOR_GATE:
-        return psd_factors(cert.choi_n)
+def ref_factors(s: Supermap) -> np.ndarray:
+    """N's canonical factors: the right singular vectors v_j of A_0[(i, c), (u, a)] =
+    S_i[(c, a), (0, u)] with sigma_j >= SIGMA_CUTOFF sigma_0, each phase fixed at its
+    first entry above _PHASE_EPS, that entry written as its modulus, scaled by sigma_j."""
     t = s.kraus.reshape(-1, s.k_out, s.k_in, s.h_out, s.h_in)
     a0 = np.array([[t[i, c, a, 0, u] for u in range(s.h_in) for a in range(s.k_in)]
                    for i in range(len(t)) for c in range(s.k_out)])
     _, sv, vh = np.linalg.svd(a0, full_matrices=False)
     cols = []
     for sj, row in zip(sv, vh):
-        if sj * sj > POS_TOL * max(1.0, sv[0] * sv[0]):
+        if sj >= SIGMA_CUTOFF * sv[0]:
             v = row.conj()
-            pivot = v[np.nonzero(np.abs(v) > _PHASE_EPS)[0][0]]
-            cols.append(v * (pivot.conj() / np.hypot(pivot.real, pivot.imag)) * np.sqrt(sj * sj))
+            first = np.nonzero(np.abs(v) > _PHASE_EPS)[0][0]
+            pivot = v[first]
+            v = v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
+            v[first] = np.hypot(pivot.real, pivot.imag)
+            cols.append(v * sj)
     return np.array(cols).T
 
 
 def ref_effect_map_of(s: Supermap, tol: float = EQ_TOL) -> EffectMap:
     """Canonical Kraus form of the effect map of a deterministic supermap."""
-    cert = _certified(s, tol)
-    f = ref_factors(s, cert)
-    return EffectMap(f.T.reshape(-1, s.h_in, s.k_in), tol)
+    _certified(s, tol)
+    return EffectMap(ref_factors(s).T.reshape(-1, s.h_in, s.k_in), tol)
 
 
-def ref_isometries(s: Supermap, tol: float) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """(V, W, dim_a, dim_b) of ``realize``'s circuit, before CircuitRealization checks it."""
-    nn = ref_factors(s, _certified(s, tol)).T.reshape(-1, s.h_in, s.k_in)
-    dim_b = len(nn)
-    dim_a = len(s.kraus)
-
-    # V stacks the conjugated canonical Kraus operators N_j of the effect map along
-    # ancilla B: V†V = conj(sum_j N_j† N_j), so V's check is N's identity preservation.
-    v = nn.conj().reshape(dim_b * s.h_in, s.k_in)
-
-    # W_{ni,mj} = <(<h_m| ⊗ N_j†), (<k_n| ⊗ I) S_i> / ||N_j||²  by
-    # Hilbert-Schmidt orthogonality of the canonical right-hand set.
-    ss = s.kraus.reshape(dim_a, s.k_out, s.k_in, s.h_out, s.h_in)
-    # One vdot per operator: a single einsum changes the last bits of W.
-    weights = np.array([np.vdot(n, n).real for n in nn])
-    w4 = np.einsum("jek,inkme->nimj", nn, ss) / weights
-    return v, w4.reshape(s.k_out * dim_a, s.h_out * dim_b), dim_a, dim_b
-
-
-def ref_realize(s: Supermap, tol: float = EQ_TOL) -> CircuitRealization:
-    return CircuitRealization(*ref_isometries(s, tol), tol=tol)
+def ref_isometries(s: Supermap, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(V, W) of ``realize``'s circuit from ``ref_factors``, W by the projection solve
+    W[(n, i), (m, j)] = <(<h_m| ⊗ N_j†), (<k_n| ⊗ I) S_i> / ||N_j||², one entry at a time."""
+    _certified(s, tol)
+    nn = ref_factors(s).T.reshape(-1, s.h_in, s.k_in)
+    ss = s.kraus.reshape(-1, s.k_out, s.k_in, s.h_out, s.h_in)
+    w = np.zeros((s.k_out, len(ss), s.h_out, len(nn)), dtype=complex)
+    for n, i, m, j in np.ndindex(w.shape):
+        w[n, i, m, j] = np.sum(nn[j].T * ss[i, n, :, m, :]) / np.vdot(nn[j], nn[j]).real
+    return nn.conj().reshape(-1, s.k_in), w.reshape(s.k_out * len(ss), -1)
 
 
 def ref_kraus_to_choi(k: KrausSet) -> QuantumOperation:
@@ -164,7 +152,7 @@ def test_results_keep_their_bits(dims, r, kind, seed, tol, order, kraus_r):
     for s in (fixture(dims, r, kind, seed), fixture(dims, r, "circuit", seed + 1)):
         twin = Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus)
         expected_map = outcome(lambda: ref_effect_map_of(twin, tol))
-        expected_circuit = outcome(lambda: ref_realize(twin, tol))
+        expected_circuit = outcome(lambda: realize(Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus), tol))
         calls = [lambda: effect_map_of(s, tol), lambda: realize(s, tol)]
         if order == "realize first":
             calls.reverse()
@@ -182,13 +170,17 @@ def test_results_keep_their_bits(dims, r, kind, seed, tol, order, kraus_r):
             assert got_circuit.w.tobytes() == expected_circuit.w.tobytes()
             assert (got_circuit.dim_a, got_circuit.dim_b) == (
                 expected_circuit.dim_a, expected_circuit.dim_b)
+            ref_v, ref_w = ref_isometries(twin, tol)
+            assert got_circuit.v.tobytes() == ref_v.tobytes()
+            assert np.max(np.abs(got_circuit.w - ref_w)) <= 1e-12 * max(1.0, np.max(np.abs(ref_w)))
         cert = determinism_certificate(s)
         if not cert.verdict(tol):
+            assert "basis" not in vars(cert) or not cert.tp_residual <= tol
             assert "factors" not in vars(cert)  # a failing supermap is never factored
             continue
         factors = cert.factors
         assert factors is cert.factors and not factors.flags.writeable
-        assert factors.tobytes() == ref_factors(s, cert).tobytes()
+        assert factors.tobytes() == ref_factors(s).tobytes()
         if isinstance(got_map, tuple):
             continue
         # The effect map holds its own copy: writing to it leaves the certificate as it was.

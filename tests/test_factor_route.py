@@ -1,12 +1,16 @@
-"""The effect map's factors: which factorization applies, and what it changes.
+"""The effect map's factors and the certificate's verdict, read from the
+singular basis of one Kraus block.
 
-``DeterminismCertificate.factors`` takes the SVD of one Kraus block A_0 when
-``product_residual`` is within FACTOR_GATE, so that A_0†A_0 = choi_n to
-rounding, and ``psd_factors(choi_n)`` otherwise.  The gate property shows
-that exact deterministic supermaps take the SVD and agree with the
-eigendecomposition of choi_n, and that damaged ones above the gate keep the
-bits of ``psd_factors``.  The regression test is the near-cutoff circuit on
-which the eigendecomposition's factors made ``realize`` raise on valid input.
+``DeterminismCertificate`` takes the thin SVD A_0 = U Σ Y† once and keeps
+σ_j >= SIGMA_CUTOFF·σ_0; ``factors`` are the columns σ_j·y_j, ``choi_n`` is
+Y Σ² Y† and ``realize`` reads W = B Σ⁻¹ with B_m = A_m Y.  The tests here
+show that on exact supermaps the factors agree with the eigendecomposition
+of the Gram mean the reference loops build; that every pivot of a canonical
+factor is exactly real; that ``realize`` never returns a wrong circuit on
+the near-cutoff circuits that made it do so when its cutoff was on σ², and
+accepts those it once refused; and that the certificate's verdict equals
+the reference's outside the band the tolerance policy states, over damage
+from 1e-13 to 1 and near-cutoff spectra.
 """
 
 import numpy as np
@@ -14,54 +18,67 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supermaps.linalg import FACTOR_GATE, frob, psd_factors, random_isometry
+from supermaps.linalg import _PHASE_EPS, EQ_TOL, ResidualError, frob, psd_factors, random_isometry
 from supermaps.realization import CircuitRealization, circuit_to_supermap, realize
-from supermaps.supermap import Supermap, determinism_certificate
+from supermaps.supermap import Supermap, action_distance, determinism_certificate
 
-from test_closed_forms import circuit_supermap, dims_st, seed_st
-
-
-def assert_agrees_with_psd_factors(cert, exact: bool):
-    """F F† against psd_factors(choi_n)'s within the gap A_0†A_0 − choi_n the gate
-    bounds, plus rounding.  On an exact supermap F itself, wherever choi_n's kept
-    spectrum has relative gaps above 1e-2, where its eigenvectors are good to
-    about 1e-14; under degenerate spectra (every h_in = 1) F may rotate."""
-    f, g = cert.factors, psd_factors(cert.choi_n)
-    scale = max(1.0, frob(cert.choi_n))
-    assert frob(f @ f.conj().T - g @ g.conj().T) <= (cert.product_residual + 1e-14) * scale
-    w = np.sum(np.abs(g) ** 2, axis=0)
-    if exact and f.shape == g.shape and np.all(-np.diff(w) > 1e-2 * w[0]):
-        assert np.max(np.abs(f - g)) <= 1e-12 * scale
+from test_closed_forms import check_certificate, circuit_supermap, dims_st, ref_certificate, seed_st
 
 
-@given(dims=dims_st, seed=seed_st, x=st.floats(-13, -9), tol=st.sampled_from((1e-8, 1e-6)))
-def test_gate_chooses_the_factorization(dims, seed, x, tol):
+def near_cutoff_supermap(dims, seed: int, eps: float) -> Supermap:
+    """The circuit V = [sqrt(1 − eps) V1; sqrt(eps) V2] for isometries V1, V2 into
+    (B1, H_in): its effect map has singular values near sqrt(eps) relative to the
+    largest, which a cutoff at POS_TOL on σ² dropped for eps below about 1e-9."""
     rng = np.random.default_rng(seed)
-    s = circuit_supermap(rng, dims)
-    cert = determinism_certificate(s)
-    assert cert.product_residual <= FACTOR_GATE  # exact: the SVD of A_0
-    assert_agrees_with_psd_factors(cert, exact=True)
-
-    noise = rng.standard_normal(s.kraus.shape) + 1j * rng.standard_normal(s.kraus.shape)
-    damaged = Supermap(*dims[:4], s.kraus + 10.0**x * noise * frob(s.kraus) / frob(noise))
-    cert = determinism_certificate(damaged)
-    if not cert.verdict(tol):
-        return
-    if cert.product_residual > FACTOR_GATE:
-        assert cert.factors.tobytes() == psd_factors(cert.choi_n).tobytes()
-    else:
-        assert_agrees_with_psd_factors(cert, exact=False)
+    h_in, h_out, k_in, k_out = dims
+    half = -(-k_in // h_in)
+    u1, u2 = random_isometry(half * h_in, k_in, rng), random_isometry(half * h_in, k_in, rng)
+    v = np.concatenate([np.sqrt(1 - eps) * u1, np.sqrt(eps) * u2])
+    dim_a = -(-(2 * half * h_out) // k_out) + int(rng.integers(0, 2))
+    w = random_isometry(k_out * dim_a, 2 * half * h_out, rng)
+    return circuit_to_supermap(CircuitRealization(v, w, dim_a, 2 * half), dims)
 
 
 def near_cutoff_circuit(seed: int, eps: float) -> Supermap:
-    """The circuit V = [sqrt(1 − eps) U1; sqrt(eps) U2] on (d,d,d,d), d in 2..4: its
-    effect map has one Choi eigenvalue near eps·d, at POS_TOL·λ_max for eps near 1e-9."""
+    """The same circuit on (d,d,d,d), d in 2..4, with dim_a drawn in 2..4 first."""
     rng = np.random.default_rng(seed)
     d, dim_a = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     u1, u2 = random_isometry(d, d, rng), random_isometry(d, d, rng)
     v = np.concatenate([np.sqrt(1 - eps) * u1, np.sqrt(eps) * u2])
     w = random_isometry(d * dim_a, 2 * d, rng)
     return circuit_to_supermap(CircuitRealization(v, w, dim_a, 2), (d, d, d, d))
+
+
+def pivots(f: np.ndarray) -> np.ndarray:
+    """The first entry of each column of f above _PHASE_EPS times the column's norm."""
+    first = (np.abs(f) > _PHASE_EPS * np.linalg.norm(f, axis=0)).argmax(axis=0)
+    return f[first, np.arange(f.shape[1])]
+
+
+@given(dims=dims_st, seed=seed_st)
+def test_factors_agree_with_the_gram_eigendecomposition(dims, seed):
+    """F F† = choi_n within product_residual of the Gram mean C̄, and F within 1e-12
+    of psd_factors(C̄) wherever C̄'s kept spectrum has relative gaps above 1e-2,
+    where its eigenvectors are good to about 1e-14; under degenerate spectra
+    (every h_in = 1) F may rotate."""
+    s = circuit_supermap(np.random.default_rng(seed), dims)
+    cert = determinism_certificate(s)
+    f, c_bar = cert.factors, ref_certificate(s)[5]
+    g = psd_factors(c_bar)
+    scale = max(1.0, frob(c_bar))
+    assert frob(f @ f.conj().T - c_bar) <= (cert.product_residual + 1e-14) * scale
+    w = np.sum(np.abs(g) ** 2, axis=0)
+    if f.shape == g.shape and np.all(-np.diff(w) > 1e-2 * w[0]):
+        assert np.max(np.abs(f - g)) <= 1e-12 * scale
+
+
+@given(dims=dims_st, seed=seed_st, log_eps=st.floats(-18, 0))
+def test_every_pivot_is_real(dims, seed, log_eps):
+    s = near_cutoff_supermap(dims, seed, 10.0**log_eps)
+    cert = determinism_certificate(s)
+    for f in (cert.factors, psd_factors(cert.choi_n), psd_factors(ref_certificate(s)[5])):
+        p = pivots(f)
+        assert np.all(p.imag == 0.0) and np.all(p.real > 0.0)
 
 
 @pytest.mark.parametrize("eps", [1.001e-9, 2e-9, 1e-8, 1e-7, 1e-6])
@@ -71,3 +88,39 @@ def test_realize_accepts_a_factor_near_the_cutoff(eps):
     # eps = 1.001e-9, 2e-9, 1e-8 and 1e-7.
     for seed in range(100):
         realize(near_cutoff_circuit(seed, eps))
+
+
+@given(dims=dims_st, seed=seed_st, log_eps=st.floats(-18, 0))
+def test_realize_never_returns_a_wrong_circuit(dims, seed, log_eps):
+    """Either the circuit rebuilds s within tol, or realize raises naming a residual above tol.
+
+    The raises come from W's isometry check: column j of W is good to about
+    ε·σ_0/σ_j, so for σ_j below about 1e-8·σ_0 it fails, and says so.
+    """
+    s = near_cutoff_supermap(dims, seed, 10.0**log_eps)
+    try:
+        circuit = realize(s)
+    except ResidualError as exc:
+        assert exc.residual > EQ_TOL and f"{exc.residual:.3e}" in str(exc)
+        return
+    assert action_distance(circuit_to_supermap(circuit, dims), s) <= EQ_TOL
+
+
+@given(dims=dims_st, seed=seed_st, base=st.sampled_from(("circuit", "near-cutoff")),
+       log_eps=st.floats(-18, 0), kind=st.sampled_from(("scaled", "noise", "extra Kraus")),
+       log_damage=st.floats(-13, 0))
+def test_verdict_equals_the_reference_outside_the_band(dims, seed, base, log_eps, kind, log_damage):
+    """A Kraus set scaled by 1 + δ, given complex noise of relative size δ, or given one
+    more Kraus operator of norm δ·||S||_F; the last moves the Gram gap by δ² but
+    E_m by δ, the case that widens the band."""
+    rng = np.random.default_rng(seed)
+    s = circuit_supermap(rng, dims) if base == "circuit" else near_cutoff_supermap(dims, seed, 10.0**log_eps)
+    damage, ops = 10.0**log_damage, s.kraus
+    if kind == "scaled":
+        ops = (1 + damage) * ops
+    else:
+        shape = ops.shape if kind == "noise" else (1, *ops.shape[1:])
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        noise *= damage * frob(ops) / frob(noise)
+        ops = ops + noise if kind == "noise" else np.concatenate([ops, noise])
+    check_certificate(Supermap(*dims, ops))

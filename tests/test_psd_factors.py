@@ -7,8 +7,8 @@ kept eigenvectors by sqrt(w).  Every fixture puts one eigenvalue a factor
 1 ± 1e-3 from that cutoff, so a site that kept a different number of
 factors would differ from the reference by about POS_TOL, far above the
 1e-12 the comparisons allow.  The effect map, whose factors come from an SVD
-of the supermap's Kraus block, is held to the exact Kraus operators of the
-channel it is built from instead.
+of the supermap's Kraus block cut on the singular values, is held to the
+exact Kraus operators of the channel it is built from instead.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from supermaps.applications import (
     programmable_channel,
     tomography_supermap,
 )
-from supermaps.linalg import _PHASE_EPS, POS_TOL, kron, psd_factors, random_isometry
+from supermaps.linalg import _PHASE_EPS, POS_TOL, SIGMA_CUTOFF, kron, psd_factors, random_isometry
 from supermaps.operations import KrausSet, choi_to_kraus, kraus_to_choi
 from supermaps.supermap import Supermap, effect_map_of
 from supermaps.testers import as_supermap_parts, make_tester
@@ -129,18 +129,20 @@ def test_effect_map_of(rng, h_in, k_in, h_out, sign):
     """S(E) = E ∘ C for a channel C from K_in to H_in, whose Choi is the effect map's.
 
     C's Kraus operators are Hilbert-Schmidt orthogonal, so their conjugates, in
-    descending norm, pivot phase fixed and cut at POS_TOL, are the effect map's
-    canonical Kraus operators exactly.  Each factor is held to its exact one
-    within 1e-12 of its norm, the one at the cutoff too: the eigenvectors of
-    choi_n are good only to about 1e-16 / lambda there, 3e-7 of that factor.
+    descending norm, pivot phase fixed and cut at SIGMA_CUTOFF of the largest
+    norm, are the effect map's canonical Kraus operators exactly.  The effect
+    map's cutoff is on the singular values, so the factor at POS_TOL in the
+    Choi spectrum, about 3e-5 of the largest in norm, is kept on either side
+    of that eigenvalue cutoff.  Each factor is held to its exact one within
+    1e-12 of its norm.
     """
     kraus = channel_kraus(h_in, k_in, sign, rng)
     s = Supermap(h_in, h_out, k_in, h_out, tuple(kron(np.eye(h_out), c.T) for c in kraus))
     exact = sorted((c.conj() for c in kraus), key=lambda c: -np.linalg.norm(c))
-    top = np.linalg.norm(exact[0]) ** 2
-    exact = [phase_fixed(c) for c in exact if np.linalg.norm(c) ** 2 > POS_TOL * max(1.0, top)]
+    top = np.linalg.norm(exact[0])
+    exact = [phase_fixed(c) for c in exact if np.linalg.norm(c) >= SIGMA_CUTOFF * top]
     got = effect_map_of(s).kraus
-    assert len(got) == len(exact) == (len(kraus) if sign > 0 else 1)
+    assert len(got) == len(exact) == len(kraus)
     for a, b in zip(got, exact):
         assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 

@@ -227,10 +227,12 @@ class TestIsDeterministic:
         # may reach the other, directly or through the determinism gate.
         names = is_deterministic_effectwise.__code__.co_names
         for shared in ("determinism_certificate", "_certified", "DeterminismCertificate", "_factor_gaps",
-                       "svd", "canonical_factors"):
+                       "svd", "canonical_factors", "SIGMA_CUTOFF", "basis", "product_residual", "factors",
+                       "choi_n"):
             assert shared not in names
-        # The certificate's gap stage is its cached product_residual; its SVD, the cached factors.
-        cached = (DeterminismCertificate.product_residual, DeterminismCertificate.factors)
+        # The certificate's SVD is its cached basis; the residual, factors and choi_n read it.
+        cached = (DeterminismCertificate.basis, DeterminismCertificate.product_residual,
+                  DeterminismCertificate.factors, DeterminismCertificate.choi_n)
         for code in (determinism_certificate.__code__, *(c.func.__code__ for c in cached)):
             assert "is_deterministic_effectwise" not in code.co_names
 

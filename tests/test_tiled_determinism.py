@@ -1,21 +1,17 @@
 """The chunked determinism tests against their per-matrix-unit references.
 
 The effect-wise test walks its upper block triangle in tiles of at most
-``supermap._CHUNK`` entries.  The certificate's stage 2 multiplies its (m, n)
-blocks on H_out into buffers of at most that many entries: rows of blocks in
-``_factor_gaps``, and runs of diagonal blocks where it takes the QR route,
-which a budget below a quarter of the Gram matrix selects whenever the QR
-shrinks the blocks.  The default budget makes every small supermap a single
-chunk, so here the budget is cut down to one entry, one block, one and a half
-blocks, two blocks and one block row of either test, and kept at the
-default.  The chunks then cut the rows and columns at every block boundary,
-and the verdicts, residuals and ``choi_n`` must still match the references
-of ``test_closed_forms``, whose positivity stage must always hold; the
-certificate's verdict is compared outside the band in which its (m, n)
-blocking and the reference's (a, b) blocking may differ.  Supermaps whose
-Kraus entries overflow the squares the tests take must be rejected at every
-budget.  The last test holds both tests to a fixed memory budget at local
-dimension 16.
+``supermap._CHUNK`` entries.  The certificate multiplies the off-diagonal
+blocks B_m†B_n of its singular basis into buffers of at most that many
+entries (``_factor_gaps``).  The default budget makes every small supermap a
+single chunk, so here the budget is cut down to one entry, one block, one
+and a half blocks, two blocks and one block row of either test, and kept at
+the default.  The chunks then cut the rows and columns at every block
+boundary, and the effect-wise verdicts must still match the references of
+``test_closed_forms``, and the certificate the bounds and verdicts of
+``check_certificate``.  Supermaps whose Kraus entries overflow the squares
+the tests take must be rejected at every budget.  The last test holds both
+tests to a fixed memory budget at local dimension 16.
 """
 
 import tracemalloc
@@ -26,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supermaps import supermap
-from supermaps.linalg import min_eig_floor, random_isometry
+from supermaps.linalg import random_isometry
 from supermaps.realization import CircuitRealization, circuit_to_supermap, realize
 from supermaps.supermap import (
     NotDeterministicError,
@@ -41,14 +37,11 @@ from supermaps.supermap import (
 from test_closed_forms import (
     DAMAGE,
     certificate_block_defect,
+    check_certificate,
     damaged_supermap,
     dims_st,
     effectwise_block_defect,
-    outside_blocking_band,
-    ref_certificate,
     ref_effectwise,
-    ref_is_deterministic,
-    ref_product_residual,
     seed_st,
     spread,
 )
@@ -57,32 +50,23 @@ from test_closed_forms import (
 def budgets(s):
     """Budgets that cut each test's chunks at every block boundary, and more coarsely.
 
-    Both tests have h_out block rows.  The effect-wise tiles and the
-    certificate's diagonal blocks are e x e, e = h_in·k_in; a row of
-    ``_factor_gaps`` holds h_out blocks of p x p, p = min(e, r·k_out) after
-    the QR, or e without it.
+    Both tests have h_out block rows.  The effect-wise tiles are e x e,
+    e = h_in·k_in; a row of ``_factor_gaps`` holds h_out blocks of ρ x ρ, ρ
+    the number of singular values the certificate keeps, at most e.
     """
     e = s.h_in * s.k_in
+    rho = len(determinism_certificate(Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus)).basis[0])
     out = {1, supermap._CHUNK}
-    for block, rows in ((e * e, 1), (min(e, len(s.kraus) * s.k_out) ** 2, s.h_out), (e * e, s.h_out)):
+    for block, rows in ((e * e, 1), (rho * rho, s.h_out), (e * e, s.h_out)):
         out |= {block, 3 * block // 2, 2 * block, rows * block, rows * rows * block}
     return sorted(out)
 
 
 def check_against_references(s):
-    """Verdicts at two tolerances, residuals and choi_n of a fresh copy of s, against the references."""
+    """Verdicts at two tolerances and the certificate of a fresh copy of s, against the references."""
     fresh = Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus)
-    cert = determinism_certificate(fresh)
-    worst, _, tp, lo, hi, choi_n = ref_certificate(s)
-    expected = ref_product_residual(s)
-    assert abs(cert.product_residual - expected) <= 1e-12 * max(1.0, expected)
-    assert abs(cert.tp_residual - tp) <= 1e-12
-    # N is CP by construction, so the reference's positivity stage always holds.
-    assert min_eig_floor(lo, hi)
-    assert np.max(np.abs(cert.choi_n - choi_n)) <= 1e-12
+    check_certificate(s, determinism_certificate(fresh))
     for tol in (1e-8, 1e-6):
-        if outside_blocking_band(s, worst, tol):
-            assert is_deterministic(fresh, tol) == ref_is_deterministic(s, tol)
         assert is_deterministic_effectwise(fresh, tol) == ref_effectwise(s, tol)
 
 
@@ -172,7 +156,7 @@ def traced_peak(test, s):
 
 
 def certificate_with_gaps(s):
-    """The certificate with both stages run: its gaps are computed on first read."""
+    """The certificate with both stages run: its SVD and gaps are computed on first read."""
     cert = determinism_certificate(s)
     assert cert.product_residual >= 0.0
     return cert
