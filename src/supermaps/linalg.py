@@ -19,9 +19,12 @@ Tolerance policy, shared by the whole package:
   a positivity test at the same scale, in ``KrausSet`` too.  ``psd_factors``
   keeps exactly the eigenvalues above +POS_TOL * max(1, lambda_max);
 - the effect map's factors are the thin SVD A_0 = U Σ Y† of one Kraus block,
-  keeping sigma_j >= SIGMA_CUTOFF * sigma_0: on sigma, not sigma², as the Kraus
-  operators move by sigma_j along a dropped direction.  Exact rank-deficient
-  blocks show spurious sigma_j of at most 5.3e-16 sigma_0 (circuits, d <= 32);
+  keeping sigma_j >= SIGMA_CUTOFF * sigma_0 (exact rank-deficient blocks show
+  spurious sigma_j of at most 5.3e-16 sigma_0, circuits with d <= 32), less
+  the smallest sigma_j whose sum of sigma_j² is within the certificate's worst
+  absolute bound in that basis.  Dropping moves the action by about
+  sigma_j sigma_0, which ``realize`` bounds at ``tol`` (``rebuild_residual``,
+  then ``realization._action_gap``);
 - hermiticity is measured only where it can fail: matrices given to the
   positivity rule, Choi operators in ``choi_residuals`` and ancilla
   projectors (at ``tol``).  Matrices Hermitian by construction up to rounding
@@ -38,12 +41,10 @@ Tolerance policy, shared by the whole package:
 - determinism: ``product_residual`` rho bounds ||A_m†A_n - δ_mn C|| /
   max(1, δ_mn ||C||), C = choi_n, all Frobenius (``DeterminismCertificate``).
   With Δ the largest ||A_m†A_n - δ_mn C̄|| for C̄ the mean of the A_m†A_m,
-  e = h_in k_in and ε = max||E_m||: Δ <= 2 rho max(1, ||C||), rho <= 2Δ +
-  2 max||A_m|| ε + ε², ε² <= 2 sqrt(e) Δ + e (SIGMA_CUTOFF sigma_0)², and
+  e = h_in k_in and ε = max||E_m||: Δ <= 2 rho max(1, ||C||), rho <= 2 sqrt(3) Δ
+  + ε², ε² <= (2 sqrt(3) + 4 sqrt(e)) Δ + 2 e (SIGMA_CUTOFF sigma_0)², and
   ``tp_residual`` is within sqrt(h_in / k_in) Δ of C̄'s.  So the verdict may
-  differ from a test of Δ and C̄ only in that band.  Its upper edge is linear
-  in damage to Kraus entries but can grow as sqrt(Δ): one more Kraus
-  operator of norm δ moves E_m by δ and Δ by δ²;
+  differ from a test of Δ and C̄ only in that band, linear in Δ;
 A caller's ``tol`` (the CLI's ``--tol``) replaces EQ_TOL in the residual,
 orthogonality and rank rules.  HERM_TOL and POS_TOL are fixed: the positivity
 helpers take no ``tol``, and ``check-op``'s ``--tol`` governs only ``channel``.

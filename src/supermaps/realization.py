@@ -18,12 +18,12 @@ directly on (H_out, B), the order W expects; no operator on the enlarged
 space is formed.
 
 The construction reads the thin SVD A_0 = U Σ Y† of the determinism
-certificate (``DeterminismCertificate.basis``).  The effect map N has the
-canonical Kraus operators N_j, the columns σ_j·y_j unvectorized; V is the
+certificate through its ``factors`` and ``circuit_w``.  The effect map N has
+the canonical Kraus operators N_j, the columns σ_j·y_j unvectorized; V is the
 partial transpose of Z = sum_j |b_j> ⊗ N_j† on its second factor.  W's
-column (m, j) is the supermap's Kraus block A_m applied to y_j, divided by
-σ_j, so W V rebuilds each A_m up to its part E_m outside the span of Y, which
-the certificate bounds; no coefficient solve is needed.
+column (m, j) is A_m y_j / σ_j, so W V rebuilds each Kraus block A_m up to
+its part E_m outside the span of Y, and ``realize`` bounds what that does
+to the action (``rebuild_residual``, then ``_action_gap``).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .operations import QuantumOperation, _check_ports, random_channel
 from .supermap import (
     Supermap,
     _certified,
+    determinism_certificate,
     is_deterministic,  # noqa: F401 (unused; the benchmark's tracer test patches it here)
     sum_supermaps,
 )
@@ -128,14 +129,26 @@ class CircuitRealization:
 def _isometries(s: Supermap, tol: float) -> tuple[np.ndarray, np.ndarray, int, int]:
     """(V, W, dim_a, dim_b) of ``realize``'s circuit, before CircuitRealization checks it."""
     cert = _certified(s, tol)
-    sv, _, b, _ = cert.basis
-    dim_a, dim_b = len(s.kraus), len(sv)
+    dim_a, dim_b = len(s.kraus), cert.factors.shape[1]
     # V stacks the conjugated canonical Kraus operators N_j of the effect map along
     # ancilla B: V†V = conj(sum_j N_j† N_j), so V's check is N's identity preservation.
     v = cert.factors.T.conj().reshape(dim_b * s.h_in, s.k_in)
-    # W[(n, i), (m, j)] = (A_m y_j)[(i, n)] / σ_j, which makes W V = B Y†, the A_m to E_m.
-    w = (b / sv).reshape(s.h_out, dim_a, s.k_out, dim_b).transpose(2, 1, 0, 3)
-    return v, w.reshape(s.k_out * dim_a, s.h_out * dim_b), dim_a, dim_b
+    return v, cert.circuit_w, dim_a, dim_b
+
+
+def _action_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Upper bound on action_distance between Kraus arrays aligned index by index.
+
+    With X_p the column p of every Kraus operator of x, side by side, and
+    F = A − B: ||A_p A_q† − B_p B_q†|| <= ||F_p A_q†|| + ||A_p F_q†|| + ||F_p F_q†||,
+    each ||X_p Y_q†||² = Tr[(X_p†X_p)(Y_q†Y_q)] from r x r Gram matrices.  So
+    a Kraus operator that differs only where it is small moves it to second order.
+    """
+    f = a - b
+    gf, ga = (np.einsum("iap,jap->pij", x.conj(), x).reshape(x.shape[2], -1) for x in (f, a))
+    cross = np.sqrt(np.maximum((gf @ ga.conj().T).real, 0.0))
+    inner = np.sqrt(np.maximum((gf @ gf.conj().T).real, 0.0))
+    return float(np.max(cross + cross.T + inner))
 
 
 def realize(s: Supermap, tol: float = EQ_TOL) -> CircuitRealization:
@@ -144,12 +157,21 @@ def realize(s: Supermap, tol: float = EQ_TOL) -> CircuitRealization:
     The ancilla B has one dimension per canonical Kraus operator of the
     effect map (the certificate's ``factors``, shared with ``effect_map_of``);
     A has one per Kraus operator of the supermap itself.
-    ``tol`` governs determinism and the V/W isometry residuals (kept as
-    ``v_residual``/``w_residual``); V's measures the effect map's identity preservation.
+    ``tol`` governs determinism, the V/W isometry residuals (kept as
+    ``v_residual``/``w_residual``; V's measures the effect map's identity
+    preservation) and the action gap between the supermap it rebuilds and s:
+    the certificate's ``rebuild_residual``, or ``_action_gap`` where that exceeds tol.
     Raises NotDeterministicError for non-deterministic input, ValueError
     naming the residual for numerically inconsistent input.
     """
-    return CircuitRealization(*_isometries(s, tol), tol=tol)
+    circuit = CircuitRealization(*_isometries(s, tol), tol=tol)
+    # W V rebuilds each A_m up to E_m, the part the certificate dropped; the action sees it
+    # linearly.  The certificate's block norms decide most calls, the Gram form the rest.
+    if not determinism_certificate(s).rebuild_residual <= tol:
+        residual = _action_gap(s.kraus, circuit_to_supermap(circuit, (s.h_in, s.h_out, s.k_in, s.k_out)).kraus)
+        if not residual <= tol:
+            raise ResidualError(f"circuit does not rebuild the supermap (residual {residual:.3e})", residual)
+    return circuit
 
 
 def realize_probabilistic(parts, tol: float = EQ_TOL) -> CircuitRealization:
@@ -157,11 +179,12 @@ def realize_probabilistic(parts, tol: float = EQ_TOL) -> CircuitRealization:
 
     The parts must sum to a deterministic supermap.  Part j receives the
     projector onto the ancilla-A basis indices of its Kraus operators in the
-    concatenated realization.  V and W are checked at ``tol``; the projectors
-    are attached unchecked: exact 0/1 diagonals on disjoint ranges, summing to I.
+    concatenated realization.  The circuit is checked at ``tol`` as ``realize``
+    checks it; the projectors are attached unchecked: exact 0/1 diagonals on
+    disjoint ranges, summing to I.
     """
     parts = list(parts)
-    circuit = CircuitRealization(*_isometries(sum_supermaps(parts), tol), tol=tol)
+    circuit = realize(sum_supermaps(parts), tol)
     owner = np.repeat(np.arange(len(parts)), [len(p.kraus) for p in parts])  # part of each A index
     projectors = (owner == np.arange(len(parts))[:, None])[:, None] * np.eye(len(owner))
     object.__setattr__(circuit, "projectors", readonly_copy(projectors))

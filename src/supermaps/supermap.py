@@ -25,6 +25,7 @@ tested.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,9 +49,9 @@ from .linalg import (
 )
 from .operations import QuantumOperation, _check_ports
 
-# Budget in complex entries (1 MB) for the blocks that action_distance and the
-# certificate's off-diagonal B_m†B_n multiply into (_factor_gaps), and for the
-# effect-wise test's tiles.
+# Budget in complex entries (1 MB) for the blocks that action_distance multiplies
+# into (_factor_gaps), the certificate's blocks E_n, B_m†B_n and B_m†E_n
+# (_singular_gaps), and the effect-wise test's tiles.
 _CHUNK = 1 << 16
 
 
@@ -63,8 +64,8 @@ class DeterminismCertificate:
     """Residuals backing a determinism verdict; tolerance-independent.
 
     Frozen, with read-only arrays, because supermaps cache it.  Everything
-    but ``tp_residual`` is read from ``basis``, the thin SVD of one Kraus
-    block, computed on first use.
+    but ``tp_residual`` is read from the thin SVD of one Kraus block,
+    computed on first use (``_basis``).
     """
 
     tp_residual: float  # ||Tr_Hin[A_0†A_0] − I|| / sqrt(k_in)
@@ -83,47 +84,93 @@ class DeterminismCertificate:
         return max(self.product_residual, self.tp_residual)
 
     @cached_property
-    def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(σ, Y, B, ||E_m||_F) of the thin SVD A_0 = U Σ Y†, keeping σ_j >= SIGMA_CUTOFF·σ_0:
-        B[m] = A_m Y and E_m = A_m − B_m Y†.  Each column of Y has its pivot phase fixed."""
+    def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
+        """(σ, Y, B, product_residual, ||E_m||) of the kept singular basis; see determinism_certificate."""
         r, k_out, k_in, h_out, h_in = self.kraus.shape
-        # a[m, (i, c), (u, a)] = T[i, c, a, m, u]
-        a = self.kraus.transpose(3, 0, 1, 4, 2).reshape(h_out, r * k_out, h_in * k_in)
-        _, sv, yh = np.linalg.svd(a[0], full_matrices=False)
-        keep = sv >= SIGMA_CUTOFF * sv[0]
-        sv, y = sv[keep], canonical_factors(yh[keep].conj().T)
-        b = a @ y
-        e = b @ y.conj().T
-        np.subtract(a, e, out=e)
-        parts = e.view(float).reshape(h_out, -1)
-        return sv, y, b, np.sqrt(np.einsum("mz,mz->m", parts, parts))
+        e = h_in * k_in
+        # a[(i, c), (m, u, a)] = T[i, c, a, m, u]: A_m is the column block m.
+        a = self.kraus.transpose(0, 1, 3, 4, 2).reshape(r * k_out, h_out * e)
+        _, sv, yh = np.linalg.svd(a[:, :e], full_matrices=False)
+        rank = int(np.count_nonzero(sv >= SIGMA_CUTOFF * sv[0]))
+        sv, y = sv[:rank], canonical_factors(yh[:rank].conj().T)
+        b, bound, e_norm = _singular_gaps(a, y, sv)
+        worst = np.max(bound)
+        if sv[-1] ** 2 <= worst:  # drop the smallest σ_j while their sum of σ_j² is within it
+            rank = int(np.count_nonzero(np.cumsum(sv[::-1] ** 2)[::-1] > worst))
+            sv, y = sv[:rank], y[:, :rank]
+            b, bound, e_norm = _singular_gaps(a, y, sv)
+        bound.flat[:: h_out + 1] /= max(1.0, math.sqrt(np.dot(sv * sv, sv * sv)))  # ||Σ²||_F
+        return sv, y, b, float(np.max(bound)), e_norm
 
-    @cached_property
+    @property
     def product_residual(self) -> float:
-        """Worst (m, n) bound (||B_m†B_n − δ_mn·Σ²||_F + ||B_m||·||E_n|| + ||E_m||·||B_n|| +
-        ||E_m||·||E_n||) / max(1, δ_mn·||Σ²||_F), which is at least
-        ||A_m†A_n − δ_mn·C||_F / max(1, δ_mn·||C||_F) for C = choi_n, as E_m·Y = 0."""
-        sv, _, b, e_norm = self.basis
-        bh = b.conj().transpose(0, 2, 1)
-        gap = _factor_gaps(bh)  # ||B_m†B_n||², n >= m
-        diag = bh @ b
-        np.einsum("mjj->mj", diag)[...] -= sv * sv
-        parts = diag.view(float).reshape(len(b), -1)
-        np.einsum("mz,mz->m", parts, parts, out=np.einsum("mm->m", gap))
-        b_norm = np.linalg.norm(b, axis=(1, 2))
-        bound = np.sqrt(gap) + np.multiply.outer(b_norm, e_norm) + np.multiply.outer(e_norm, b_norm + e_norm)
-        np.einsum("mm->m", bound)[...] /= max(1.0, frob(sv * sv))
-        return float(np.max(bound))
+        """Worst (m, n) bound (sqrt(||B_m†B_n − δ_mn·Σ²||² + ||B_m†E_n||² + ||B_n†E_m||²) +
+        ||E_m||·||E_n||) / max(1, δ_mn·||Σ²||), all Frobenius, which is at least
+        ||A_m†A_n − δ_mn·C|| / max(1, δ_mn·||C||) for C = choi_n, as E_m·Y = 0."""
+        return self._basis[3]
+
+    @property
+    def rebuild_residual(self) -> float:
+        """max||E_m||·(2·max||A_m|| + max||E_m||), at least the action distance between the
+        supermap and the one whose Kraus blocks are the B_m Y† that ``realize``'s circuit holds."""
+        _, _, b, _, e_norm = self._basis
+        parts = b.view(float).reshape(len(b), len(e_norm), -1)
+        eps = np.max(e_norm)  # ||A_m||² = ||B_m||² + ||E_m||²
+        return float(eps * (2 * np.sqrt(np.max(np.einsum("imz,imz->m", parts, parts) + e_norm**2)) + eps))
 
     @cached_property
     def factors(self) -> np.ndarray:
         """N's canonical Kraus operators, vectorized, read-only: the columns σ_j·y_j, rows (u, a)."""
-        return readonly_copy(self.basis[1] * self.basis[0])
+        sv, y = self._basis[:2]
+        return readonly_copy(y * sv)
+
+    @property
+    def circuit_w(self) -> np.ndarray:
+        """``realize``'s W, a new array: W[(c, i), (m, j)] = (A_m y_j)[(i, c)] / σ_j, so that
+        W V rebuilds each A_m up to E_m."""
+        r, k_out, _, h_out, _ = self.kraus.shape
+        sv, _, b = self._basis[:3]
+        w = (b.reshape(r, k_out, h_out, len(sv)) / sv).transpose(1, 0, 2, 3)
+        return w.reshape(k_out * r, h_out * len(sv))
 
     @cached_property
     def choi_n(self) -> np.ndarray:
         """Choi of the candidate N_* on H_in ⊗ K_in, C = Y Σ² Y†, read-only."""
         return readonly_copy(self.factors @ self.factors.conj().T)
+
+
+def _singular_gaps(a: np.ndarray, y: np.ndarray, sv: np.ndarray):
+    """(B, absolute bounds, ||E_m||) of the Kraus blocks a[:, (m, ·)] = A_m in the basis Y.
+
+    B[(i, c), (m, j)] = (A_m y_j)[(i, c)].  Entry (m, n) of the bounds is
+    sqrt(||G_mn||² + ||B_m†E_n||² + ||B_n†E_m||²) + ||E_m||·||E_n||, with
+    G_mn = B_m†B_n − δ_mn·Σ² and E_n = A_n − B_n Y† formed explicitly: the
+    first three are the parts of A_m†A_n − δ_mn·Y Σ² Y† inside and across
+    span(Y), the last bounds the part outside it.  The column blocks n are
+    walked in runs that hold E_n, every B_m†B_n and every B_m†E_n in at most
+    _CHUNK entries, or one block where a block is larger.
+    """
+    rows, cols = a.shape
+    e, rho = y.shape
+    h = cols // e
+    b = (a.reshape(rows * h, e) @ y).reshape(rows, h * rho)
+    bh, yh, sq = b.conj().T, y.conj().T, sv * sv  # bh[(m, j), (i, c)]
+    gaps, cross, e_sq = np.empty((h, h)), np.empty((h, h)), np.empty(h)
+    step = max(1, _CHUNK // ((rows + h * rho) * (rho + e)))
+    for n in range(0, h, step):
+        k = min(step, h - n)
+        b_n = b[:, n * rho : (n + k) * rho]
+        outside = a[:, n * e : (n + k) * e].reshape(rows * k, e) - b_n.reshape(rows * k, rho) @ yh
+        parts = outside.view(float).reshape(rows, k, 2 * e)
+        e_sq[n : n + k] = np.einsum("inz,inz->n", parts, parts)
+        x = (bh @ b_n).reshape(h, rho, k, rho)
+        np.einsum("mjmj->mj", x[n : n + k])[...] -= sq
+        parts = x.view(float)
+        gaps[:, n : n + k] = np.einsum("mjnz,mjnz->mn", parts, parts)
+        parts = (bh @ outside.reshape(rows, k * e)).view(float).reshape(h, rho, k, 2 * e)
+        cross[:, n : n + k] = np.einsum("mjnz,mjnz->mn", parts, parts)
+    e_norm = np.sqrt(e_sq)
+    return b, np.sqrt(gaps + cross + cross.T) + np.multiply.outer(e_norm, e_norm), e_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,12 +254,15 @@ def determinism_certificate(s: Supermap) -> DeterminismCertificate:
     deterministic exactly when A_m†A_n = δ_mn·C for the Choi operator C of a
     trace-preserving N_*; then C = A_0†A_0.  ``tp_residual``, computed here
     from A_0 alone at r·d⁴ for (d,d,d,d), is Tr_Hin[A_0†A_0] against I.  The
-    rest comes from the thin SVD A_0 = U Σ Y† on first read (``basis``): with
+    rest comes from the thin SVD A_0 = U Σ Y† on first read (``_basis``): with
     B_m = A_m Y and E_m = A_m − B_m Y†, S is deterministic exactly when every
-    E_m = 0 and B_m†B_n = δ_mn·Σ², so ``product_residual`` costs r·d⁴·ρ for a
+    E_m = 0 and B_m†B_n = δ_mn·Σ², so ``product_residual`` costs r·d⁵·ρ for a
     rank-ρ effect map, C = Y Σ² Y† is ``choi_n``, and N is CP by construction.
-    ``verdict`` and ``_certified`` decide the trace condition first, so a
-    supermap failing it is never factored.
+    Y keeps σ_j >= SIGMA_CUTOFF·σ_0, less the smallest σ_j whose sum of σ_j²
+    is within the worst absolute bound in that basis, which is then taken
+    again: damage adds such directions, and as columns of W they are off by
+    O(1).  ``verdict`` and ``_certified`` decide the trace condition first, so
+    a supermap failing it is never factored.
     """
     if s._certificate is not None:
         return s._certificate

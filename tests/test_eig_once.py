@@ -6,8 +6,9 @@ first use from the thin SVD of one Kraus block, and both ``effect_map_of``
 and ``realize`` read it; ``realize`` reads W from the same basis.
 ``kraus_to_choi`` admits its Choi operator on ``KrausSet``'s verdict instead
 of validating it as a ``QuantumOperation``.  ``ref_factors`` takes the
-factors' route by its own code, the block by a loop over entries and the
-cutoff and canonical rule by a loop over columns; ``ref_isometries`` builds
+factors' route by its own code, the block by a loop over entries, the
+cutoff and canonical rule by a loop over columns and the bound that drops
+the last columns by a loop over blocks; ``ref_isometries`` builds
 W by the projection solve it replaced, one entry at a time, from those
 factors.  ``ref_kraus_to_choi`` is a verbatim copy of the code that
 validated every Choi operator ``kraus_to_choi`` built.
@@ -48,7 +49,7 @@ from supermaps.supermap import (
     effect_map_of,
 )
 
-from test_closed_forms import circuit_supermap, dims_st, seed_st
+from test_closed_forms import circuit_supermap, dims_st, ref_blocks, seed_st
 from test_kraus_array import KINDS, fixture
 
 ORDERS = ("effect map first", "realize first")
@@ -62,7 +63,9 @@ KRAUS_KINDS = ("random", "excess below the bound", "excess above the bound", "ra
 def ref_factors(s: Supermap) -> np.ndarray:
     """N's canonical factors: the right singular vectors v_j of A_0[(i, c), (u, a)] =
     S_i[(c, a), (0, u)] with sigma_j >= SIGMA_CUTOFF sigma_0, each phase fixed at its
-    first entry above _PHASE_EPS, that entry written as its modulus, scaled by sigma_j."""
+    first entry above _PHASE_EPS, that entry written as its modulus, scaled by sigma_j;
+    then the last ones dropped while their sum of sigma_j² is within the worst (m, n)
+    bound of ``product_residual`` in that basis, taken by a loop over blocks."""
     t = s.kraus.reshape(-1, s.k_out, s.k_in, s.h_out, s.h_in)
     a0 = np.array([[t[i, c, a, 0, u] for u in range(s.h_in) for a in range(s.k_in)]
                    for i in range(len(t)) for c in range(s.k_out)])
@@ -76,6 +79,19 @@ def ref_factors(s: Supermap) -> np.ndarray:
             v = v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
             v[first] = np.hypot(pivot.real, pivot.imag)
             cols.append(v * sj)
+    weights = [sv[j] ** 2 for j in range(len(cols))]
+    y = np.array(cols).T / sv[: len(cols)]
+    blocks = ref_blocks(s)
+    b = [x @ y for x in blocks]
+    e = [x - bx @ y.conj().T for x, bx in zip(blocks, b)]
+    worst = 0.0
+    for m in range(s.h_out):
+        for n in range(s.h_out):
+            gap = b[m].conj().T @ b[n] - (np.diag(weights) if m == n else 0.0)
+            inside = [np.linalg.norm(x) ** 2 for x in (gap, b[m].conj().T @ e[n], b[n].conj().T @ e[m])]
+            worst = max(worst, np.sqrt(sum(inside)) + np.linalg.norm(e[m]) * np.linalg.norm(e[n]))
+    while cols and sum(weights[len(cols) - 1 :]) <= worst:
+        cols.pop()
     return np.array(cols).T
 
 
@@ -175,7 +191,7 @@ def test_results_keep_their_bits(dims, r, kind, seed, tol, order, kraus_r):
             assert np.max(np.abs(got_circuit.w - ref_w)) <= 1e-12 * max(1.0, np.max(np.abs(ref_w)))
         cert = determinism_certificate(s)
         if not cert.verdict(tol):
-            assert "basis" not in vars(cert) or not cert.tp_residual <= tol
+            assert "_basis" not in vars(cert) or not cert.tp_residual <= tol
             assert "factors" not in vars(cert)  # a failing supermap is never factored
             continue
         factors = cert.factors

@@ -7,11 +7,11 @@ J = diag(I, −I), where the Q path (``ref_action_distance`` of
 ``test_kraus_array``) formed Q_i†A_i and Q_i†B_i; the two must agree within
 1e-12·max(1, ref) for Kraus counts r_a ≠ r_b, including counts whose sum
 exceeds k_out·k_in, where R_i is wide, and give exactly 0 on identical Kraus
-arrays.  The certificate feeds it the blocks B_m† of its singular basis; its
+arrays.  The certificate shares the budget, not the helper: its
 ``product_residual`` must keep the tolerance policy's bounds against the
 reference loops of ``test_closed_forms`` at the default budget and at one
-entry, which multiplies one block at a time.  Damage runs log-uniform over
-[1e-12, 1].
+entry, where ``_singular_gaps`` takes one column block at a time.  Damage
+runs log-uniform over [1e-12, 1].
 """
 
 import numpy as np

@@ -1,16 +1,19 @@
 """The effect map's factors and the certificate's verdict, read from the
 singular basis of one Kraus block.
 
-``DeterminismCertificate`` takes the thin SVD A_0 = U Σ Y† once and keeps
-σ_j >= SIGMA_CUTOFF·σ_0; ``factors`` are the columns σ_j·y_j, ``choi_n`` is
+``DeterminismCertificate`` takes the thin SVD A_0 = U Σ Y† once, keeps
+σ_j >= SIGMA_CUTOFF·σ_0, then drops the smallest while their weight sum
+σ_j² is within its own worst bound; ``factors`` are the columns σ_j·y_j, ``choi_n`` is
 Y Σ² Y† and ``realize`` reads W = B Σ⁻¹ with B_m = A_m Y.  The tests here
 show that on exact supermaps the factors agree with the eigendecomposition
 of the Gram mean the reference loops build; that every pivot of a canonical
 factor is exactly real; that ``realize`` never returns a wrong circuit on
 the near-cutoff circuits that made it do so when its cutoff was on σ², and
-accepts those it once refused; and that the certificate's verdict equals
-the reference's outside the band the tolerance policy states, over damage
-from 1e-13 to 1 and near-cutoff spectra.
+accepts those it once refused; that the certificate's verdict equals the
+reference's outside the band the tolerance policy states, over damage from
+1e-13 to 1 and near-cutoff spectra; and that circuits with noise or one more
+Kraus operator of relative size 1e-12 to 1e-9 realize within tol, without
+the singular directions the damage adds.
 """
 
 import numpy as np
@@ -19,8 +22,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supermaps.linalg import _PHASE_EPS, EQ_TOL, ResidualError, frob, psd_factors, random_isometry
-from supermaps.realization import CircuitRealization, circuit_to_supermap, realize
-from supermaps.supermap import Supermap, action_distance, determinism_certificate
+from supermaps.realization import CircuitRealization, _action_gap, circuit_to_supermap, realize
+from supermaps.supermap import (
+    Supermap,
+    action_distance,
+    determinism_certificate,
+    effect_map_of,
+    is_deterministic,
+)
 
 from test_closed_forms import check_certificate, circuit_supermap, dims_st, ref_certificate, seed_st
 
@@ -94,8 +103,10 @@ def test_realize_accepts_a_factor_near_the_cutoff(eps):
 def test_realize_never_returns_a_wrong_circuit(dims, seed, log_eps):
     """Either the circuit rebuilds s within tol, or realize raises naming a residual above tol.
 
-    The raises come from W's isometry check: column j of W is good to about
-    ε·σ_0/σ_j, so for σ_j below about 1e-8·σ_0 it fails, and says so.
+    Column j of W is good to about ε·σ_0/σ_j, so for σ_j below about
+    1e-8·σ_0 W's isometry check fails.  A direction the certificate drops
+    moves the rebuilt action by about σ_j·σ_0, which realize's own bound on
+    the action distance sees.  Either check raises, and says so.
     """
     s = near_cutoff_supermap(dims, seed, 10.0**log_eps)
     try:
@@ -103,24 +114,50 @@ def test_realize_never_returns_a_wrong_circuit(dims, seed, log_eps):
     except ResidualError as exc:
         assert exc.residual > EQ_TOL and f"{exc.residual:.3e}" in str(exc)
         return
-    assert action_distance(circuit_to_supermap(circuit, dims), s) <= EQ_TOL
+    rebuilt = circuit_to_supermap(circuit, dims)
+    distance = action_distance(rebuilt, s)
+    assert distance <= EQ_TOL
+    # Both bounds realize may read hold the distance, up to the rounding of W V.
+    slack = 1e-14 * max(1.0, frob(s.kraus) ** 2)
+    assert distance <= determinism_certificate(s).rebuild_residual + slack
+    assert distance <= _action_gap(s.kraus, rebuilt.kraus) + slack
+
+
+def damaged(rng, ops: np.ndarray, kind: str, damage: float) -> np.ndarray:
+    """A Kraus array scaled by 1 + δ, given complex noise of relative size δ, or given one
+    more Kraus operator of norm δ·||S||_F; the last moves the Gram gap by δ² but
+    E_m by δ."""
+    if kind == "scaled":
+        return (1 + damage) * ops
+    shape = ops.shape if kind == "noise" else (1, *ops.shape[1:])
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise *= damage * frob(ops) / frob(noise)
+    return ops + noise if kind == "noise" else np.concatenate([ops, noise])
 
 
 @given(dims=dims_st, seed=seed_st, base=st.sampled_from(("circuit", "near-cutoff")),
        log_eps=st.floats(-18, 0), kind=st.sampled_from(("scaled", "noise", "extra Kraus")),
        log_damage=st.floats(-13, 0))
 def test_verdict_equals_the_reference_outside_the_band(dims, seed, base, log_eps, kind, log_damage):
-    """A Kraus set scaled by 1 + δ, given complex noise of relative size δ, or given one
-    more Kraus operator of norm δ·||S||_F; the last moves the Gram gap by δ² but
-    E_m by δ, the case that widens the band."""
     rng = np.random.default_rng(seed)
     s = circuit_supermap(rng, dims) if base == "circuit" else near_cutoff_supermap(dims, seed, 10.0**log_eps)
-    damage, ops = 10.0**log_damage, s.kraus
-    if kind == "scaled":
-        ops = (1 + damage) * ops
-    else:
-        shape = ops.shape if kind == "noise" else (1, *ops.shape[1:])
-        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        noise *= damage * frob(ops) / frob(noise)
-        ops = ops + noise if kind == "noise" else np.concatenate([ops, noise])
-    check_certificate(Supermap(*dims, ops))
+    check_certificate(Supermap(*dims, damaged(rng, s.kraus, kind, 10.0**log_damage)))
+
+
+@given(dims=dims_st, seed=seed_st, kind=st.sampled_from(("noise", "extra Kraus")), log_damage=st.floats(-12, -9))
+def test_damaged_circuits_realize(dims, seed, kind, log_damage):
+    """A damaged circuit that the certificate accepts realizes within tol, with as many
+    effect-map Kraus operators as the circuit it came from.
+
+    The damage gives A_0 singular values of about δ·σ_0.  Kept, such a
+    direction makes a column of W that is off by O(1); the certificate drops
+    it, because its weight σ_j² is within its own residual.
+    """
+    rng = np.random.default_rng(seed)
+    s = circuit_supermap(rng, dims)
+    damaged_map = Supermap(*dims, damaged(rng, s.kraus, kind, 10.0**log_damage))
+    if not is_deterministic(damaged_map):
+        return
+    circuit = realize(damaged_map)
+    assert action_distance(circuit_to_supermap(circuit, dims), damaged_map) <= EQ_TOL
+    assert circuit.dim_b == len(effect_map_of(damaged_map).kraus) == determinism_certificate(s).factors.shape[1]

@@ -23,6 +23,7 @@ from supermaps.supermap import (
     EffectMap,
     NotDeterministicError,
     Supermap,
+    _singular_gaps,
     action_distance,
     apply_supermap,
     determinism_certificate,
@@ -227,13 +228,16 @@ class TestIsDeterministic:
         # may reach the other, directly or through the determinism gate.
         names = is_deterministic_effectwise.__code__.co_names
         for shared in ("determinism_certificate", "_certified", "DeterminismCertificate", "_factor_gaps",
-                       "svd", "canonical_factors", "SIGMA_CUTOFF", "basis", "product_residual", "factors",
-                       "choi_n"):
+                       "_singular_gaps", "svd", "canonical_factors", "SIGMA_CUTOFF", "_basis",
+                       "product_residual", "rebuild_residual", "factors", "circuit_w", "choi_n"):
             assert shared not in names
-        # The certificate's SVD is its cached basis; the residual, factors and choi_n read it.
-        cached = (DeterminismCertificate.basis, DeterminismCertificate.product_residual,
-                  DeterminismCertificate.factors, DeterminismCertificate.choi_n)
-        for code in (determinism_certificate.__code__, *(c.func.__code__ for c in cached)):
+        # The certificate's SVD is its cached basis; the residuals, factors, W and choi_n read it.
+        cert = DeterminismCertificate
+        codes = (determinism_certificate.__code__, _singular_gaps.__code__, cert._basis.func.__code__,
+                 cert.product_residual.fget.__code__, cert.rebuild_residual.fget.__code__,
+                 cert.factors.func.__code__,
+                 cert.circuit_w.fget.__code__, cert.choi_n.func.__code__)
+        for code in codes:
             assert "is_deterministic_effectwise" not in code.co_names
 
     def test_cached_certificate_is_frozen(self):

@@ -1,9 +1,9 @@
 """The chunked determinism tests against their per-matrix-unit references.
 
 The effect-wise test walks its upper block triangle in tiles of at most
-``supermap._CHUNK`` entries.  The certificate multiplies the off-diagonal
-blocks B_m†B_n of its singular basis into buffers of at most that many
-entries (``_factor_gaps``).  The default budget makes every small supermap a
+``supermap._CHUNK`` entries.  The certificate walks the column blocks n
+of its singular basis, forming E_n and every B_m†B_n and B_m†E_n, in runs
+of at most that many entries (``_singular_gaps``).  The default budget makes every small supermap a
 single chunk, so here the budget is cut down to one entry, one block, one
 and a half blocks, two blocks and one block row of either test, and kept at
 the default.  The chunks then cut the rows and columns at every block
@@ -50,14 +50,16 @@ from test_closed_forms import (
 def budgets(s):
     """Budgets that cut each test's chunks at every block boundary, and more coarsely.
 
-    Both tests have h_out block rows.  The effect-wise tiles are e x e,
-    e = h_in·k_in; a row of ``_factor_gaps`` holds h_out blocks of ρ x ρ, ρ
-    the number of singular values the certificate keeps, at most e.
+    Both tests have h_out blocks.  The effect-wise tiles are e x e,
+    e = h_in·k_in, h_out to a block row.  A column block n of the
+    certificate holds E_n, r·k_out x e, and B_m†B_n and B_m†E_n for every m,
+    h_out·ρ x (ρ + e), ρ the number of singular values the certificate keeps.
     """
     e = s.h_in * s.k_in
-    rho = len(determinism_certificate(Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus)).basis[0])
+    rho = determinism_certificate(Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus)).factors.shape[1]
+    column = (len(s.kraus) * s.k_out + s.h_out * rho) * (rho + e)
     out = {1, supermap._CHUNK}
-    for block, rows in ((e * e, 1), (rho * rho, s.h_out), (e * e, s.h_out)):
+    for block, rows in ((e * e, 1), (column, s.h_out), (e * e, s.h_out)):
         out |= {block, 3 * block // 2, 2 * block, rows * block, rows * rows * block}
     return sorted(out)
 
