@@ -22,9 +22,11 @@ Tolerance policy, shared by the whole package:
   keeping sigma_j >= SIGMA_CUTOFF * sigma_0 (exact rank-deficient blocks show
   spurious sigma_j of at most 5.3e-16 sigma_0, circuits with d <= 32), less
   the smallest sigma_j whose sum of sigma_j² is within the certificate's worst
-  absolute bound in that basis.  Dropping moves the action by about
-  sigma_j sigma_0, which ``realize`` bounds at ``tol`` (``rebuild_residual``,
-  then ``realization._action_gap``);
+  absolute bound in that basis, but never a sigma_j within SIGMA_CUTOFF
+  sigma_0 of one kept: equal sigma_j stay or go together, so the residual
+  does not depend on the SVD's basis among them.  Dropping moves the action
+  by about sigma_j sigma_0, which ``realize`` bounds at ``tol``
+  (``rebuild_residual``, then ``realization._action_gap``);
 - hermiticity is measured only where it can fail: matrices given to the
   positivity rule, Choi operators in ``choi_residuals`` and ancilla
   projectors (at ``tol``).  Matrices Hermitian by construction up to rounding
@@ -45,6 +47,11 @@ Tolerance policy, shared by the whole package:
   + ε², ε² <= (2 sqrt(3) + 4 sqrt(e)) Δ + 2 e (SIGMA_CUTOFF sigma_0)², and
   ``tp_residual`` is within sqrt(h_in / k_in) Δ of C̄'s.  So the verdict may
   differ from a test of Δ and C̄ only in that band, linear in Δ;
+- effect-wise determinism: ``is_deterministic_effectwise`` holds each
+  off-diagonal (m, n) block of output effects whole to tol, a gap at least
+  its worst unit's and at most h_in times it.  So it never accepts where a
+  test of every unit rejects, and rejects where it accepts only when the
+  worst off-diagonal unit gap lies in (tol / h_in, tol]: a one-sided band;
 A caller's ``tol`` (the CLI's ``--tol``) replaces EQ_TOL in the residual,
 orthogonality and rank rules.  HERM_TOL and POS_TOL are fixed: the positivity
 helpers take no ``tol``, and ``check-op``'s ``--tol`` governs only ``channel``.

@@ -17,10 +17,11 @@ for a channel N_* from states on K_in to states on H_in; equivalently, when
 there is an identity-preserving CP map N with
 Tr_Kout[S(E)] = N(Tr_Hout[E]) for every E.  N is the effect map of the
 supermap: it transports input effects to output effects.  The effect-wise
-test builds N's Choi operator as a Gram matrix of the Kraus entries, and the
-certificate as Y Σ² Y† from the thin SVD of one Kraus block; either way N is
-CP by construction, and only the factorization and N's normalization are
-tested.
+test builds N's Choi operator as the mean of the Gram blocks A_m†A_m of the
+Kraus entries on H_out, and measures every block A_m†A_n against it, the
+off-diagonal ones through triangular factors; the certificate builds it as
+Y Σ² Y† from the thin SVD of one Kraus block.  Either way N is CP by
+construction, and only the factorization and N's normalization are tested.
 """
 
 from __future__ import annotations
@@ -49,9 +50,11 @@ from .linalg import (
 )
 from .operations import QuantumOperation, _check_ports
 
-# Budget in complex entries (1 MB) for the blocks that action_distance multiplies
-# into (_factor_gaps), the certificate's blocks E_n, B_m†B_n and B_m†E_n
-# (_singular_gaps), and the effect-wise test's tiles.
+# Budget in complex entries (1 MB) for the blocks that action_distance and the
+# effect-wise test multiply into (_factor_gaps), the certificate's blocks E_n,
+# B_m†B_n and B_m†E_n (_singular_gaps), and the effect-wise test's runs of
+# diagonal blocks; a buffer exceeds it only where a single block does.  The
+# effect-wise test forms its whole block square at most at a quarter of it.
 _CHUNK = 1 << 16
 
 
@@ -95,10 +98,13 @@ class DeterminismCertificate:
         sv, y = sv[:rank], canonical_factors(yh[:rank].conj().T)
         b, bound, e_norm = _singular_gaps(a, y, sv)
         worst = np.max(bound)
-        if sv[-1] ** 2 <= worst:  # drop the smallest σ_j while their sum of σ_j² is within it
+        if sv[-1] ** 2 <= worst:  # drop the smallest σ_j while their sum of σ_j² is within it,
             rank = int(np.count_nonzero(np.cumsum(sv[::-1] ** 2)[::-1] > worst))
-            sv, y = sv[:rank], y[:, :rank]
-            b, bound, e_norm = _singular_gaps(a, y, sv)
+            if rank:  # but keep every σ_j within SIGMA_CUTOFF·σ_0 of a kept one: ties stay whole
+                rank = int(np.count_nonzero(sv >= sv[rank - 1] - SIGMA_CUTOFF * sv[0]))
+            if rank < len(sv):
+                sv, y = sv[:rank], y[:, :rank]
+                b, bound, e_norm = _singular_gaps(a, y, sv)
         bound.flat[:: h_out + 1] /= max(1.0, math.sqrt(np.dot(sv * sv, sv * sv)))  # ||Σ²||_F
         return sv, y, b, float(np.max(bound)), e_norm
 
@@ -261,8 +267,10 @@ def determinism_certificate(s: Supermap) -> DeterminismCertificate:
     Y keeps σ_j >= SIGMA_CUTOFF·σ_0, less the smallest σ_j whose sum of σ_j²
     is within the worst absolute bound in that basis, which is then taken
     again: damage adds such directions, and as columns of W they are off by
-    O(1).  ``verdict`` and ``_certified`` decide the trace condition first, so
-    a supermap failing it is never factored.
+    O(1); a σ_j within SIGMA_CUTOFF·σ_0 of a kept one stays, so equal σ_j
+    are never split and the residual does not depend on the SVD's basis
+    among them.  ``verdict`` and ``_certified`` decide the trace condition
+    first, so a supermap failing it is never factored.
     """
     if s._certificate is not None:
         return s._certificate
@@ -279,75 +287,62 @@ def is_deterministic(s: Supermap, tol: float = EQ_TOL) -> bool:
     return determinism_certificate(s).verdict(tol)
 
 
-def _effectwise_tiles(h_out: int, e: int):
-    """Tiles (m0, m1, n0, n1) of the effect-wise test's upper block triangle, of e x e blocks.
-
-    A tile holds the blocks of output effects of the input units
-    |m, mu><n, nu| for m in [m0, m1) and n in [n0, n1).  When the whole
-    h_out x h_out block square fits in _CHUNK entries it is the only tile;
-    otherwise each block row m is cut into runs of column blocks n >= m of at
-    most _CHUNK entries, or of one block where a block is larger.
-    """
-    if (h_out * e) ** 2 <= _CHUNK:
-        yield 0, h_out, 0, h_out
-        return
-    nn = max(1, _CHUNK // (e * e))
-    for m in range(h_out):
-        for n in range(m, h_out, nn):
-            yield m, m + 1, n, min(n + nn, h_out)
-
-
 def is_deterministic_effectwise(s: Supermap, tol: float = EQ_TOL) -> bool:
     """Independent determinism verifier through effect factorization.
 
-    With the Kraus operators stacked as U[(i, c), m, mu, p] (c on K_out, p on
-    K_in, (m, mu) on H_out ⊗ H_in), the output effect of the input unit
-    |m,mu><n,nu| is Tr_Kout S(|m,mu><n,nu|) = U[:, m, mu, :]ᵀ conj(U[:, n, nu, :]).
+    With A_m[(i, c), (mu, p)] = <c, p| S_i |m, mu> (c on K_out, p on K_in,
+    (m, mu) on H_out ⊗ H_in), the output effect of the input unit
+    |m,mu><n,nu| is Tr_Kout S(|m,mu><n,nu|)[p, q] = conj(A_m†A_n)[(mu, p), (nu, q)].
     The candidate map N on input effects comes from the maximally mixed
-    probe, N(|mu><nu|) = sum_m Tr_Kout S(|m,mu><m,nu|) / h_out, in one
-    contraction.  Every output effect must equal delta_mn N(|mu><nu|), and N
-    must be identity preserving.  N is CP by construction: its conjugated
-    Choi operator is the Gram matrix probe† probe / h_out.
-
-    N's identity preservation is one trace of the Gram matrix, so it is
-    decided first: a supermap failing it, NaN included, is rejected after one
-    Gram, before any tile.  The verdict is the AND of both conditions either
-    way.  Tr_Kout S(|n,nu><m,mu|) = Tr_Kout S(|m,mu><n,nu|)† holds exactly
-    for every Kraus set, so the blocks n < m carry the same gaps as the
-    blocks n >= m.  Those are walked in tiles of at most _CHUNK entries
-    (``_effectwise_tiles``), each one matmul and one reduction into a buffer
-    the size of the largest tile, and the test stops at the first tile with
-    a gap above tol.  A small supermap is a single tile holding its whole
-    block square, whose lower blocks are checked too.  Tiles hold conjugated
-    effects and meet conj(N), which leaves every gap as it is.  Shares no
-    code path with the dual-map test.
+    probe, N(|mu><nu|) = sum_m Tr_Kout S(|m,mu><m,nu|) / h_out: its
+    conjugated Choi operator is C̄, the mean of the A_m†A_m, so N is CP by
+    construction.  Every output effect must equal delta_mn N(|mu><nu|), and
+    N must be identity preserving.  Each stage below decides only if the
+    ones before it hold.  N(I) is one k_in x k_in Gram at r·d⁵ (``_gram``),
+    so a supermap failing it, NaN included, meets no e x e block,
+    e = h_in·k_in.  Each off-diagonal block is measured whole,
+    ||A_m†A_n||_F (the band of the tolerance policy).  A block square of at
+    most _CHUNK / 4 entries is one matmul, which also holds the diagonal
+    blocks.  Above it, ``_factor_gaps`` measures ||R_m R_n†|| through one
+    batched QR where the triangular factors R_m of x_m = A_mᵀ = Q_m R_m are
+    at most half as wide as x_m (2·r·k_out <= e), else ||x_m x_n†||, and the
+    diagonal blocks are formed in runs of at most _CHUNK entries, or one
+    block.  C̄ is their mean where one run holds them all, else the probe's
+    Gram; each unit's diagonal gap is over max(1, ||N(|mu><nu|)||).  Shares
+    no code path with the certificate: ``_factor_gaps`` is
+    ``action_distance``'s helper.
     """
     h_out, h_in, k_in = s.h_out, s.h_in, s.k_in
-    e = h_in * k_in
-    u = np.ascontiguousarray(s.kraus.reshape(-1, k_in, h_out, h_in).transpose(0, 2, 3, 1))
-    probe = u.reshape(-1, e)
-    # n_conj[mu, p, nu, q] = conj(<p| N(|mu><nu|) |q>)
-    n_conj = (probe.conj().T @ probe).reshape(h_in, k_in, h_in, k_in) / h_out
-    # Identity preservation, N(I) = I on K_in; a NaN residual fails too.
-    if not rel_residual(np.einsum("zpzq->pq", n_conj), np.eye(k_in)) <= tol:
+    e, r = h_in * k_in, len(s.kraus) * s.k_out
+    # z[(i, c), m, (mu, p)] = <c, p| S_i |m, mu>: z[:, m] is A_m.
+    z = np.ascontiguousarray(s.kraus.reshape(r, k_in, h_out, h_in).transpose(0, 2, 3, 1)).reshape(r, h_out, e)
+    if not rel_residual(_gram(z.reshape(-1, k_in)) / h_out, np.eye(k_in)) <= tol:  # N(I); NaN fails
         return False
-    parts = n_conj.view(float)
+    x = z.transpose(1, 2, 0)  # x[m] = A_mᵀ, a view
+    square = (h_out * e) ** 2 <= _CHUNK // 4
+    if square:  # one matmul over the block square, which holds the diagonal blocks too
+        g = np.matmul(z.reshape(r, -1).conj().T, z.reshape(r, -1)).reshape(h_out, e, h_out, e)
+        gaps = np.einsum("minj,minj->mn", g.view(float), g.view(float))
+    else:
+        gaps = _factor_gaps(np.linalg.qr(x, mode="r") if 2 * r <= e else x)
+    np.fill_diagonal(gaps, 0.0)  # off the diagonal, ||A_m†A_n||², or 0 below it
+    if not np.sqrt(np.max(gaps)) <= tol:
+        return False
+    step = min(h_out, max(1, _CHUNK // (e * e)))
+    if step < h_out:  # C̄ is the probe's Gram, taken before the runs of A_m†A_m, which share one buffer
+        c_bar = _gram(z.reshape(-1, e)) / h_out
+        buf = np.empty((step, e, e), dtype=complex)
+        runs = (x[m : m + step] for m in range(0, h_out, step))
+        runs = (np.matmul(run.conj(), run.transpose(0, 2, 1), out=buf[: len(run)]) for run in runs)
+    else:  # one run holds every A_m†A_m, and C̄ is their mean
+        runs = [np.einsum("mimj->mij", g) if square else np.matmul(x.conj(), x.transpose(0, 2, 1))]
+        c_bar = runs[0].sum(0) / h_out
+    parts = c_bar.view(float).reshape(h_in, k_in, h_in, 2 * k_in)
     n_scale = np.maximum(1.0, np.sqrt(np.einsum("upvq,upvq->uv", parts, parts)))
-    blocks = u.reshape(len(u), h_out * e)
-    tiles = list(_effectwise_tiles(h_out, e))
-    buf = np.empty(max((m1 - m0) * (n1 - n0) for m0, m1, n0, n1 in tiles) * e * e, dtype=complex)
-    for m0, m1, n0, n1 in tiles:
-        tile = buf[: (m1 - m0) * (n1 - n0) * e * e].reshape((m1 - m0) * e, -1)
-        np.matmul(u[:, m0:m1].conj().reshape(len(u), -1).T, blocks[:, n0 * e : n1 * e], out=tile)
-        # x[m, mu, p, n, nu, q] = conj(<p| Tr_Kout S(|m,mu><n,nu|) |q>)
-        x = tile.reshape(m1 - m0, h_in, k_in, n1 - n0, h_in, k_in)
-        if n0 == m0:  # the tile holds the diagonal blocks of its rows
-            np.einsum("mupmvq->mupvq", x[:, :, :, : m1 - m0])[...] -= n_conj
-        # The squared gap sums the real view over p and q, then over (re, im).
-        parts = tile.view(float).reshape((m1 - m0) * h_in, k_in, -1, 2 * k_in)
-        gap = np.sqrt(np.einsum("ipjq,ipjq->ij", parts, parts)).reshape(m1 - m0, h_in, -1, h_in)
-        if n0 == m0:
-            np.einsum("mumv->muv", gap[:, :, : m1 - m0])[...] /= n_scale
+    for blk in runs:
+        blk -= c_bar
+        parts = blk.view(float).reshape(-1, k_in, h_in, 2 * k_in)
+        gap = np.sqrt(np.einsum("ipvq,ipvq->iv", parts, parts)).reshape(-1, h_in, h_in) / n_scale
         if not np.all(gap <= tol):  # a NaN gap, from an overflowing Kraus set, fails too
             return False
     return True
@@ -442,29 +437,46 @@ def sum_supermaps(parts) -> Supermap:
     return Supermap(*dims, np.concatenate([p.kraus for p in parts]))
 
 
-def _factor_gaps(r: np.ndarray, sign: np.ndarray | None = None) -> np.ndarray:
-    """Squared ||R_i·J·R_j†||_F over a stack R of shape (n, p, q), for j >= i; J = diag(sign), or I.
+def _gram(w: np.ndarray) -> np.ndarray:
+    """w†w for a C-contiguous complex matrix w, read from vᵀv for its real view v, (re, im)
+    interleaved: one symmetric rank-k update, with no conjugated copy of w."""
+    n, v = w.shape[1], w.view(float)
+    m = (v.T @ v).reshape(n, 2, n, 2)
+    g = np.empty((n, n), dtype=complex)
+    np.add(m[:, 0, :, 0], m[:, 1, :, 1], out=g.real)
+    np.subtract(m[:, 0, :, 1], m[:, 1, :, 0], out=g.imag)
+    return g
+
+
+def _factor_gaps(r: np.ndarray, sign: np.ndarray | float = 1.0) -> np.ndarray:
+    """Squared ||R_i·J·R_j†||_F over a stack R of shape (n, p, q), for j >= i; J = diag(sign).
 
     With X_i = Q_i R_i for Q_i of orthonormal columns, ||X_i J X_j†||_F =
     ||R_i J R_j†||_F, so tall factors are measured through their triangular
-    ones.  The gap of (j, i) is that of (i, j), so a block of rows i >= i0 is
-    multiplied against the columns j >= i0 only, as one matmul into a buffer
-    of at most _CHUNK entries; entries with j < i hold their gap inside such
-    a block and 0 outside it.
+    ones.  The gap of (j, i) is that of (i, j), so a run of rows i >= i0 is
+    multiplied against the columns j >= i0 only, or, where one block row
+    exceeds _CHUNK entries, one row block against runs of column blocks:
+    each run is one matmul of conj(R_i)·J by R_jᵀ, of the same norm, into a
+    buffer of at most max(_CHUNK, p²) entries.  Entries with j < i hold their
+    gap inside such a run and 0 outside it.  Where R's rows reshape to a
+    view, as the effect-wise test's strided x_m do, only the run of rows
+    being conjugated is copied.
     """
     n, p, q = r.shape
     rows = r.reshape(n * p, q)
-    r_h = rows.conj().T  # r_h[k, (j, s)] = conj(R_j[s, k])
-    rows = rows if sign is None else rows * sign
-    step = min(n, max(1, _CHUNK // (n * p * p)))
-    buf = np.empty(step * p * n * p, dtype=complex)
+    step = min(n, max(1, _CHUNK // (n * p * p)))  # row blocks per run
+    width = max(1, _CHUNK // (step * p * p))  # column blocks per run; n or more unless step is 1
+    buf = np.empty(step * p * min(n, width) * p, dtype=complex)
     gaps = np.zeros((n, n))
     for i in range(0, n, step):
         k = min(step, n - i)
-        blk = buf[: k * p * (n - i) * p].reshape(k * p, -1)
-        np.matmul(rows[i * p : (i + k) * p], r_h[:, i * p :], out=blk)
-        parts = blk.view(float).reshape(k, p, n - i, 2 * p)
-        np.einsum("isjt,isjt->ij", parts, parts, out=gaps[i : i + k, i:])
+        lhs = rows[i * p : (i + k) * p].conj() * sign
+        for j in range(i, n, width):
+            c = min(width, n - j)
+            blk = buf[: k * p * c * p].reshape(k * p, c * p)
+            np.matmul(lhs, rows[j * p : (j + c) * p].T, out=blk)
+            parts = blk.view(float).reshape(k, p, c, 2 * p)
+            np.einsum("isjt,isjt->ij", parts, parts, out=gaps[i : i + k, j : j + c])
     return gaps
 
 

@@ -8,10 +8,12 @@ SVD.  Over damage from 1e-12 to 1, the certificate must keep the bounds the
 tolerance policy states against the per-(m, n) and per-matrix-unit
 references, and their verdicts outside the band those bounds leave
 (``check_certificate``).
-``is_deterministic_effectwise`` likewise decides N(I) = I from its one Gram
-matrix before any tile of its block triangle: supermaps failing it must be
-rejected without reaching ``_effectwise_tiles``, and one that keeps it must
-still reach the tiles.  ``is_faithful`` reads Φ as a realignment of the probe's
+``is_deterministic_effectwise`` likewise decides N(I) = I from one
+k_in x k_in Gram, taken with the ``@`` operator, before any block of its
+contraction: every block product goes through ``np.matmul`` or
+``np.linalg.qr``, so supermaps failing it must be rejected with both
+replaced by a stub that raises, and one that keeps it must reach the stub.
+``is_faithful`` reads Φ as a realignment of the probe's
 Hermitian part instead of rebuilding it from the probe's eigendecomposition:
 on probes at the edges of the density-matrix check, and with a singular
 value of Φ near the rank threshold, its verdict must equal the full-action
@@ -63,8 +65,8 @@ from test_closed_forms import (
 seed_st = st.integers(0, 2**32 - 1)
 
 
-def _no_tiles(*args):
-    raise AssertionError("reached the tiles")
+def _no_blocks(*args, **kwargs):
+    raise AssertionError("reached the blocks")
 
 
 def _no_svd(*args, **kwargs):
@@ -122,21 +124,34 @@ def test_two_stage_certificate_matches_reference(dims, seed, kind, log_damage):
 
 
 @pytest.mark.parametrize("scale", [0.9, 1e300], ids=["x0.9", "x1e300"])
-def test_effectwise_rejects_on_identity_preservation_before_any_tile(monkeypatch, scale):
-    monkeypatch.setattr(supermap, "_effectwise_tiles", _no_tiles)
+def test_effectwise_rejects_on_identity_preservation_before_any_block(monkeypatch, scale):
     rng = np.random.default_rng(26)
     for dims in itertools.product(range(1, 5), repeat=4):
-        s = circuit_supermap(rng, dims)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert is_deterministic_effectwise(Supermap(*dims, scale * s.kraus)) is False
+        s = Supermap(*dims, scale * circuit_supermap(rng, dims).kraus)
+        with monkeypatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+            mp.setattr(np, "matmul", _no_blocks)
+            mp.setattr(np.linalg, "qr", _no_blocks)
+            assert is_deterministic_effectwise(s) is False
 
 
 @pytest.mark.parametrize("h", [1, 2])
-def test_effectwise_reaches_the_tiles_when_identity_is_preserved(monkeypatch, h):
+def test_effectwise_reaches_the_blocks_when_identity_is_preserved(monkeypatch, h):
     s = spread(effectwise_block_defect(), h)
     assert is_deterministic_effectwise(s) is False
-    monkeypatch.setattr(supermap, "_effectwise_tiles", _no_tiles)
-    with pytest.raises(AssertionError, match="reached the tiles"):
+    monkeypatch.setattr(np, "matmul", _no_blocks)
+    with pytest.raises(AssertionError, match="reached the blocks"):
+        is_deterministic_effectwise(s)
+
+
+def test_effectwise_reaches_the_qr_when_identity_is_preserved(monkeypatch):
+    """At (4, 4, 4, 1) with a budget of one entry, the triangular factors are
+    at most half as wide as the blocks, so the off-diagonal blocks take the QR."""
+    s = circuit_supermap(np.random.default_rng(5), (4, 4, 4, 1))
+    assert 2 * len(s.kraus) * s.k_out <= s.h_in * s.k_in
+    monkeypatch.setattr(supermap, "_CHUNK", 1)
+    assert is_deterministic_effectwise(s) is True
+    monkeypatch.setattr(np.linalg, "qr", _no_blocks)
+    with pytest.raises(AssertionError, match="reached the blocks"):
         is_deterministic_effectwise(s)
 
 

@@ -13,7 +13,11 @@ Kraus block, so it is not the gap the reference loops measure; both
 on K_in, and the dense per-(m, n) loop of ``check_certificate`` measure it
 against the mean of the diagonal blocks.  ``check_certificate`` holds the
 certificate to the bounds the tolerance policy states between the two, and
-its verdict to the reference's outside the band those bounds leave.
+its verdict to the reference's outside the band those bounds leave.  The
+effect-wise test measures each off-diagonal (m, n) block of output effects
+whole, so it may reject where ``ref_effectwise``, which holds each unit to
+tol, accepts, but only inside the one-sided band ``effectwise_outside_band``
+names; it never accepts where the reference rejects.
 """
 
 import numpy as np
@@ -164,6 +168,14 @@ def ref_effectwise(s, tol):
         return False
     eigs = np.linalg.eigvalsh((choi + dag(choi)) / 2.0)
     return min_eig_floor(float(eigs[0]), float(eigs[-1]))
+
+
+def effectwise_outside_band(s, tol):
+    """True unless the worst off-diagonal unit gap of ``effectwise_block_gaps`` lies in
+    (tol / h_in, tol], widened by 1e-9 relative for rounding: outside that band the
+    effect-wise test's (m, n)-block gap decides as the reference's unit gaps do."""
+    worst = max((gap for (m, n), gap in effectwise_block_gaps(s).items() if m != n), default=0.0)
+    return not tol / s.h_in * (1 - 1e-9) < worst <= tol * (1 + 1e-9)
 
 
 def ref_action_distance(a, b):
@@ -376,17 +388,18 @@ def spread(s, h):
 def test_certificate_fails_on_one_off_diagonal_block(h):
     """The defect sits in an off-diagonal (a, b) block, which the (m, n) blocks on
     H_out hold in their off-diagonal A_0†A_1, of norm √2·h: the Pauli X times the
-    identity's |I><I| of norm h.  The residual bounds it.  A_0 is an isometry,
-    so every σ_j is 1, below that gap, and the certificate keeps fewer than all
-    of them: which ones, among equal singular values, is the SVD's choice."""
+    identity's |I><I| of norm h.  A_0's three nonzero σ_j all equal √h, below
+    that gap: the drop rule would remove some of them, but equal σ_j are kept
+    or dropped together, so the certificate keeps all three, every E_m is 0,
+    and the residual is exactly that gap, whatever basis the SVD picks."""
     s = spread(certificate_block_defect(), h)
     gaps = certificate_block_gaps(s)
     bad = {blk for blk, gap in gaps.items() if gap > 1.0}
     assert bad and all(a != b for a, b in bad)
     assert all(gaps[a, a] == 0.0 for a in range(s.k_in))
     cert = determinism_certificate(s)
-    assert cert.product_residual >= np.sqrt(2) * h * (1 - 1e-12)
-    assert cert.factors.shape[1] < s.h_in * s.k_in
+    assert cert.product_residual == pytest.approx(np.sqrt(2) * h, rel=1e-14)
+    assert cert.factors.shape[1] == 3
     assert cert.tp_residual == 0.0
     check_certificate(s, cert)
     assert not is_deterministic(s)
@@ -401,3 +414,62 @@ def test_effectwise_fails_on_one_off_diagonal_block(h):
     assert max(gaps[m, m] for m in range(s.h_out)) <= 1e-15
     assert not is_deterministic_effectwise(s)
     assert not is_deterministic(s)
+
+
+# ---------------------------------------------------------------- the effect-wise band
+
+
+def effectwise_damaged(dims, seed, kind, damage):
+    """A circuit supermap damaged by a relative ``damage``: "scaled" by 1 + damage, "noise"
+    of that size on every Kraus entry, or "off-diagonal", A_1 + damage·A_0 for the Kraus
+    blocks A_m on H_out.  A_0†A_1 = 0, so the last leaves the diagonal blocks and N(I) as
+    they are to first order and gives each unit (mu, nu) of the (0, 1) block the gap
+    damage·||C^(mu nu)||: the defect spreads over its h_in² >= 4 units."""
+    rng = np.random.default_rng(seed)
+    if kind == "off-diagonal":
+        dims = (max(2, dims[0]), max(2, dims[1]), *dims[2:])
+    ops = circuit_supermap(rng, dims).kraus
+    if kind == "scaled":
+        ops = (1 + damage) * ops
+    elif kind == "noise":
+        ops = ops + damage * (rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape))
+    else:
+        h_in, h_out, k_in, k_out = dims
+        t = ops.reshape(-1, k_out * k_in, h_out, h_in).copy()
+        t[:, :, 1] += damage * t[:, :, 0]
+        ops = t.reshape(ops.shape)
+    return Supermap(*dims, ops)
+
+
+@given(
+    dims=dims_st,
+    seed=seed_st,
+    kind=st.sampled_from(("scaled", "noise", "off-diagonal")),
+    log_damage=st.floats(-13.0, 0.0),
+)
+def test_effectwise_verdict_equals_the_reference_outside_the_band(dims, seed, kind, log_damage):
+    """The effect-wise test never accepts where ``ref_effectwise`` rejects, and rejects
+    where it accepts only inside the band ``effectwise_outside_band`` names."""
+    s = effectwise_damaged(dims, seed, kind, 10.0**log_damage)
+    for tol in (1e-8, 1e-6):
+        verdict, expected = is_deterministic_effectwise(s, tol), ref_effectwise(s, tol)
+        assert expected or not verdict
+        if effectwise_outside_band(s, tol):
+            assert verdict == expected
+
+
+def test_effectwise_rejects_inside_the_band():
+    """h_in = h_out = 2, k_in = 1: A_0 = [e0, e1]/√2, and A_1's columns are
+    (ε(e0 + e1) + sqrt(1 − 2ε²) e_(2+nu))/√2 with ε = 1.6·tol.  The diagonal blocks
+    are I/2 up to ε², N(I) = 1, and every off-diagonal unit gap is ε/2 = 0.8·tol,
+    which a test of units accepts; the (0, 1) block's gap is 1.6·tol."""
+    tol = 1e-8
+    eps = 1.6 * tol
+    a0 = np.eye(4, 2) / np.sqrt(2)
+    a1 = (eps * np.outer([1, 1, 0, 0], [1, 1]) + np.sqrt(1 - 2 * eps**2) * np.eye(4, 2, -2)) / np.sqrt(2)
+    s = Supermap(2, 2, 1, 4, np.hstack([a0, a1])[None])
+    gaps = effectwise_block_gaps(s)
+    assert gaps[0, 1] == pytest.approx(0.8 * tol, rel=1e-9)
+    assert not effectwise_outside_band(s, tol)
+    assert ref_effectwise(s, tol)
+    assert not is_deterministic_effectwise(s, tol)

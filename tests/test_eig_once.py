@@ -65,7 +65,8 @@ def ref_factors(s: Supermap) -> np.ndarray:
     S_i[(c, a), (0, u)] with sigma_j >= SIGMA_CUTOFF sigma_0, each phase fixed at its
     first entry above _PHASE_EPS, that entry written as its modulus, scaled by sigma_j;
     then the last ones dropped while their sum of sigma_j² is within the worst (m, n)
-    bound of ``product_residual`` in that basis, taken by a loop over blocks."""
+    bound of ``product_residual`` in that basis, taken by a loop over blocks, less
+    those within SIGMA_CUTOFF sigma_0 of the smallest one kept, which stay."""
     t = s.kraus.reshape(-1, s.k_out, s.k_in, s.h_out, s.h_in)
     a0 = np.array([[t[i, c, a, 0, u] for u in range(s.h_in) for a in range(s.k_in)]
                    for i in range(len(t)) for c in range(s.k_out)])
@@ -90,9 +91,14 @@ def ref_factors(s: Supermap) -> np.ndarray:
             gap = b[m].conj().T @ b[n] - (np.diag(weights) if m == n else 0.0)
             inside = [np.linalg.norm(x) ** 2 for x in (gap, b[m].conj().T @ e[n], b[n].conj().T @ e[m])]
             worst = max(worst, np.sqrt(sum(inside)) + np.linalg.norm(e[m]) * np.linalg.norm(e[n]))
-    while cols and sum(weights[len(cols) - 1 :]) <= worst:
-        cols.pop()
-    return np.array(cols).T
+    kept = len(cols)
+    while kept and sum(weights[kept - 1 :]) <= worst:
+        kept -= 1
+    if kept:
+        low = sv[kept - 1] - SIGMA_CUTOFF * sv[0]
+        while kept < len(cols) and sv[kept] >= low:
+            kept += 1
+    return np.array(cols[:kept]).T
 
 
 def ref_effect_map_of(s: Supermap, tol: float = EQ_TOL) -> EffectMap:

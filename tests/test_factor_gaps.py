@@ -1,7 +1,8 @@
 """Frobenius gaps from triangular factors, against the code and loops they replaced.
 
 ``_factor_gaps`` returns ||R_i·J·R_j†||_F², for j >= i, of a stack of
-factors, checked against a loop over pairs at budgets down to one entry.
+factors, checked against a loop over pairs at budgets down to one entry,
+each product within max(budget, p²) entries.
 ``action_distance`` feeds it the triangular factors R_i of [A_i, B_i] with
 J = diag(I, −I), where the Q path (``ref_action_distance`` of
 ``test_kraus_array``) formed Q_i†A_i and Q_i†B_i; the two must agree within
@@ -11,7 +12,9 @@ arrays.  The certificate shares the budget, not the helper: its
 ``product_residual`` must keep the tolerance policy's bounds against the
 reference loops of ``test_closed_forms`` at the default budget and at one
 entry, where ``_singular_gaps`` takes one column block at a time.  Damage
-runs log-uniform over [1e-12, 1].
+runs log-uniform over [1e-12, 1].  ``_gram``, the effect-wise test's w†w
+from one real product, must match the complex product and be Hermitian to
+the bit.
 """
 
 import numpy as np
@@ -24,6 +27,7 @@ from supermaps.linalg import random_isometry
 from supermaps.supermap import (
     Supermap,
     _factor_gaps,
+    _gram,
     action_distance,
     determinism_certificate,
 )
@@ -94,8 +98,16 @@ def test_product_residual_matches_the_per_block_loop(dims, seed, kind, log_damag
 @pytest.mark.parametrize("p, q", [(1, 2), (2, 3), (3, 2)])
 @pytest.mark.parametrize("budget", [1, 4, 9, 13, 27, 36, 1 << 16])
 def test_factor_gaps_match_a_loop_over_pairs(monkeypatch, n, p, q, budget):
-    """Budgets from one entry up cut the rows of pairs at every block boundary."""
+    """Budgets from one entry up cut the rows of pairs at every block boundary, and
+    below one block row the columns too: no product exceeds max(budget, p²) entries."""
     monkeypatch.setattr(supermap, "_CHUNK", budget)
+    sizes, matmul = [], np.matmul
+
+    def recording(a, b, out):
+        sizes.append(out.size)
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", recording)
     rng = np.random.default_rng(n * 100 + p * 10 + q)
     r = rng.standard_normal((n, p, q)) + 1j * rng.standard_normal((n, p, q))
     sign = rng.choice([-1.0, 1.0], q)
@@ -110,3 +122,13 @@ def test_factor_gaps_match_a_loop_over_pairs(monkeypatch, n, p, q, budget):
         # Below the diagonal an entry holds its own gap, that of its transpose, or 0.
         lower = np.tril(got, -1)
         assert np.all((lower == 0) | np.isclose(lower, expected.T, rtol=1e-13, atol=1e-13))
+    assert max(sizes) <= max(budget, p * p)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (3, 7), (40, 16)])
+def test_gram_matches_the_complex_product(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g = _gram(w)
+    assert np.allclose(g, w.conj().T @ w, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(g, g.conj().T)  # Hermitian to the bit: vᵀv is symmetric

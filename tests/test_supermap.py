@@ -23,6 +23,8 @@ from supermaps.supermap import (
     EffectMap,
     NotDeterministicError,
     Supermap,
+    _factor_gaps,
+    _gram,
     _singular_gaps,
     action_distance,
     apply_supermap,
@@ -225,12 +227,17 @@ class TestIsDeterministic:
 
     def test_the_two_tests_stay_independent(self):
         # The effect-wise test is the cross-check of the certificate: neither
-        # may reach the other, directly or through the determinism gate.
+        # may reach the other, directly or through the determinism gate.  The
+        # effect-wise test may share _factor_gaps, action_distance's helper,
+        # and _gram, which name nothing of the certificate.
         names = is_deterministic_effectwise.__code__.co_names
-        for shared in ("determinism_certificate", "_certified", "DeterminismCertificate", "_factor_gaps",
-                       "_singular_gaps", "svd", "canonical_factors", "SIGMA_CUTOFF", "_basis",
-                       "product_residual", "rebuild_residual", "factors", "circuit_w", "choi_n"):
+        certificate_names = ("determinism_certificate", "_certified", "DeterminismCertificate",
+                             "_singular_gaps", "svd", "canonical_factors", "SIGMA_CUTOFF", "_basis",
+                             "product_residual", "rebuild_residual", "factors", "circuit_w", "choi_n")
+        for shared in certificate_names:
             assert shared not in names
+            assert shared not in _factor_gaps.__code__.co_names
+            assert shared not in _gram.__code__.co_names
         # The certificate's SVD is its cached basis; the residuals, factors, W and choi_n read it.
         cert = DeterminismCertificate
         codes = (determinism_certificate.__code__, _singular_gaps.__code__, cert._basis.func.__code__,
@@ -238,7 +245,8 @@ class TestIsDeterministic:
                  cert.factors.func.__code__,
                  cert.circuit_w.fget.__code__, cert.choi_n.func.__code__)
         for code in codes:
-            assert "is_deterministic_effectwise" not in code.co_names
+            for name in ("is_deterministic_effectwise", "_factor_gaps", "_gram"):
+                assert name not in code.co_names
 
     def test_cached_certificate_is_frozen(self):
         s = identity_supermap(2, 2)

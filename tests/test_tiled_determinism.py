@@ -1,17 +1,28 @@
 """The chunked determinism tests against their per-matrix-unit references.
 
-The effect-wise test walks its upper block triangle in tiles of at most
-``supermap._CHUNK`` entries.  The certificate walks the column blocks n
-of its singular basis, forming E_n and every B_m†B_n and B_m†E_n, in runs
-of at most that many entries (``_singular_gaps``).  The default budget makes every small supermap a
-single chunk, so here the budget is cut down to one entry, one block, one
-and a half blocks, two blocks and one block row of either test, and kept at
-the default.  The chunks then cut the rows and columns at every block
-boundary, and the effect-wise verdicts must still match the references of
-``test_closed_forms``, and the certificate the bounds and verdicts of
-``check_certificate``.  Supermaps whose Kraus entries overflow the squares
-the tests take must be rejected at every budget.  The last test holds both
-tests to a fixed memory budget at local dimension 16.
+The effect-wise test forms its diagonal blocks in runs of at most
+``supermap._CHUNK`` entries.  Its off-diagonal blocks go through one matmul
+over the whole block square where that square fills at most a quarter of
+the budget.  Above it they go through the triangular factors of one batched
+QR where those are at most half as wide as the blocks, and otherwise
+through the blocks themselves, both in the runs of ``_factor_gaps``: of
+rows, or, where one block row exceeds the budget, of columns.  The
+certificate walks the column blocks n of its singular basis, forming E_n
+and every B_m†B_n and B_m†E_n, in runs of at most that many entries
+(``_singular_gaps``).  The default budget makes every small supermap a
+single run, so here the budget is cut down to one entry, one block, one and
+a half blocks, two blocks and one block row of either test, and kept at the
+default and at the smallest budget that still takes the single matmul.  The
+runs then cut the rows and columns at every block boundary.  At each budget
+the effect-wise test also runs with ``np.linalg.qr`` replaced by the
+identity, which sends the off-diagonal blocks of a QR budget through the
+blocks themselves, so every budget that takes the QR path runs the direct
+path too.  The effect-wise verdicts must match the references of
+``test_closed_forms`` outside the band its tolerance policy states, and the
+certificate the bounds and verdicts of ``check_certificate``.  Supermaps
+whose Kraus entries overflow the squares the tests take must be rejected at
+every budget.  The last tests hold both tests to a fixed memory budget at
+local dimension 16, and the effect-wise test also where it takes no QR.
 """
 
 import tracemalloc
@@ -27,7 +38,6 @@ from supermaps.realization import CircuitRealization, circuit_to_supermap, reali
 from supermaps.supermap import (
     NotDeterministicError,
     Supermap,
-    _effectwise_tiles,
     determinism_certificate,
     effect_map_of,
     is_deterministic,
@@ -41,6 +51,8 @@ from test_closed_forms import (
     damaged_supermap,
     dims_st,
     effectwise_block_defect,
+    effectwise_damaged,
+    effectwise_outside_band,
     ref_effectwise,
     seed_st,
     spread,
@@ -50,26 +62,36 @@ from test_closed_forms import (
 def budgets(s):
     """Budgets that cut each test's chunks at every block boundary, and more coarsely.
 
-    Both tests have h_out blocks.  The effect-wise tiles are e x e,
-    e = h_in·k_in, h_out to a block row.  A column block n of the
-    certificate holds E_n, r·k_out x e, and B_m†B_n and B_m†E_n for every m,
-    h_out·ρ x (ρ + e), ρ the number of singular values the certificate keeps.
+    Both tests have h_out blocks.  The effect-wise test's diagonal blocks
+    are e x e, e = h_in·k_in, and its off-diagonal ones are measured in
+    runs of h_out blocks, each e x e or, through the QR, (r·k_out)²; it
+    takes one matmul over its block square from 4·(h_out·e)² entries on.
+    A column block n of the certificate holds E_n, r·k_out x e, and
+    B_m†B_n and B_m†E_n for every m, h_out·ρ x (ρ + e), ρ the number of
+    singular values the certificate keeps.
     """
-    e = s.h_in * s.k_in
+    e, r = s.h_in * s.k_in, len(s.kraus) * s.k_out
     rho = determinism_certificate(Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus)).factors.shape[1]
-    column = (len(s.kraus) * s.k_out + s.h_out * rho) * (rho + e)
-    out = {1, supermap._CHUNK}
-    for block, rows in ((e * e, 1), (column, s.h_out), (e * e, s.h_out)):
+    column = (r + s.h_out * rho) * (rho + e)
+    out = {1, supermap._CHUNK, 4 * (s.h_out * e) ** 2}
+    for block, rows in ((e * e, 1), (column, s.h_out), (e * e, s.h_out), (r * r, s.h_out)):
         out |= {block, 3 * block // 2, 2 * block, rows * block, rows * rows * block}
     return sorted(out)
 
 
 def check_against_references(s):
-    """Verdicts at two tolerances and the certificate of a fresh copy of s, against the references."""
+    """Verdicts at two tolerances and the certificate of a fresh copy of s, against the
+    references, with the effect-wise test on the budget's path and on the direct one."""
     fresh = Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus)
     check_certificate(s, determinism_certificate(fresh))
     for tol in (1e-8, 1e-6):
-        assert is_deterministic_effectwise(fresh, tol) == ref_effectwise(s, tol)
+        expected = ref_effectwise(s, tol)
+        verdicts = [is_deterministic_effectwise(fresh, tol)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "qr", lambda x, mode: x)
+            verdicts.append(is_deterministic_effectwise(fresh, tol))
+        for verdict in verdicts:
+            assert verdict == expected or (not verdict and not effectwise_outside_band(s, tol))
 
 
 @given(dims=dims_st, seed=seed_st, damage=st.sampled_from(DAMAGE))
@@ -122,21 +144,20 @@ def test_overflowing_kraus_sets_are_rejected_at_every_budget(dims, seed, damage,
                 realize(fresh)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 5])
-@pytest.mark.parametrize("side", [1, 2, 3])
+QR_DIMS = [(4, 4, 4, 1), (4, 2, 4, 1), (4, 3, 4, 1)]
+
+
 @pytest.mark.parametrize("chunk", [1, 4, 9, 13, 27, 36, 1 << 16])
-def test_tiles_cover_the_upper_triangle_once_within_budget(monkeypatch, rows, side, chunk):
+@pytest.mark.parametrize("dims", QR_DIMS + [(3, 2, 2, 2), (2, 4, 1, 3), (3, 3, 3, 3)])
+@pytest.mark.parametrize("damage", [0.0, 1e-7], ids=["intact", "off-diagonal1e-7"])
+def test_both_block_routes_match_the_references(monkeypatch, chunk, dims, damage):
+    """Fixed shapes, the first three with triangular factors at most half as wide as their
+    blocks, so that every budget below 4·(h_out·e)² takes the QR, the others not; an
+    off-diagonal defect of 1e-7 lies between the two tolerances the verdicts are taken at."""
+    s = effectwise_damaged(dims, 0, "off-diagonal" if damage else "scaled", damage)
     monkeypatch.setattr(supermap, "_CHUNK", chunk)
-    block = side * side
-    covered = []
-    for r0, r1, c0, c1 in _effectwise_tiles(rows, side):
-        size = (r1 - r0) * (c1 - c0) * block
-        assert size <= chunk or (r1 - r0, c1 - c0) == (1, 1)
-        covered += [(r, c) for r in range(r0, r1) for c in range(c0, c1)]
-    upper = [(r, c) for r, c in covered if c >= r]
-    assert sorted(upper) == [(r, c) for r in range(rows) for c in range(r, rows)]
-    # Only a tile holding the whole block square reaches below the diagonal.
-    assert len(covered) == len(upper) or len(covered) == rows * rows
+    assert (2 * len(s.kraus) * s.k_out <= s.h_in * s.k_in) == (dims in QR_DIMS)
+    check_against_references(s)
 
 
 @given(dims=dims_st, seed=seed_st, damage=st.sampled_from(DAMAGE))
@@ -168,7 +189,9 @@ def test_fixed_memory_budget_at_d16():
     """At (16,16,16,16) with 3 Kraus operators (3 MB stacked), each test peaks below 12 MB.
 
     Untiled, one row of the certificate peaked at 23 MB and one of the
-    effect-wise test at 31 MB.
+    effect-wise test at 31 MB.  The effect-wise test forms its diagonal
+    blocks in runs: all 16 at once would take 16 MB.  Here its triangular
+    factors are at most half as wide as its blocks, so it takes the QR.
     """
     rng = np.random.default_rng(16)
     v, w = random_isometry(48, 16, rng), random_isometry(48, 48, rng)
@@ -177,5 +200,22 @@ def test_fixed_memory_budget_at_d16():
     cert, cert_peak = traced_peak(certificate_with_gaps, s)
     effectwise, effectwise_peak = traced_peak(is_deterministic_effectwise, s)
     assert cert_peak <= 12e6 and effectwise_peak <= 12e6, (cert_peak, effectwise_peak)
-    # s is deterministic, so both tests ran over their whole triangle.
+    # s is deterministic, so both tests measured every block.
     assert cert.verdict() and effectwise
+
+
+def test_effectwise_memory_budget_without_the_qr_at_d16():
+    """At (16,16,16,3) with 43 Kraus operators (8.5 MB stacked) the effect-wise test peaks below 12 MB.
+
+    There 2·r·k_out = 258 exceeds e = 256, so the off-diagonal blocks are
+    measured through themselves, and one block row of them would take
+    16 MB: ``_factor_gaps`` cuts it into runs of columns.  One copy of the
+    Kraus array in the test's layout is the bulk of the peak.
+    """
+    rng = np.random.default_rng(16)
+    v, w = random_isometry(128, 16, rng), random_isometry(129, 128, rng)
+    s = circuit_to_supermap(CircuitRealization(v=v, w=w, dim_a=43, dim_b=8), (16, 16, 16, 3))
+    assert len(s.kraus) == 43 and 2 * 43 * 3 > 16 * 16
+    effectwise, effectwise_peak = traced_peak(is_deterministic_effectwise, s)
+    assert effectwise_peak <= 12e6, effectwise_peak
+    assert effectwise
