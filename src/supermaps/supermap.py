@@ -87,8 +87,8 @@ class DeterminismCertificate:
         return max(self.product_residual, self.tp_residual)
 
     @cached_property
-    def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
-        """(σ, Y, B, product_residual, ||E_m||) of the kept singular basis; see determinism_certificate."""
+    def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+        """(σ, Y, B, product_residual, rebuild_residual) of the kept basis; see determinism_certificate."""
         r, k_out, k_in, h_out, h_in = self.kraus.shape
         e = h_in * k_in
         # a[(i, c), (m, u, a)] = T[i, c, a, m, u]: A_m is the column block m.
@@ -96,7 +96,7 @@ class DeterminismCertificate:
         _, sv, yh = np.linalg.svd(a[:, :e], full_matrices=False)
         rank = int(np.count_nonzero(sv >= SIGMA_CUTOFF * sv[0]))
         sv, y = sv[:rank], canonical_factors(yh[:rank].conj().T)
-        b, bound, e_norm = _singular_gaps(a, y, sv)
+        b, bound, rebuild = _singular_gaps(a, y, sv)
         worst = np.max(bound)
         if sv[-1] ** 2 <= worst:  # drop the smallest σ_j while their sum of σ_j² is within it,
             rank = int(np.count_nonzero(np.cumsum(sv[::-1] ** 2)[::-1] > worst))
@@ -104,9 +104,9 @@ class DeterminismCertificate:
                 rank = int(np.count_nonzero(sv >= sv[rank - 1] - SIGMA_CUTOFF * sv[0]))
             if rank < len(sv):
                 sv, y = sv[:rank], y[:, :rank]
-                b, bound, e_norm = _singular_gaps(a, y, sv)
+                b, bound, rebuild = _singular_gaps(a, y, sv)
         bound.flat[:: h_out + 1] /= max(1.0, math.sqrt(np.dot(sv * sv, sv * sv)))  # ||Σ²||_F
-        return sv, y, b, float(np.max(bound)), e_norm
+        return sv, y, b, float(np.max(bound)), rebuild
 
     @property
     def product_residual(self) -> float:
@@ -118,11 +118,9 @@ class DeterminismCertificate:
     @property
     def rebuild_residual(self) -> float:
         """max||E_m||·(2·max||A_m|| + max||E_m||), at least the action distance between the
-        supermap and the one whose Kraus blocks are the B_m Y† that ``realize``'s circuit holds."""
-        _, _, b, _, e_norm = self._basis
-        parts = b.view(float).reshape(len(b), len(e_norm), -1)
-        eps = np.max(e_norm)  # ||A_m||² = ||B_m||² + ||E_m||²
-        return float(eps * (2 * np.sqrt(np.max(np.einsum("imz,imz->m", parts, parts) + e_norm**2)) + eps))
+        supermap and the one whose Kraus blocks are the B_m Y† that ``realize``'s circuit holds.
+        Both norms come from the E_m and B_m†B_m that ``_singular_gaps`` forms in its one pass."""
+        return self._basis[4]
 
     @cached_property
     def factors(self) -> np.ndarray:
@@ -146,22 +144,23 @@ class DeterminismCertificate:
 
 
 def _singular_gaps(a: np.ndarray, y: np.ndarray, sv: np.ndarray):
-    """(B, absolute bounds, ||E_m||) of the Kraus blocks a[:, (m, ·)] = A_m in the basis Y.
+    """(B, absolute bounds, rebuild bound) of the Kraus blocks a[:, (m, ·)] = A_m in the basis Y.
 
     B[(i, c), (m, j)] = (A_m y_j)[(i, c)].  Entry (m, n) of the bounds is
     sqrt(||G_mn||² + ||B_m†E_n||² + ||B_n†E_m||²) + ||E_m||·||E_n||, with
     G_mn = B_m†B_n − δ_mn·Σ² and E_n = A_n − B_n Y† formed explicitly: the
     first three are the parts of A_m†A_n − δ_mn·Y Σ² Y† inside and across
-    span(Y), the last bounds the part outside it.  The column blocks n are
-    walked in runs that hold E_n, every B_m†B_n and every B_m†E_n in at most
-    _CHUNK entries, or one block where a block is larger.
+    span(Y), the last bounds the part outside it.  The rebuild bound is
+    max||E_m||·(2·max||A_m|| + max||E_m||), ||A_m||² = Re tr(B_m†B_m) + ||E_m||².
+    The column blocks n are walked in runs that hold E_n, every B_m†B_n and
+    every B_m†E_n in at most _CHUNK entries, or one block where a block is larger.
     """
     rows, cols = a.shape
     e, rho = y.shape
     h = cols // e
     b = (a.reshape(rows * h, e) @ y).reshape(rows, h * rho)
     bh, yh, sq = b.conj().T, y.conj().T, sv * sv  # bh[(m, j), (i, c)]
-    gaps, cross, e_sq = np.empty((h, h)), np.empty((h, h)), np.empty(h)
+    gaps, cross, (e_sq, b_sq) = np.empty((h, h)), np.empty((h, h)), np.empty((2, h))
     step = max(1, _CHUNK // ((rows + h * rho) * (rho + e)))
     for n in range(0, h, step):
         k = min(step, h - n)
@@ -170,13 +169,15 @@ def _singular_gaps(a: np.ndarray, y: np.ndarray, sv: np.ndarray):
         parts = outside.view(float).reshape(rows, k, 2 * e)
         e_sq[n : n + k] = np.einsum("inz,inz->n", parts, parts)
         x = (bh @ b_n).reshape(h, rho, k, rho)
+        b_sq[n : n + k] = np.einsum("mjmj->m", x[n : n + k]).real  # ||B_m||², before Σ² leaves it
         np.einsum("mjmj->mj", x[n : n + k])[...] -= sq
         parts = x.view(float)
         gaps[:, n : n + k] = np.einsum("mjnz,mjnz->mn", parts, parts)
         parts = (bh @ outside.reshape(rows, k * e)).view(float).reshape(h, rho, k, 2 * e)
         cross[:, n : n + k] = np.einsum("mjnz,mjnz->mn", parts, parts)
-    e_norm = np.sqrt(e_sq)
-    return b, np.sqrt(gaps + cross + cross.T) + np.multiply.outer(e_norm, e_norm), e_norm
+    e_norm, eps = np.sqrt(e_sq), math.sqrt(np.max(e_sq))
+    rebuild = eps * (2 * math.sqrt(np.max(b_sq + e_sq)) + eps)  # ||A_m||² = ||B_m||² + ||E_m||²
+    return b, np.sqrt(gaps + cross + cross.T) + np.multiply.outer(e_norm, e_norm), rebuild
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,14 +304,12 @@ def is_deterministic_effectwise(s: Supermap, tol: float = EQ_TOL) -> bool:
     e = h_in·k_in.  Each off-diagonal block is measured whole,
     ||A_m†A_n||_F (the band of the tolerance policy).  A block square of at
     most _CHUNK / 4 entries is one matmul, which also holds the diagonal
-    blocks.  Above it, ``_factor_gaps`` measures ||R_m R_n†|| through one
-    batched QR where the triangular factors R_m of x_m = A_mᵀ = Q_m R_m are
-    at most half as wide as x_m (2·r·k_out <= e), else ||x_m x_n†||, and the
-    diagonal blocks are formed in runs of at most _CHUNK entries, or one
-    block.  C̄ is their mean where one run holds them all, else the probe's
-    Gram; each unit's diagonal gap is over max(1, ||N(|mu><nu|)||).  Shares
-    no code path with the certificate: ``_factor_gaps`` is
-    ``action_distance``'s helper.
+    blocks.  Above it, ``_factor_gaps`` measures ||x_m x_n†|| for
+    x_m = A_mᵀ, narrowed by its rule, and the diagonal blocks are formed in
+    runs of at most _CHUNK entries, or one block.  C̄ is their mean where one
+    run holds them all, else the probe's Gram; each unit's diagonal gap is
+    over max(1, ||N(|mu><nu|)||).  Shares no code path with the certificate:
+    ``_factor_gaps`` is ``action_distance``'s helper.
     """
     h_out, h_in, k_in = s.h_out, s.h_in, s.k_in
     e, r = h_in * k_in, len(s.kraus) * s.k_out
@@ -324,7 +323,7 @@ def is_deterministic_effectwise(s: Supermap, tol: float = EQ_TOL) -> bool:
         g = np.matmul(z.reshape(r, -1).conj().T, z.reshape(r, -1)).reshape(h_out, e, h_out, e)
         gaps = np.einsum("minj,minj->mn", g.view(float), g.view(float))
     else:
-        gaps = _factor_gaps(np.linalg.qr(x, mode="r") if 2 * r <= e else x)
+        gaps = _factor_gaps(x)
     np.fill_diagonal(gaps, 0.0)  # off the diagonal, ||A_m†A_n||², or 0 below it
     if not np.sqrt(np.max(gaps)) <= tol:
         return False
@@ -448,22 +447,24 @@ def _gram(w: np.ndarray) -> np.ndarray:
     return g
 
 
-def _factor_gaps(r: np.ndarray, sign: np.ndarray | float = 1.0) -> np.ndarray:
-    """Squared ||R_i·J·R_j†||_F over a stack R of shape (n, p, q), for j >= i; J = diag(sign).
+def _factor_gaps(x: np.ndarray, sign: np.ndarray | float = 1.0) -> np.ndarray:
+    """Squared ||X_i·J·X_j†||_F over a stack X of shape (n, p, q), for j >= i; J = diag(sign).
 
-    With X_i = Q_i R_i for Q_i of orthonormal columns, ||X_i J X_j†||_F =
-    ||R_i J R_j†||_F, so tall factors are measured through their triangular
-    ones.  The gap of (j, i) is that of (i, j), so a run of rows i >= i0 is
-    multiplied against the columns j >= i0 only, or, where one block row
-    exceeds _CHUNK entries, one row block against runs of column blocks:
-    each run is one matmul of conj(R_i)·J by R_jᵀ, of the same norm, into a
-    buffer of at most max(_CHUNK, p²) entries.  Entries with j < i hold their
-    gap inside such a run and 0 outside it.  Where R's rows reshape to a
-    view, as the effect-wise test's strided x_m do, only the run of rows
-    being conjugated is copied.
+    The narrowing rule: where each block is at least twice as tall as it is
+    wide (2·q <= p), the X_i are first replaced by their triangular factors R_i,
+    X_i = Q_i R_i from one batched QR, as ||X_i J X_j†||_F = ||R_i J R_j†||_F;
+    otherwise the blocks themselves are multiplied.  The gap of (j, i) is that
+    of (i, j), so a run of rows i >= i0 is multiplied against the columns
+    j >= i0 only, or, where one block row exceeds _CHUNK entries, one row block
+    against runs of column blocks: each run is one matmul of conj(X_i)·J by
+    X_jᵀ, of the same norm, into a buffer of at most max(_CHUNK, p²) entries,
+    p after narrowing.  Entries with j < i hold their gap inside such a run and
+    0 outside it.  Where the rows reshape to a view, as the effect-wise
+    test's strided x_m do, only the run of rows being conjugated is copied.
     """
-    n, p, q = r.shape
-    rows = r.reshape(n * p, q)
+    x = np.linalg.qr(x, mode="r") if 2 * x.shape[2] <= x.shape[1] else x
+    n, p, q = x.shape
+    rows = x.reshape(n * p, q)
     step = min(n, max(1, _CHUNK // (n * p * p)))  # row blocks per run
     width = max(1, _CHUNK // (step * p * p))  # column blocks per run; n or more unless step is 1
     buf = np.empty(step * p * min(n, width) * p, dtype=complex)
@@ -486,18 +487,17 @@ def action_distance(a: Supermap, b: Supermap) -> float:
     Supermaps with different Kraus lists can be the same map, so equality is
     decided by comparing actions on a spanning basis of input Choi operators.
     The action of ``a`` on |i><j| is A_i A_j†, where column k of A_i is column
-    i of the k-th Kraus operator; likewise B_i for ``b``.  With R_i the
-    triangular factor of [A_i, B_i] (a batched QR) and J = diag(I, −I),
-    ||A_i A_j† − B_i B_j†||_F = ||R_i J R_j†||_F (``_factor_gaps``).
-    Identical Kraus arrays give exactly 0.
+    i of the k-th Kraus operator; likewise B_i for ``b``.  With X_i = [A_i, B_i]
+    and J = diag(I, −I), ||A_i A_j† − B_i B_j†||_F = ||X_i J X_j†||_F, which
+    ``_factor_gaps`` measures, narrowed by its rule.  Identical Kraus arrays
+    give exactly 0.  Overflowing actions give NaN where ||X||_F² overflows
+    (inf − inf, in whatever order BLAS sums), else inf where only a gap does.
     """
     if (a.h_in, a.h_out, a.k_in, a.k_out) != (b.h_in, b.h_out, b.k_in, b.k_out):
         raise ValueError("supermaps act on different spaces")
     if np.array_equal(a.kraus, b.kraus):
         return 0.0
-    # [A_i, B_i] is column i of every Kraus operator of a, then of b: shape (d, k_out*k_in, r)
-    factors = np.linalg.qr(np.concatenate([a.kraus, b.kraus]).transpose(2, 1, 0), mode="r")
-    if not np.isfinite(frob(factors)):  # actions that overflow: inf − inf, in whatever order BLAS sums
-        return float("nan")
-    sign = np.repeat([1.0, -1.0], [len(a.kraus), len(b.kraus)])
-    return float(np.sqrt(np.max(_factor_gaps(factors, sign))))
+    # x[i] = [A_i, B_i], column i of every Kraus operator of a, then of b: shape (d, k_out*k_in, r)
+    x = np.concatenate([a.kraus, b.kraus]).transpose(2, 1, 0)
+    gap = np.max(_factor_gaps(x, np.repeat([1.0, -1.0], [len(a.kraus), len(b.kraus)])))
+    return float("nan") if not (np.isfinite(gap) or np.isfinite(frob(x))) else math.sqrt(gap)

@@ -13,6 +13,10 @@ k_in x k_in Gram, taken with the ``@`` operator, before any block of its
 contraction: every block product goes through ``np.matmul`` or
 ``np.linalg.qr``, so supermaps failing it must be rejected with both
 replaced by a stub that raises, and one that keeps it must reach the stub.
+``action_distance`` takes the batched QR only where it narrows the blocks
+[A_i, B_i], 2·(r_a + r_b) <= k_out·k_in: over {1..4}^4 and Kraus counts
+1..6 it must reach ``np.linalg.qr`` exactly there, and equal the Q-path
+reference on both sides of the rule.
 ``is_faithful`` reads Φ as a realignment of the probe's
 Hermitian part instead of rebuilding it from the probe's eigendecomposition:
 on probes at the edges of the density-matrix check, and with a singular
@@ -45,6 +49,7 @@ from supermaps.realization import realize
 from supermaps.supermap import (
     NotDeterministicError,
     Supermap,
+    action_distance,
     determinism_certificate,
     effect_map_of,
     is_deterministic,
@@ -52,6 +57,8 @@ from supermaps.supermap import (
 )
 
 from test_applications import realignment_rank
+from test_factor_gaps import mixed
+from test_kraus_array import ref_action_distance, tuple_form
 from test_closed_forms import (
     certificate_block_defect,
     check_certificate,
@@ -153,6 +160,40 @@ def test_effectwise_reaches_the_qr_when_identity_is_preserved(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", _no_blocks)
     with pytest.raises(AssertionError, match="reached the blocks"):
         is_deterministic_effectwise(s)
+
+
+# ---------------------------------------------------------------- action_distance's narrowing
+
+
+def test_action_distance_takes_the_qr_only_where_it_narrows(monkeypatch):
+    """Over {1..4}^4 and Kraus counts 1..6, the QR is reached exactly when
+    2·(r_a + r_b) <= k_out·k_in, and the distance equals the Q-path reference
+    within 1e-12·max(1, ref) on both sides of that rule and on its boundary."""
+    rng = np.random.default_rng(33)
+    qr, calls, sides = np.linalg.qr, [], set()
+
+    def recording(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    for dims in itertools.product(range(1, 5), repeat=4):
+        h_in, h_out, k_in, k_out = dims
+        for r_a, r_b in itertools.product(range(1, 7), repeat=2):
+            shape = (min(r_a, r_b), k_out * k_in, h_out * h_in)
+            base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            noise = rng.standard_normal((r_b, *shape[1:])) + 1j * rng.standard_normal((r_b, *shape[1:]))
+            a = Supermap(*dims, mixed(base, r_a, rng))
+            b = Supermap(*dims, mixed(base, r_b, rng) + 1e-3 * noise)
+            ref = ref_action_distance(tuple_form(a), tuple_form(b))
+            calls.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(np.linalg, "qr", recording)
+                got = action_distance(a, b)
+            side = np.sign(2 * (r_a + r_b) - k_out * k_in)
+            assert len(calls) == (side <= 0), (dims, r_a, r_b, calls)
+            assert abs(got - ref) <= 1e-12 * max(1.0, ref), (dims, r_a, r_b, got, ref)
+            sides.add(side)
+    assert sides == {-1, 0, 1}
 
 
 # ---------------------------------------------------------------- is_faithful's edge band

@@ -99,8 +99,9 @@ def check_certificate(s, cert=None):
     where ε = max||E_m||, E_m the part of A_m outside the right singular
     vectors y_j of A_0 that the certificate keeps (read from its ``factors``),
     and ε² <= (2√3 + 4√e)·Δ + 2e·(SIGMA_CUTOFF·σ_0)²: the band is linear in Δ.
-    ``tp_residual`` is within √(h_in / k_in)·Δ of the reference's.  Each bound
-    gets 1e-13·max(1, max||A_m||²) for rounding.
+    ``tp_residual`` is within √(h_in / k_in)·Δ of the reference's, and
+    ``rebuild_residual`` is ε·(2·max||A_m|| + ε) within 1e-12 relative.  Each
+    bound gets 1e-13·max(1, max||A_m||²) for rounding.
     """
     cert = cert or determinism_certificate(s)
     a = ref_blocks(s)
@@ -123,6 +124,8 @@ def check_certificate(s, cert=None):
     upper = 2 * np.sqrt(3) * gap + outside**2
     assert rho <= upper + slack
     assert outside**2 <= (2 * np.sqrt(3) + 4 * np.sqrt(e)) * gap + 2 * e * (SIGMA_CUTOFF * top) ** 2 + slack
+    rebuild = outside * (2 * size + outside)
+    assert abs(cert.rebuild_residual - rebuild) <= 1e-12 * rebuild + slack
     _, _, tp, lo, hi, _ = ref_certificate(s)
     shift = np.sqrt(s.h_in / s.k_in) * gap
     assert abs(cert.tp_residual - tp) <= shift + slack

@@ -1,13 +1,15 @@
 """Frobenius gaps from triangular factors, against the code and loops they replaced.
 
-``_factor_gaps`` returns ||R_i·J·R_j†||_F², for j >= i, of a stack of
-factors, checked against a loop over pairs at budgets down to one entry,
-each product within max(budget, p²) entries.
-``action_distance`` feeds it the triangular factors R_i of [A_i, B_i] with
+``_factor_gaps`` returns ||X_i·J·X_j†||_F², for j >= i, of a stack of
+blocks, checked against a loop over pairs at budgets down to one entry,
+each product within max(budget, p²) entries, on blocks it multiplies as
+they are and on blocks at least twice as tall as wide, which it narrows to
+their triangular factors first.
+``action_distance`` feeds it the blocks X_i = [A_i, B_i] with
 J = diag(I, −I), where the Q path (``ref_action_distance`` of
 ``test_kraus_array``) formed Q_i†A_i and Q_i†B_i; the two must agree within
 1e-12·max(1, ref) for Kraus counts r_a ≠ r_b, including counts whose sum
-exceeds k_out·k_in, where R_i is wide, and give exactly 0 on identical Kraus
+exceeds k_out·k_in, where X_i is wide, and give exactly 0 on identical Kraus
 arrays.  The certificate shares the budget, not the helper: its
 ``product_residual`` must keep the tolerance policy's bounds against the
 reference loops of ``test_closed_forms`` at the default budget and at one
@@ -95,11 +97,12 @@ def test_product_residual_matches_the_per_block_loop(dims, seed, kind, log_damag
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
-@pytest.mark.parametrize("p, q", [(1, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 3), (3, 2), (4, 2), (5, 1), (6, 3)])
 @pytest.mark.parametrize("budget", [1, 4, 9, 13, 27, 36, 1 << 16])
 def test_factor_gaps_match_a_loop_over_pairs(monkeypatch, n, p, q, budget):
     """Budgets from one entry up cut the rows of pairs at every block boundary, and
-    below one block row the columns too: no product exceeds max(budget, p²) entries."""
+    below one block row the columns too: no product exceeds max(budget, p²) entries.
+    The blocks with p >= 2·q are narrowed to their triangular factors first."""
     monkeypatch.setattr(supermap, "_CHUNK", budget)
     sizes, matmul = [], np.matmul
 
