@@ -19,6 +19,7 @@ from .linalg import (
     dag,
     is_density_matrix,
     isometry_residual,
+    kraus_sum,
     kron,
     numerical_rank,
     psd_factors,
@@ -31,7 +32,7 @@ from .operations import (
     is_channel,
     kraus_to_choi,
 )
-from .supermap import Supermap, dual_supermap
+from .supermap import Supermap
 from .testers import Tester, make_tester
 
 
@@ -187,7 +188,7 @@ def informationally_complete_tester_for(setup: TomographySetup, povm) -> Tester:
 
     Requires a faithful probe and an informationally complete POVM on the
     output state space; tester effects are the dual images of the POVM
-    elements and inherit informational completeness.
+    elements, in one ``kraus_sum``, and inherit informational completeness.
     """
     if not is_faithful(setup):
         raise ValueError("probe state is not faithful")
@@ -200,7 +201,7 @@ def informationally_complete_tester_for(setup: TomographySetup, povm) -> Tester:
             f"(rank {rank} of {d_out**2})"
         )
     s = tomography_supermap(setup)
-    effects = [dual_supermap(s, m) for m in povm]
+    effects = kraus_sum(s.kraus.conj().transpose(0, 2, 1), povm)
     return make_tester(effects, setup.h_out, setup.h_in)
 
 

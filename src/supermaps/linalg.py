@@ -260,10 +260,11 @@ def canonical_factors(v: np.ndarray) -> np.ndarray:
 def kraus_sum(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Operator sum sum_K K x K† over an array (r, rows, cols) of operators; 0 if r = 0.
 
-    One matmul pair per operator: at the sizes used here this is faster
-    than a stacked einsum.
+    x is one (cols, cols) matrix or a stack (..., cols, cols), summed each
+    with the bits of its own call.  One matmul pair per operator, accumulated
+    in place: at the sizes used here this is faster than a stacked einsum.
     """
-    out = np.zeros((ops.shape[1],) * 2, dtype=complex)
+    out = np.zeros(x.shape[:-2] + (ops.shape[1],) * 2, dtype=complex)
     for k in ops:
         out += k @ x @ dag(k)
     return out

@@ -12,10 +12,10 @@ by measuring A projectively and post-selecting:
     S_j(E)(rho) = Tr_A[ (I ⊗ P_j) W (E ⊗ I_B)(V rho V†) W† (I ⊗ P_j) ].
 
 Space-ordering convention: the composite after V is (B, H_in); the composite
-after W is (K_out, A).  ``_circuit_output`` evaluates the middle step E ⊗ I_B
+after W is (K_out, A).  ``run_circuit`` evaluates the middle step E ⊗ I_B
 as one contraction of E's Choi tensor with the (B, H_in) state, which lands
-directly on (H_out, B), the order W expects; no operator on the enlarged
-space is formed.
+directly on (H_out, B), the order W expects; ``delayed_reading_check`` takes
+the Kraus form W (E_j ⊗ I_B) V of every trial's channel in one pass instead.
 
 The construction reads the thin SVD A_0 = U Σ Y† of the determinism
 certificate through its ``factors`` and ``circuit_w``.  The effect map N has
@@ -43,10 +43,11 @@ from .linalg import (
     hermiticity_residual,
     isometry_residual,
     random_density,
+    random_isometry,
     readonly_copy,
     rel_residual,
 )
-from .operations import QuantumOperation, _check_ports, random_channel
+from .operations import QuantumOperation, _check_ports
 from .supermap import (
     Supermap,
     _certified,
@@ -224,15 +225,6 @@ def circuit_to_supermap(c: CircuitRealization, dims: tuple[int, int, int, int]):
     return maps
 
 
-def _circuit_output(c: CircuitRealization, op: QuantumOperation, rho: np.ndarray) -> np.ndarray:
-    """W (E ⊗ I_B)(V rho V†) W† on (K_out, A, K_out, A), before any measurement; unchecked."""
-    b, h_in, h_out = c.dim_b, c.h_in, c.h_out
-    state = (c.v @ rho @ dag(c.v)).reshape(b, h_in, b, h_in)  # on (B, H_in)
-    mid = np.einsum("namb,xayb->nxmy", op.choi4, state)  # on (H_out, B)
-    mid = mid.reshape(h_out * b, h_out * b)
-    return (c.w @ mid @ dag(c.w)).reshape(c.k_out, c.dim_a, c.k_out, c.dim_a)
-
-
 def run_circuit(
     c: CircuitRealization,
     op: QuantumOperation,
@@ -246,9 +238,9 @@ def run_circuit(
     (post-selection); the trace of the result is that outcome's probability.
     An outcome outside 0..len(projectors) − 1 raises ValueError.
 
-    The projector and the trace over A are one contraction on
-    ``_circuit_output``.  The circuit and the operation were validated at
-    construction, so nothing here is revalidated.
+    The projector and the trace over A are one contraction on the state
+    W (E ⊗ I_B)(V rho V†) W† on (K_out, A).  The circuit and the operation
+    were validated at construction, so nothing here is revalidated.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (c.k_in, c.k_in):
@@ -258,10 +250,11 @@ def run_circuit(
         if c.projectors is None:
             raise ValueError("circuit has no measurement projectors")
         if not 0 <= outcome < len(c.projectors):
-            raise ValueError(
-                f"outcome {outcome} out of range for {len(c.projectors)} projectors"
-            )
-    out = _circuit_output(c, op, rho)
+            raise ValueError(f"outcome {outcome} out of range for {len(c.projectors)} projectors")
+    b, h_in, h_out = c.dim_b, c.h_in, c.h_out
+    state = (c.v @ rho @ dag(c.v)).reshape(b, h_in, b, h_in)  # on (B, H_in)
+    mid = np.einsum("namb,xayb->nxmy", op.choi4, state).reshape(h_out * b, h_out * b)  # on (H_out, B)
+    out = (c.w @ mid @ dag(c.w)).reshape(c.k_out, c.dim_a, c.k_out, c.dim_a)
     if outcome is None:
         return np.einsum("kala->kl", out)
     p = c.projectors[outcome]
@@ -290,29 +283,35 @@ def delayed_reading_check(
 ) -> DelayedReadingReport:
     """Verify that one final ancilla measurement reproduces every alternative.
 
-    Over random channels and states, runs the joint realization of the parts
-    once per trial and reads every outcome from that one state.  Each outcome
-    is compared against its part's direct action, which is not validated as
-    an operation (a part within ``tol`` gives a residual, not an error), and
-    the total outcome probability against 1.
+    Draws a channel E (as ``random_channel`` does) and a state ρ per trial, and
+    checks every trial and outcome in one Kraus-form pass.  Part p's action is
+    sum F ρ F† over F = S_i·vec(E_j), S_i its Kraus operators; no operation is
+    built, so a part within ``tol`` of the contract gives a residual, not an
+    error.  The circuit's X = sum_j L_j ρ L_j†, L_j = W (E_j ⊗ I_B) V, is read
+    through its own projectors, Tr_A[X (I ⊗ P_p)], whose probabilities must
+    sum to 1.  Raises ValueError unless ``trials`` is at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     parts = list(parts)
     circuit = realize_probabilistic(parts, tol)
     rng = np.random.default_rng(seed)
-    worst_action = 0.0
-    worst_prob = 0.0
     h_in, h_out, k_in, k_out = circuit.h_in, circuit.h_out, circuit.k_in, circuit.k_out
-    for _ in range(trials):
-        rank = int(rng.integers(1, 4))
-        channel = random_channel(h_in, h_out, max(rank, -(-h_in // h_out)), rng)
-        rho = random_density(k_in, rng)
-        out = _circuit_output(circuit, channel, rho)
-        total_p = 0.0
-        for part, p in zip(parts, circuit.projectors):
-            choi4 = part.act(channel.choi).reshape(k_out, k_in, k_out, k_in)
-            direct = np.einsum("namb,ab->nm", choi4, rho)
-            circ = np.einsum("ab,kblc,ca->kl", p, out, p)
-            worst_action = _worst(worst_action, frob(direct - circ))
-            total_p += float(np.trace(circ).real)
-        worst_prob = _worst(worst_prob, abs(total_p - 1.0))
+    low = -(-h_in // h_out)  # the fewest Kraus operators a channel from H_in to H_out needs
+    e = np.zeros((trials, max(3, low), h_out, h_in), dtype=complex)  # E_j, padded with zeros
+    rho = np.empty((trials, k_in, k_in), dtype=complex)
+    for t in range(trials):
+        rank = max(int(rng.integers(1, 4)), low)
+        e[t, :rank] = random_isometry(h_out * rank, h_in, rng).reshape(h_out, rank, h_in).transpose(1, 0, 2)
+        rho[t] = random_density(k_in, rng)
+    kraus = np.concatenate([p.kraus for p in parts])
+    f = (e.reshape(-1, h_out * h_in) @ kraus.reshape(-1, h_out * h_in).T).reshape(*e.shape[:2], -1, k_out, k_in)
+    direct = np.einsum("tjikc,tjilc->tikl", f @ rho[:, None, None], f.conj())
+    direct = np.add.reduceat(direct, np.cumsum([0] + [len(p.kraus) for p in parts[:-1]]), axis=1)
+    v = circuit.v.reshape(circuit.dim_b, h_in, k_in).transpose(1, 0, 2).reshape(h_in, -1)
+    l = circuit.w @ (e.reshape(-1, h_in) @ v).reshape(*e.shape[:2], -1, k_in)
+    x = np.einsum("tjxc,tjyc->txy", l @ rho[:, None], l.conj()).reshape(trials, k_out, circuit.dim_a, k_out, -1)
+    circ = np.einsum("tkalb,pba->tpkl", x, circuit.projectors)
+    worst_action = _worst(0.0, *map(frob, (direct - circ).reshape(-1, k_out, k_out)))
+    worst_prob = _worst(0.0, *np.abs(np.einsum("tpkk->t", circ).real - 1.0).tolist())
     return DelayedReadingReport(trials, worst_action, worst_prob, tol)

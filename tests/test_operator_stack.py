@@ -3,12 +3,13 @@
 ``Tester.effects``, ``CircuitRealization.projectors`` and the results of
 ``check_povm`` and ``programmable_povm`` are each one read-only complex array
 of shape (n, rows, cols), built by ``linalg._operator_stack`` like every Kraus
-set.  The ``ref_*`` functions below are verbatim copies of the code that held
-these lists as tuples or lists of 2-D arrays and looped over them; only the
-names of the functions they call are changed to the copies', and where a
-copy built a tester it returns the effects it passed to ``make_tester``.  The
-properties check that the array form gives the same bits, and the same
-verdicts and messages, over shapes drawn from {1..4}.
+set, and ``informationally_complete_tester_for`` takes every dual image in one
+``kraus_sum`` over the POVM stack.  The ``ref_*`` functions below are verbatim
+copies of the code that held these lists as tuples or lists of 2-D arrays and
+looped over them; only the names of the functions they call are changed to the
+copies', and where a copy built a tester it returns the effects it passed to
+``make_tester``.  The properties check that the array form gives the same
+bits, and the same verdicts and messages, over shapes drawn from {1..4}.
 """
 
 from types import SimpleNamespace
@@ -18,12 +19,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supermaps.applications import programmable_povm
+from supermaps.applications import (
+    TomographySetup,
+    informationally_complete_tester_for,
+    programmable_povm,
+    tomography_supermap,
+)
 from supermaps.linalg import (
     EQ_TOL,
     check_povm,
+    dag,
     is_density_matrix,
     is_positive_semidefinite,
+    kraus_sum,
     numerical_rank,
     random_density,
     random_isometry,
@@ -146,6 +154,28 @@ def ref_programmable_povm(joint_povm, program: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def ref_kraus_sum(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out = np.zeros((ops.shape[1],) * 2, dtype=complex)
+    for k in ops:
+        out += k @ x @ dag(k)
+    return out
+
+
+def ref_ic_effects(setup, povm) -> list[np.ndarray]:
+    """informationally_complete_tester_for's effects: dual_supermap once per element."""
+    s = tomography_supermap(setup)
+    return [ref_kraus_sum(s.kraus.conj().transpose(0, 2, 1), m) for m in povm]
+
+
+def ic_povm(d, rng):
+    """d² generic positive operators normalized to sum to I: informationally complete."""
+    g = rng.standard_normal((d * d, d, d)) + 1j * rng.standard_normal((d * d, d, d))
+    gs = g @ g.conj().transpose(0, 2, 1)
+    w, v = np.linalg.eigh(gs.sum(axis=0))
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    return list(inv_sqrt @ gs @ inv_sqrt)
+
+
 def ref_projectors(parts):
     """realize_probabilistic's projectors, one 0/1 diagonal per part."""
     owner = np.repeat(np.arange(len(parts)), [len(p.kraus) for p in parts])  # part of each A index
@@ -214,3 +244,21 @@ def test_realize_probabilistic_projectors_match_the_per_part_diagonals(dims, n_p
     parts = split_fixture(dims, n_parts, seed)
     got = realize_probabilistic(parts).projectors
     assert same_bits(got, np.array(ref_projectors(parts))) and not got.flags.writeable
+
+
+@given(h_in=st.integers(1, 3), h_out=st.integers(1, 3), seed=seed_st)
+def test_ic_tester_effects_match_the_per_element_duals(h_in, h_out, seed):
+    rng = np.random.default_rng(seed)
+    setup = TomographySetup(random_density(h_in * h_in, rng), h_in, h_out)
+    povm = check_povm(ic_povm(h_out * h_in, rng))
+    got = informationally_complete_tester_for(setup, povm).effects
+    assert same_bits(got, np.array(ref_ic_effects(setup, povm)))
+
+
+@given(rows=dim_st, cols=dim_st, r=st.integers(0, 3), stack=st.tuples(dim_st, dim_st), seed=seed_st)
+def test_kraus_sum_over_a_stack_matches_one_call_per_matrix(rows, cols, r, stack, seed):
+    rng = np.random.default_rng(seed)
+    ops = rng.standard_normal((r, rows, cols)) + 1j * rng.standard_normal((r, rows, cols))
+    x = rng.standard_normal((*stack, cols, cols)) + 1j * rng.standard_normal((*stack, cols, cols))
+    want = np.array([ref_kraus_sum(ops, m) for m in x.reshape(-1, cols, cols)]).reshape(*stack, rows, rows)
+    assert same_bits(kraus_sum(ops, x), want)

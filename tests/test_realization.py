@@ -317,19 +317,40 @@ class TestDelayedReading:
         assert report.max_probability_residual <= 1e-10
 
     def test_nan_probability_residual_fails(self, rng, monkeypatch):
-        # Only the last trial's circuit output is NaN: a fold by max alone drops it.
-        original = sys.modules["supermaps.realization"]._circuit_output
-        runs = []
+        # Only the last trial's state is NaN: a fold by max alone drops it.
+        draws = []
 
-        def last_is_nan(c, op, rho):
-            runs.append(rho)
-            out = original(c, op, rho)
-            return out * np.nan if len(runs) == 3 else out
+        def last_is_nan(dim, seed):
+            draws.append(random_density(dim, seed))
+            return draws[-1] * np.nan if len(draws) == 3 else draws[-1]
 
-        monkeypatch.setattr("supermaps.realization._circuit_output", last_is_nan)
+        monkeypatch.setattr("supermaps.realization.random_density", last_is_nan)
         report = delayed_reading_check([random_circuit_supermap(rng)], trials=3, seed=2)
+        assert len(draws) == 3
         assert np.isnan(report.max_probability_residual) and np.isnan(report.max_action_residual)
         assert not report.passed
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_fewer_than_one_trial_is_rejected(self, rng, trials):
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            delayed_reading_check([random_circuit_supermap(rng)], trials=trials, seed=1)
+
+    def test_swapped_projectors_fail(self, rng, monkeypatch):
+        # The circuit side reads each outcome through the circuit's own projector,
+        # so a circuit measuring the parts in the wrong order fails the check.
+        s = random_circuit_supermap(rng, dim_a=3)
+        parts = [Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus[:1]),
+                 Supermap(s.h_in, s.h_out, s.k_in, s.k_out, s.kraus[1:])]
+        assert delayed_reading_check(parts, trials=3, seed=4).passed
+
+        def swapped(parts, tol):
+            c = realize_probabilistic(parts, tol)
+            return CircuitRealization(c.v, c.w, c.dim_a, c.dim_b, c.projectors[::-1], tol)
+
+        monkeypatch.setattr("supermaps.realization.realize_probabilistic", swapped)
+        report = delayed_reading_check(parts, trials=3, seed=4)
+        assert not report.passed and report.max_action_residual > 1e-3
+        assert report.max_probability_residual <= 1e-10  # the projectors still sum to I
 
 
 def ref_run_circuit(c, op, rho, outcome=None):
@@ -385,8 +406,11 @@ def ref_delayed_reading_check(parts, trials, seed, tol=linalg.EQ_TOL):
     trials=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_delayed_reading_matches_reference_bit_for_bit(dims, n_parts, trials, seed):
-    """One circuit run per trial, read at every outcome, against one run per outcome."""
+def test_delayed_reading_matches_reference(dims, n_parts, trials, seed):
+    """The Kraus-form pass over every trial and outcome against the Choi-form
+    run per outcome, on the same draws: both residuals within 1e-13 absolute
+    (rounding of two summation orders, 4.4e-16 at most in 400 draws), and the
+    same verdict at tol."""
     h_in, h_out, k_in, k_out = dims
     rng = np.random.default_rng(seed)
     dim_b = max(int(rng.integers(1, 3)), -(-k_in // h_in))
@@ -394,9 +418,10 @@ def test_delayed_reading_matches_reference_bit_for_bit(dims, n_parts, trials, se
     s = random_circuit_supermap(rng, dims, dim_a=dim_a, dim_b=dim_b)
     parts = [Supermap(*dims, ops) for ops in np.array_split(s.kraus, n_parts)]
     report = delayed_reading_check(parts, trials, seed)
-    expected = ref_delayed_reading_check(parts, trials, seed)
-    got = (report.max_action_residual, report.max_probability_residual)
-    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    action, prob = ref_delayed_reading_check(parts, trials, seed)
+    assert abs(report.max_action_residual - action) <= 1e-13
+    assert abs(report.max_probability_residual - prob) <= 1e-13
+    assert report.passed == (action <= report.tol and prob <= report.tol)
 
 
 class TestProjectorValidation:
