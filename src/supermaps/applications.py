@@ -210,13 +210,11 @@ def povm_as_channel(povm) -> QuantumOperation:
 
     Action: rho -> sum_n Tr[P_n rho] |n><n| with one register state per
     outcome; classical registers are diagonal-supported quantum systems.
+    Its Choi operator is sum_n |n><n| ⊗ herm(P_n)ᵀ, herm(P) = (P + P†)/2,
+    validated as an operation: ``check_povm`` bounds sum_n P_n only at EQ_TOL.
     """
     povm = check_povm(povm)
     n_out, d = povm.shape[:2]
-    ops = []
-    for n, p in enumerate(povm):
-        for f in psd_factors(p).T:
-            e = np.zeros((n_out, d), dtype=complex)
-            e[n, :] = f.conj()
-            ops.append(e)
-    return kraus_to_choi(KrausSet(d, n_out, ops))
+    choi = np.zeros((n_out, d, n_out, d), dtype=complex)
+    choi[np.arange(n_out), :, np.arange(n_out)] = (povm.transpose(0, 2, 1) + povm.conj()) / 2.0
+    return QuantumOperation(d, n_out, choi.reshape(n_out * d, n_out * d))

@@ -197,8 +197,10 @@ def circuit_to_supermap(c: CircuitRealization, dims: tuple[int, int, int, int]):
 
     ``dims`` is (h_in, h_out, k_in, k_out) and must match the isometries.
     Without projectors, returns the single (deterministic) supermap; with
-    projectors, returns one supermap per projector, grouping the ancilla
-    components in its range.
+    projectors, returns one supermap per projector P, whose Kraus operators
+    are K_a = sum_i P[a, i] S_i over the rows a of P that are not all zero
+    (one zero row for P = 0).  For Hermitian P, sum_a K_a E K_a† is
+    Tr_A[(I ⊗ P) X (I ⊗ P)], the post-selection ``run_circuit`` contracts.
 
     S_i = (I ⊗ <a_i| ⊗ I)(W ⊗ I)(I ⊗ Z), with Z the partial transpose of V
     on its second factor, is S_i[(k,c),(m,x)] = sum_b W[(k,i),(m,b)] V[(b,x),c].
@@ -213,16 +215,9 @@ def circuit_to_supermap(c: CircuitRealization, dims: tuple[int, int, int, int]):
     kraus = np.einsum("kimb,bxc->ikcmx", w4, v3).reshape(c.dim_a, k_out * k_in, h_out * h_in)
     if c.projectors is None:
         return Supermap(h_in, h_out, k_in, k_out, kraus)
-    maps = []
-    for p in c.projectors:
-        w, vecs = np.linalg.eigh((p + dag(p)) / 2.0)
-        u = vecs[:, w > 0.5]  # orthonormal basis of the projector's range
-        if u.shape[1]:
-            ops = np.einsum("ir,ikx->rkx", u.conj(), kraus)
-        else:
-            ops = np.zeros((1, *kraus.shape[1:]), dtype=complex)
-        maps.append(Supermap(h_in, h_out, k_in, k_out, ops))
-    return maps
+    # One contraction per projector: a stacked one would hold a copy of the Kraus array for each.
+    rows = [p[np.any(p, axis=1)] if np.any(p) else p[:1] for p in c.projectors]
+    return [Supermap(h_in, h_out, k_in, k_out, np.einsum("ai,ikx->akx", r, kraus)) for r in rows]
 
 
 def run_circuit(

@@ -14,7 +14,7 @@ from supermaps.applications import (
     sandwich_supermap,
     tomography_supermap,
 )
-from supermaps.linalg import kron, random_density, random_isometry
+from supermaps.linalg import ResidualError, hermiticity_residual, kron, random_density, random_isometry
 from supermaps.operations import (
     KrausSet,
     QuantumOperation,
@@ -398,3 +398,36 @@ class TestPovmAsChannel:
             povm_as_channel([np.eye(2), np.zeros((3, 3))])
         with pytest.raises(ValueError, match="empty"):
             povm_as_channel([])
+
+    def test_elements_at_the_hermiticity_edge_are_accepted(self):
+        # I/4 ± iδX, iX anti-Hermitian: each element's hermiticity residual is
+        # 9.0e-9, inside HERM_TOL, and the four sum to I exactly.  A Choi
+        # operator made of the plain transposes would read twice that, 1.8e-8.
+        delta = 9.0e-9 / (2 * np.sqrt(2))
+        povm = [I2 / 4 + sign * 1j * delta * X for sign in (1, 1, -1, -1)]
+        assert all(abs(hermiticity_residual(p) - 9.0e-9) <= 1e-15 for p in povm)
+        ch = povm_as_channel(povm)
+        assert hermiticity_residual(ch.choi) <= 1e-15
+        plain = np.zeros((4, 2, 4, 2), dtype=complex)
+        for n, p in enumerate(povm):
+            plain[n, :, n, :] = p.T
+        with pytest.raises(ValueError, match="not Hermitian"):
+            QuantumOperation(2, 4, plain.reshape(8, 8))
+
+    @pytest.mark.parametrize("excess, raises", [(5e-9, True), (5e-10, False)])
+    def test_sum_above_the_identity_is_bounded_at_pos_tol(self, excess, raises):
+        # check_povm accepts both sums (EQ_TOL); the operation's trace rule decides.
+        povm = [(1 + excess) / 2 * I2] * 2
+        if raises:
+            with pytest.raises(ResidualError, match=r"operation increases trace .* 5\.000e-09\)$"):
+                povm_as_channel(povm)
+        else:
+            assert povm_as_channel(povm).dim_out == 2
+
+    def test_zero_element_gives_a_zero_block(self, rng):
+        u = random_isometry(3, 3, rng)
+        p = u[:, :2] @ u[:, :2].conj().T
+        ch = povm_as_channel([p, np.zeros((3, 3)), np.eye(3) - p])
+        choi4 = ch.choi4
+        assert not np.any(choi4[1]) and not np.any(choi4[:, :, 1])
+        np.testing.assert_allclose(choi4[0, :, 0], p.T, rtol=0, atol=1e-15)

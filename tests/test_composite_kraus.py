@@ -1,12 +1,13 @@
 """Composite Kraus sets built by one contraction, against the former kron loops.
 
-``ref_interleave``/``ref_tensor_supermaps`` and
-``ref_kraus_from_circuit``/``ref_circuit_to_supermap`` are verbatim copies of
-the implementations that built each Kraus operator through ``kron`` and a
-Python loop.  The library now builds ``tensor_supermaps`` as one outer
-product of the stacked Kraus tensors and ``circuit_to_supermap`` as one
-contraction of W with V (plus one per projector's range vectors); the
-property tests check that both give the same Kraus operators.
+``ref_interleave``/``ref_tensor_supermaps`` and ``ref_kraus_from_circuit``
+are verbatim copies of the implementations that built each Kraus operator
+through ``kron`` and a Python loop; ``ref_circuit_to_supermap`` groups the
+circuit's Kraus operators by a loop over each projector's rows,
+sum_i P[a, i] S_i for every row a not all zero.  The library now builds
+``tensor_supermaps`` as one outer product of the stacked Kraus tensors and
+``circuit_to_supermap`` as one contraction of W with V (plus one per
+projector); the property tests check that both give the same Kraus operators.
 """
 
 import numpy as np
@@ -78,14 +79,8 @@ def ref_circuit_to_supermap(c: CircuitRealization, dims: tuple[int, int, int, in
         return Supermap(h_in, h_out, k_in, k_out, tuple(kraus))
     maps = []
     for p in c.projectors:
-        w, vecs = np.linalg.eigh((p + dag(p)) / 2.0)
-        cols = [vecs[:, j] for j in range(w.size) if w[j] > 0.5]
-        if cols:
-            ops = tuple(
-                sum(u[i].conjugate() * kraus[i] for i in range(c.dim_a)) for u in cols
-            )
-        else:
-            ops = (np.zeros_like(kraus[0]),)
+        rows = [a for a in range(c.dim_a) if np.any(p[a])] or [0]  # P = 0 keeps one zero row
+        ops = tuple(sum(p[a, i] * kraus[i] for i in range(c.dim_a)) for a in rows)
         maps.append(Supermap(h_in, h_out, k_in, k_out, ops))
     return maps
 

@@ -7,7 +7,9 @@ tuple of 2-D arrays and stacked it back where it needed an array; only the
 names of the functions they call are changed to the copies'.  They run on
 ``tuple_form(s)``, which holds the Kraus operators of ``s`` as such a tuple.
 The properties check that the array form gives the same bits:
-``tensor_supermaps``, ``sum_supermaps`` and ``circuit_to_supermap``.
+``tensor_supermaps``, ``sum_supermaps`` and ``circuit_to_supermap``.  The
+projector branch of ``ref_circuit_to_supermap`` is not a copy: it loops over
+the rows of each projector, sum_i P[a, i] S_i for every row a not all zero.
 ``ref_is_deterministic_effectwise`` is not a copy: the effect-wise test now
 measures each off-diagonal (m, n) block of output effects as a whole, so it
 is an independent loop over those blocks that uses none of the library's
@@ -42,7 +44,6 @@ from hypothesis import strategies as st
 
 from supermaps.linalg import (
     EQ_TOL,
-    dag,
     frob,
     isometry_residual,
     psd_factors,
@@ -255,13 +256,9 @@ def ref_circuit_to_supermap(c: CircuitRealization, dims: tuple[int, int, int, in
         return Supermap(h_in, h_out, k_in, k_out, tuple(kraus))
     maps = []
     for p in c.projectors:
-        w, vecs = np.linalg.eigh((p + dag(p)) / 2.0)
-        u = vecs[:, w > 0.5]  # orthonormal basis of the projector's range
-        if u.shape[1]:
-            ops = np.einsum("ir,ikx->rkx", u.conj(), kraus)
-        else:
-            ops = np.zeros((1, *kraus.shape[1:]), dtype=complex)
-        maps.append(Supermap(h_in, h_out, k_in, k_out, tuple(ops)))
+        rows = [a for a in range(c.dim_a) if np.any(p[a])] or [0]  # P = 0 keeps one zero row
+        ops = tuple(sum(p[a, i] * kraus[i] for i in range(c.dim_a)) for a in rows)
+        maps.append(Supermap(h_in, h_out, k_in, k_out, ops))
     return maps
 
 

@@ -1,4 +1,4 @@
-"""psd_factors against the eigh-and-cutoff step it replaced at six call sites.
+"""psd_factors against the eigh-and-cutoff step it replaced at five call sites.
 
 ``ref_spectrum`` is the step each site used to spell out: the sorted,
 phase-fixed eigendecomposition (``ref_eigh_sorted``, a per-column loop in
@@ -8,7 +8,9 @@ kept eigenvectors by sqrt(w).  Every fixture puts one eigenvalue a factor
 factors would differ from the reference by about POS_TOL, far above the
 1e-12 the comparisons allow.  The effect map, whose factors come from an SVD
 of the supermap's Kraus block cut on the singular values, is held to the
-exact Kraus operators of the channel it is built from instead.
+exact Kraus operators of the channel it is built from instead, and
+``povm_as_channel``, which factors nothing, to its closed form
+sum_n |n><n| ⊗ herm(P_n)ᵀ on the same near-cutoff fixtures.
 """
 
 import numpy as np
@@ -191,11 +193,7 @@ def test_tomography_probe_factors(rng, h_in, h_out, sign):
 def test_povm_as_channel(rng, d, sign):
     p0 = with_spectrum(state_spectrum(d, sign), rng)
     povm = [p0, np.eye(d) - p0]
-    ops = []
-    for n, p in enumerate(povm):
-        for f in ref_factors(p):
-            e = np.zeros((2, d), dtype=complex)
-            e[n, :] = f.conj()
-            ops.append(e)
-    expected = kraus_to_choi(KrausSet(d, 2, tuple(ops))).choi
+    expected = np.zeros((2 * d, 2 * d), dtype=complex)
+    for n, p in enumerate(povm):  # |n><n| ⊗ herm(P_n)ᵀ: the eigenvalue near the cutoff is kept
+        expected[n * d:(n + 1) * d, n * d:(n + 1) * d] = ((p + p.conj().T) / 2).T
     np.testing.assert_allclose(povm_as_channel(povm).choi, expected, rtol=0, atol=1e-12)

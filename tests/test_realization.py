@@ -492,6 +492,67 @@ class TestProjectorValidation:
         assert action_distance(total, rotated) <= 1e-8
 
 
+@given(
+    dims=st.tuples(*(st.integers(1, 4) for _ in range(4))),
+    n_parts=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_probabilistic_parts_come_back_in_ancilla_order(dims, n_parts, seed, data):
+    """Each part rebuilt from realize_probabilistic's 0/1 projectors is, to the
+    bit, its own rows of the unmeasured circuit's Kraus array."""
+    h_in, h_out, k_in, k_out = dims
+    rng = np.random.default_rng(seed)
+    dim_b = max(int(rng.integers(1, 3)), -(-k_in // h_in))
+    dim_a = max(n_parts, int(rng.integers(1, 5)), -(-(h_out * dim_b) // k_out))
+    s = random_circuit_supermap(rng, dims, dim_a=dim_a, dim_b=dim_b)
+    cuts = sorted(data.draw(st.sets(st.integers(1, dim_a - 1), min_size=n_parts - 1, max_size=n_parts - 1)))
+    bounds = [0, *cuts, dim_a]
+    parts = [Supermap(*dims, s.kraus[a:b]) for a, b in zip(bounds, bounds[1:])]
+    c = realize_probabilistic(parts)
+    whole = circuit_to_supermap(CircuitRealization(c.v, c.w, c.dim_a, c.dim_b), dims).kraus
+    rebuilt = circuit_to_supermap(c, dims)
+    assert len(rebuilt) == n_parts
+    for part, a, b in zip(rebuilt, bounds, bounds[1:]):
+        assert part.kraus.tobytes() == whole[a:b].tobytes()
+
+
+@given(
+    dims=st.tuples(*(st.integers(1, 4) for _ in range(4))),
+    dim_a=st.integers(1, 4),
+    dim_b=st.integers(1, 3),
+    basis=st.sampled_from(["diagonal", "block", "rotated"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_each_part_is_the_post_selected_circuit(dims, dim_a, dim_b, basis, seed, data):
+    """Part j acts as run_circuit post-selected on P_j, within 1e-12, with one
+    Kraus operator per row of P_j not all zero (one for P_j = 0).  Projectors
+    are 0/1 diagonals, turned by a unitary on A ("rotated") or on its leading
+    block only, so some rows stay zero ("block"); the last one is always 0."""
+    h_in, h_out, k_in, k_out = dims
+    dim_b = max(dim_b, -(-k_in // h_in))
+    dim_a = max(dim_a, -(-(h_out * dim_b) // k_out))
+    rng = np.random.default_rng(seed)
+    v = random_isometry(dim_b * h_in, k_in, rng)
+    w = random_isometry(k_out * dim_a, h_out * dim_b, rng)
+    labels = data.draw(st.lists(st.integers(0, dim_a - 1), min_size=dim_a, max_size=dim_a))
+    u = np.eye(dim_a, dtype=complex)
+    turned = data.draw(st.integers(1, dim_a)) if basis == "block" else dim_a * (basis == "rotated")
+    if turned:
+        u[:turned, :turned] = random_isometry(turned, turned, rng)
+    projs = [u @ np.diag([1.0 if x == g else 0.0 for x in labels]) @ dag(u) for g in range(max(labels) + 1)]
+    c = CircuitRealization(v, w, dim_a, dim_b, projectors=[*projs, np.zeros((dim_a, dim_a))])
+    op = random_channel(h_in, h_out, max(int(rng.integers(1, 4)), -(-h_in // h_out)), rng)
+    rho = random_density(k_in, rng)
+    parts = circuit_to_supermap(c, dims)
+    assert len(parts) == len(c.projectors)
+    for j, (part, p) in enumerate(zip(parts, c.projectors)):
+        assert len(part.kraus) == max(1, int(np.sum(np.any(p, axis=1))))
+        out = apply_operation(apply_supermap(part, op), rho)
+        assert np.max(np.abs(out - run_circuit(c, op, rho, j))) <= 1e-12
+
+
 DIM = st.integers(1, 3)
 
 
