@@ -8,8 +8,8 @@ A ValueError from a handler is a failed check: ``main`` alone turns it into
 the failing report, whose residual is the one a ``ResidualError`` carries, or
 0.  The argument parser is built once per process; each call looks its
 ``cmd_*`` handler up by subcommand name, so a replaced handler is the one
-that runs.  Matrices are handed to ``io`` as arrays, which it writes
-without building nested lists.
+that runs.  Matrices, in ``--out`` files and in reports, are written in
+``io``'s exact base64 form; each payload is encoded once.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def cmd_check_op(args) -> dict:
 def cmd_kraus2choi(args) -> dict:
     dim_in, dim_out, ops = io.kraus_set_from_json(io.load_json(args.path))
     op = kraus_to_choi(KrausSet(dim_in, dim_out, ops))
-    payload = io.Rendered(io._operation_doc(op.dim_in, op.dim_out, op.choi))
+    payload = io.Rendered(io.operation_to_json(op.dim_in, op.dim_out, op.choi))
     details: dict = {"operation": payload}
     _write_out(args, details, ("operation.json", payload))
     return _report("kraus2choi", True, 0.0, details)
@@ -123,7 +123,7 @@ def cmd_choi2kraus(args) -> dict:
     op = QuantumOperation(dim_in, dim_out, choi)
     kraus = choi_to_kraus(op)
     roundtrip = frob(kraus_to_choi(kraus).choi - op.choi)
-    payload = io.Rendered(io._kraus_set_doc(dim_in, dim_out, kraus.operators))
+    payload = io.Rendered(io.kraus_set_to_json(dim_in, dim_out, kraus.operators))
     details: dict = {"kraus_count": len(kraus.operators), "kraus": payload}
     _write_out(args, details, ("kraus.json", payload))
     return _report("choi2kraus", roundtrip <= args.tol, roundtrip, details)
@@ -254,7 +254,7 @@ def cmd_program_channel(args) -> dict:
     dev = ProgrammableDevice(unitary=u, dim_sys=args.dim_sys, dim_prog=sigma.shape[0])
     op = programmable_channel(dev, sigma)
     gap = frob(effect_of(op) - np.eye(op.dim_in))
-    payload = io.Rendered(io._operation_doc(op.dim_in, op.dim_out, op.choi))
+    payload = io.Rendered(io.operation_to_json(op.dim_in, op.dim_out, op.choi))
     details = {"channel_residual": gap, "operation": payload}
     _write_out(args, details, ("operation.json", payload))
     # is_channel's rule on the same effect: rel_residual(effect, I) <= tol.

@@ -1,10 +1,11 @@
 """Bit-exact JSON file formats for matrices, operations and supermaps.
 
-All numbers are written with 17 significant digits, which round-trips every
-IEEE double except the sign of zero: -0.0 is written as ``-0``, which JSON
-reads back as the integer 0, so it loads as +0.0.  Schemas:
+A matrix is written as the base64 text of its row-major little-endian
+complex128 bytes, 16·rows·cols of them, which keeps every double bit for
+bit, -0.0 included.  Schemas:
 
-    MatrixFile    {"rows": r, "cols": c, "data": [[re, im], ...]}   row-major
+    MatrixFile    {"rows": r, "cols": c, "c16": "<base64>"}           written
+                  {"rows": r, "cols": c, "data": [[re, im], ...]}     read too
     OperationFile {"dim_in": d, "dim_out": e, "choi": MatrixFile}
     KrausFile     {"dim_in": d, "dim_out": e, "kraus": [MatrixFile, ...]}
     SupermapFile  {"h_in": ., "h_out": ., "k_in": ., "k_out": .,
@@ -13,21 +14,23 @@ reads back as the integer 0, so it loads as +0.0.  Schemas:
                    "details": object}
 
 Writing.  A two-dimensional numpy array anywhere in a document is written as
-its MatrixFile, straight from the array: one finiteness check on the array,
-one flat sequence of floats, one "%.17g" template.  The ``data`` lists that
-``matrix_to_json`` returns are written by the same template after scans of
-their types and lengths.  Each payload is formatted once: ``dumps17``
-splices a ``Rendered`` text into the document around it by indenting its
-lines, so a payload written to a file and quoted in a report costs one
-"%.17g" pass.
+its ``matrix_to_json`` document; a non-finite matrix is refused.  Other
+floats are written with 17 significant digits.  Each payload is encoded
+once: ``dumps17`` splices a ``Rendered`` text into the document around it
+by indenting its lines, so a payload written to a file and quoted in a
+report costs one pass.
 
-Reading.  ``data`` whose entries are all lists of two plain ints or floats
-(three scans) is converted in one flat pass and checked finite as a whole;
-any other ``data`` goes entry by entry, and the first bad entry is named.
+Reading.  A matrix gives exactly one of ``c16`` and ``data``.  ``c16`` must
+be strict base64 of exactly 16·rows·cols bytes, all entries finite.  The
+text form ``data``, which older files hold, is still read: entries that are
+all lists of two plain ints or floats (three scans) are converted in one
+flat pass and checked finite as a whole; any other ``data`` goes entry by
+entry, and the first bad entry is named.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from itertools import chain
@@ -60,33 +63,12 @@ class Rendered:
 _NON_FINITE = "refusing to serialize a non-finite number"
 
 
-def _pair_rows(flat: tuple, pad: str) -> str:
-    """Matrix data from its floats re0, im0, re1, ...: one [re, im] pair a line.
-
-    The generic list branch of ``_render`` gives the same text one number at
-    a time ("%.17g" is the routine format() uses).
-    """
-    sep = ",\n" + pad + "  "
-    body = sep.join(["[%.17g, %.17g]"] * (len(flat) // 2)) % flat
-    return "[\n" + pad + "  " + body + "\n" + pad + "]"
-
-
 def _render(obj, indent: int) -> str:
     pad = "  " * indent
     if isinstance(obj, Rendered):
         return obj.text.replace("\n", "\n" + pad) if pad else obj.text
     if isinstance(obj, np.ndarray):
-        # The text of matrix_to_json(obj), without building its nested lists.
-        m = np.ascontiguousarray(obj, dtype=complex)
-        _need(m.ndim == 2, "matrix must be two-dimensional")
-        flat = m.reshape(-1).view(float)
-        if not np.isfinite(flat).all():
-            raise ValueError(_NON_FINITE)
-        inner = pad + "  "
-        return (
-            f'{{\n{inner}"rows": {m.shape[0]},\n{inner}"cols": {m.shape[1]},\n{inner}"data": '
-            + _pair_rows(tuple(flat.tolist()), inner) + "\n" + pad + "}"
-        )
+        return _render(matrix_to_json(obj), indent)
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -103,15 +85,6 @@ def _render(obj, indent: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if (
-            set(map(type, obj)) == {list}
-            and set(map(len, obj)) == {2}
-            and set(map(type, chain.from_iterable(obj))) == {float}
-        ):
-            flat = tuple(chain.from_iterable(obj))
-            if not all(map(math.isfinite, flat)):
-                raise ValueError(_NON_FINITE)
-            return _pair_rows(flat, pad)
         if all(
             isinstance(x, (int, float, np.integer, np.floating))
             and not isinstance(x, (bool, np.bool_))
@@ -132,7 +105,7 @@ def _render(obj, indent: int) -> str:
 
 
 def dumps17(obj) -> str:
-    """JSON text with floats at 17 significant digits."""
+    """JSON text with floats at 17 significant digits and arrays as ``matrix_to_json`` documents."""
     return _render(obj, 0)
 
 
@@ -152,18 +125,36 @@ def _pos_int(obj, key: str) -> int:
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     _need(m.ndim == 2, "matrix must be two-dimensional")
+    if not np.isfinite(m).all():
+        raise ValueError(_NON_FINITE)
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist(),
+        "c16": base64.b64encode(np.ascontiguousarray(m, dtype="<c16").tobytes()).decode("ascii"),
     }
+
+
+def _c16_matrix(payload, rows: int, cols: int) -> np.ndarray:
+    _need(isinstance(payload, str), "'c16' must be a base64 string")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise FileFormatError("'c16' is not valid base64") from None
+    _need(len(raw) == 16 * rows * cols, f"'c16' must hold {16 * rows * cols} bytes")
+    out = np.frombuffer(raw, dtype="<c16").astype(complex)  # a writable copy, in native order
+    if not np.isfinite(out).all():
+        raise FileFormatError(f"entry {np.flatnonzero(~np.isfinite(out))[0]} is not finite")
+    return out.reshape(rows, cols)
 
 
 def matrix_from_json(obj) -> np.ndarray:
     _need(isinstance(obj, dict), "matrix must be a JSON object")
     rows = _pos_int(obj, "rows")
     cols = _pos_int(obj, "cols")
-    _need("data" in obj and isinstance(obj["data"], list), "missing 'data' array")
+    _need(("c16" in obj) != ("data" in obj), "matrix must give exactly one of 'c16' and 'data'")
+    if "c16" in obj:
+        return _c16_matrix(obj["c16"], rows, cols)
+    _need(isinstance(obj["data"], list), "missing 'data' array")
     data = obj["data"]
     _need(len(data) == rows * cols, f"'data' must hold {rows * cols} entries")
     # Pairs of plain ints and floats (no bool, str or None) decode in one flat
@@ -200,13 +191,8 @@ def matrix_from_json(obj) -> np.ndarray:
     return out.reshape(rows, cols)
 
 
-def _operation_doc(dim_in: int, dim_out: int, choi) -> dict:
-    """An OperationFile document; ``choi`` as an array is written straight from it."""
-    return {"dim_in": dim_in, "dim_out": dim_out, "choi": choi}
-
-
 def operation_to_json(dim_in: int, dim_out: int, choi: np.ndarray) -> dict:
-    return _operation_doc(dim_in, dim_out, matrix_to_json(choi))
+    return {"dim_in": dim_in, "dim_out": dim_out, "choi": matrix_to_json(choi)}
 
 
 def operation_from_json(obj) -> tuple[int, int, np.ndarray]:
@@ -221,13 +207,8 @@ def operation_from_json(obj) -> tuple[int, int, np.ndarray]:
     return dim_in, dim_out, choi
 
 
-def _kraus_set_doc(dim_in: int, dim_out: int, operators) -> dict:
-    """A KrausFile document; operators as arrays are written straight from them."""
-    return {"dim_in": dim_in, "dim_out": dim_out, "kraus": list(operators)}
-
-
 def kraus_set_to_json(dim_in: int, dim_out: int, operators) -> dict:
-    return _kraus_set_doc(dim_in, dim_out, map(matrix_to_json, operators))
+    return {"dim_in": dim_in, "dim_out": dim_out, "kraus": [matrix_to_json(k) for k in operators]}
 
 
 def _kraus_list(obj, shape: tuple[int, int]) -> list[np.ndarray]:

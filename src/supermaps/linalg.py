@@ -26,7 +26,7 @@ Tolerance policy, shared by the whole package:
   sigma_0 of one kept: equal sigma_j stay or go together, so the residual
   does not depend on the SVD's basis among them.  Dropping moves the action
   by about sigma_j sigma_0, which ``realize`` bounds at ``tol``
-  (``rebuild_residual``, then ``realization._action_gap``);
+  (``rebuild_residual``, then the exact ``action_distance``);
 - hermiticity is measured only where it can fail: matrices given to the
   positivity rule, Choi operators in ``choi_residuals`` and ancilla
   projectors (at ``tol``).  Matrices Hermitian by construction up to rounding

@@ -23,7 +23,7 @@ the canonical Kraus operators N_j, the columns σ_j·y_j unvectorized; V is the
 partial transpose of Z = sum_j |b_j> ⊗ N_j† on its second factor.  W's
 column (m, j) is A_m y_j / σ_j, so W V rebuilds each Kraus block A_m up to
 its part E_m outside the span of Y, and ``realize`` bounds what that does
-to the action (``rebuild_residual``, then ``_action_gap``).
+to the action (``rebuild_residual``, then ``action_distance``).
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .operations import QuantumOperation, _check_ports
 from .supermap import (
     Supermap,
     _certified,
+    action_distance,
     determinism_certificate,
     is_deterministic,  # noqa: F401 (unused; the benchmark's tracer test patches it here)
     sum_supermaps,
@@ -137,21 +138,6 @@ def _isometries(s: Supermap, tol: float) -> tuple[np.ndarray, np.ndarray, int, i
     return v, cert.circuit_w, dim_a, dim_b
 
 
-def _action_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Upper bound on action_distance between Kraus arrays aligned index by index.
-
-    With X_p the column p of every Kraus operator of x, side by side, and
-    F = A − B: ||A_p A_q† − B_p B_q†|| <= ||F_p A_q†|| + ||A_p F_q†|| + ||F_p F_q†||,
-    each ||X_p Y_q†||² = Tr[(X_p†X_p)(Y_q†Y_q)] from r x r Gram matrices.  So
-    a Kraus operator that differs only where it is small moves it to second order.
-    """
-    f = a - b
-    gf, ga = (np.einsum("iap,jap->pij", x.conj(), x).reshape(x.shape[2], -1) for x in (f, a))
-    cross = np.sqrt(np.maximum((gf @ ga.conj().T).real, 0.0))
-    inner = np.sqrt(np.maximum((gf @ gf.conj().T).real, 0.0))
-    return float(np.max(cross + cross.T + inner))
-
-
 def realize(s: Supermap, tol: float = EQ_TOL) -> CircuitRealization:
     """Factor a deterministic supermap into isometries V and W.
 
@@ -161,15 +147,15 @@ def realize(s: Supermap, tol: float = EQ_TOL) -> CircuitRealization:
     ``tol`` governs determinism, the V/W isometry residuals (kept as
     ``v_residual``/``w_residual``; V's measures the effect map's identity
     preservation) and the action gap between the supermap it rebuilds and s:
-    the certificate's ``rebuild_residual``, or ``_action_gap`` where that exceeds tol.
+    the certificate's ``rebuild_residual``, or ``action_distance`` where that exceeds tol.
     Raises NotDeterministicError for non-deterministic input, ValueError
     naming the residual for numerically inconsistent input.
     """
     circuit = CircuitRealization(*_isometries(s, tol), tol=tol)
     # W V rebuilds each A_m up to E_m, the part the certificate dropped; the action sees it
-    # linearly.  The certificate's block norms decide most calls, the Gram form the rest.
+    # linearly.  The certificate's block norms decide most calls, the exact distance the rest.
     if not determinism_certificate(s).rebuild_residual <= tol:
-        residual = _action_gap(s.kraus, circuit_to_supermap(circuit, (s.h_in, s.h_out, s.k_in, s.k_out)).kraus)
+        residual = action_distance(circuit_to_supermap(circuit, (s.h_in, s.h_out, s.k_in, s.k_out)), s)
         if not residual <= tol:
             raise ResidualError(f"circuit does not rebuild the supermap (residual {residual:.3e})", residual)
     return circuit

@@ -36,7 +36,14 @@ from supermaps.operations import (
     kraus_to_choi,
     random_channel,
 )
-from supermaps.supermap import Supermap, determinism_certificate, effect_map_of, identity_supermap
+from supermaps.realization import circuit_to_supermap, realize
+from supermaps.supermap import (
+    Supermap,
+    action_distance,
+    determinism_certificate,
+    effect_map_of,
+    identity_supermap,
+)
 from supermaps.testers import prepare_measure_tester
 
 from conftest import I2, X, Y, Z, bell_projector
@@ -633,19 +640,30 @@ def _payload_case(command, rng, tmp_path):
         return argv, is_channel(op), gap, details, {"operation.json": payload}
     path = put("map.json", sio.supermap_to_json(random_circuit_supermap(rng, (2, 3, 1, 2))))
     s = sio.supermap_from_json(sio.load_json(path))
+    if command == "realize":
+        circuit = realize(s)
+        distance = action_distance(circuit_to_supermap(circuit, (2, 3, 1, 2)), s)
+        meta = {"dim_a": circuit.dim_a, "dim_b": circuit.dim_b, "roundtrip_residual": distance,
+                "v_isometry_residual": circuit.v_residual, "w_isometry_residual": circuit.w_residual}
+        files = {"v.json": sio.matrix_to_json(circuit.v), "w.json": sio.matrix_to_json(circuit.w), "meta.json": meta}
+        residual = max(distance, circuit.v_residual, circuit.w_residual)
+        return [command, path], distance <= EQ_TOL, residual, meta, files
     payload = [sio.matrix_to_json(n) for n in effect_map_of(s).kraus]
     details = {"kraus_count": len(payload), "kraus": payload}
     files = {f"effect_map_{j}.json": m for j, m in enumerate(payload)}
     return ["supermap", path, "--check", "effect-map"], True, determinism_certificate(s).residual, details, files
 
 
-@pytest.mark.parametrize("command", ["kraus2choi", "choi2kraus", "apply", "program-channel", "effect-map"])
+PAYLOAD_COMMANDS = ["kraus2choi", "choi2kraus", "apply", "program-channel", "effect-map", "realize"]
+
+
+@pytest.mark.parametrize("command", PAYLOAD_COMMANDS)
 def test_payloads_render_as_the_reference(capsys, rng, tmp_path, command):
     """stdout and each --out file are the reference rendering of the library's payloads."""
     argv, passed, residual, details, files = _payload_case(command, rng, tmp_path)
     out = tmp_path / "out"
     code = main([*argv, "--out", str(out)])
-    written = out if command == "effect-map" else out / next(iter(files))
+    written = out if command in ("effect-map", "realize") else out / next(iter(files))
     report = {
         "check": "supermap-effect-map" if command == "effect-map" else command,
         "pass": passed,
@@ -657,6 +675,47 @@ def test_payloads_render_as_the_reference(capsys, rng, tmp_path, command):
     assert sorted(p.name for p in out.iterdir()) == sorted(files)
     for name, payload in files.items():
         assert (out / name).read_text(encoding="utf-8") == ref_render(payload, 0) + "\n"
+
+
+def _decoded(obj):
+    """obj with each matrix document replaced by (shape, bytes) of what the file reader decodes."""
+    if isinstance(obj, dict) and "rows" in obj:
+        m = sio.matrix_from_json(obj)
+        return m.shape, m.tobytes()
+    if isinstance(obj, dict):
+        return {k: _decoded(v) for k, v in obj.items()}
+    return [_decoded(v) for v in obj] if isinstance(obj, list) else obj
+
+
+def _quoted_at(name: str):
+    """The details keys under which a report quotes the --out file ``name``; None if it does not."""
+    if name.startswith("effect_map_"):
+        return ["kraus", int(name[len("effect_map_"):-len(".json")])]
+    keys = {"operation.json": ["operation"], "kraus.json": ["kraus"], "output_state.json": ["output"],
+            "meta.json": []}
+    return keys.get(name)
+
+
+@pytest.mark.parametrize("command", PAYLOAD_COMMANDS)
+def test_out_files_load_back_as_the_quoted_payloads(capsys, rng, tmp_path, command):
+    """Each --out file decodes bit for bit as the payload its report quotes and as the
+    library's own value; realize quotes meta.json, and its V and W are the library's."""
+    argv, _, _, _, files = _payload_case(command, rng, tmp_path)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    quoted = json.loads(capsys.readouterr().out)["details"]
+    del quoted["written"]
+    for name, payload in files.items():
+        loaded = _decoded(sio.load_json(out / name))
+        assert loaded == _decoded(payload)
+        keys = _quoted_at(name)
+        if keys is None:  # realize's V and W, which its report does not quote
+            assert name in ("v.json", "w.json")
+            continue
+        part = quoted
+        for key in keys:
+            part = part[key]
+        assert loaded == _decoded(part)
 
 
 class TestSelftest:

@@ -22,10 +22,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supermaps.linalg import _PHASE_EPS, EQ_TOL, ResidualError, frob, psd_factors, random_isometry
-from supermaps.realization import CircuitRealization, _action_gap, circuit_to_supermap, realize
+from supermaps.realization import CircuitRealization, _isometries, circuit_to_supermap, realize
 from supermaps.supermap import (
+    SIGMA_CUTOFF,
     Supermap,
+    _singular_gaps,
     action_distance,
+    canonical_factors,
     determinism_certificate,
     effect_map_of,
     is_deterministic,
@@ -114,13 +117,62 @@ def test_realize_never_returns_a_wrong_circuit(dims, seed, log_eps):
     except ResidualError as exc:
         assert exc.residual > EQ_TOL and f"{exc.residual:.3e}" in str(exc)
         return
-    rebuilt = circuit_to_supermap(circuit, dims)
-    distance = action_distance(rebuilt, s)
+    distance = action_distance(circuit_to_supermap(circuit, dims), s)
     assert distance <= EQ_TOL
-    # Both bounds realize may read hold the distance, up to the rounding of W V.
+    # realize read the certificate's bound, which holds the distance up to the rounding
+    # of W V, or, where that bound exceeds tol, this distance itself.
     slack = 1e-14 * max(1.0, frob(s.kraus) ** 2)
     assert distance <= determinism_certificate(s).rebuild_residual + slack
-    assert distance <= _action_gap(s.kraus, rebuilt.kraus) + slack
+
+
+def test_drop_rule_removes_the_tail_within_the_worst_bound():
+    """The certificate keeps σ_j exactly while the sum of σ_k² over k >= j exceeds the worst
+    absolute bound of the basis cut at SIGMA_CUTOFF; ties do not occur on these fixtures.
+    On near-cutoff circuits at eps = 1e-15 to 1e-14 the dropped sum often lies between half
+    the bound and the bound, where a rule at half the bound would keep it."""
+    between = 0
+    for seed in range(20):
+        dims = tuple(int(x) for x in np.random.default_rng(seed).integers(1, 5, 4))
+        for eps in (1e-15, 10**-14.5, 1e-14):
+            cert = determinism_certificate(near_cutoff_supermap(dims, seed, eps))
+            r, k_out, k_in, h_out, h_in = cert.kraus.shape
+            a = cert.kraus.transpose(0, 1, 3, 4, 2).reshape(r * k_out, -1)
+            _, sv, yh = np.linalg.svd(a[:, : h_in * k_in], full_matrices=False)
+            cut = sv >= SIGMA_CUTOFF * sv[0]
+            sv, yh = sv[cut], yh[cut]
+            worst = np.max(_singular_gaps(a, canonical_factors(yh.conj().T), sv)[1])
+            tail = np.cumsum(sv[::-1] ** 2)[::-1]  # tail[j] = sum of σ_k² over k >= j
+            kept = int(np.count_nonzero(tail > worst))
+            kept_sv = np.linalg.norm(cert.factors, axis=0)  # the columns are σ_j·y_j
+            assert len(kept_sv) == kept
+            np.testing.assert_allclose(kept_sv, sv[:kept], rtol=1e-12)
+            between += kept < len(sv) and tail[kept] > 0.5 * worst
+    assert between >= 5
+
+
+def test_realize_falls_back_to_the_action_distance():
+    """Where the certificate's rebuild bound exceeds tol, realize decides by the exact action
+    distance of the circuit it built: it returns the circuit at or below tol, and above tol
+    raises naming that distance.  Near-cutoff circuits at eps = 1e-16 take both ways."""
+    outcomes = set()
+    for seed in range(40):
+        dims = tuple(int(x) for x in np.random.default_rng(seed).integers(1, 5, 4))
+        s = near_cutoff_supermap(dims, seed, 1e-16)
+        if not (is_deterministic(s) and determinism_certificate(s).rebuild_residual > EQ_TOL):
+            continue
+        try:
+            circuit = CircuitRealization(*_isometries(s, EQ_TOL), tol=EQ_TOL)
+        except ResidualError:  # W's isometry check decides first
+            continue
+        distance = action_distance(circuit_to_supermap(circuit, dims), s)
+        try:
+            realize(s)
+            outcomes.add("returned")
+            assert distance <= EQ_TOL
+        except ResidualError as exc:
+            outcomes.add("raised")
+            assert exc.residual == distance > EQ_TOL and f"{distance:.3e}" in str(exc)
+    assert outcomes == {"returned", "raised"}
 
 
 def damaged(rng, ops: np.ndarray, kind: str, damage: float) -> np.ndarray:

@@ -1,26 +1,29 @@
 """Whole-array JSON matrix codec against per-entry reference loops.
 
-The reference functions below are the codec as it was written one entry at a
-time: a recursive renderer that formats every number on its own, a writer
-that converts each complex entry with ``float``, and a reader that checks and
-converts each ``[re, im]`` pair in turn.  The library renders, writes and
-reads matrix data as whole arrays; the property tests check that the text is
-the same byte for byte, also with parts pre-rendered as ``Rendered`` text
-and with matrices left as arrays (written as the reference writes their
-``matrix_to_json`` documents), that decoded matrices are the same bit for
-bit and that malformed entries raise the same exception with the same
-message.
+The reference functions below are the codec written one entry at a time: a
+recursive renderer that formats every number on its own, a ``c16`` writer
+that encodes each matrix's complex128 bytes directly, a text writer that
+converts each complex entry with ``float`` (the ``data`` form older files
+hold, which the library still reads), and a reader that checks and converts
+each ``[re, im]`` pair in turn.  The property tests check that the library's
+text is the reference's byte for byte, also with parts pre-rendered as
+``Rendered`` text and with matrices left as arrays; that ``c16`` and text
+documents decode bit for bit (text loses only the sign of zero); and that
+malformed documents of either form raise ``FileFormatError`` with a fixed
+message, which ``check-op`` turns into exit 2 and one stderr line.
 """
 
+import base64
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from supermaps import io as sio
+from supermaps.cli import main
 from supermaps.io import FileFormatError, _need, _pos_int
 
 # ---------------------------------------------------------------- reference loops
@@ -63,7 +66,17 @@ def ref_render(obj, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def ref_c16_to_json(m: np.ndarray) -> dict:
+    m = np.asarray(m, dtype=complex)
+    _need(m.ndim == 2, "matrix must be two-dimensional")
+    if not np.isfinite(m).all():
+        raise ValueError("refusing to serialize a non-finite number")
+    payload = base64.b64encode(np.asarray(m, "<c16").tobytes()).decode("ascii")
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "c16": payload}
+
+
 def ref_matrix_to_json(m: np.ndarray) -> dict:
+    """The text (``data``) document of m, which the library reads but no longer writes."""
     m = np.asarray(m, dtype=complex)
     _need(m.ndim == 2, "matrix must be two-dimensional")
     return {
@@ -98,7 +111,8 @@ def ref_matrix_from_json(obj) -> np.ndarray:
 
 # ---------------------------------------------------------------- strategies
 
-KINDS = ("random", "whole", "zero", "negzero", "huge", "tiny", "subnormal", "bits")
+KINDS = ("random", "whole", "zero", "negzero", "huge", "tiny", "subnormal", "extreme", "bits")
+MAX = np.finfo(float).max
 
 
 def part_values(rng, kind, n):
@@ -115,6 +129,8 @@ def part_values(rng, kind, n):
         return rng.uniform(-9.9, 9.9, n) * scale * 10.0 ** rng.integers(-8, 8, n)
     if kind == "subnormal":
         return rng.uniform(-1.0, 1.0, n) * 2.0**-1022
+    if kind == "extreme":  # ±the largest finite double, ±the smallest subnormal, -0.0
+        return rng.choice([MAX, -MAX, 5e-324, -5e-324, -0.0], n)
     bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(float)
     return np.where(np.isfinite(bits), bits, 1.5)
 
@@ -137,9 +153,9 @@ scalars = (
     | st.text(max_size=8)
     | st.floats(allow_nan=False, allow_infinity=False)
 )
-matrix_objects = matrices().map(sio.matrix_to_json)
+matrix_objects = matrices().map(sio.matrix_to_json) | matrices().map(ref_matrix_to_json)
 pair_items = st.floats(-1e6, 1e6) | st.integers(-(2**70), 2**70)
-# Report-like documents: matrices, as documents and as arrays, nested in dicts
+# Report-like documents: matrices, as documents of either form and as arrays, nested in dicts
 # and lists beside ints, bools, strings and plain number lists, including lists
 # of number pairs.
 reports = st.recursive(
@@ -150,9 +166,9 @@ reports = st.recursive(
 
 
 def listed(obj):
-    """obj with each array replaced by its reference ``matrix_to_json`` document."""
+    """obj with each array replaced by its reference ``c16`` document."""
     if isinstance(obj, np.ndarray):
-        return ref_matrix_to_json(obj)
+        return ref_c16_to_json(obj)
     if isinstance(obj, dict):
         return {k: listed(v) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -170,10 +186,9 @@ def as_loaded(obj):
 
 @given(m=matrices())
 def test_matrix_to_json_matches_reference(m):
-    got, want = sio.matrix_to_json(m), ref_matrix_to_json(m)
-    assert (got["rows"], got["cols"]) == (want["rows"], want["cols"])
-    assert {type(x) for pair in got["data"] for x in pair} == {float}
-    assert np.array(got["data"]).tobytes() == np.array(want["data"]).tobytes()
+    got = sio.matrix_to_json(m)
+    assert got == ref_c16_to_json(m)
+    assert list(got) == ["rows", "cols", "c16"] and type(got["c16"]) is str
 
 
 @given(obj=reports)
@@ -234,7 +249,7 @@ def test_pre_rendered_text_splices_at_every_depth(obj):
 
 @given(m=matrices())
 def test_matrix_from_json_is_bit_exact(m):
-    obj = sio.matrix_to_json(m)
+    obj = ref_matrix_to_json(m)
     got = sio.matrix_from_json(obj)
     assert got.shape == m.shape
     assert got.tobytes() == m.tobytes() == ref_matrix_from_json(obj).tobytes()
@@ -251,16 +266,20 @@ def test_integer_entries_round_like_reference():
     assert sio.matrix_from_json(obj).tobytes() == ref_matrix_from_json(obj).tobytes()
 
 
-@given(m=matrices(), at=st.integers(0, 2**16), where=st.sampled_from(("real", "imag")))
-def test_non_finite_write_raises_like_reference(m, at, where):
+@given(m=matrices(), at=st.integers(0, 2**16), where=st.sampled_from(("real", "imag")),
+       value=st.sampled_from((np.inf, -np.inf, np.nan)))
+def test_non_finite_write_raises_like_reference(m, at, where, value):
     flat = m.reshape(-1).copy()
-    setattr(flat[at % flat.size : at % flat.size + 1], where, np.inf)
-    obj = sio.matrix_to_json(flat.reshape(m.shape))
+    setattr(flat[at % flat.size : at % flat.size + 1], where, value)
+    bad = flat.reshape(m.shape)
     with pytest.raises(ValueError) as want:
-        ref_render({"choi": obj}, 0)
-    for doc in (obj, flat.reshape(m.shape)):
+        ref_c16_to_json(bad)
+    with pytest.raises(ValueError) as text:  # the text writer refused with the same message
+        ref_render({"choi": ref_matrix_to_json(bad)}, 0)
+    assert str(text.value) == str(want.value)
+    for write in (sio.matrix_to_json, sio.Rendered, lambda x: sio.dumps17({"choi": x})):
         with pytest.raises(ValueError) as got:
-            sio.dumps17({"choi": doc})
+            write(bad)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
@@ -282,7 +301,7 @@ BAD_ENTRIES = {
 @pytest.mark.parametrize("kind", list(BAD_ENTRIES))
 @given(m=matrices(), at=st.integers(0, 2**16), loaded=st.booleans())
 def test_malformed_entry_raises_like_reference(kind, m, at, loaded):
-    obj = sio.matrix_to_json(m)
+    obj = ref_matrix_to_json(m)
     if loaded:
         obj = as_loaded(obj)
     bad = BAD_ENTRIES[kind]
@@ -298,10 +317,81 @@ def test_malformed_entry_raises_like_reference(kind, m, at, loaded):
 @given(m=matrices(), at=st.integers(0, 2**16))
 def test_oversized_integer_entry_is_a_format_error(m, at):
     # The per-entry reference let OverflowError escape; the codec names the entry.
-    obj = as_loaded(sio.matrix_to_json(m))
+    obj = as_loaded(ref_matrix_to_json(m))
     i = at % len(obj["data"])
     obj["data"][i] = [0, -(10**400)]
     with pytest.raises(OverflowError):
         ref_matrix_from_json(obj)
     with pytest.raises(FileFormatError, match=f"^entry {i} is not finite$"):
         sio.matrix_from_json(obj)
+
+
+@given(m=matrices())
+@example(m=np.array([[complex(-0.0, MAX)]]))
+@example(m=np.array([[complex(-MAX, 5e-324), complex(2.0**-1022, -0.0)]]))
+def test_c16_round_trip_is_bit_exact(m, tmp_path_factory):
+    path = tmp_path_factory.mktemp("c16") / "m.json"
+    sio.save_json(path, {"choi": m})
+    for doc in (sio.load_json(path)["choi"], json.loads(sio.dumps17(sio.matrix_to_json(m)))):
+        got = sio.matrix_from_json(doc)
+        assert got.shape == m.shape and got.dtype == complex and got.flags.writeable
+        assert got.tobytes() == m.tobytes()
+
+
+@given(m=matrices())
+def test_text_and_c16_decode_to_the_same_bits(m):
+    """The written text of a matrix and its c16 document decode alike; text keeps no -0.0."""
+    text = sio.matrix_from_json(as_loaded(ref_matrix_to_json(m)))
+    c16 = sio.matrix_from_json(json.loads(sio.dumps17(sio.matrix_to_json(m))))
+    assert c16.tobytes() == m.tobytes()
+    assert text.tobytes() == (c16 + 0.0).tobytes()  # x + 0.0 is x, except -0.0 + 0.0 = +0.0
+
+
+def _c16_doc(**change):
+    """A 2x3 c16 matrix document of the numbers 1..6, with keys changed or removed (None)."""
+    doc = sio.matrix_to_json(np.arange(1.0, 7.0).reshape(2, 3))
+    doc.update(change)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+def _with_entry(i: int, value: complex) -> str:
+    """The payload of ``_c16_doc`` with entry i replaced, bypassing the writer's check."""
+    m = np.arange(1.0, 7.0).astype("<c16")
+    m[i] = value
+    return base64.b64encode(m.tobytes()).decode("ascii")
+
+
+_PAYLOAD = _c16_doc()["c16"]
+BAD_C16 = {
+    "truncated": (_c16_doc(c16=_PAYLOAD[:-4]), "'c16' must hold 96 bytes"),
+    "one-byte-long": (_c16_doc(c16=base64.b64encode(base64.b64decode(_PAYLOAD) + b"\0").decode()),
+                      "'c16' must hold 96 bytes"),
+    "wrong-shape": (_c16_doc(rows=3), "'c16' must hold 144 bytes"),
+    "empty": (_c16_doc(c16=""), "'c16' must hold 96 bytes"),
+    "alphabet": (_c16_doc(c16="*" + _PAYLOAD[1:]), "'c16' is not valid base64"),
+    "url-safe-alphabet": (_c16_doc(c16=_PAYLOAD.replace("A", "-")), "'c16' is not valid base64"),
+    "newline": (_c16_doc(c16=_PAYLOAD[:40] + "\n" + _PAYLOAD[40:]), "'c16' is not valid base64"),
+    "no-padding": (_c16_doc(c16=base64.b64encode(bytes(95)).decode().rstrip("=")), "'c16' is not valid base64"),
+    "non-ascii": (_c16_doc(c16="\u00e9" + _PAYLOAD[1:]), "'c16' is not valid base64"),
+    "list": (_c16_doc(c16=list(base64.b64decode(_PAYLOAD))), "'c16' must be a base64 string"),
+    "number": (_c16_doc(c16=1.0), "'c16' must be a base64 string"),
+    "null": ({**_c16_doc(), "c16": None}, "'c16' must be a base64 string"),
+    "both": (_c16_doc(data=[[1.0, 0.0]] * 6), "matrix must give exactly one of 'c16' and 'data'"),
+    "neither": (_c16_doc(c16=None), "matrix must give exactly one of 'c16' and 'data'"),
+    "nan": (_c16_doc(c16=_with_entry(4, complex(0.0, np.nan))), "entry 4 is not finite"),
+    "inf": (_c16_doc(c16=_with_entry(0, complex(-np.inf, 0.0))), "entry 0 is not finite"),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_C16))
+def test_malformed_c16_is_a_format_error(kind, capsys, tmp_path):
+    doc, message = BAD_C16[kind]
+    with pytest.raises(FileFormatError) as got:
+        sio.matrix_from_json(doc)
+    assert str(got.value) == message
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"dim_in": 1, "dim_out": 2, "choi": doc}), encoding="utf-8")
+    code = main(["check-op", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: malformed input: {message}\n"
