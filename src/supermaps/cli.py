@@ -8,8 +8,8 @@ A ValueError from a handler is a failed check: ``main`` alone turns it into
 the failing report, whose residual is the one a ``ResidualError`` carries, or
 0.  The argument parser is built once per process; each call looks its
 ``cmd_*`` handler up by subcommand name, so a replaced handler is the one
-that runs.  Matrices, in ``--out`` files and in reports, are written in
-``io``'s exact base64 form; each payload is encoded once.
+that runs.  Matrices, in ``--out`` files and in reports, are ``io``'s exact
+base64 documents; a file and its report share each, base64-encoded once.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def cmd_check_op(args) -> dict:
 def cmd_kraus2choi(args) -> dict:
     dim_in, dim_out, ops = io.kraus_set_from_json(io.load_json(args.path))
     op = kraus_to_choi(KrausSet(dim_in, dim_out, ops))
-    payload = io.Rendered(io.operation_to_json(op.dim_in, op.dim_out, op.choi))
+    payload = io.operation_to_json(op.dim_in, op.dim_out, op.choi)
     details: dict = {"operation": payload}
     _write_out(args, details, ("operation.json", payload))
     return _report("kraus2choi", True, 0.0, details)
@@ -123,7 +123,7 @@ def cmd_choi2kraus(args) -> dict:
     op = QuantumOperation(dim_in, dim_out, choi)
     kraus = choi_to_kraus(op)
     roundtrip = frob(kraus_to_choi(kraus).choi - op.choi)
-    payload = io.Rendered(io.kraus_set_to_json(dim_in, dim_out, kraus.operators))
+    payload = io.kraus_set_to_json(dim_in, dim_out, kraus.operators)
     details: dict = {"kraus_count": len(kraus.operators), "kraus": payload}
     _write_out(args, details, ("kraus.json", payload))
     return _report("choi2kraus", roundtrip <= args.tol, roundtrip, details)
@@ -136,7 +136,7 @@ def cmd_apply(args) -> dict:
     out_state = apply_operation(op, rho)
     if not is_density_matrix(rho):
         raise ValueError("state is not a density matrix")
-    payload = io.Rendered(out_state)
+    payload = io.matrix_to_json(out_state)
     details = {"probability": float(np.trace(out_state).real), "output": payload}
     _write_out(args, details, ("output_state.json", payload))
     return _report("apply", True, 0.0, details)
@@ -154,7 +154,7 @@ def cmd_supermap(args) -> dict:
         return _report("supermap-prob-preserving", residual <= args.tol, residual, {})
     # effect-map
     em = effect_map_of(s, args.tol)
-    payload = [io.Rendered(n) for n in em.kraus]
+    payload = [io.matrix_to_json(n) for n in em.kraus]
     details: dict = {"kraus_count": len(em.kraus), "kraus": payload}
     _write_out(args, details, {f"effect_map_{j}.json": mat for j, mat in enumerate(payload)})
     return _report("supermap-effect-map", True, cert.residual, details)
@@ -254,7 +254,7 @@ def cmd_program_channel(args) -> dict:
     dev = ProgrammableDevice(unitary=u, dim_sys=args.dim_sys, dim_prog=sigma.shape[0])
     op = programmable_channel(dev, sigma)
     gap = frob(effect_of(op) - np.eye(op.dim_in))
-    payload = io.Rendered(io.operation_to_json(op.dim_in, op.dim_out, op.choi))
+    payload = io.operation_to_json(op.dim_in, op.dim_out, op.choi)
     details = {"channel_residual": gap, "operation": payload}
     _write_out(args, details, ("operation.json", payload))
     # is_channel's rule on the same effect: rel_residual(effect, I) <= tol.

@@ -13,19 +13,17 @@ bit, -0.0 included.  Schemas:
     Report        {"check": name, "pass": bool, "residual": float,
                    "details": object}
 
-Writing.  A two-dimensional numpy array anywhere in a document is written as
-its ``matrix_to_json`` document; a non-finite matrix is refused.  Other
-floats are written with 17 significant digits.  Each payload is encoded
-once: ``dumps17`` splices a ``Rendered`` text into the document around it
-by indenting its lines, so a payload written to a file and quoted in a
-report costs one pass.
+Writing.  ``dumps17`` is one ``json.dumps`` call at indent 2: a numpy array
+anywhere in a document is written as its ``matrix_to_json`` document, a
+non-finite matrix or float is refused, and floats are written as Python's
+shortest round-trip ``repr``, so each loads back as the same float.  A
+payload written to a file and quoted in a report is one document, whose
+base64 string is encoded once and escaped by ``json`` in each.
 
 Reading.  A matrix gives exactly one of ``c16`` and ``data``.  ``c16`` must
 be strict base64 of exactly 16·rows·cols bytes, all entries finite.  The
-text form ``data``, which older files hold, is still read: entries that are
-all lists of two plain ints or floats (three scans) are converted in one
-flat pass and checked finite as a whole; any other ``data`` goes entry by
-entry, and the first bad entry is named.
+text form ``data``, which older files hold, is still read entry by entry,
+and the first bad entry is named.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -45,68 +42,22 @@ class FileFormatError(ValueError):
     """Malformed input file (schema or parse problem, CLI exit code 2)."""
 
 
-class Rendered:
-    """An object's or array's JSON text at indent 0, which ``dumps17`` splices in.
-
-    Every line after the first of a value rendered at indent k carries the
-    same extra pad, and JSON text holds no raw newline inside a string, so
-    indenting the lines of this text gives exactly the value's text at indent k.
-    It holds the text, not a str subclass, which would copy it once more.
-    """
-
-    __slots__ = ("text",)
-
-    def __init__(self, obj):
-        self.text = dumps17(obj)
-
-
-_NON_FINITE = "refusing to serialize a non-finite number"
-
-
-def _render(obj, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(obj, Rendered):
-        return obj.text.replace("\n", "\n" + pad) if pad else obj.text
+def _plain(obj):
+    """The JSON-ready form of what ``json`` cannot write itself: arrays and numpy scalars."""
     if isinstance(obj, np.ndarray):
-        return _render(matrix_to_json(obj), indent)
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if not math.isfinite(v):
-            raise ValueError(_NON_FINITE)
-        return format(v, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(
-            isinstance(x, (int, float, np.integer, np.floating))
-            and not isinstance(x, (bool, np.bool_))
-            for x in obj
-        ):
-            return "[" + ", ".join(_render(x, 0) for x in obj) + "]"
-        inner = ",\n".join(pad + "  " + _render(x, indent + 1) for x in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            pad + "  " + json.dumps(str(k)) + ": " + _render(v, indent + 1)
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
+        return matrix_to_json(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps17(obj) -> str:
-    """JSON text with floats at 17 significant digits and arrays as ``matrix_to_json`` documents."""
-    return _render(obj, 0)
+    """JSON text at indent 2, floats as their shortest round-trip ``repr``; non-finite ones are refused."""
+    return json.dumps(obj, indent=2, allow_nan=False, default=_plain)
 
 
 def _need(cond: bool, msg: str):
@@ -126,7 +77,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     _need(m.ndim == 2, "matrix must be two-dimensional")
     if not np.isfinite(m).all():
-        raise ValueError(_NON_FINITE)
+        raise ValueError("refusing to serialize a non-finite number")
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
@@ -157,23 +108,6 @@ def matrix_from_json(obj) -> np.ndarray:
     _need(isinstance(obj["data"], list), "missing 'data' array")
     data = obj["data"]
     _need(len(data) == rows * cols, f"'data' must hold {rows * cols} entries")
-    # Pairs of plain ints and floats (no bool, str or None) decode in one flat
-    # pass; the length scan keeps a 3-entry pair beside a 1-entry one out.
-    if (
-        set(map(type, data)) == {list}
-        and set(map(len, data)) == {2}
-        and set(map(type, chain.from_iterable(data))) <= {int, float}
-    ):
-        try:
-            flat = np.fromiter(chain.from_iterable(data), dtype=float, count=2 * rows * cols)
-        except OverflowError:  # an integer beyond the double range
-            pass
-        else:
-            if np.isfinite(flat).all():
-                # A bit-exact reinterpretation; re + 1j*im would lose -0.0 parts.
-                return flat.view(complex).reshape(rows, cols)
-    # The per-entry loop defines a valid entry: it names the first bad one and
-    # also accepts float subclasses such as np.float64.
     out = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(data):
         _need(

@@ -1,21 +1,21 @@
 """Whole-array JSON matrix codec against per-entry reference loops.
 
 The reference functions below are the codec written one entry at a time: a
-recursive renderer that formats every number on its own, a ``c16`` writer
-that encodes each matrix's complex128 bytes directly, a text writer that
-converts each complex entry with ``float`` (the ``data`` form older files
-hold, which the library still reads), and a reader that checks and converts
-each ``[re, im]`` pair in turn.  The property tests check that the library's
-text is the reference's byte for byte, also with parts pre-rendered as
-``Rendered`` text and with matrices left as arrays; that ``c16`` and text
-documents decode bit for bit (text loses only the sign of zero); and that
-malformed documents of either form raise ``FileFormatError`` with a fixed
-message, which ``check-op`` turns into exit 2 and one stderr line.
+``c16`` writer that encodes each matrix's complex128 bytes directly, a text
+writer that converts each complex entry with ``float`` (the ``data`` form
+older files hold, which the library still reads), and a reader that checks
+and converts each ``[re, im]`` pair in turn.  The property tests check that
+the library's text is ``json.dumps`` of the document with each array written
+by the reference, and that every number loads back as the same type and
+bits, -0.0 included; that ``c16`` and text documents decode bit for bit;
+and that malformed documents of either form raise ``FileFormatError`` with a
+fixed message, which ``check-op`` turns into exit 2 and one stderr line.
 """
 
 import base64
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -27,43 +27,6 @@ from supermaps.cli import main
 from supermaps.io import FileFormatError, _need, _pos_int
 
 # ---------------------------------------------------------------- reference loops
-
-
-def ref_render(obj, indent: int) -> str:
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if not math.isfinite(v):
-            raise ValueError("refusing to serialize a non-finite number")
-        return format(v, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(
-            isinstance(x, (int, float, np.integer, np.floating))
-            and not isinstance(x, (bool, np.bool_))
-            for x in obj
-        ):
-            return "[" + ", ".join(ref_render(x, 0) for x in obj) + "]"
-        inner = ",\n".join(pad + "  " + ref_render(x, indent + 1) for x in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            pad + "  " + json.dumps(str(k)) + ": " + ref_render(v, indent + 1)
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def ref_c16_to_json(m: np.ndarray) -> dict:
@@ -176,9 +139,14 @@ def listed(obj):
     return obj
 
 
+def ref_dumps(obj) -> str:
+    """The written text of obj: json's own at indent 2, each array as its reference document."""
+    return json.dumps(listed(obj), indent=2, allow_nan=False)
+
+
 def as_loaded(obj):
-    """The object json.loads gives back for the written text (whole numbers become ints)."""
-    return json.loads(ref_render(listed(obj), 0))
+    """The object json.loads gives back for the written text."""
+    return json.loads(ref_dumps(obj))
 
 
 # ---------------------------------------------------------------- properties
@@ -193,58 +161,50 @@ def test_matrix_to_json_matches_reference(m):
 
 @given(obj=reports)
 def test_dumps17_matches_reference(obj):
-    assert sio.dumps17(obj) == ref_render(listed(obj), 0)
-    assert sio.dumps17(as_loaded(obj)) == ref_render(as_loaded(obj), 0)
+    assert sio.dumps17(obj) == ref_dumps(obj)
+    assert sio.dumps17(as_loaded(obj)) == ref_dumps(as_loaded(obj))
 
 
-def sub_paths(obj, path=()):
-    """The path (keys and indices) of each dict, list and array in obj, obj itself included.
-
-    A number is not pre-rendered: its text would break a one-line number list.
-    """
-    if isinstance(obj, (dict, list, np.ndarray)):
-        yield path
-    if isinstance(obj, (dict, list)):
-        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
-            yield from sub_paths(value, path + (key,))
-
-
-def replace_at(obj, path, new):
-    """A copy of obj with the value at ``path`` replaced by ``new``; dict order is kept."""
-    if not path:
-        return new
-    key, rest = path[0], path[1:]
+def typed_bits(obj):
+    """obj with each number replaced by (type, value), a float's value being its bits."""
+    if isinstance(obj, (bool, np.bool_)):
+        return bool, bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int, int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float, struct.pack("<d", float(obj))
     if isinstance(obj, dict):
-        return {k: replace_at(v, rest, new) if k == key else v for k, v in obj.items()}
-    return [replace_at(v, rest, new) if i == key else v for i, v in enumerate(obj)]
-
-
-def value_at(obj, path):
-    for key in path:
-        obj = obj[key]
-    return obj
-
-
-def pre_render_all(obj):
-    """obj with every dict, list and array pre-rendered, innermost first."""
-    if isinstance(obj, np.ndarray):
-        return sio.Rendered(obj)
-    if isinstance(obj, dict):
-        return sio.Rendered({k: pre_render_all(v) for k, v in obj.items()})
+        return {k: typed_bits(v) for k, v in obj.items()}
     if isinstance(obj, list):
-        return sio.Rendered([pre_render_all(v) for v in obj])
+        return [typed_bits(v) for v in obj]
     return obj
 
 
-@given(obj=reports)
-def test_pre_rendered_text_splices_at_every_depth(obj):
-    """A dict, list or array replaced by its pre-rendered text renders as it did itself."""
-    want = ref_render(listed(obj), 0)
-    for path in sub_paths(obj):
-        rendered = sio.Rendered(value_at(obj, path))
-        assert rendered.text == ref_render(listed(value_at(obj, path)), 0)
-        assert sio.dumps17(replace_at(obj, path, rendered)) == want
-    assert sio.dumps17(pre_render_all(obj)) == want
+EDGE_FLOATS = (0.0, -0.0, 1.0, -3.0, 2.0**60, 2.0**-1022, 5e-324, -5e-324, MAX, -MAX, 1e300, 1 / 3)
+numbers = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(EDGE_FLOATS)
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from(EDGE_FLOATS).map(np.float64)
+    | st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+)
+number_documents = st.recursive(
+    numbers | matrices(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(obj=number_documents)
+@example(obj={"residual": 0.0, "zeros": [-0.0, 0.0], "whole": 1e300, "top": [MAX, -MAX, 5e-324]})
+@example(obj=[np.float32(1 / 3), np.float32(-1e-30), np.int64(-(2**63)), np.bool_(False)])
+def test_every_number_loads_back_with_its_type_and_bits(obj):
+    """Floats load as floats with the same bits (-0.0 and integral values too), ints as ints."""
+    loaded = json.loads(sio.dumps17(obj))
+    assert loaded == listed(obj)
+    assert typed_bits(loaded) == typed_bits(listed(obj))
 
 
 @given(m=matrices())
@@ -274,10 +234,7 @@ def test_non_finite_write_raises_like_reference(m, at, where, value):
     bad = flat.reshape(m.shape)
     with pytest.raises(ValueError) as want:
         ref_c16_to_json(bad)
-    with pytest.raises(ValueError) as text:  # the text writer refused with the same message
-        ref_render({"choi": ref_matrix_to_json(bad)}, 0)
-    assert str(text.value) == str(want.value)
-    for write in (sio.matrix_to_json, sio.Rendered, lambda x: sio.dumps17({"choi": x})):
+    for write in (sio.matrix_to_json, lambda x: sio.dumps17({"choi": x})):
         with pytest.raises(ValueError) as got:
             write(bad)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
@@ -340,11 +297,10 @@ def test_c16_round_trip_is_bit_exact(m, tmp_path_factory):
 
 @given(m=matrices())
 def test_text_and_c16_decode_to_the_same_bits(m):
-    """The written text of a matrix and its c16 document decode alike; text keeps no -0.0."""
+    """The written text of a matrix and its c16 document decode to m's bits, -0.0 included."""
     text = sio.matrix_from_json(as_loaded(ref_matrix_to_json(m)))
     c16 = sio.matrix_from_json(json.loads(sio.dumps17(sio.matrix_to_json(m))))
-    assert c16.tobytes() == m.tobytes()
-    assert text.tobytes() == (c16 + 0.0).tobytes()  # x + 0.0 is x, except -0.0 + 0.0 = +0.0
+    assert c16.tobytes() == text.tobytes() == m.tobytes()
 
 
 def _c16_doc(**change):
