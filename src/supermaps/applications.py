@@ -15,6 +15,7 @@ import numpy as np
 from .linalg import (
     EQ_TOL,
     _check_dims,
+    _hermitian_part,
     check_povm,
     dag,
     is_density_matrix,
@@ -179,7 +180,7 @@ def is_faithful(setup: TomographySetup, tol: float = EQ_TOL) -> bool:
     """
     h = setup.h_in
     f = setup.faithful_state
-    phi = ((f + dag(f)) / 2).reshape(h, h, h, h).transpose(1, 3, 0, 2).reshape(h * h, h * h)
+    phi = _hermitian_part(f).reshape(h, h, h, h).transpose(1, 3, 0, 2).reshape(h * h, h * h)
     return numerical_rank(phi, tol) == h * h
 
 

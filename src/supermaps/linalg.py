@@ -2,7 +2,8 @@
 
 All composite indices are row-major with the leftmost tensor factor most
 significant: |i> ⊗ |j> sits at index i*dim_j + j.  Everything here works on
-plain complex ndarrays and is pure (inputs are never mutated).
+plain complex ndarrays and is pure (inputs are never mutated), except that
+``_cholesky_certifies`` shifts the Hermitian part its caller formed for it.
 
 Tolerance policy, shared by the whole package:
 
@@ -18,6 +19,13 @@ Tolerance policy, shared by the whole package:
   ``check-op`` reports; their trace increase (the effect's excess over I) is
   a positivity test at the same scale, in ``KrausSet`` too.  ``psd_factors``
   keeps exactly the eigenvalues above +POS_TOL * max(1, lambda_max);
+- positivity certificate (``_cholesky_certifies``): a finite Cholesky factor
+  of H + τI, H the Hermitian part, τ = POS_TOL/2 * max(1, max diag H), proves
+  lambda_min > -POS_TOL/2 * max(1, lambda_max) (max diag H <= lambda_max)
+  less its backward error, about n eps ||H||: far inside the other half for
+  n <= 4096.  Elsewhere the eigensolver decides, and gives every number and
+  message.  ``QuantumOperation`` calls ``choi_residuals`` only where this, or
+  its trace bound at POS_TOL * max(1, max diag H), fails;
 - the effect map's factors are the thin SVD A_0 = U Σ Y† of one Kraus block,
   keeping sigma_j >= SIGMA_CUTOFF * sigma_0 (exact rank-deficient blocks show
   spurious sigma_j of at most 5.3e-16 sigma_0, circuits with d <= 32), less
@@ -116,9 +124,16 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return rel_residual(m, dag(m))
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m†) / 2 with the bits of that expression, in one new array instead of two."""
+    h = (m + dag(m)).astype(np.result_type(m, 0.5), copy=False)
+    h *= 0.5
+    return h
+
+
 def hermitian_spectrum(m: np.ndarray) -> tuple[float, float]:
     """(lambda_min, lambda_max) of the Hermitian part of m."""
-    w = np.linalg.eigvalsh((m + dag(m)) / 2.0)
+    w = np.linalg.eigvalsh(_hermitian_part(m))
     return float(w[0]), float(w[-1])
 
 
@@ -127,9 +142,27 @@ def min_eig_floor(lam_min: float, lam_max: float) -> bool:
     return lam_min >= -POS_TOL * max(1.0, lam_max)
 
 
+def _cholesky_certifies(h: np.ndarray) -> bool:
+    """Whether h + τI, τ = POS_TOL/2 * max(1, max diag h), has a finite Cholesky
+    factor: then h, exactly Hermitian, passes ``min_eig_floor`` (the tolerance
+    policy).  False decides nothing.  Shifts h's diagonal in place."""
+    if h.dtype.char not in "dD":  # single precision rounds above the shift
+        return False
+    diagonal = np.einsum("ii->i", h)  # a view, written through
+    diagonal += 0.5 * POS_TOL * max(1.0, diagonal.real.max())
+    try:
+        # A non-finite entry of the factor reaches the diagonal of its row.
+        return bool(np.isfinite(np.linalg.cholesky(h).diagonal()).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 def is_positive_semidefinite(m: np.ndarray) -> bool:
-    """The positivity rule: m is Hermitian within HERM_TOL and m >= 0 within POS_TOL."""
-    return hermiticity_residual(m) <= HERM_TOL and min_eig_floor(*hermitian_spectrum(m))
+    """The positivity rule: m is Hermitian within HERM_TOL and m >= 0 within POS_TOL.
+    The eigensolver decides only what the Cholesky certificate cannot accept."""
+    return hermiticity_residual(m) <= HERM_TOL and (
+        _cholesky_certifies(_hermitian_part(m)) or min_eig_floor(*hermitian_spectrum(m))
+    )
 
 
 def readonly_copy(m: np.ndarray) -> np.ndarray:
@@ -231,7 +264,7 @@ def psd_factors(m: np.ndarray) -> np.ndarray:
     POS_TOL * max(1, lambda_max), so m ≈ F F†.  Column j unvectorizes to the
     j-th canonical Kraus operator when m is a Choi operator."""
     m = np.asarray(m, dtype=complex)
-    w, v = np.linalg.eigh((m + dag(m)) / 2.0)
+    w, v = np.linalg.eigh(_hermitian_part(m))
     w, v = w[::-1], v[:, ::-1]
     keep = w > POS_TOL * w.max(initial=1.0)
     return canonical_factors(v[:, keep]) * np.sqrt(w[keep])

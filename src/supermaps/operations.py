@@ -27,6 +27,8 @@ from .linalg import (
     POS_TOL,
     ResidualError,
     _check_dims,
+    _cholesky_certifies,
+    _hermitian_part,
     _operator_stack,
     dag,
     frob,
@@ -43,6 +45,11 @@ from .linalg import (
 )
 
 
+def _effect(m: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
+    """Tr_out of an operator on out ⊗ in."""
+    return np.einsum("nanb->ab", m.reshape(dim_out, dim_in, dim_out, dim_in))
+
+
 def choi_residuals(choi: np.ndarray, dim_in: int, dim_out: int) -> dict:
     """Residuals and verdicts of the operation contract for a candidate Choi operator.
 
@@ -52,11 +59,11 @@ def choi_residuals(choi: np.ndarray, dim_in: int, dim_out: int) -> dict:
     """
     choi = np.asarray(choi, dtype=complex)
     herm = hermiticity_residual(choi)
-    sym = (choi + dag(choi)) / 2.0  # exactly Hermitian: the helper leaves it as it is
-    lam_min, lam_max = hermitian_spectrum(sym)
-    effect = np.einsum(
-        "nanb->ab", sym.reshape(dim_out, dim_in, dim_out, dim_in)
-    )
+    sym = _hermitian_part(choi)
+    # sym is exactly Hermitian, so hermitian_spectrum(sym) would re-form the same bits.
+    w = np.linalg.eigvalsh(sym)
+    lam_min, lam_max = float(w[0]), float(w[-1])
+    effect = _effect(sym, dim_in, dim_out)
     increase = max(0.0, hermitian_spectrum(effect)[1] - 1.0)
     return {
         "hermiticity": herm,
@@ -92,15 +99,22 @@ class QuantumOperation:
             raise ValueError(f"Choi operator must be {d}x{d}, got {choi.shape}")
         if not np.all(np.isfinite(choi)):
             raise ValueError("Choi operator has non-finite entries")
-        res = choi_residuals(choi, self.dim_in, self.dim_out)
-        for verdict, key, message in (
-            ("hermitian", "hermiticity", "Choi operator not Hermitian (residual {:.3e})"),
-            ("cp", "min_eig", "Choi operator not positive semidefinite (min eigenvalue {:.3e})"),
-            ("trace_non_increasing", "trace_increase",
-             "operation increases trace (effect exceeds identity by {:.3e})"),
-        ):
-            if not res[verdict]:  # cp fails on a negative min_eig: its residual is -min_eig
-                raise ResidualError(message.format(res[key]), abs(res[key]))
+        # Each bound implies its verdict in choi_residuals (max diag sym <= lambda_max),
+        # which decides, with an eigensolve of choi, only where one fails.
+        sym = _hermitian_part(choi)
+        effect = _effect(sym, self.dim_in, self.dim_out)
+        scale = max(1.0, sym.diagonal().real.max())  # before the certificate's shift
+        if not (hermiticity_residual(choi) <= HERM_TOL and _cholesky_certifies(sym)
+                and hermitian_spectrum(effect)[1] - 1.0 <= POS_TOL * scale):
+            res = choi_residuals(choi, self.dim_in, self.dim_out)
+            for verdict, key, message in (
+                ("hermitian", "hermiticity", "Choi operator not Hermitian (residual {:.3e})"),
+                ("cp", "min_eig", "Choi operator not positive semidefinite (min eigenvalue {:.3e})"),
+                ("trace_non_increasing", "trace_increase",
+                 "operation increases trace (effect exceeds identity by {:.3e})"),
+            ):
+                if not res[verdict]:  # cp fails on a negative min_eig: its residual is -min_eig
+                    raise ResidualError(message.format(res[key]), abs(res[key]))
         object.__setattr__(self, "choi", choi)
 
     @property
@@ -204,7 +218,7 @@ def apply_operation(op: QuantumOperation, rho: np.ndarray) -> np.ndarray:
 
 def effect_of(op: QuantumOperation) -> np.ndarray:
     """The effect P = Tr_out[choi]; probabilities are Tr[rho^T P]."""
-    return np.einsum("nanb->ab", op.choi4)
+    return _effect(op.choi, op.dim_in, op.dim_out)
 
 
 def is_channel(op: QuantumOperation, tol: float = EQ_TOL) -> bool:

@@ -1,10 +1,13 @@
 """One positivity rule: ``hermitian_spectrum`` against the inline step it replaced,
-the operation contract against the former validator, and the rule at every
-type that holds positive operators.
+the operation contract against the former validator, the Cholesky certificate
+against the eigensolver alone, and the rule at every type that holds positive
+operators.
 
 The rule is "Hermitian within HERM_TOL, and lambda_min >= -POS_TOL *
 max(1, lambda_max)".  Each fixture near a cutoff sits a factor 1 ± 1e-3 from
 it, far above rounding, so a site that applied a different rule would flip.
+The certificate's fixtures place lambda_min at ±{0.3 ... 2} times the cutoff,
+around the half of it that the certificate's shift covers.
 """
 
 import numpy as np
@@ -23,6 +26,8 @@ from supermaps.applications import (
 from supermaps.linalg import (
     HERM_TOL,
     POS_TOL,
+    _cholesky_certifies,
+    _hermitian_part,
     check_povm,
     dag,
     frob,
@@ -31,6 +36,7 @@ from supermaps.linalg import (
     is_density_matrix,
     is_positive_semidefinite,
     kron,
+    min_eig_floor,
     random_isometry,
 )
 from supermaps.operations import KrausSet, QuantumOperation, choi_residuals, random_channel
@@ -160,6 +166,156 @@ def test_operation_contract_unchanged(candidate):
         with pytest.raises(ValueError) as exc:
             QuantumOperation(dim_in, dim_out, choi)
         assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (4, 4), (8, 8), (16, 16)])
+def test_choi_residuals_spectrum_is_hermitian_spectrum_of_sym(dims):
+    """check-op's min_eig and max_eig, from eigvalsh of sym itself, have the bits
+    of hermitian_spectrum(sym), which forms the Hermitian part of sym again."""
+    dim_in, dim_out = dims
+    rng = np.random.default_rng(dim_in * dim_out)
+    choi = random_channel(dim_in, dim_out, 2, rng).choi
+    for candidate in (choi, skewed(choi, 0.5 * HERM_TOL, rng)):
+        res = choi_residuals(candidate, dim_in, dim_out)
+        sym = (candidate + dag(candidate)) / 2.0
+        assert (res["min_eig"], res["max_eig"]) == hermitian_spectrum(sym)
+
+
+def ref_rule(m):
+    """The positivity rule decided by the eigensolver alone, as before the certificate."""
+    return hermiticity_residual(m) <= HERM_TOL and min_eig_floor(*hermitian_spectrum(m))
+
+
+FLOOR_FACTORS = (0.3, 0.5, 0.7, 0.99, 1.01, 2.0)
+
+
+@st.composite
+def floor_candidates(draw):
+    """(m, psd): a matrix of size 1 to 64 whose Hermitian part has lambda_max
+    ``scale`` and lambda_min at ±k * POS_TOL * max(1, lambda_max), with k in
+    FLOOR_FACTORS, zero or more eigenvalues exactly 0, and real or complex
+    eigenvectors; perhaps skewed near HERM_TOL.  ``psd`` says that every
+    eigenvalue placed is at least 0 and m is not skewed."""
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(seed_st))
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 10.0, 1e3, 1e80, 1e160]))
+    k = draw(st.sampled_from(FLOOR_FACTORS)) * draw(st.sampled_from([-1.0, 1.0]))
+    w = scale * rng.uniform(0.0, 1.0, n)
+    w[draw(st.integers(1, n)):] = 0.0  # rank-deficient below the drawn rank
+    w[0] = scale
+    w[-1] = k * POS_TOL * max(1.0, scale)
+    if draw(st.booleans()):
+        q = random_isometry(n, n, rng)
+    else:
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    m = (q * w) @ dag(q)
+    # Skew only where frob(m) is finite: at 1e160 its square overflows.
+    skew = draw(st.sampled_from([None, *SIDES])) if scale < 1e100 else None
+    if skew is not None:
+        m = skewed(m, skew * HERM_TOL, rng)
+    return m, skew is None and k > 0
+
+
+def low_rank_psd(kind, n, seed):
+    """Rank-deficient positive matrices: a projector, or a channel's Choi operator."""
+    rng = np.random.default_rng(seed)
+    if kind == "projector":
+        v = random_isometry(n, max(1, n // 3), rng)
+        return v @ dag(v)
+    dim = {4: 2, 9: 3, 16: 4, 64: 8}[n]
+    return (0.9 if kind == "scaled choi" else 1.0) * random_channel(dim, dim, 1, rng).choi
+
+
+class TestCholeskyCertificate:
+    """is_positive_semidefinite's verdict is the eigensolver's rule, whichever decides."""
+
+    @given(candidate=floor_candidates())
+    def test_verdict_is_the_eigensolver_rule(self, candidate):
+        m, psd = candidate
+        with np.errstate(over="ignore"):  # at 1e160 the Frobenius norms overflow
+            assert is_positive_semidefinite(m) is ref_rule(m)
+        certified = _cholesky_certifies(_hermitian_part(m))
+        if psd:  # the shift covers the rounding of an exact positive spectrum
+            assert certified
+        if certified:  # the certificate shows lambda_min above about half the cutoff
+            lam_min, lam_max = hermitian_spectrum(m)
+            assert lam_min >= -(0.5 + 1e-3) * POS_TOL * max(1.0, lam_max)
+
+    @pytest.mark.parametrize("n", [4, 9, 16, 64])
+    @pytest.mark.parametrize("kind", ["projector", "choi", "scaled choi"])
+    def test_rank_deficient_positive_matrices_are_certified(self, kind, n):
+        for seed in range(5):
+            m = low_rank_psd(kind, n, seed)
+            assert ref_rule(m) and _cholesky_certifies(_hermitian_part(m))
+            assert is_positive_semidefinite(m)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_nan_entries_are_rejected(self, n):
+        m = np.eye(n, dtype=complex) / n
+        for i, j in [(0, 0), (n - 1, 0), (0, n - 1)]:
+            bad = m.copy()
+            bad[i, j] = np.nan
+            with np.errstate(invalid="ignore"):
+                assert is_positive_semidefinite(bad) is ref_rule(bad) is False
+            assert not _cholesky_certifies(_hermitian_part(bad))
+
+    @pytest.mark.parametrize("m", [
+        np.diag([1.5e308, 1.0]),
+        np.array([[1.0, 1.2e308], [1.2e308, 1.0]]),
+        np.full((3, 3), 1e308, dtype=complex),
+        np.diag([1.7e308, 1.7e308, 1.0]) + 0j,
+    ], ids=["diagonal", "off-diagonal", "every entry", "complex diagonal"])
+    def test_an_overflowing_hermitian_part_is_rejected(self, m):
+        """m is exactly Hermitian, so its residual is 0, but m + m† overflows.  The
+        eigensolver decides as before: False, or LAPACK's LinAlgError on an
+        all-infinite matrix."""
+
+        def outcome(rule):
+            try:
+                return rule(m)
+            except np.linalg.LinAlgError as exc:
+                return str(exc)
+
+        with np.errstate(all="ignore"):
+            assert hermiticity_residual(m) == 0.0
+            assert outcome(is_positive_semidefinite) == outcome(ref_rule)
+            assert outcome(ref_rule) in (False, "Eigenvalues did not converge")
+            assert not _cholesky_certifies(_hermitian_part(m))
+
+    def test_single_precision_is_left_to_the_eigensolver(self):
+        m = np.eye(3, dtype=np.float32)
+        assert not _cholesky_certifies(_hermitian_part(m))
+        assert is_positive_semidefinite(m) is ref_rule(m) is True
+
+    def test_the_hermitian_part_has_the_bits_of_the_expression(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 5, 64):
+            g = rng.standard_normal((n, n))
+            for m in (g, g + 1j * rng.standard_normal((n, n)), rng.integers(-9, 9, (n, n)), 1e-310 * g):
+                h = _hermitian_part(m)
+                ref = (m + dag(m)) / 2.0
+                assert h.dtype == ref.dtype and h.tobytes() == ref.tobytes()
+
+
+def test_valid_64x64_operations_and_testers_run_no_eigensolve_of_that_size(monkeypatch):
+    """The certificate decides a valid d = 8 channel and a two-effect 64x64 tester:
+    no eigensolve of a 64x64 matrix runs, and one does when the channel is
+    damaged past the floor."""
+    choi = random_channel(8, 8, 3, 0).choi
+    rho = linalg.random_density(8, 1)
+    proj = random_isometry(8, 3, 2)
+    proj = proj @ dag(proj)
+    effects = [kron(proj, rho), kron(np.eye(8) - proj, rho)]
+    shapes, eigvalsh = [], np.linalg.eigvalsh  # the shape of every eigvalsh call from here on
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    QuantumOperation(8, 8, choi)
+    testers.Tester(h_in=8, h_out=8, effects=effects)
+    assert (64, 64) not in shapes
+    w, v = np.linalg.eigh(choi)
+    damaged = choi - (w[0] + 2 * POS_TOL * w[-1]) * np.outer(v[:, 0], v[:, 0].conj())
+    with pytest.raises(ValueError, match="^Choi operator not positive semidefinite"):
+        QuantumOperation(8, 8, damaged)
+    assert (64, 64) in shapes
 
 
 class TestPositivityRule:
