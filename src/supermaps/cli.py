@@ -31,6 +31,7 @@ from .operations import (
     choi_residuals,
     choi_to_kraus,
     effect_of,
+    is_channel,
     kraus_to_choi,
 )
 from .realization import circuit_to_supermap, realize, realize_probabilistic
@@ -257,8 +258,7 @@ def cmd_program_channel(args) -> dict:
     payload = io.operation_to_json(op.dim_in, op.dim_out, op.choi)
     details = {"channel_residual": gap, "operation": payload}
     _write_out(args, details, ("operation.json", payload))
-    # is_channel's rule on the same effect: rel_residual(effect, I) <= tol.
-    return _report("program-channel", gap / np.sqrt(op.dim_in) <= args.tol, gap, details)
+    return _report("program-channel", is_channel(op, args.tol), gap, details)
 
 
 def cmd_selftest(args) -> dict:

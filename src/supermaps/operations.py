@@ -27,13 +27,13 @@ from .linalg import (
     POS_TOL,
     ResidualError,
     _check_dims,
-    _cholesky_certifies,
     _hermitian_part,
     _operator_stack,
     dag,
     frob,
     hermitian_spectrum,
     hermiticity_residual,
+    is_positive_semidefinite,
     kraus_sum,
     kron,
     min_eig_floor,
@@ -81,10 +81,10 @@ def choi_residuals(choi: np.ndarray, dim_in: int, dim_out: int) -> dict:
 class QuantumOperation:
     """Completely positive trace-non-increasing map in Choi form.
 
-    The Choi operator lives on out ⊗ in (out factor first) and is validated
-    at construction: Hermitian, positive semidefinite, and with effect
-    Tr_out[choi] <= I, all within the package tolerances, except when the
-    library admits one it built (``_admitted``; the ``linalg`` policy).
+    The Choi operator lives on out ⊗ in (out factor first).  Construction checks
+    it is Hermitian, positive and of effect <= I (unless ``_admitted``) through
+    ``is_positive_semidefinite`` and lambda_max(effect) - 1 <= POS_TOL * max(1, max Re diag choi),
+    which imply ``choi_residuals``' verdicts; that decides only where one fails.
     """
 
     dim_in: int
@@ -99,13 +99,9 @@ class QuantumOperation:
             raise ValueError(f"Choi operator must be {d}x{d}, got {choi.shape}")
         if not np.all(np.isfinite(choi)):
             raise ValueError("Choi operator has non-finite entries")
-        # Each bound implies its verdict in choi_residuals (max diag sym <= lambda_max),
-        # which decides, with an eigensolve of choi, only where one fails.
-        sym = _hermitian_part(choi)
-        effect = _effect(sym, self.dim_in, self.dim_out)
-        scale = max(1.0, sym.diagonal().real.max())  # before the certificate's shift
-        if not (hermiticity_residual(choi) <= HERM_TOL and _cholesky_certifies(sym)
-                and hermitian_spectrum(effect)[1] - 1.0 <= POS_TOL * scale):
+        effect = _effect(choi, self.dim_in, self.dim_out)
+        if not (is_positive_semidefinite(choi) and hermitian_spectrum(effect)[1] - 1.0
+                <= POS_TOL * max(1.0, choi.diagonal().real.max())):
             res = choi_residuals(choi, self.dim_in, self.dim_out)
             for verdict, key, message in (
                 ("hermitian", "hermiticity", "Choi operator not Hermitian (residual {:.3e})"),

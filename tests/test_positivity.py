@@ -10,11 +10,16 @@ The certificate's fixtures place lambda_min at ±{0.3 ... 2} times the cutoff,
 around the half of it that the certificate's shift covers.
 """
 
+import importlib
+import pkgutil
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import supermaps
 from supermaps import linalg, testers
 from supermaps.applications import (
     ProgrammableDevice,
@@ -334,6 +339,21 @@ class TestPositivityRule:
         monkeypatch.setattr(linalg, "hermitian_spectrum", lambda m: pytest.fail("eigensolve ran"))
         assert not is_positive_semidefinite(SKEW_PAIR[0])
 
+    @pytest.mark.parametrize("dtype", [float, complex, np.float32, int])
+    def test_an_empty_matrix_is_positive(self, dtype):
+        # It has no eigenvalues.  Its trace is 0, so it is no density matrix.
+        m = np.zeros((0, 0), dtype=dtype)
+        assert is_positive_semidefinite(m) is True
+        assert not is_density_matrix(m)
+
+    def test_empty_state_and_povm_element_raise_their_messages(self):
+        with pytest.raises(ValueError, match="^input state is not a density matrix$"):
+            tester_from_circuit(np.zeros((0, 0)), [np.eye(1)], 1, 1)
+        with pytest.raises(ValueError, match="^dimensions must be positive$"):
+            programmable_povm([np.zeros((0, 0))], np.eye(1))
+        with pytest.raises(ValueError, match="^dimensions must be positive$"):
+            check_povm(np.zeros((2, 0, 0)))
+
     def test_non_finite_matrix_is_rejected(self):
         # Its hermiticity residual is NaN, which no bound accepts.
         with np.errstate(invalid="ignore"):
@@ -425,3 +445,42 @@ def test_non_positive_dimensions_rejected(kind, dims):
 @pytest.mark.parametrize("kind", sorted(DIM_CASES))
 def test_dimension_one_accepted(kind):
     DIM_CASES[kind](1, 1)
+
+
+def code_objects():
+    """{name: code} of every function and method defined in supermaps.*, with the
+    code nested in each (lambdas, comprehensions, inner functions)."""
+    found = {}
+
+    def walk(name, code):
+        found[name] = code
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                walk(f"{name}.{const.co_name}", const)
+
+    for info in pkgutil.walk_packages(supermaps.__path__, "supermaps."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue  # imported from elsewhere: scanned where it is defined
+            for member in vars(obj).values() if isinstance(obj, type) else (obj,):
+                # a function, a static or class method, a cached_property, a property
+                for f in (member, *(getattr(member, a, None) for a in ("__func__", "func", "fget"))):
+                    if isinstance(f, types.FunctionType):
+                        walk(f"{module.__name__}.{f.__qualname__}", f.__code__)
+    return found
+
+
+def test_one_module_knows_the_positivity_rule():
+    """The certificate and the hermiticity bound are each spelled out once: every
+    other check reaches them through is_positive_semidefinite or choi_residuals."""
+    codes = code_objects()
+    assert "supermaps.operations.QuantumOperation.__post_init__" in codes
+    assert "supermaps.supermap.DeterminismCertificate._basis" in codes
+
+    def naming(name):
+        return {where for where, code in codes.items() if name in code.co_names}
+
+    rule, residuals = "supermaps.linalg.is_positive_semidefinite", "supermaps.operations.choi_residuals"
+    assert naming("_cholesky_certifies") == {rule}
+    assert naming("HERM_TOL") == {rule, residuals}
