@@ -3,7 +3,8 @@
 All composite indices are row-major with the leftmost tensor factor most
 significant: |i> ⊗ |j> sits at index i*dim_j + j.  Everything here works on
 plain complex ndarrays and is pure (inputs are never mutated), except that
-``_cholesky_certifies`` shifts the Hermitian part ``is_positive_semidefinite`` forms.
+``_cholesky_certifies`` shifts the Hermitian part ``is_positive_semidefinite`` forms,
+and ``_ritz_pairs`` forms its residual in the one ``psd_factors`` forms.
 
 Tolerance policy, shared by the whole package:
 
@@ -18,7 +19,14 @@ Tolerance policy, shared by the whole package:
   ``choi_residuals``, whose verdicts ``QuantumOperation`` enforces and
   ``check-op`` reports; their trace increase (the effect's excess over I) is
   a positivity test at the same scale, in ``KrausSet`` too.  ``psd_factors``
-  keeps exactly the eigenvalues above +POS_TOL * max(1, lambda_max);
+  keeps exactly the eigenvalues above +POS_TOL * max(1, lambda_max).  On a
+  low-rank n x n H, n >= 36, it takes them from Ritz pairs (theta_j, z_j) of a
+  sketch of H's range (``_ritz_pairs``) only where the residual eps, at least
+  ||H - Z diag(theta) Z†||_F, is at most eigh's backward error
+  b = n eps_mach ||H||_F, and, by Weyl with the margin eps + b, every theta_j
+  and the zeros outside the sketch lie beyond the margin from the cutoff; one
+  theta_j is dropped; and no two kept theta_j, nor the boundary pair, lie
+  within twice it, so a degenerate H keeps eigh's basis.  Else eigh decides;
 - positivity certificate (``_cholesky_certifies``): a finite Cholesky factor
   of H + τI, H the Hermitian part, τ = POS_TOL/2 * max(1, max diag H), proves
   lambda_min > -POS_TOL/2 * max(1, lambda_max) (max diag H <= lambda_max)
@@ -124,9 +132,11 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return rel_residual(m, dag(m))
 
 
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m†) / 2 with the bits of that expression, in one new array instead of two."""
-    h = (m + dag(m)).astype(np.result_type(m, 0.5), copy=False)
+def _hermitian_part(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(m + m†) / 2 with the bits of that expression, in one new array instead of
+    two, or in ``out``."""
+    # The operator, not np.add: at n <= 16 a keyword argument cost 5-15% of the call.
+    h = (m + dag(m) if out is None else np.add(m, dag(m), out=out)).astype(np.result_type(m, 0.5), copy=False)
     h *= 0.5
     return h
 
@@ -261,14 +271,73 @@ def permute_systems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> 
 
 
 def psd_factors(m: np.ndarray) -> np.ndarray:
-    """``canonical_factors`` of the eigenpairs of m's Hermitian part above
-    POS_TOL * max(1, lambda_max), so m ≈ F F†.  Column j unvectorizes to the
-    j-th canonical Kraus operator when m is a Choi operator."""
+    """``canonical_factors`` of the eigenpairs of m's Hermitian part H above
+    POS_TOL * max(1, lambda_max), in descending order, so m ≈ F F†.  Column j
+    unvectorizes to the j-th canonical Kraus operator when m is a Choi operator.
+
+    A low-rank H of size n >= 36 takes its pairs from a sketch of its range
+    where the tolerance policy's certificate accepts them: a residual eps at
+    eigh's backward error b = n eps_mach ||H||_F, every Ritz value more than
+    the margin eps + b from the cutoff, at least one dropped, and no two kept
+    ones, nor the last kept and the first dropped, within twice the margin, so
+    a degenerate H keeps eigh's basis.  Everything else goes to eigh."""
     m = np.asarray(m, dtype=complex)
-    w, v = np.linalg.eigh(_hermitian_part(m))
-    w, v = w[::-1], v[:, ::-1]
-    keep = w > POS_TOL * w.max(initial=1.0)
-    return canonical_factors(v[:, keep]) * np.sqrt(w[keep])
+    h = _hermitian_part(m)
+    pairs = _ritz_pairs(m, h)
+    if pairs is None:
+        w, v = np.linalg.eigh(h)
+        w, v = w[::-1], v[:, ::-1]
+        keep = w > POS_TOL * w.max(initial=1.0)
+        pairs = w[keep], v[:, keep]
+    return canonical_factors(pairs[1]) * np.sqrt(pairs[0])
+
+
+# One sketch costs four products of H with n × width blocks, eigh about n³.  On
+# one BLAS thread an accepted sketch of Kraus rank 1-3 took 0.6-0.8 of eigh's
+# time at n = 36-40 and 0.3-0.5 at n = 49-64; at n = 25-32 it won or lost
+# within the noise, and at n = 16 it lost (1.6x at rank 1).
+_SKETCH_MIN_DIM = 36
+
+
+def _ritz_pairs(m: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(theta, Z), the eigenpairs of h = (m + m†)/2 that ``psd_factors`` keeps,
+    descending: Ritz pairs of Q†hQ, Q = orth(h h Omega) for a fixed Gaussian
+    n × width Omega, accepted by the tolerance policy's certificate; or None,
+    and h as given.  The width is 2 ceil(k0) + 1, k0 = tr(h)² / ||h||_F² <=
+    rank(h) for h >= 0 (Cauchy–Schwarz on the spectrum), and the sketch runs
+    only where 4 width <= n.  The residual eps = ||m - Z diag(theta) Z†||_F
+    over all width pairs, formed in h's array, bounds ||h - Z diag(theta) Z†||_F:
+    m - h is anti-Hermitian, orthogonal to every Hermitian matrix.  h h Omega
+    squares the spectrum, so a kept eigenvalue below about lambda_max / n is
+    lost to rounding; the residual shows it and eigh decides.
+    """
+    n = len(h)
+    if n < _SKETCH_MIN_DIM:
+        return None
+    scale = math.sqrt(np.vdot(h, h).real)
+    trace = float(np.trace(h).real)
+    # tr(h) <= sqrt(n) ||h||_F; this also refuses NaN, overflow and an underflowed norm.
+    if not 0 < trace <= scale * math.sqrt(n) < math.inf:
+        return None
+    width = 2 * math.ceil((trace / scale) ** 2) + 1
+    if 4 * width > n:
+        return None
+    omega = np.random.default_rng(0).standard_normal((n, width))
+    q = np.linalg.qr(h @ (h @ omega))[0]
+    w, u = np.linalg.eigh(dag(q) @ (h @ q))
+    theta, z = w[::-1], q @ u[:, ::-1]
+    np.matmul(z * theta, dag(z), out=h)  # no second n × n array
+    h -= m
+    eps = math.sqrt(np.vdot(h, h).real)
+    backward = n * np.finfo(float).eps * scale
+    margin = eps + backward
+    cutoff = POS_TOL * max(1.0, theta[0])
+    kept = int(np.count_nonzero(theta > cutoff))
+    if (eps <= backward and kept < width and cutoff > margin and (abs(theta - cutoff) > margin).all()
+            and (-np.diff(theta[:kept + 1]) > 2 * margin).all()):
+        return theta[:kept], z[:, :kept]
+    _hermitian_part(m, out=h)
+    return None
 
 
 def canonical_factors(v: np.ndarray) -> np.ndarray:

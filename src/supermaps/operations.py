@@ -190,7 +190,11 @@ def choi_to_kraus(op: QuantumOperation) -> KrausSet:
 
     Operators are sqrt(eigenvalue) times the unvectorized eigenvectors, kept
     only above the positivity threshold; they come out pairwise orthogonal in
-    the Hilbert-Schmidt inner product and reproduce the Choi operator.
+    the Hilbert-Schmidt inner product and reproduce the Choi operator.  A
+    low-rank Choi operator of size at least 36 takes them from a sketch of its
+    range, accepted only when its residual is at ``eigh``'s backward error, its
+    Ritz values clear the cutoff and each other by that margin, and one is
+    dropped; otherwise ``eigh`` decides (``linalg.psd_factors``).
     """
     return KrausSet(op.dim_in, op.dim_out, psd_factors(op.choi).T.reshape(-1, op.dim_out, op.dim_in))
 

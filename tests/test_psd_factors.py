@@ -11,7 +11,15 @@ of the supermap's Kraus block cut on the singular values, is held to the
 exact Kraus operators of the channel it is built from instead, and
 ``povm_as_channel``, which factors nothing, to its closed form
 sum_n |n><n| ⊗ herm(P_n)ᵀ on the same near-cutoff fixtures.
+
+The sketch route of ``psd_factors`` (``linalg._ritz_pairs``) is held to the
+same reference at 1e-12 on low-rank channels, and to the ``eigh`` route's own
+bits where its certificate must refuse: a degenerate kept pair, a noise tail,
+an eigenvalue near the cutoff, full rank and every size below the gate.
+Counted ``eigh`` and ``qr`` calls show which route ran.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -23,8 +31,19 @@ from supermaps.applications import (
     programmable_channel,
     tomography_supermap,
 )
-from supermaps.linalg import _PHASE_EPS, POS_TOL, SIGMA_CUTOFF, kron, psd_factors, random_isometry
-from supermaps.operations import KrausSet, choi_to_kraus, kraus_to_choi
+from supermaps import linalg
+from supermaps.linalg import (
+    _PHASE_EPS,
+    POS_TOL,
+    SIGMA_CUTOFF,
+    _hermitian_part,
+    _ritz_pairs,
+    kron,
+    psd_factors,
+    random_density,
+    random_isometry,
+)
+from supermaps.operations import KrausSet, choi_to_kraus, kraus_to_choi, random_channel
 from supermaps.supermap import Supermap, effect_map_of
 from supermaps.testers import as_supermap_parts, make_tester
 
@@ -197,3 +216,154 @@ def test_povm_as_channel(rng, d, sign):
     for n, p in enumerate(povm):  # |n><n| ⊗ herm(P_n)ᵀ: the eigenvalue near the cutoff is kept
         expected[n * d:(n + 1) * d, n * d:(n + 1) * d] = ((p + p.conj().T) / 2).T
     np.testing.assert_allclose(povm_as_channel(povm).choi, expected, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------- the sketch route
+
+
+def sketch_width(m):
+    """The width the docstring of ``_ritz_pairs`` states: 2 ceil(tr(H)² / ||H||_F²) + 1."""
+    h = (m + m.conj().T) / 2
+    return 2 * math.ceil((np.trace(h).real / np.linalg.norm(h)) ** 2) + 1
+
+
+def eigh_route(m, monkeypatch):
+    """psd_factors with the sketch turned off: the eigh route's bits."""
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "_SKETCH_MIN_DIM", 10**9)
+        return psd_factors(m)
+
+
+def low_rank(n, w, rng):
+    """A rank-len(w) positive n × n matrix with spectrum w, padded with exact zeros."""
+    q = random_isometry(n, len(w), rng)
+    return (q * np.asarray(w, dtype=float)) @ q.conj().T
+
+
+def count_calls(monkeypatch):
+    """Record the shape of every eigh and qr argument, as ("eigh", n) and ("qr", n)."""
+    calls = []
+    for name in ("eigh", "qr"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            calls.append((_name, a.shape[0]))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [8, 12, 16])
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_sketch_matches_reference_on_low_rank_channels(d, rank):
+    """Kraus rank 1-8 at n = 64, 144, 256: the reference factors within 1e-12,
+    and the sketch accepted wherever its width is at most n/4."""
+    choi = random_channel(d, d, rank, np.random.default_rng([d, rank])).choi
+    n = d * d
+    assert (_ritz_pairs(choi, _hermitian_part(choi)) is not None) == (4 * sketch_width(choi) <= n)
+    f = psd_factors(choi)
+    assert f.shape == (n, rank)
+    assert_same_ops(list(f.T), ref_factors(choi))
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+@pytest.mark.parametrize("lam0", [3.0, 1e-8])
+@pytest.mark.parametrize("n", [64, 144])
+def test_sketch_keeps_eigh_count_near_the_cutoff(rng, n, lam0, sign):
+    """An eigenvalue at 1 ± 1e-3 of the cutoff.  At lambda_max = 3 it is 1e-9 of
+    lambda_max, which H H Omega loses to rounding: the residual shows it and eigh
+    decides.  At lambda_max = 1e-8 the cutoff is POS_TOL itself, a tenth of
+    lambda_max, and the sketch is accepted, 1e-12 from the cutoff."""
+    m = low_rank(n, [lam0, lam0 / 3, near_cutoff(lam0, sign)], rng)
+    assert (_ritz_pairs(m, _hermitian_part(m)) is not None) == (lam0 < 1)
+    f = psd_factors(m)
+    assert f.shape == (n, 2 + (sign > 0))
+    assert_same_ops(list(f.T), ref_factors(m))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_a_noise_tail_is_refused_and_leaves_h_as_given(rng, n):
+    """A rank-2 matrix plus a positive tail of 1e-12: its eigenvalues sit below
+    the cutoff, but above eigh's backward error, so the sketch refuses."""
+    m = low_rank(n, [2.0, 1.0], rng) + 1e-12 * n * random_density(n, rng)
+    h = _hermitian_part(m)
+    before = h.copy()
+    assert _ritz_pairs(m, h) is None
+    assert np.array_equal(h, before)
+    f = psd_factors(m)
+    assert f.shape == (n, 2)
+    assert_same_ops(list(f.T), ref_factors(m))
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [
+        [5.0, 5.0, 1.0],
+        [2.0, 1.0, 1.0],
+        # 1e-13 apart: inside twice the margin (about 2e-13 here), outside twice the residual.
+        [5.0 + 1e-13, 5.0, 1.0],
+        # lambda_max < 1 puts the cutoff at POS_TOL, 1e-14 of it from the last eigenvalue.
+        [1e-8, POS_TOL * (1 + 1e-14)],
+        [1e-8, POS_TOL * (1 - 1e-14)],
+        # Rank 5 at width 5 (tr² / ||H||_F² = 1.84): every Ritz value is kept.
+        [1.0, 0.11, 0.1, 0.09, 0.08],
+    ],
+    ids=["degenerate", "degenerate-tail", "near-degenerate", "on-cutoff+", "on-cutoff-", "none-dropped"],
+)
+def test_what_the_certificate_refuses_keeps_the_eigh_bits(rng, monkeypatch, spectrum):
+    """A degenerate or nearly degenerate kept pair, an eigenvalue within the
+    margin of the cutoff, and a sketch that drops nothing all go to eigh."""
+    m = low_rank(64, spectrum, rng)
+    assert _ritz_pairs(m, _hermitian_part(m)) is None
+    assert np.array_equal(psd_factors(m), eigh_route(m, monkeypatch))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-155, 1e-6, 1e150, 1e200, 1e300])
+def test_extreme_scales_match_reference(rng, scale):
+    """Norms that underflow or overflow go to eigh, with no warning; the rest may sketch."""
+    m = scale * low_rank(64, [2.0, 1.0], rng)
+    f = psd_factors(m)
+    ref = ref_factors(m)
+    assert f.shape == (64, len(ref))
+    for a, b in zip(f.T, ref):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * math.sqrt(scale))
+
+
+def test_the_empty_matrix(monkeypatch):
+    m = np.zeros((0, 0))
+    assert psd_factors(m).shape == (0, 0)
+    monkeypatch.setattr(linalg, "_SKETCH_MIN_DIM", 0)
+    assert psd_factors(m).shape == (0, 0)
+
+
+def test_full_rank_goes_straight_to_eigh(rng, monkeypatch):
+    m = random_density(64, rng)
+    calls = count_calls(monkeypatch)
+    f = psd_factors(m)
+    assert calls == [("eigh", 64)]
+    assert f.shape == (64, 64)
+
+
+def test_eigh_calls_on_each_route(rng, monkeypatch):
+    """No n × n eigh on an accepted sketch, exactly one after a refused one,
+    and no sketch below the gate."""
+    accepted = low_rank(64, [2.0, 1.0], rng)
+    refused = accepted + 1e-12 * 64 * random_density(64, rng)
+    small = [low_rank(n, [1.0], rng) for n in [1, 2, 4, 9, 16, 25, linalg._SKETCH_MIN_DIM - 1]]
+    calls = count_calls(monkeypatch)
+    psd_factors(accepted)
+    assert calls == [("qr", 64), ("eigh", 5)]
+    calls.clear()
+    psd_factors(refused)
+    assert calls == [("qr", 64), ("eigh", 5), ("eigh", 64)]
+    for m in small:
+        calls.clear()
+        psd_factors(m)
+        assert calls == [("eigh", len(m))]
+
+
+def test_two_calls_give_the_same_bits():
+    choi = random_channel(16, 16, 2, np.random.default_rng(3)).choi
+    assert _ritz_pairs(choi, _hermitian_part(choi)) is not None
+    assert np.array_equal(psd_factors(choi), psd_factors(choi))
