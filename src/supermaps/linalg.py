@@ -3,8 +3,7 @@
 All composite indices are row-major with the leftmost tensor factor most
 significant: |i> ⊗ |j> sits at index i*dim_j + j.  Everything here works on
 plain complex ndarrays and is pure (inputs are never mutated), except that
-``_cholesky_certifies`` shifts the Hermitian part ``is_positive_semidefinite`` forms,
-and ``_ritz_pairs`` forms its residual in the one ``psd_factors`` forms.
+``_cholesky_certifies`` shifts the Hermitian part ``is_positive_semidefinite`` forms.
 
 Tolerance policy, shared by the whole package:
 
@@ -42,7 +41,10 @@ Tolerance policy, shared by the whole package:
   sigma_0 of one kept: equal sigma_j stay or go together, so the residual
   does not depend on the SVD's basis among them.  Dropping moves the action
   by about sigma_j sigma_0, which ``realize`` bounds at ``tol``
-  (``rebuild_residual``, then the exact ``action_distance``);
+  (``rebuild_residual``, then the exact ``action_distance``).  Its W = B Σ⁻¹
+  misses an isometry by up to tol * max(1, ||Σ²||) over sigma_min² (``w_residual_bound``);
+  where it may and does, ``realize`` takes B's polar factor, good to eps / sigma_j, not
+  eps / sigma_j² as W, and the exact ``action_distance``;
 - hermiticity is measured only where it can fail: matrices given to the
   positivity rule, Choi operators in ``choi_residuals`` and ancilla
   projectors (at ``tol``).  Matrices Hermitian by construction up to rounding
@@ -132,11 +134,9 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return rel_residual(m, dag(m))
 
 
-def _hermitian_part(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(m + m†) / 2 with the bits of that expression, in one new array instead of
-    two, or in ``out``."""
-    # The operator, not np.add: at n <= 16 a keyword argument cost 5-15% of the call.
-    h = (m + dag(m) if out is None else np.add(m, dag(m), out=out)).astype(np.result_type(m, 0.5), copy=False)
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m†) / 2 with the bits of that expression, in one new array instead of two."""
+    h = (m + dag(m)).astype(np.result_type(m, 0.5), copy=False)
     h *= 0.5
     return h
 
@@ -274,13 +274,8 @@ def psd_factors(m: np.ndarray) -> np.ndarray:
     """``canonical_factors`` of the eigenpairs of m's Hermitian part H above
     POS_TOL * max(1, lambda_max), in descending order, so m ≈ F F†.  Column j
     unvectorizes to the j-th canonical Kraus operator when m is a Choi operator.
-
-    A low-rank H of size n >= 36 takes its pairs from a sketch of its range
-    where the tolerance policy's certificate accepts them: a residual eps at
-    eigh's backward error b = n eps_mach ||H||_F, every Ritz value more than
-    the margin eps + b from the cutoff, at least one dropped, and no two kept
-    ones, nor the last kept and the first dropped, within twice the margin, so
-    a degenerate H keeps eigh's basis.  Everything else goes to eigh."""
+    A low-rank H, n >= 36, takes them from a sketch of its range where the
+    tolerance policy's certificate accepts it (``_ritz_pairs``), else eigh."""
     m = np.asarray(m, dtype=complex)
     h = _hermitian_part(m)
     pairs = _ritz_pairs(m, h)
@@ -302,14 +297,14 @@ _SKETCH_MIN_DIM = 36
 def _ritz_pairs(m: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(theta, Z), the eigenpairs of h = (m + m†)/2 that ``psd_factors`` keeps,
     descending: Ritz pairs of Q†hQ, Q = orth(h h Omega) for a fixed Gaussian
-    n × width Omega, accepted by the tolerance policy's certificate; or None,
-    and h as given.  The width is 2 ceil(k0) + 1, k0 = tr(h)² / ||h||_F² <=
-    rank(h) for h >= 0 (Cauchy–Schwarz on the spectrum), and the sketch runs
-    only where 4 width <= n.  The residual eps = ||m - Z diag(theta) Z†||_F
-    over all width pairs, formed in h's array, bounds ||h - Z diag(theta) Z†||_F:
-    m - h is anti-Hermitian, orthogonal to every Hermitian matrix.  h h Omega
-    squares the spectrum, so a kept eigenvalue below about lambda_max / n is
-    lost to rounding; the residual shows it and eigh decides.
+    n × width Omega, accepted by the tolerance policy's certificate; or None.
+    The width is 2 ceil(k0) + 1, k0 = tr(h)² / ||h||_F² <= rank(h) for h >= 0
+    (Cauchy–Schwarz on the spectrum), and the sketch runs only where
+    4 width <= n.  The residual eps = ||m - Z diag(theta) Z†||_F over all width
+    pairs bounds ||h - Z diag(theta) Z†||_F: m - h is anti-Hermitian, orthogonal
+    to every Hermitian matrix.  h h Omega squares the spectrum, so a kept
+    eigenvalue below about lambda_max / n is lost to rounding; the residual
+    shows it and eigh decides.
     """
     n = len(h)
     if n < _SKETCH_MIN_DIM:
@@ -326,9 +321,8 @@ def _ritz_pairs(m: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray] |
     q = np.linalg.qr(h @ (h @ omega))[0]
     w, u = np.linalg.eigh(dag(q) @ (h @ q))
     theta, z = w[::-1], q @ u[:, ::-1]
-    np.matmul(z * theta, dag(z), out=h)  # no second n × n array
-    h -= m
-    eps = math.sqrt(np.vdot(h, h).real)
+    residual = (z * theta) @ dag(z) - m
+    eps = math.sqrt(np.vdot(residual, residual).real)
     backward = n * np.finfo(float).eps * scale
     margin = eps + backward
     cutoff = POS_TOL * max(1.0, theta[0])
@@ -336,7 +330,6 @@ def _ritz_pairs(m: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray] |
     if (eps <= backward and kept < width and cutoff > margin and (abs(theta - cutoff) > margin).all()
             and (-np.diff(theta[:kept + 1]) > 2 * margin).all()):
         return theta[:kept], z[:, :kept]
-    _hermitian_part(m, out=h)
     return None
 
 

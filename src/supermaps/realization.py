@@ -135,7 +135,12 @@ def _isometries(s: Supermap, tol: float) -> tuple[np.ndarray, np.ndarray, int, i
     # V stacks the conjugated canonical Kraus operators N_j of the effect map along
     # ancilla B: V†V = conj(sum_j N_j† N_j), so V's check is N's identity preservation.
     v = cert.factors.T.conj().reshape(dim_b * s.h_in, s.k_in)
-    return v, cert.circuit_w, dim_a, dim_b
+    w = cert.circuit_w  # or, where it may and does fail its check, B's polar factor (tolerance policy)
+    if not cert.w_residual_bound <= tol and not isometry_residual(w) <= tol:
+        sv = np.linalg.norm(cert.factors, axis=0)  # the factors are the columns σ_j·y_j
+        u, _, vh = np.linalg.svd(w * np.tile(sv, s.h_out), full_matrices=False)
+        w = u @ vh
+    return v, w, dim_a, dim_b
 
 
 def realize(s: Supermap, tol: float = EQ_TOL) -> CircuitRealization:
@@ -147,14 +152,15 @@ def realize(s: Supermap, tol: float = EQ_TOL) -> CircuitRealization:
     ``tol`` governs determinism, the V/W isometry residuals (kept as
     ``v_residual``/``w_residual``; V's measures the effect map's identity
     preservation) and the action gap between the supermap it rebuilds and s:
-    the certificate's ``rebuild_residual``, or ``action_distance`` where that exceeds tol.
-    Raises NotDeterministicError for non-deterministic input, ValueError
-    naming the residual for numerically inconsistent input.
+    the certificate's ``rebuild_residual`` where it and ``w_residual_bound`` are within tol, else
+    ``action_distance``.  Raises NotDeterministicError for non-deterministic input, else
+    ResidualError naming V's residual, the action distance or, by rounding alone, W's.
     """
+    cert = determinism_certificate(s)
     circuit = CircuitRealization(*_isometries(s, tol), tol=tol)
     # W V rebuilds each A_m up to E_m, the part the certificate dropped; the action sees it
     # linearly.  The certificate's block norms decide most calls, the exact distance the rest.
-    if not determinism_certificate(s).rebuild_residual <= tol:
+    if not (cert.rebuild_residual <= tol and cert.w_residual_bound <= tol):
         residual = action_distance(circuit_to_supermap(circuit, (s.h_in, s.h_out, s.k_in, s.k_out)), s)
         if not residual <= tol:
             raise ResidualError(f"circuit does not rebuild the supermap (residual {residual:.3e})", residual)

@@ -74,10 +74,6 @@ class DeterminismCertificate:
     tp_residual: float  # ||Tr_Hin[A_0†A_0] − I|| / sqrt(k_in)
     kraus: np.ndarray = field(repr=False)  # T[i, c, a, m, u], shape (r, k_out, k_in, h_out, h_in)
 
-    def __post_init__(self):
-        if self.kraus.flags.writeable:  # a supermap's own Kraus array is read-only already
-            object.__setattr__(self, "kraus", readonly_copy(self.kraus))
-
     def verdict(self, tol: float = EQ_TOL) -> bool:
         # A supermap failing the trace condition, NaN included, is never factored.
         return bool(self.tp_residual <= tol and self.product_residual <= tol)
@@ -87,8 +83,8 @@ class DeterminismCertificate:
         return max(self.product_residual, self.tp_residual)
 
     @cached_property
-    def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-        """(σ, Y, B, product_residual, rebuild_residual) of the kept basis; see determinism_certificate."""
+    def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, float]:
+        """(σ, Y, B, product_residual, rebuild_residual, w_residual_bound) of the kept basis."""
         r, k_out, k_in, h_out, h_in = self.kraus.shape
         e = h_in * k_in
         # a[(i, c), (m, u, a)] = T[i, c, a, m, u]: A_m is the column block m.
@@ -105,8 +101,11 @@ class DeterminismCertificate:
             if rank < len(sv):
                 sv, y = sv[:rank], y[:, :rank]
                 b, bound, rebuild = _singular_gaps(a, y, sv)
-        bound.flat[:: h_out + 1] /= max(1.0, math.sqrt(np.dot(sv * sv, sv * sv)))  # ||Σ²||_F
-        return sv, y, b, float(np.max(bound)), rebuild
+        scale = max(1.0, math.sqrt(np.dot(sv * sv, sv * sv)))  # ||Σ²||_F
+        bound.flat[:: h_out + 1] /= scale
+        rho = float(np.max(bound))  # W's bound, next, is 0 where the basis, and so W, has no columns
+        w_bound = rho * math.sqrt((scale * scale + h_out - 1) / len(sv)) / sv[-1] ** 2 if len(sv) else 0.0
+        return sv, y, b, rho, rebuild, w_bound
 
     @property
     def product_residual(self) -> float:
@@ -121,6 +120,13 @@ class DeterminismCertificate:
         supermap and the one whose Kraus blocks are the B_m Y† that ``realize``'s circuit holds.
         Both norms come from the E_m and B_m†B_m that ``_singular_gaps`` forms in its one pass."""
         return self._basis[4]
+
+    @property
+    def w_residual_bound(self) -> float:
+        """At least ``isometry_residual(circuit_w)`` up to rounding: W†W − I = D⁻¹GD⁻¹ for
+        D = I ⊗ Σ, and the blocks G_mn = B_m†B_n − δ_mn·Σ² are within ρ·max(1, δ_mn·||Σ²||)
+        for ρ = ``product_residual``, so ρ·sqrt((max(1, ||Σ²||)² + h_out − 1) / rank) / σ_min²."""
+        return self._basis[5]
 
     @cached_property
     def factors(self) -> np.ndarray:
@@ -195,9 +201,6 @@ class Supermap:
     k_in: int
     k_out: int
     kraus: np.ndarray
-    _certificate: DeterminismCertificate | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         _check_dims(self.h_in, self.h_out, self.k_in, self.k_out)
@@ -209,6 +212,14 @@ class Supermap:
     def act(self, choi: np.ndarray) -> np.ndarray:
         """Raw action sum_i S_i choi S_i† on an arbitrary matrix."""
         return kraus_sum(self.kraus, np.asarray(choi, dtype=complex))
+
+    @cached_property
+    def _certificate(self) -> DeterminismCertificate:
+        """The determinism certificate of the stored Kraus operators; see determinism_certificate."""
+        t = self.kraus.reshape(-1, self.k_out, self.k_in, self.h_out, self.h_in)
+        # a0[a, (i, c, u)] = A_0[(i, c), (u, a)], so a0* a0ᵀ is Tr_Hin[A_0†A_0]
+        a0 = t[:, :, :, 0].transpose(2, 0, 1, 3).reshape(self.k_in, -1)
+        return DeterminismCertificate(frob(a0.conj() @ a0.T - np.eye(self.k_in)) / np.sqrt(self.k_in), t)
 
 
 def identity_supermap(dim_in: int, dim_out: int) -> Supermap:
@@ -259,28 +270,17 @@ def determinism_certificate(s: Supermap) -> DeterminismCertificate:
     (i, c) and columns (u, a).  The dual image of I_Kout ⊗ |a><b| has the
     entries <m, u| · |n, v> = (A_m†A_n)[(u, a), (v, b)], so S is
     deterministic exactly when A_m†A_n = δ_mn·C for the Choi operator C of a
-    trace-preserving N_*; then C = A_0†A_0.  ``tp_residual``, computed here
+    trace-preserving N_*; then C = A_0†A_0.  ``tp_residual``, computed first
     from A_0 alone at r·d⁴ for (d,d,d,d), is Tr_Hin[A_0†A_0] against I.  The
     rest comes from the thin SVD A_0 = U Σ Y† on first read (``_basis``): with
     B_m = A_m Y and E_m = A_m − B_m Y†, S is deterministic exactly when every
     E_m = 0 and B_m†B_n = δ_mn·Σ², so ``product_residual`` costs r·d⁵·ρ for a
     rank-ρ effect map, C = Y Σ² Y† is ``choi_n``, and N is CP by construction.
-    Y keeps σ_j >= SIGMA_CUTOFF·σ_0, less the smallest σ_j whose sum of σ_j²
-    is within the worst absolute bound in that basis, which is then taken
-    again: damage adds such directions, and as columns of W they are off by
-    O(1); a σ_j within SIGMA_CUTOFF·σ_0 of a kept one stays, so equal σ_j
-    are never split and the residual does not depend on the SVD's basis
-    among them.  ``verdict`` and ``_certified`` decide the trace condition
-    first, so a supermap failing it is never factored.
+    Y keeps the σ_j of the tolerance policy's drop rule: damage adds directions
+    of σ_j² within the worst bound, which as columns of W are off by O(1).
+    The supermap caches the certificate (``Supermap._certificate``).
     """
-    if s._certificate is not None:
-        return s._certificate
-    t = s.kraus.reshape(-1, s.k_out, s.k_in, s.h_out, s.h_in)
-    a0 = t[:, :, :, 0].transpose(2, 0, 1, 3).reshape(s.k_in, -1)  # a0[a, (i, c, u)] = A_0[(i, c), (u, a)]
-    marginal = a0.conj() @ a0.T  # Tr_Hin[A_0†A_0]
-    cert = DeterminismCertificate(frob(marginal - np.eye(s.k_in)) / np.sqrt(s.k_in), t)
-    object.__setattr__(s, "_certificate", cert)
-    return cert
+    return s._certificate
 
 
 def is_deterministic(s: Supermap, tol: float = EQ_TOL) -> bool:

@@ -13,15 +13,20 @@ accepts those it once refused; that the certificate's verdict equals the
 reference's outside the band the tolerance policy states, over damage from
 1e-13 to 1 and near-cutoff spectra; and that circuits with noise or one more
 Kraus operator of relative size 1e-12 to 1e-9 realize within tol, without
-the singular directions the damage adds.
+the singular directions the damage adds.  W drifts from an isometry as
+1/σ_min², which the certificate bounds (``w_residual_bound``); where that
+bound exceeds tol and W fails its check, ``realize`` takes the polar factor
+of B = W·Σ and the exact action distance, and the pinned draws below, once
+refused, realize.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from supermaps.linalg import _PHASE_EPS, EQ_TOL, ResidualError, frob, psd_factors, random_isometry
+from supermaps import realization
+from supermaps.linalg import _PHASE_EPS, EQ_TOL, ResidualError, frob, isometry_residual, psd_factors, random_isometry
 from supermaps.realization import CircuitRealization, _isometries, circuit_to_supermap, realize
 from supermaps.supermap import (
     SIGMA_CUTOFF,
@@ -196,6 +201,33 @@ def test_verdict_equals_the_reference_outside_the_band(dims, seed, base, log_eps
     check_certificate(Supermap(*dims, damaged(rng, s.kraus, kind, 10.0**log_damage)))
 
 
+# Draws whose W = B·Σ⁻¹ fails its isometry check though the certificate accepts
+# them (W's residual 1.3e-7 and 1.4e-8 to 1.9e-8): realize takes the polar factor
+# of B and decides by the exact action distance, 2.1e-10 to 1.0e-9 on these.
+DRIFTING_W = [
+    ((2, 2, 1, 1), 678, -9.0),
+    ((2, 3, 1, 3), 1359371981, -9.253409025406174),
+    ((2, 4, 1, 2), 524157424, -9.129330436673603),
+    ((2, 3, 1, 2), 1251596795, -9.48316577193949),
+    ((2, 4, 1, 1), 1081026575, -9.131775252107477),
+    ((2, 4, 1, 1), 3767844951, -9.036453251542195),
+]
+
+
+def damaged_circuit(dims, seed: int, kind: str, log_damage: float) -> tuple[Supermap, Supermap]:
+    """(the circuit drawn at seed, that circuit damaged by 10^log_damage)."""
+    rng = np.random.default_rng(seed)
+    s = circuit_supermap(rng, dims)
+    return s, Supermap(*dims, damaged(rng, s.kraus, kind, 10.0**log_damage))
+
+
+def _pinned(test):
+    for dims, seed, log_damage in DRIFTING_W:
+        test = example(dims=dims, seed=seed, kind="noise", log_damage=log_damage)(test)
+    return test
+
+
+@_pinned
 @given(dims=dims_st, seed=seed_st, kind=st.sampled_from(("noise", "extra Kraus")), log_damage=st.floats(-12, -9))
 def test_damaged_circuits_realize(dims, seed, kind, log_damage):
     """A damaged circuit that the certificate accepts realizes within tol, with as many
@@ -205,11 +237,68 @@ def test_damaged_circuits_realize(dims, seed, kind, log_damage):
     direction makes a column of W that is off by O(1); the certificate drops
     it, because its weight σ_j² is within its own residual.
     """
-    rng = np.random.default_rng(seed)
-    s = circuit_supermap(rng, dims)
-    damaged_map = Supermap(*dims, damaged(rng, s.kraus, kind, 10.0**log_damage))
+    s, damaged_map = damaged_circuit(dims, seed, kind, log_damage)
     if not is_deterministic(damaged_map):
         return
     circuit = realize(damaged_map)
     assert action_distance(circuit_to_supermap(circuit, dims), damaged_map) <= EQ_TOL
     assert circuit.dim_b == len(effect_map_of(damaged_map).kraus) == determinism_certificate(s).factors.shape[1]
+
+
+@given(dims=dims_st, seed=seed_st, base=st.sampled_from(("circuit", "near-cutoff")),
+       log_eps=st.floats(-18, 0), kind=st.sampled_from(("scaled", "noise", "extra Kraus")),
+       log_damage=st.floats(-13, 0))
+def test_w_residual_bound_holds(dims, seed, base, log_eps, kind, log_damage):
+    """The certificate's bound on W's isometry residual holds up to rounding, whatever
+    the verdict: here it was exceeded by at most 4.4e-16 over 4000 draws."""
+    rng = np.random.default_rng(seed)
+    s = circuit_supermap(rng, dims) if base == "circuit" else near_cutoff_supermap(dims, seed, 10.0**log_eps)
+    cert = determinism_certificate(Supermap(*dims, damaged(rng, s.kraus, kind, 10.0**log_damage)))
+    assert isometry_residual(cert.circuit_w) <= cert.w_residual_bound + 1e-14
+
+
+@pytest.mark.parametrize("dims, seed, log_damage", DRIFTING_W)
+def test_a_drifting_w_is_replaced_and_the_exact_distance_decides(monkeypatch, dims, seed, log_damage):
+    """Where the certificate cannot vouch for W and W fails its check, realize's circuit holds
+    the polar factor of B = W·D, an isometry to rounding, and realize measures the exact
+    action distance even though the rebuild bound is within tol."""
+    _, s = damaged_circuit(dims, seed, "noise", log_damage)
+    cert = determinism_certificate(s)
+    assert cert.verdict(EQ_TOL) and cert.rebuild_residual <= EQ_TOL < cert.w_residual_bound
+    assert isometry_residual(cert.circuit_w) > EQ_TOL
+    distances = []
+
+    def measured(a, b):
+        distances.append(action_distance(a, b))
+        return distances[-1]
+
+    monkeypatch.setattr(realization, "action_distance", measured)
+    circuit = realize(s)
+    assert circuit.w_residual <= 1e-14 and len(distances) == 1
+    assert distances[0] == action_distance(circuit_to_supermap(circuit, dims), s) <= EQ_TOL
+
+
+@pytest.mark.parametrize("dims, seed, log_eps", [
+    ((3, 2, 1, 2), 4268205538, -13.416302329017464),
+    ((3, 4, 1, 3), 2709397297, -13.728977931623307),
+    ((3, 2, 2, 2), 1640765001, -13.808749004961822),
+    ((2, 3, 2, 2), 143737391, -13.924678376176017),
+])
+def test_the_polar_factor_of_b_rebuilds_a_near_cutoff_circuit(dims, seed, log_eps):
+    """Exact circuits whose W fails its check by rounding alone (residual 2.8e-8 to 7.3e-8, at
+    σ_min/σ_0 of 5e-8 to 2e-7): W's own polar factor moved the action by 1.1e-8 to 2.5e-8,
+    beyond tol, while B's keeps it at rounding, 2e-15 to 9e-15."""
+    s = near_cutoff_supermap(dims, seed, 10.0**log_eps)
+    assert isometry_residual(determinism_certificate(s).circuit_w) > EQ_TOL
+    assert action_distance(circuit_to_supermap(realize(s), dims), s) <= 1e-13
+
+
+def test_the_certificate_vouches_for_w_on_exact_circuits():
+    """On exact circuits (σ_min 0.16 to 1.4 here) the bound is far below tol, so realize
+    measures W once, in CircuitRealization, and keeps the certificate's W."""
+    for seed in range(20):
+        dims = tuple(int(x) for x in np.random.default_rng(seed).integers(1, 5, 4))
+        s = circuit_supermap(np.random.default_rng(seed), dims)
+        cert = determinism_certificate(s)
+        assert cert.w_residual_bound <= 1e-13
+        assert np.array_equal(realize(s).w, cert.circuit_w)

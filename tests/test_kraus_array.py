@@ -269,7 +269,7 @@ def tuple_form(s: Supermap) -> SimpleNamespace:
     """The fields of s, with its Kraus operators as a tuple of read-only 2-D arrays."""
     return SimpleNamespace(
         h_in=s.h_in, h_out=s.h_out, k_in=s.k_in, k_out=s.k_out,
-        kraus=tuple(map(readonly_copy, s.kraus)), _certificate=None,
+        kraus=tuple(map(readonly_copy, s.kraus)),
     )
 
 
@@ -420,6 +420,18 @@ def test_wrong_shapes_name_the_shape(ops, got):
         Supermap(1, 1, 2, 1, ops)
     with pytest.raises(ValueError, match=message):
         KrausSet(1, 2, ops)
+
+
+def test_unconvertible_entries_raise_numpys_own_error():
+    # Operators of the right shape whose entries are not numbers: the shape check
+    # has nothing to name, so numpy's conversion error is raised as it is.
+    ops = [np.array([["a", "b"], ["c", "d"]])]
+    with pytest.raises(ValueError) as expected:
+        np.array(ops, dtype=complex)
+    for build in (lambda: Supermap(2, 1, 1, 2, ops), lambda: KrausSet(2, 2, ops)):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == str(expected.value) and "shape" not in str(exc.value)
 
 
 def test_non_finite_operators_are_rejected():

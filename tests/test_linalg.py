@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from supermaps.applications import povm_as_channel
 from supermaps.linalg import (
     POS_TOL,
     _PHASE_EPS,
@@ -343,6 +344,12 @@ class TestCheckPovm:
         assert [m.shape for m in povm] == [(3, 3), (3, 3)]
         with pytest.raises(ValueError, match=r"POVM element shape \(2, 2\) != \(3, 3\)"):
             check_povm([np.eye(3), np.zeros((2, 2))])
+
+    def test_a_non_square_first_element_is_named(self):
+        # Without d, the first element's rows set d, and its shape is named against (d, d).
+        for check in (check_povm, povm_as_channel):
+            with pytest.raises(ValueError, match=r"^POVM element shape \(2, 3\) != \(2, 2\)$"):
+                check([np.ones((2, 3))])
 
     def test_empty_povm_rejected_naming_it(self):
         with pytest.raises(ValueError, match="^POVM is empty$"):

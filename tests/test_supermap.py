@@ -231,18 +231,21 @@ class TestIsDeterministic:
         # effect-wise test may share _factor_gaps, action_distance's helper,
         # and _gram, which name nothing of the certificate.
         names = is_deterministic_effectwise.__code__.co_names
-        certificate_names = ("determinism_certificate", "_certified", "DeterminismCertificate",
+        certificate_names = ("determinism_certificate", "_certified", "DeterminismCertificate", "_certificate",
                              "_singular_gaps", "svd", "canonical_factors", "SIGMA_CUTOFF", "_basis",
-                             "product_residual", "rebuild_residual", "factors", "circuit_w", "choi_n")
+                             "product_residual", "rebuild_residual", "w_residual_bound", "factors",
+                             "circuit_w", "choi_n")
         for shared in certificate_names:
             assert shared not in names
             assert shared not in _factor_gaps.__code__.co_names
             assert shared not in _gram.__code__.co_names
-        # The certificate's SVD is its cached basis; the residuals, factors, W and choi_n read it.
+        # The supermap's cached property builds the certificate, whose SVD is its cached basis;
+        # the residuals, W's bound, the factors, W and choi_n read it.
         cert = DeterminismCertificate
-        codes = (determinism_certificate.__code__, _singular_gaps.__code__, cert._basis.func.__code__,
+        codes = (determinism_certificate.__code__, Supermap._certificate.func.__code__,
+                 _singular_gaps.__code__, cert._basis.func.__code__,
                  cert.product_residual.fget.__code__, cert.rebuild_residual.fget.__code__,
-                 cert.factors.func.__code__,
+                 cert.w_residual_bound.fget.__code__, cert.factors.func.__code__,
                  cert.circuit_w.fget.__code__, cert.choi_n.func.__code__)
         for code in codes:
             for name in ("is_deterministic_effectwise", "_factor_gaps", "_gram"):
