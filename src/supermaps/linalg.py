@@ -41,10 +41,9 @@ Tolerance policy, shared by the whole package:
   sigma_0 of one kept: equal sigma_j stay or go together, so the residual
   does not depend on the SVD's basis among them.  Dropping moves the action
   by about sigma_j sigma_0, which ``realize`` bounds at ``tol``
-  (``rebuild_residual``, then the exact ``action_distance``).  Its W = B Σ⁻¹
-  misses an isometry by up to tol * max(1, ||Σ²||) over sigma_min² (``w_residual_bound``);
-  where it may and does, ``realize`` takes B's polar factor, good to eps / sigma_j, not
-  eps / sigma_j² as W, and the exact ``action_distance``;
+  (``rebuild_residual``, then the exact ``action_distance``).  Its W = B Σ⁻¹ drifts
+  from an isometry as eps / sigma_j², and no bound predicts it: where W fails its check,
+  ``realize`` takes B's polar factor, good to eps / sigma_j, and the exact ``action_distance``;
 - hermiticity is measured only where it can fail: matrices given to the
   positivity rule, Choi operators in ``choi_residuals`` and ancilla
   projectors (at ``tol``).  Matrices Hermitian by construction up to rounding

@@ -83,8 +83,8 @@ class DeterminismCertificate:
         return max(self.product_residual, self.tp_residual)
 
     @cached_property
-    def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, float]:
-        """(σ, Y, B, product_residual, rebuild_residual, w_residual_bound) of the kept basis."""
+    def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+        """(σ, Y, B, product_residual, rebuild_residual) of the kept basis; see determinism_certificate."""
         r, k_out, k_in, h_out, h_in = self.kraus.shape
         e = h_in * k_in
         # a[(i, c), (m, u, a)] = T[i, c, a, m, u]: A_m is the column block m.
@@ -101,11 +101,8 @@ class DeterminismCertificate:
             if rank < len(sv):
                 sv, y = sv[:rank], y[:, :rank]
                 b, bound, rebuild = _singular_gaps(a, y, sv)
-        scale = max(1.0, math.sqrt(np.dot(sv * sv, sv * sv)))  # ||Σ²||_F
-        bound.flat[:: h_out + 1] /= scale
-        rho = float(np.max(bound))  # W's bound, next, is 0 where the basis, and so W, has no columns
-        w_bound = rho * math.sqrt((scale * scale + h_out - 1) / len(sv)) / sv[-1] ** 2 if len(sv) else 0.0
-        return sv, y, b, rho, rebuild, w_bound
+        bound.flat[:: h_out + 1] /= max(1.0, math.sqrt(np.dot(sv * sv, sv * sv)))  # ||Σ²||_F
+        return sv, y, b, float(np.max(bound)), rebuild
 
     @property
     def product_residual(self) -> float:
@@ -120,13 +117,6 @@ class DeterminismCertificate:
         supermap and the one whose Kraus blocks are the B_m Y† that ``realize``'s circuit holds.
         Both norms come from the E_m and B_m†B_m that ``_singular_gaps`` forms in its one pass."""
         return self._basis[4]
-
-    @property
-    def w_residual_bound(self) -> float:
-        """At least ``isometry_residual(circuit_w)`` up to rounding: W†W − I = D⁻¹GD⁻¹ for
-        D = I ⊗ Σ, and the blocks G_mn = B_m†B_n − δ_mn·Σ² are within ρ·max(1, δ_mn·||Σ²||)
-        for ρ = ``product_residual``, so ρ·sqrt((max(1, ||Σ²||)² + h_out − 1) / rank) / σ_min²."""
-        return self._basis[5]
 
     @cached_property
     def factors(self) -> np.ndarray:

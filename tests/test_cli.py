@@ -310,22 +310,58 @@ class TestRealizeCommands:
             assert report["residual"] == pytest.approx(0.19, abs=1e-12)
         assert reports[0][1]["residual"] == reports[1][1]["residual"]
 
-    def test_a_failing_isometry_reports_its_residual(self, capsys, monkeypatch, identity_map_file):
-        # W scaled by 1.001 fails its check after a passing determinism certificate;
-        # the report quotes W's residual, not the certificate's.
-        isometries, w_residuals = realization._isometries, []
+    def test_a_failing_w_is_repaired_and_the_exact_distance_decides(self, capsys, monkeypatch, identity_map_file):
+        # W scaled by 1.001 fails its check; realize replaces it by B's polar factor, an
+        # isometry to rounding, and the report's roundtrip is the distance realize measured.
+        isometries, distances = realization._isometries, []
 
         def scaled(s, tol):
             v, w, dim_a, dim_b = isometries(s, tol)
-            w_residuals.append(isometry_residual(1.001 * w))
             return v, 1.001 * w, dim_a, dim_b
+
+        def measured(a, b):
+            distances.append(action_distance(a, b))
+            return distances[-1]
+
+        monkeypatch.setattr(realization, "_isometries", scaled)
+        monkeypatch.setattr(realization, "action_distance", measured)
+        code, report = run_cli(capsys, "realize", identity_map_file)
+        assert code == 0 and report["pass"] is True and len(distances) == 1
+        assert report["details"]["w_isometry_residual"] <= 1e-14
+        assert report["details"]["roundtrip_residual"] == distances[0] <= 1e-14
+        code, report = run_cli(capsys, "realize-prob", identity_map_file)
+        assert code == 0 and report["pass"] is True and len(distances) == 2
+        assert report["details"]["part_residuals"] == [distances[1]]
+
+    def test_a_failing_v_reports_its_residual(self, capsys, monkeypatch, identity_map_file):
+        # V scaled by 1.001 fails its check after a passing determinism certificate; W's
+        # repair does not mask it, and the report quotes V's residual, not the certificate's.
+        isometries, v_residuals = realization._isometries, []
+
+        def scaled(s, tol):
+            v, w, dim_a, dim_b = isometries(s, tol)
+            v_residuals.append(isometry_residual(1.001 * v))
+            return 1.001 * v, w, dim_a, dim_b
 
         monkeypatch.setattr(realization, "_isometries", scaled)
         for command in ("realize", "realize-prob"):
             code, report = run_cli(capsys, command, identity_map_file)
             assert code == 1 and report["pass"] is False
-            assert report["details"] == {"error": f"W is not an isometry (residual {w_residuals[-1]:.3e})"}
-            assert report["residual"] == w_residuals[-1] > 1e-3
+            assert report["details"] == {"error": f"V is not an isometry (residual {v_residuals[-1]:.3e})"}
+            assert report["residual"] == v_residuals[-1] > 1e-3
+
+    def test_a_rank_zero_effect_map_reports_the_effect_map_message(self, capsys, tmp_path):
+        # The zero supermap passes the certificate at --tol 2 but has no effect-map Kraus operator.
+        path = tmp_path / "zero.json"
+        sio.save_json(path, sio.supermap_to_json(Supermap(2, 2, 2, 2, np.zeros((1, 4, 4)))))
+        for command in ("realize", "realize-prob"):
+            code = main([command, str(path), "--tol", "2"])
+            captured = capsys.readouterr()
+            report = json.loads(captured.out)
+            error = "effect map needs at least one Kraus operator"
+            assert code == 1 and report["pass"] is False and report["residual"] == 0.0
+            assert report["details"] == {"error": error}
+            assert captured.err == f"error: check failed: {error}\n"
 
     def test_realize_prob(self, capsys, rng, tmp_path):
         s = random_circuit_supermap(rng, dim_a=2)

@@ -121,6 +121,16 @@ class TestRealize:
         with pytest.raises(NotDeterministicError, match=r"^supermap is not deterministic \(residual 5\.000e-01\)$"):
             realize(s)
 
+    def test_rank_zero_effect_map_is_refused_with_the_effect_map_message(self):
+        # The certificate accepts the zero supermap at tol >= 1 (tp_residual 1, product_residual
+        # 0), but its effect map has no Kraus operator, so there is no ancilla B to build.
+        s = Supermap(2, 2, 2, 2, np.zeros((1, 4, 4)))
+        assert is_deterministic(s, 2.0)
+        message = "^effect map needs at least one Kraus operator$"
+        for build in (effect_map_of, realize, lambda s, tol: realize_probabilistic([s], tol)):
+            with pytest.raises(ValueError, match=message):
+                build(s, 2.0)
+
     def test_degenerate_one_dimensional_outputs(self, rng):
         # effect-like supermap: k_in = k_out = 1 (a one-outcome tester)
         rho = random_density(2, rng)
