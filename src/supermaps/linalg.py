@@ -16,8 +16,8 @@ Tolerance policy, shared by the whole package:
   Hermitian part (``hermitian_spectrum``) at least
   -POS_TOL * max(1, lambda_max).  Choi operators follow it through
   ``choi_residuals``, whose verdicts ``QuantumOperation`` enforces and
-  ``check-op`` reports; their trace increase (the effect's excess over I) is
-  a positivity test at the same scale, in ``KrausSet`` too.  ``psd_factors``
+  ``check-op`` reports; their trace bound, in ``KrausSet`` too, is the floor
+  of I - effect at every dimension: lambda_max(effect) - 1 <= POS_TOL.  ``psd_factors``
   keeps exactly the eigenvalues above +POS_TOL * max(1, lambda_max).  On a
   low-rank n x n H, n >= 36, it takes them from Ritz pairs (theta_j, z_j) of a
   sketch of H's range (``_ritz_pairs``) only where the residual eps, at least
@@ -31,8 +31,8 @@ Tolerance policy, shared by the whole package:
   lambda_min > -POS_TOL/2 * max(1, lambda_max) (max diag H <= lambda_max)
   less its backward error, about n eps ||H||: far inside the other half for
   n <= 4096.  Elsewhere the eigensolver decides.  An empty matrix is positive.
-  ``QuantumOperation`` decides through the rule and its trace bound at
-  POS_TOL * max(1, max diag H); ``choi_residuals`` only where one fails;
+  ``QuantumOperation`` decides through the rule and the trace bound;
+  ``choi_residuals`` only where one fails;
 - the effect map's factors are the thin SVD A_0 = U Σ Y† of one Kraus block,
   keeping sigma_j >= SIGMA_CUTOFF * sigma_0 (exact rank-deficient blocks show
   spurious sigma_j of at most 5.3e-16 sigma_0, circuits with d <= 32), less

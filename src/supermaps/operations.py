@@ -73,7 +73,7 @@ def choi_residuals(choi: np.ndarray, dim_in: int, dim_out: int) -> dict:
         "channel_residual": frob(effect - np.eye(dim_in)),
         "hermitian": herm <= HERM_TOL,
         "cp": min_eig_floor(lam_min, lam_max),
-        "trace_non_increasing": increase <= POS_TOL * max(1.0, lam_max),
+        "trace_non_increasing": increase <= POS_TOL,
     }
 
 
@@ -83,8 +83,8 @@ class QuantumOperation:
 
     The Choi operator lives on out ⊗ in (out factor first).  Construction checks
     it is Hermitian, positive and of effect <= I (unless ``_admitted``) through
-    ``is_positive_semidefinite`` and lambda_max(effect) - 1 <= POS_TOL * max(1, max Re diag choi),
-    which imply ``choi_residuals``' verdicts; that decides only where one fails.
+    ``is_positive_semidefinite`` and lambda_max(effect) - 1 <= POS_TOL (the rule's floor
+    on I - effect), which imply ``choi_residuals``' verdicts; that decides only where one fails.
     """
 
     dim_in: int
@@ -100,8 +100,7 @@ class QuantumOperation:
         if not np.all(np.isfinite(choi)):
             raise ValueError("Choi operator has non-finite entries")
         effect = _effect(choi, self.dim_in, self.dim_out)
-        if not (is_positive_semidefinite(choi) and hermitian_spectrum(effect)[1] - 1.0
-                <= POS_TOL * max(1.0, choi.diagonal().real.max())):
+        if not (is_positive_semidefinite(choi) and hermitian_spectrum(effect)[1] - 1.0 <= POS_TOL):
             res = choi_residuals(choi, self.dim_in, self.dim_out)
             for verdict, key, message in (
                 ("hermitian", "hermiticity", "Choi operator not Hermitian (residual {:.3e})"),
@@ -131,17 +130,13 @@ class KrausSet:
     def __post_init__(self):
         _check_dims(self.dim_in, self.dim_out)
         ops = _operator_stack(self.operators, (self.dim_out, self.dim_in))
-        # sum_j E_j† E_j is the Gram matrix of the E_j stacked as one column.
+        # sum_j E_j† E_j (the Choi effect, transposed) is the Gram matrix of the E_j stacked as one column.
         column = ops.reshape(-1, self.dim_in)
         gram = dag(column) @ column
         if not np.isfinite(gram).all():  # eigvalsh of an overflowed matrix is garbage
             raise ResidualError("Kraus bound violated: sum E†E overflows", np.inf)
         excess = hermitian_spectrum(gram)[1] - 1.0
-        # Scaled as in QuantumOperation, by the largest Choi eigenvalue (the squared
-        # spectral norm of the stacked vec(E_j)), needed only when excess > POS_TOL.
-        if excess > POS_TOL and excess > POS_TOL * max(
-            1.0, np.linalg.norm(ops.reshape(len(ops), -1), 2) ** 2
-        ):
+        if excess > POS_TOL:  # the floor of I - effect, as QuantumOperation bounds it
             raise ResidualError(f"Kraus bound violated: sum E†E exceeds identity by {excess:.3e}", excess)
         object.__setattr__(self, "operators", ops)
 
@@ -180,7 +175,7 @@ def kraus_to_choi(k: KrausSet) -> QuantumOperation:
 
     Taken on ``KrausSet``'s verdict, not validated again: a sum of outer
     products is Hermitian and positive up to rounding, and its effect
-    (sum E†E)ᵀ is the matrix ``KrausSet`` bounded, at the same scale.
+    (sum E†E)ᵀ is the matrix ``KrausSet`` bounded, by the same POS_TOL.
     """
     return _admitted(k.dim_in, k.dim_out, _kraus_choi(k.operators))
 

@@ -558,11 +558,9 @@ class TestTraceIncreaseBoundary:
     @pytest.mark.parametrize("tol_flag", [[], ["--tol", "1e-2"]])
     @pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3])
     def test_boundary_is_pos_tol(self, capsys, tmp_path, side, tol_flag):
-        # (1 + x) times the identity channel: effect (1 + x) I, largest Choi
-        # eigenvalue 2 (1 + x), so the bound is POS_TOL * 2 (1 + x) and
-        # x = side * bound solves to x = a / (1 - a) with a = side * 2 POS_TOL.
-        a = side * 2 * POS_TOL
-        x = a / (1 - a)
+        # (1 + x) times the identity channel: effect (1 + x) I, which exceeds
+        # the identity by x, against the bound POS_TOL whatever the Choi scale.
+        x = side * POS_TOL
         path = tmp_path / "op.json"
         sio.save_json(path, sio.operation_to_json(2, 2, (1 + x) * identity_operation(2).choi))
         code, report = run_cli(capsys, "check-op", str(path), *tol_flag)
@@ -574,12 +572,11 @@ class TestTraceIncreaseBoundary:
     def test_choi2kraus_at_the_boundary(self, capsys, tmp_path, d, side):
         """choi2kraus accepts exactly the operations check-op accepts.
 
-        (1 + x) times the identity channel on dimension d has largest Choi
-        eigenvalue d (1 + x); its one Kraus operator sqrt(1 + x) I must pass
-        the Kraus bound at that same scale.
+        (1 + x) times the identity channel on dimension d has effect
+        (1 + x) I; its one Kraus operator sqrt(1 + x) I must pass the Kraus
+        bound on the same excess x, at POS_TOL whatever d.
         """
-        a = side * d * POS_TOL
-        x = a / (1 - a)
+        x = side * POS_TOL
         path = tmp_path / "op.json"
         sio.save_json(path, sio.operation_to_json(d, d, (1 + x) * identity_operation(d).choi))
         code, report = run_cli(capsys, "choi2kraus", str(path))

@@ -152,14 +152,12 @@ def kraus_fixture(dim_in: int, dim_out: int, r: int, kind: str, seed: int, scale
         w = random_isometry(dim_in, 1, rng).conj().T
         ops = u @ w
         return np.concatenate([ops[:1] / np.sqrt(2), ops[:1] / np.sqrt(2), ops[1:]])
-    # A channel scaled so that sum E†E = c² I exceeds I by t max(1, ||stack||²), with
-    # t = POS_TOL (1 ± 1e-3) and ||stack||² = c² n0: c² = 1 + t when c² n0 <= 1,
-    # else 1 / (1 - t n0).
+    # A channel scaled so that sum E†E = (1 + t) I exceeds I by t = POS_TOL (1 ± 1e-3),
+    # the bound at every dimension and Kraus rank.
     r = max(r, -(-dim_in // dim_out))  # enough operators for a channel
     ops = random_isometry(dim_out * r, dim_in, rng).reshape(dim_out, r, dim_in).transpose(1, 0, 2)
-    n0 = np.linalg.norm(ops.reshape(r, -1), 2) ** 2
     t = POS_TOL * (1 - 1e-3 if kind == "excess below the bound" else 1 + 1e-3)
-    return ops * np.sqrt(max(1 + t, 1 / (1 - t * n0)))
+    return ops * np.sqrt(1 + t)
 
 
 # ---------------------------------------------------------------- properties

@@ -65,7 +65,8 @@ def ref_spectrum(m):
 
 
 def ref_contract(choi, dim_in, dim_out):
-    """The former QuantumOperation checks on the former choi_residuals: the message, or None."""
+    """The former QuantumOperation checks on the former choi_residuals, with the trace
+    bound at bare POS_TOL (the floor of I - effect): the message, or None."""
     herm = hermiticity_residual(choi)
     sym = (choi + dag(choi)) / 2.0
     eigs = np.linalg.eigvalsh(sym)
@@ -77,7 +78,7 @@ def ref_contract(choi, dim_in, dim_out):
         return f"Choi operator not Hermitian (residual {herm:.3e})"
     if not lo >= -POS_TOL * max(1.0, hi):
         return f"Choi operator not positive semidefinite (min eigenvalue {lo:.3e})"
-    if increase > POS_TOL * max(1.0, hi):
+    if increase > POS_TOL:
         return f"operation increases trace (effect exceeds identity by {increase:.3e})"
     return None
 
@@ -146,8 +147,8 @@ def choi_candidates(draw):
     cut = POS_TOL * max(1.0, w[-1])
     if defect == "hermiticity":
         choi = skewed(choi, side * HERM_TOL, rng)
-    elif defect == "trace":
-        choi = (1 + side * cut) * choi
+    elif defect == "trace":  # effect (1 + x) I exceeds I by x, whatever lambda_max
+        choi = (1 + side * POS_TOL) * choi
     elif defect == "negative":
         # Move the smallest eigenvalue to -side * cut; lambda_max stays (or,
         # in dimension 1, its floor max(1, .) does).
